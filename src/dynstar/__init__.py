@@ -2,7 +2,7 @@
 star-products on SL(2) orbits and twist projection."""
 
 from .scalars import (Context, ContextMismatchError, FieldElement, PoleError,
-                      SeriesCoefficients, field_arith)
+                      SeriesCoefficients)
 from .rootsystems import (RootSystem, RootSystemError, StructureTable,
                           build_root_system, check_parabolic,
                           check_reductive_subset, chevalley_constants,

@@ -10,7 +10,8 @@ on the Levi part. Every verification below is an exact rational identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy as sp
@@ -66,22 +67,12 @@ class DynrSpec:
             if a in self.U:
                 if not (ta - one).is_zero():
                     raise SpecError(f"t_alpha must be 1 on U (violated at {a})")
-            elif not ta.expr.free_symbols and (ta - one).is_zero():
+            elif (ta - one).is_zero():
                 raise SpecError(f"t_alpha = 1 at {a} outside U (coth pole)")
 
     def levi_roots(self) -> frozenset[Root]:
         """N = (span Delta) cap R, computed in the chosen simple system."""
-        rs = self.system
-        if not self.delta:
-            return frozenset()
-        basis = sp.Matrix([list(d) for d in self.simple]).T
-        dset = set(self.delta)
-        out = set()
-        for r in rs.roots:
-            coords = basis.solve(sp.Matrix(list(r)))
-            if all(c == 0 for c, s in zip(coords, self.simple) if s not in dset):
-                out.add(r)
-        return frozenset(out)
+        return _levi_of(self.system, self.simple, self.delta)
 
     def t_of(self, a: Root) -> FieldElement:
         """t_alpha extended multiplicatively over the Delta-expansion."""
@@ -149,7 +140,7 @@ def build_coefficients(spec: DynrSpec) -> CoefficientFamily:
             x[a] = ctx.zero()
         elif a in N:
             t = spec.t_of(a)
-            if not t.expr.free_symbols and (t - 1).is_zero():
+            if (t - 1).is_zero():
                 raise SpecError(f"coth pole: t_alpha = 1 at {a}")
             x[a] = half * (t + 1) / (t - 1)
         elif a in spec.positive:
@@ -265,7 +256,6 @@ def recover_classification(fam: CoefficientFamily, ctx: Context,
         simple = rsys.simple_roots_of(rs, pos)
         nroots_all = P - pos  # candidate Levi roots must cover this
         for k in range(len(simple) + 1):
-            import itertools
             for delta in itertools.combinations(simple, k):
                 N = _levi_of(rs, simple, delta)
                 if pos | N != P:
@@ -301,6 +291,7 @@ def recover_classification(fam: CoefficientFamily, ctx: Context,
 
 def _levi_of(rs: RootSystem, simple: Sequence[Root],
              delta: Sequence[Root]) -> frozenset[Root]:
+    """The roots whose coordinates in ``simple`` vanish outside ``delta``."""
     if not delta:
         return frozenset()
     basis = sp.Matrix([list(s) for s in simple]).T

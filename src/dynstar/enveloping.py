@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .lie import LieAlgebraData
-from .scalars import Context, FieldElement
+from .scalars import Context, FieldElement, LinearCombination
 
 Exp = tuple[int, ...]
 
@@ -100,43 +100,25 @@ class PBWAlgebra:
         return self.word_normal_form(self._exp_to_word(e1) + self._exp_to_word(e2))
 
 
-class UEAElement:
+class UEAElement(LinearCombination):
     """An enveloping-algebra element in PBW normal form."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: PBWAlgebra, terms: Mapping[Exp, FieldElement]):
         self.algebra = algebra
-        self.terms: dict[Exp, FieldElement] = {
-            k: v for k, v in terms.items() if v._expr != 0
-        }
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+
+    @property
+    def ctx(self) -> Context:
+        return self.algebra.ctx
+
+    def _like(self, terms) -> "UEAElement":
+        return UEAElement(self.algebra, terms)
 
     def _check(self, other: "UEAElement") -> None:
         if other.algebra is not self.algebra:
             raise EnvelopingError("elements from different algebras/orders")
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        self._check(other)
-        out = dict(self.terms)
-        z = self.algebra.ctx.zero()
-        for k, v in other.terms.items():
-            out[k] = out.get(k, z) + v
-        return UEAElement(self.algebra, out)
-
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        self._check(other)
-        out = dict(self.terms)
-        z = self.algebra.ctx.zero()
-        for k, v in other.terms.items():
-            out[k] = out.get(k, z) - v
-        return UEAElement(self.algebra, out)
-
-    def __neg__(self) -> "UEAElement":
-        return UEAElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, s) -> "UEAElement":
-        s = self.algebra.ctx(s)
-        return UEAElement(self.algebra, {k: s * v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "UEAElement":
         if not isinstance(other, UEAElement):
@@ -164,9 +146,6 @@ class UEAElement:
         for _ in range(n):
             out = out * self
         return out
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.terms.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UEAElement):
@@ -202,13 +181,6 @@ class UEAElement:
                 key = (l, r)
                 out[key] = out.get(key, z) + c * m
         return TensorUEA((alg, alg), out)
-
-    def map_coefficients(self, f) -> "UEAElement":
-        return UEAElement(self.algebra, {k: f(v) for k, v in self.terms.items()})
-
-    def pruned(self) -> "UEAElement":
-        return UEAElement(self.algebra,
-                          {k: v for k, v in self.terms.items() if not v.is_zero()})
 
     def to_json(self) -> dict:
         return {
@@ -295,7 +267,7 @@ def project_zero_part(u: UEAElement, lowering: Sequence[str],
                             if all(e[i] == 0 for i in drop)})
 
 
-class TensorUEA:
+class TensorUEA(LinearCombination):
     """A tensor power of enveloping algebras: maps from tuples of exponent
     vectors (one per slot) to field coefficients."""
 
@@ -304,9 +276,7 @@ class TensorUEA:
     def __init__(self, slots: Sequence[PBWAlgebra],
                  terms: Mapping[tuple, FieldElement]):
         self.slots = tuple(slots)
-        self.terms: dict[tuple, FieldElement] = {
-            k: v for k, v in terms.items() if v._expr != 0
-        }
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     @property
     def ctx(self) -> Context:
@@ -317,32 +287,12 @@ class TensorUEA:
         key = tuple((0,) * a.ngens for a in slots)
         return cls(slots, {key: slots[0].ctx.one()})
 
+    def _like(self, terms) -> "TensorUEA":
+        return TensorUEA(self.slots, terms)
+
     def _check(self, other: "TensorUEA") -> None:
         if self.slots != other.slots:
             raise EnvelopingError("tensor slot mismatch")
-
-    def __add__(self, other: "TensorUEA") -> "TensorUEA":
-        self._check(other)
-        z = self.ctx.zero()
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, z) + v
-        return TensorUEA(self.slots, out)
-
-    def __sub__(self, other: "TensorUEA") -> "TensorUEA":
-        self._check(other)
-        z = self.ctx.zero()
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, z) - v
-        return TensorUEA(self.slots, out)
-
-    def __neg__(self) -> "TensorUEA":
-        return TensorUEA(self.slots, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, s) -> "TensorUEA":
-        s = self.ctx(s)
-        return TensorUEA(self.slots, {k: s * v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "TensorUEA":
         """Slot-wise product."""
@@ -366,13 +316,6 @@ class TensorUEA:
                 for key, cc in partial:
                     out[key] = out.get(key, z) + cc
         return TensorUEA(self.slots, out)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.terms.values())
-
-    def pruned(self) -> "TensorUEA":
-        return TensorUEA(self.slots,
-                         {k: v for k, v in self.terms.items() if not v.is_zero()})
 
     def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
         """Apply the counit in one slot (drop it)."""
@@ -415,9 +358,6 @@ class TensorUEA:
             k[:position] + (zero_exp,) + k[position:]: v
             for k, v in self.terms.items()
         })
-
-    def map_coefficients(self, f) -> "TensorUEA":
-        return TensorUEA(self.slots, {k: f(v) for k, v in self.terms.items()})
 
     def map_slots(self, f) -> "TensorUEA":
         """Apply an element-wise map (UEAElement -> UEAElement, possibly into

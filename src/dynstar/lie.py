@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import sympy as sp
 
 from .rootsystems import Root, RootSystem, StructureTable, root_name, _neg
-from .scalars import Context, FieldElement
+from .scalars import Context, FieldElement, LinearCombination
 
 
 class LieAlgebraError(ValueError):
@@ -197,57 +197,34 @@ def sl2(ctx: Context) -> LieAlgebraData:
 # tensors
 # ---------------------------------------------------------------------------
 
-class _Tensor:
+class _Tensor(LinearCombination):
     rank: int
 
     def __init__(self, algebra: LieAlgebraData,
                  coeffs: Optional[Mapping[tuple, FieldElement]] = None):
         self.algebra = algebra
-        self.coeffs: dict[tuple, FieldElement] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = algebra.ctx(v)
-                if v._expr != 0:
-                    self.coeffs[tuple(k)] = v
+        self.terms: dict[tuple, FieldElement] = {}
+        for k, v in (coeffs or {}).items():
+            v = algebra.ctx(v)
+            if not v.is_zero():
+                self.terms[tuple(k)] = v
+
+    @property
+    def ctx(self) -> Context:
+        return self.algebra.ctx
+
+    @property
+    def coeffs(self) -> dict[tuple, FieldElement]:
+        return self.terms
 
     def __getitem__(self, key: tuple) -> FieldElement:
-        return self.coeffs.get(tuple(key), self.algebra.ctx.zero())
+        return self.terms.get(tuple(key), self.algebra.ctx.zero())
 
     def _like(self, coeffs) -> "_Tensor":
         return type(self)(self.algebra, coeffs)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.algebra.ctx.zero()) + v
-        return self._like(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.algebra.ctx.zero()) - v
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, s) -> "_Tensor":
-        s = self.algebra.ctx(s)
-        return self._like({k: s * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.coeffs.values())
-
     def support(self) -> list[tuple]:
         return sorted(k for k, v in self.coeffs.items() if not v.is_zero())
-
-    def pruned(self) -> "_Tensor":
-        return self._like({k: v for k, v in self.coeffs.items() if not v.is_zero()})
-
-    def map_names(self) -> dict:
-        nm = self.algebra.names
-        return {tuple(nm[i] for i in k): v.to_string()
-                for k, v in self.coeffs.items() if not v.is_zero()}
 
     def __repr__(self):
         entries = ", ".join(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .enveloping import PBWAlgebra, UEAElement
-from .scalars import Context, FieldElement
+from .scalars import Context, FieldElement, LinearCombination
 
 MATRIX_VARS = ("g11", "g12", "g21", "g22")
 MExp = tuple[int, int, int, int]
@@ -29,7 +29,7 @@ def _normalize(ctx: Context, terms: Mapping[MExp, FieldElement]) -> dict[MExp, F
     z = ctx.zero()
     out: dict[MExp, FieldElement] = {}
     for (a, b, c, d), v in terms.items():
-        if v._expr == 0:
+        if v.is_zero():
             continue
         k = min(a, d)
         if k == 0:
@@ -40,10 +40,10 @@ def _normalize(ctx: Context, terms: Mapping[MExp, FieldElement]) -> dict[MExp, F
         for i in range(k + 1):
             key = (a - k, b + i, c + i, d - k)
             out[key] = out.get(key, z) + v * math.comb(k, i)
-    return {k: v for k, v in out.items() if v._expr != 0}
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-class OrbitFunction:
+class OrbitFunction(LinearCombination):
     """A polynomial function on SL(2) in determinant normal form."""
 
     __slots__ = ("ctx", "terms")
@@ -51,6 +51,9 @@ class OrbitFunction:
     def __init__(self, ctx: Context, terms: Mapping[MExp, FieldElement]):
         self.ctx = ctx
         self.terms = _normalize(ctx, terms)
+
+    def _like(self, terms) -> "OrbitFunction":
+        return OrbitFunction(self.ctx, terms)
 
     @classmethod
     def constant(cls, ctx: Context, value) -> "OrbitFunction":
@@ -62,23 +65,6 @@ class OrbitFunction:
         e = [0, 0, 0, 0]
         e[i] = 1
         return cls(ctx, {tuple(e): ctx.one()})
-
-    def __add__(self, other: "OrbitFunction") -> "OrbitFunction":
-        z = self.ctx.zero()
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, z) + v
-        return OrbitFunction(self.ctx, out)
-
-    def __sub__(self, other: "OrbitFunction") -> "OrbitFunction":
-        return self + (-other)
-
-    def __neg__(self) -> "OrbitFunction":
-        return OrbitFunction(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, s) -> "OrbitFunction":
-        s = self.ctx(s)
-        return OrbitFunction(self.ctx, {k: s * v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "OrbitFunction":
         if not isinstance(other, OrbitFunction):
@@ -95,9 +81,6 @@ class OrbitFunction:
         if isinstance(other, OrbitFunction):
             return NotImplemented
         return self.scale(other)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.terms.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitFunction):
@@ -189,51 +172,32 @@ def _vector_field(f: OrbitFunction, coeff_of_dkl) -> OrbitFunction:
     return OrbitFunction(ctx, out)
 
 
-def _left_invariant_coeffs(ctx: Context, name: str):
-    """(g v)_{kl} for the generator v, indexed by the flattened position of
-    g_{kl} in MATRIX_VARS."""
-    v = _GEN_MATRICES[name]
-    # g rows are (g11, g12) and (g21, g22); position (k,l) -> 2k+l
-    coeffs = []
-    for k in range(2):
-        for l in range(2):
-            poly: dict[MExp, FieldElement] = {}
-            for m in range(2):
-                if v[m][l] == 0:
-                    continue
-                e = [0, 0, 0, 0]
-                e[2 * k + m] = 1
-                poly[tuple(e)] = ctx(v[m][l])
-            coeffs.append(poly)
-    return coeffs
-
-
-def _left_action_coeffs(ctx: Context, name: str):
-    """(v g)_{kl}: the infinitesimal left translation, which commutes with
-    every left-invariant operator."""
+def _product_coeffs(ctx: Context, name: str, invariant: bool):
+    """The entries of g v (the left-invariant field, ``invariant``) or of
+    v g (the infinitesimal left translation, which commutes with every
+    left-invariant operator) for the generator v, indexed by the flattened
+    position 2k+l of g_{kl} in MATRIX_VARS."""
     v = _GEN_MATRICES[name]
     coeffs = []
     for k in range(2):
         for l in range(2):
             poly: dict[MExp, FieldElement] = {}
             for m in range(2):
-                if v[k][m] == 0:
-                    continue
-                e = [0, 0, 0, 0]
-                e[2 * m + l] = 1
-                poly[tuple(e)] = ctx(v[k][m])
+                pos, c = (2 * k + m, v[m][l]) if invariant else (2 * m + l, v[k][m])
+                if c:
+                    poly[tuple(int(i == pos) for i in range(4))] = ctx(c)
             coeffs.append(poly)
     return coeffs
 
 
 def generator_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The left-invariant vector field of one sl(2) generator."""
-    return _vector_field(f, _left_invariant_coeffs(f.ctx, name))
+    return _vector_field(f, _product_coeffs(f.ctx, name, True))
 
 
 def group_action_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The generator of the left G-translation action on functions."""
-    return _vector_field(f, _left_action_coeffs(f.ctx, name))
+    return _vector_field(f, _product_coeffs(f.ctx, name, False))
 
 
 def invariant_derivative(u: Union[UEAElement, Mapping], f: OrbitFunction) -> OrbitFunction:
@@ -319,18 +283,16 @@ def _span_rank(funcs: Sequence[OrbitFunction], lam_name: str = "lam") -> int:
     monos: dict[MExp, int] = {}
     rows = []
     for f in funcs:
-        lam = f.ctx.symbol(lam_name)
         row = {}
         for e, c in f.terms.items():
-            if e not in monos:
-                monos[e] = len(monos)
-            row[monos[e]] = c.expr.subs(lam, 1)
+            row[monos.setdefault(e, len(monos))] = c.evaluate({lam_name: 1}).expr
         rows.append(row)
     M = sp.zeros(len(rows), len(monos))
     for i, row in enumerate(rows):
         for j, v in row.items():
             M[i, j] = v
-    return M.rank()
+    # eliminate over QQ in the polys domain, not on sympy Expr entries
+    return M.to_DM().rank()
 
 
 def verify_orbit_identities(ctx: Context, lam_name: str = "lam",

@@ -19,7 +19,8 @@ from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
                          project_drop_right)
 from .lie import LieAlgebraData, sl2
 from .scalars import Context, FieldElement
-from .twist import TwistSeries, check_h_invariance, shift_twist
+from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
+                    cocycle_sides, counit_ok, shift_twist)
 
 
 class ProjectionError(ValueError):
@@ -202,9 +203,13 @@ def closed_form_jv(sp: SplittingData, N: int, lam_name: str = "lam",
                    term_scale: Optional[dict] = None) -> ProjectedTwist:
     """The projected series in closed form:
     1 + sum_n (-1)^n q^n v_n / (n! lam (lam-q) ... (lam-(n-1)q)) with
-    v_n the pair of rising factorials in b and a; the scalar denominators
-    are expanded as q-power series to the truncation order.
+    v_n the pair of rising factorials in the two v-generators: first the
+    one the ambient lowering generator y maps into (the first slot of the
+    twist holds powers of y), then the other. The scalar denominators are
+    expanded as q-power series to the truncation order.
     """
+    first = next(v for v in sp.v_names if v in sp.to_split["y"])
+    second = next(v for v in sp.v_names if v != first)
     ctx = sp.pbw.ctx
     lam = ctx.var(lam_name)
     q = ctx.var(deformation)
@@ -220,14 +225,14 @@ def closed_form_jv(sp: SplittingData, N: int, lam_name: str = "lam",
         for j in range(n):
             denom = denom * (lam - j * q)
         coeffs = (pref / denom * q ** n).series_expand(deformation, N)
-        vb = rising_factorial(sp.pbw, "b", n)
-        va = rising_factorial(sp.pbw, "a", n)
+        v1 = rising_factorial(sp.pbw, first, n)
+        v2 = rising_factorial(sp.pbw, second, n)
         for r in range(n, N + 1):
             cr = coeffs[r]
             if cr.is_zero():
                 continue
-            for e1, c1 in vb.terms.items():
-                for e2, c2 in va.terms.items():
+            for e1, c1 in v1.terms.items():
+                for e2, c2 in v2.terms.items():
                     key = (e1, e2)
                     cur = orders[r].terms.get(key, z)
                     orders[r].terms[key] = cur + cr * c1 * c2
@@ -241,29 +246,10 @@ def check_nondynamical_twist(Jv: ProjectedTwist) -> dict:
     collapse the series to 1.
     """
     J = Jv.series
-    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * \
-        J.map_orders(lambda t: t.insert_unit(2))
-    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
-        J.map_orders(lambda t: t.insert_unit(0))
-    diff = lhs - rhs
-    failing = [r for r, t in enumerate(diff.orders) if not t.is_zero()]
-    counit_ok = True
-    unit1 = TensorUEA.unit((J.slots[0],))
-    for r, t in enumerate(J.orders):
-        for slot in (0, 1):
-            e = t.slot_counit(slot)
-            want = unit1 if r == 0 else TensorUEA((J.slots[0],), {})
-            if not (e - want).is_zero():
-                counit_ok = False
-    return {
-        "checked_through": diff.truncation,
-        "cocycle_ok": not failing,
-        "failing_orders": failing,
-        "counit_ok": counit_ok,
-        "ok": (not failing) and counit_ok,
-        "first_residual": (diff.order(failing[0]).pruned().to_json()
-                           if failing else None),
-    }
+    rep = cocycle_residual(J, J.map_orders(lambda t: t.insert_unit(2)))
+    counit = counit_ok(J)
+    return {**rep, "cocycle_ok": rep["ok"], "counit_ok": counit,
+            "ok": rep["ok"] and counit}
 
 
 def check_projected_equation(J: TwistSeries, sp: SplittingData,
@@ -281,18 +267,12 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
         J = TwistSeries(J.slots, J.orders[:N + 1], J.deformation,
                         validate=False)
     Jv = project_twist(J, sp)
-    lhs_full = J.map_orders(lambda t: t.slot_coproduct(0)) * \
-        shift_twist(J, lam_name=lam_name)
-    rhs_full = J.map_orders(lambda t: t.slot_coproduct(1)) * \
-        J.map_orders(lambda t: t.insert_unit(0))
+    lhs_full, rhs_full = cocycle_sides(J, shift_twist(J, lam_name=lam_name))
     lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp, False))
     rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp, False))
 
     V = Jv.series
-    lhs_v = V.map_orders(lambda t: t.slot_coproduct(0)) * \
-        V.map_orders(lambda t: t.insert_unit(2))
-    rhs_v = V.map_orders(lambda t: t.slot_coproduct(1)) * \
-        V.map_orders(lambda t: t.insert_unit(0))
+    lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
 
     bad_l = [r for r, t in enumerate((lhs_proj - lhs_v).orders)
              if not t.is_zero()]

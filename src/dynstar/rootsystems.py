@@ -59,9 +59,6 @@ class RootSystem:
         ea, eb = self.euclid[tuple(a)], self.euclid[tuple(b)]
         return self.ip_scale * sum(x * y for x, y in zip(ea, eb))
 
-    def height(self, a: Root) -> int:
-        return sum(a)
-
     def __str__(self) -> str:
         return f"{self.family}{self.rank} ({len(self.roots)} roots)"
 
@@ -85,26 +82,18 @@ def _euclid_roots(family: str, rank: int) -> tuple[list, list]:
                 long_short.append(tuple(si * a + sj * b for a, b in zip(e(i), e(j))))
     if family == "B":
         roots = long_short + [tuple(s * a for a in e(i)) for i in range(n) for s in pm]
-        simple = [_sub_t(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
+        simple = [_sub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
     elif family == "C":
         roots = long_short + [tuple(2 * s * a for a in e(i)) for i in range(n) for s in pm]
-        simple = [_sub_t(e(i), e(i + 1)) for i in range(n - 1)] + [
+        simple = [_sub(e(i), e(i + 1)) for i in range(n - 1)] + [
             tuple(2 * a for a in e(n - 1))]
     elif family == "D":
         roots = long_short
-        simple = [_sub_t(e(i), e(i + 1)) for i in range(n - 1)] + [
-            _add_t(e(n - 2), e(n - 1))]
+        simple = [_sub(e(i), e(i + 1)) for i in range(n - 1)] + [
+            _add(e(n - 2), e(n - 1))]
     else:
         raise RootSystemError(f"unsupported family {family!r}")
     return roots, simple
-
-
-def _sub_t(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add_t(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -160,7 +149,6 @@ def _validate(rs: RootSystem) -> None:
 class RootSubset:
     system: RootSystem
     roots: frozenset[Root]
-    tag: str = "plain"
 
     def __contains__(self, a: Root) -> bool:
         return tuple(a) in self.roots
@@ -176,18 +164,16 @@ def _as_rootset(rs: RootSystem, roots: Iterable[Root]) -> frozenset[Root]:
     return frozenset(out)
 
 
+def _sum_closed(rs: RootSystem, s: Iterable[Root]) -> bool:
+    """True iff (S+S) cap R is contained in S."""
+    allroots = set(rs.roots)
+    return all(c in s for a in s for b in s if (c := _add(a, b)) in allroots)
+
+
 def check_reductive_subset(rs: RootSystem, U: Iterable[Root]) -> bool:
     """True iff (U+U) cap R is contained in U and -U = U."""
     u = _as_rootset(rs, U)
-    if {_neg(a) for a in u} != u:
-        return False
-    allroots = set(rs.roots)
-    for a in u:
-        for b in u:
-            c = _add(a, b)
-            if c in allroots and c not in u:
-                return False
-    return True
+    return {_neg(a) for a in u} == u and _sum_closed(rs, u)
 
 
 def levi_subset(rs: RootSystem, delta: Sequence[Root]) -> RootSubset:
@@ -200,7 +186,7 @@ def levi_subset(rs: RootSystem, delta: Sequence[Root]) -> RootSubset:
     span = frozenset(
         r for r in rs.roots if all(r[i] == 0 for i in range(rs.rank) if i not in idx)
     )
-    sub = RootSubset(rs, span, tag="levi")
+    sub = RootSubset(rs, span)
     assert check_reductive_subset(rs, sub.roots)
     return sub
 
@@ -208,15 +194,7 @@ def levi_subset(rs: RootSystem, delta: Sequence[Root]) -> RootSubset:
 def check_parabolic(rs: RootSystem, P: Iterable[Root]) -> bool:
     """True iff P cup (-P) = R and (P+P) cap R is contained in P."""
     p = _as_rootset(rs, P)
-    if p | {_neg(a) for a in p} != set(rs.roots):
-        return False
-    allroots = set(rs.roots)
-    for a in p:
-        for b in p:
-            c = _add(a, b)
-            if c in allroots and c not in p:
-                return False
-    return True
+    return p | {_neg(a) for a in p} == set(rs.roots) and _sum_closed(rs, p)
 
 
 def y_set_properties(rs: RootSystem, P: Iterable[Root]) -> dict:
@@ -227,7 +205,7 @@ def y_set_properties(rs: RootSystem, P: Iterable[Root]) -> dict:
     y = set(rs.roots) - p
     allroots = set(rs.roots)
     a_ok = not ({_neg(a) for a in y} & y)
-    b_ok = all(_add(a, b) in y for a in y for b in y if _add(a, b) in allroots)
+    b_ok = _sum_closed(rs, y)
     c_ok = all(
         _sub(a, b) in y
         for a in y for b in p
@@ -246,22 +224,9 @@ def positive_systems(rs: RootSystem) -> list[frozenset[Root]]:
     """All additively closed positive systems, by brute force over the sign
     choices on each opposite pair of roots."""
     pairs = sorted(rs.positive)
-    allroots = set(rs.roots)
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(pairs)):
-        cand = frozenset(a if s == 1 else _neg(a) for a, s in zip(pairs, signs))
-        ok = True
-        for a in cand:
-            for b in cand:
-                c = _add(a, b)
-                if c in allroots and c not in cand:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(cand)
-    return out
+    cands = (frozenset(a if s == 1 else _neg(a) for a, s in zip(pairs, signs))
+             for signs in itertools.product((1, -1), repeat=len(pairs)))
+    return [c for c in cands if _sum_closed(rs, c)]
 
 
 def simple_roots_of(rs: RootSystem, pos: frozenset[Root]) -> tuple[Root, ...]:

@@ -1,6 +1,17 @@
 """Exact arithmetic in Q(p1, ..., pk): rational functions in named formal
 parameters over the rationals.
 
+A :class:`FieldElement` is a numerator/denominator pair of sparse
+polynomials (``sympy.polys.rings.PolyElement`` over QQ) in the one
+``PolyRing`` of its :class:`Context`. Addition, subtraction and
+multiplication take no gcd: they cross-multiply, with fast paths for
+rational constants, for equal denominators and for one-term denominators,
+which are kept as monic monomials (1 for a polynomial) and combine over
+their monomial lcm. A fraction is zero exactly when its numerator is, so
+the zero test needs no reduction, and equality cross-multiplies. The gcd
+(``PolyElement.cancel``) is taken only where a canonical pair is needed:
+printing, hashing, ``expr``, differentiation and series expansion.
+
 All higher layers (tensors, enveloping algebras, twists) keep their
 coefficients in a single shared :class:`Context`, so every identity in the
 library reduces to a zero test in this field.
@@ -9,9 +20,13 @@ library reduces to a zero test in this field.
 from __future__ import annotations
 
 import fractions
+import operator
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
 Scalarish = Union["FieldElement", int, fractions.Fraction, str, sp.Expr]
 
@@ -39,20 +54,35 @@ class Context:
             sp.Symbol(n, commutative=True) for n in self.names
         )
         self._by_name = dict(zip(self.names, self.symbols))
+        self.ring = PolyRing(self.symbols, QQ, lex)
+        self._one_poly = self.ring.one     # the denominator of every polynomial
+        self._zero = FieldElement(self, self.ring.zero, self._one_poly)
+        self._one = FieldElement(self, self.ring.one, self._one_poly)
 
     def symbol(self, name: str) -> sp.Symbol:
         if name not in self._by_name:
             raise KeyError(f"unknown parameter {name!r}; declared: {self.names}")
         return self._by_name[name]
 
+    def index(self, name: str) -> int:
+        """The position of a declared parameter among the ring generators."""
+        return self.symbols.index(self.symbol(name))
+
     def var(self, name: str) -> "FieldElement":
-        return FieldElement(self, self.symbol(name))
+        return FieldElement(self, self.ring.gens[self.index(name)], self._one_poly)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, sp.Integer(0))
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, sp.Integer(1))
+        return self._one
+
+    def constant(self, q) -> "FieldElement":
+        """The element ``q`` of QQ as a FieldElement."""
+        if not q:
+            return self._zero
+        return FieldElement(self, self.ring.dtype([(self.ring.zero_monom, q)]),
+                            self._one_poly)
 
     def __call__(self, value: Scalarish) -> "FieldElement":
         """Coerce ints, Fractions, strings (with `^` powers) or sympy
@@ -61,10 +91,10 @@ class Context:
             if value.context is not self:
                 raise ContextMismatchError("element belongs to a different context")
             return value
-        if isinstance(value, (int, sp.Integer)):
-            return FieldElement(self, sp.Integer(int(value)))
-        if isinstance(value, fractions.Fraction):
-            return FieldElement(self, sp.Rational(value.numerator, value.denominator))
+        if isinstance(value, int):
+            return self.constant(QQ(value))
+        if isinstance(value, (fractions.Fraction, sp.Rational)):
+            return self.constant(QQ(int(value.numerator), int(value.denominator)))
         if isinstance(value, sp.Expr):
             expr = value
         elif isinstance(value, str):
@@ -74,161 +104,262 @@ class Context:
         bad = expr.free_symbols - set(self.symbols)
         if bad:
             raise KeyError(f"undeclared parameters {sorted(map(str, bad))}")
-        return FieldElement(self, expr)
+        num, den = sp.fraction(sp.cancel(sp.together(expr)))
+        try:
+            return _frac(self, self.ring.from_expr(num), self.ring.from_expr(den))
+        except ValueError:
+            raise TypeError(f"{value!r} is not a rational function") from None
 
     def __repr__(self) -> str:
         return f"Context({list(self.names)})"
 
 
+def _frac(ctx: Context, num: PolyElement, den: PolyElement) -> "FieldElement":
+    """A FieldElement from any pair with den != 0; a one-term denominator
+    is made monic, so a constant one becomes ``ctx._one_poly``."""
+    if not num:
+        return ctx._zero
+    if len(den) == 1:
+        (m, c), = den.items()
+        if m == ctx.ring.zero_monom:
+            return FieldElement(ctx, num.quo_ground(c), ctx._one_poly)
+        if c != QQ.one:
+            num, den = num.quo_ground(c), ctx.ring.dtype([(m, QQ.one)])
+    return FieldElement(ctx, num, den)
+
+
 class FieldElement:
     """An exact rational function over Q in the context's parameters.
 
-    Stored as a sympy expression; the canonical numerator/denominator pair
-    is computed lazily (operations stay cheap, zero tests stay exact).
+    ``num`` and ``den`` are polynomials of the context's ring, in general
+    not coprime. :meth:`_reduce` cancels them in place to the canonical
+    pair (coprime, monic denominator), which leaves the value unchanged.
+    ``_const`` is the value in QQ of a constant in lowest terms, else None.
     """
 
-    __slots__ = ("context", "_expr", "_canon")
+    __slots__ = ("context", "num", "den", "_const", "_reduced")
 
-    def __init__(self, context: Context, expr: sp.Expr):
+    def __init__(self, context: Context, num: PolyElement, den: PolyElement):
         self.context = context
-        self._expr = expr
-        self._canon = None
+        self.num = num
+        self.den = den
+        self._reduced = den is context._one_poly
+        self._const = None
+        if self._reduced and len(num) <= 1:
+            self._const = num.get(context.ring.zero_monom) if num else QQ.zero
 
     # -- canonical form ----------------------------------------------------
 
-    def _canonical(self) -> sp.Expr:
-        if self._canon is None:
-            self._canon = sp.cancel(sp.together(self._expr))
-        return self._canon
+    def _reduce(self) -> None:
+        if not self._reduced:
+            num, den = self.num.cancel(self.den)
+            red = _frac(self.context, num.quo_ground(den.LC), den.monic())
+            self.num, self.den, self._const = red.num, red.den, red._const
+            self._reduced = True
 
     @property
     def numerator(self) -> sp.Expr:
-        return sp.fraction(self._canonical())[0]
+        return sp.fraction(self.expr)[0]
 
     @property
     def denominator(self) -> sp.Expr:
-        return sp.fraction(self._canonical())[1]
+        return sp.fraction(self.expr)[1]
 
     @property
     def expr(self) -> sp.Expr:
-        return self._canonical()
+        self._reduce()
+        if self._const is not None:
+            return QQ.to_sympy(self._const)
+        # on a coprime pair the tuple form gives the canonical P, Q of
+        # cancel(P/Q) without its signsimp and factor_terms passes
+        _, num, den = sp.cancel((self.num.as_expr(), self.den.as_expr()))
+        return num / den
+
+    def depends_on(self, name: str) -> bool:
+        """Whether the reduced function involves the named parameter."""
+        x = self.context.index(name)
+        if self.num.degree(x) <= 0 and self.den.degree(x) <= 0:
+            return False
+        self._reduce()
+        return self.num.degree(x) > 0 or self.den.degree(x) > 0
 
     def is_zero(self) -> bool:
-        return self._canonical() == 0
+        return not self.num
 
     def is_one(self) -> bool:
-        return self._canonical() == 1
+        return self.num == self.den
 
     # -- arithmetic --------------------------------------------------------
 
     _COERCIBLE = (int, fractions.Fraction, str, sp.Expr)
 
-    def _coerce(self, other: Scalarish) -> "FieldElement":
-        return self.context(other)
+    def _operand(self, other: Scalarish) -> "FieldElement | None":
+        if type(other) is FieldElement and other.context is self.context:
+            return other
+        if isinstance(other, (FieldElement, *self._COERCIBLE)):
+            return self.context(other)
+        return None
+
+    def _combine(self, other: Scalarish, op) -> "FieldElement":
+        """op(self, other) for op one of the polynomial + and -."""
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        ctx = self.context
+        if self._const is not None and o._const is not None:
+            return ctx.constant(op(self._const, o._const))
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if len(d1) == 1 and len(d2) == 1:
+            # monic monomials: bring both over their lcm
+            (m1,), (m2,) = d1, d2
+            if m1 != m2:
+                ring = ctx.ring
+                m = ring.monomial_lcm(m1, m2)
+                if m != m1:
+                    n1 = n1.mul_monom(ring.monomial_ldiv(m, m1))
+                    d1 = d2 if m == m2 else ring.dtype([(m, QQ.one)])
+                if m != m2:
+                    n2 = n2.mul_monom(ring.monomial_ldiv(m, m2))
+        elif d1 != d2:
+            n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
+        num = op(n1, n2)
+        return FieldElement(ctx, num, d1) if num else ctx._zero
 
     def __add__(self, other: Scalarish) -> "FieldElement":
-        if not isinstance(other, (FieldElement, *self._COERCIBLE)):
-            return NotImplemented
-        return FieldElement(self.context, self._expr + self._coerce(other)._expr)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalarish) -> "FieldElement":
-        if not isinstance(other, (FieldElement, *self._COERCIBLE)):
-            return NotImplemented
-        return FieldElement(self.context, self._expr - self._coerce(other)._expr)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other: Scalarish) -> "FieldElement":
-        return FieldElement(self.context, self._coerce(other)._expr - self._expr)
+        return self.context(other)._combine(self, operator.sub)
 
     def __mul__(self, other: Scalarish) -> "FieldElement":
-        if not isinstance(other, (FieldElement, *self._COERCIBLE)):
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return FieldElement(self.context, self._expr * self._coerce(other)._expr)
+        ctx = self.context
+        a, b = (self, o) if o._const is not None else (o, self)
+        if b._const is not None:    # a rational factor scales the other
+            if a._const is not None:
+                return ctx.constant(a._const * b._const)
+            if not b._const:
+                return ctx._zero
+            return FieldElement(ctx, a.num.mul_ground(b._const), a.den)
+        one = ctx._one_poly
+        # products of monic monomials stay monic monomials
+        den = o.den if self.den is one else \
+            self.den if o.den is one else self.den * o.den
+        return FieldElement(ctx, self.num * o.num, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "FieldElement":
-        o = self._coerce(other)
-        if o.is_zero():
+        o = self.context(other)
+        if not o.num:
             raise PoleError("division by zero field element")
-        return FieldElement(self.context, self._expr / o._expr)
+        return _frac(self.context, self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other: Scalarish) -> "FieldElement":
-        if self.is_zero():
-            raise PoleError("division by zero field element")
-        return FieldElement(self.context, self._coerce(other)._expr / self._expr)
+        return self.context(other) / self
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.context, -self._expr)
+        return FieldElement(self.context, -self.num, self.den)
 
     def __pow__(self, n: int) -> "FieldElement":
-        if n < 0 and self.is_zero():
+        n = int(n)
+        if n == 0:
+            return self.context._one
+        if n > 0:
+            return _frac(self.context, self.num ** n, self.den ** n)
+        if not self.num:
             raise PoleError("negative power of zero")
-        return FieldElement(self.context, self._expr ** int(n))
+        return _frac(self.context, self.den ** -n, self.num ** -n)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (FieldElement, int, fractions.Fraction, sp.Expr, str)):
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        o = self._coerce(other)
-        # cross-multiplication: n1*d2 - n2*d1 == 0
-        n1, d1 = sp.fraction(self._canonical())
-        n2, d2 = sp.fraction(o._canonical())
-        return sp.expand(n1 * d2 - n2 * d1) == 0
+        if self._const is not None and o._const is not None:
+            return self._const == o._const
+        if self.den == o.den:
+            return self.num == o.num
+        return self.num * o.den == o.num * self.den
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        self._reduce()
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num)
 
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self, var: str) -> "FieldElement":
         """Exact partial derivative with respect to a declared parameter."""
-        s = self.context.symbol(var)
-        return FieldElement(self.context, sp.diff(self._canonical(), s))
+        x = self.context.index(var)
+        self._reduce()
+        num, den = self.num, self.den
+        dden = den.diff(x)
+        if not dden:
+            return _frac(self.context, num.diff(x), den)
+        return _frac(self.context, num.diff(x) * den - num * dden, den * den)
 
     def series_expand(self, var: str, order: int) -> "SeriesCoefficients":
         """Truncated power-series expansion around var = 0.
 
         Requires no pole at var = 0. Coefficients c_k are free of var and
-        satisfy self = sum c_k var^k mod var^(order+1).
+        satisfy self = sum c_k var^k mod var^(order+1). With num = sum n_k
+        var^k and den = sum d_k var^k, c_k = p_k / d_0^(k+1) where
+        p_k = n_k d_0^k - sum_{j=1..k} d_j p_{k-j} d_0^(j-1).
         """
         if order < 0:
             raise ValueError("order must be >= 0")
-        s = self.context.symbol(var)
-        f = self._canonical()
-        if sp.fraction(f)[1].subs(s, 0) == 0:
+        ctx = self.context
+        i = ctx.index(var)
+        self._reduce()
+        n, d = _coefficients_in(self.num, i), _coefficients_in(self.den, i)
+        zero = ctx.ring.zero
+        d0 = d.get(0, zero)
+        if not d0:
             raise PoleError(f"pole at {var} = 0; cannot expand")
-        coeffs = []
-        g = f
-        for _ in range(order + 1):
-            c = sp.cancel(g.subs(s, 0))
-            coeffs.append(FieldElement(self.context, c))
-            g = sp.cancel((g - c) / s)
-        return SeriesCoefficients(var, coeffs)
+        if len(d) == 1:
+            return SeriesCoefficients(
+                var, [_frac(ctx, n.get(k, zero), d0) for k in range(order + 1)])
+        powers, p = [ctx._one_poly], []
+        for k in range(order + 1):
+            powers.append(powers[-1] * d0)
+            acc = n.get(k, zero) * powers[k]
+            for j in range(1, k + 1):
+                if j in d and p[k - j]:
+                    acc = acc - d[j] * p[k - j] * powers[j - 1]
+            p.append(acc)
+        return SeriesCoefficients(
+            var, [_frac(ctx, pk, powers[k + 1]) for k, pk in enumerate(p)])
 
     def evaluate(self, bindings: Mapping[str, Scalarish]) -> "FieldElement":
         """Exact simultaneous substitution of parameters.
 
         Raises PoleError if the substitution makes a denominator vanish.
         """
-        subs = {self.context.symbol(k): self.context(v)._canonical()
-                for k, v in bindings.items()}
-        den = sp.fraction(self._canonical())[1]
-        if sp.cancel(den.subs(subs, simultaneous=True)) == 0:
+        ctx = self.context
+        values = {ctx.index(k): ctx(v) for k, v in bindings.items()}
+        den = _substitute(ctx, self.den, values)
+        if den.is_zero() and not self._reduced:
+            self._reduce()      # the pair may share a factor vanishing there
+            return self.evaluate(bindings)
+        if den.is_zero():
             raise PoleError(f"denominator vanishes under {dict(bindings)!r}")
-        return FieldElement(
-            self.context, self._canonical().subs(subs, simultaneous=True)
-        )
+        return _substitute(ctx, self.num, values) / den
 
     # -- printing ----------------------------------------------------------
 
     def to_string(self) -> str:
         """Serialize in the report grammar: integer coefficients, `^` powers,
         explicit `*`, parenthesized numerator/denominator."""
-        num, den = sp.fraction(sp.together(self._canonical()))
+        num, den = sp.fraction(sp.together(self.expr))
         # clear rational content so both parts have integer coefficients
         ncon, nprim = sp.expand(num).as_content_primitive()
         dcon, dprim = sp.expand(den).as_content_primitive()
@@ -236,14 +367,37 @@ class FieldElement:
         num = nprim * ratio.p
         den = dprim * ratio.q
         if den == 1:
-            return _poly_string(num, top=True)
-        return f"({_poly_string(num, top=True)})/({_poly_string(den, top=True)})"
+            return _poly_string(num)
+        return f"({_poly_string(num)})/({_poly_string(den)})"
 
     def __repr__(self) -> str:
         return f"FieldElement({self.to_string()})"
 
 
-def _poly_string(e: sp.Expr, top: bool = False) -> str:
+def _coefficients_in(p: PolyElement, i: int) -> dict[int, PolyElement]:
+    """The coefficients of p as a polynomial in generator i."""
+    terms: dict[int, list] = {}
+    for monom, coeff in p.items():
+        terms.setdefault(monom[i], []).append(
+            (monom[:i] + (0,) + monom[i + 1:], coeff))
+    return {k: p.ring.dtype(t) for k, t in terms.items()}
+
+
+def _substitute(ctx: Context, p: PolyElement,
+                values: Mapping[int, FieldElement]) -> FieldElement:
+    """p with generator i set to values[i], simultaneously (Horner in the
+    first substituted generator, recursing into the coefficients)."""
+    if not values:
+        return _frac(ctx, p, ctx._one_poly)
+    (i, v), *rest = values.items()
+    coeffs = _coefficients_in(p, i)
+    acc = ctx.zero()
+    for k in range(max(coeffs, default=0), -1, -1):
+        acc = acc * v + _substitute(ctx, coeffs.get(k, ctx.ring.zero), dict(rest))
+    return acc
+
+
+def _poly_string(e: sp.Expr) -> str:
     s = sp.sstr(sp.expand(e), order="grlex")
     return s.replace("**", "^").replace(" ", "")
 
@@ -255,7 +409,7 @@ class SeriesCoefficients:
         self.var = var
         self.coefficients: list[FieldElement] = list(coefficients)
         for c in self.coefficients:
-            if c.context.symbol(var) in c.expr.free_symbols:
+            if c.depends_on(var):
                 raise ValueError("series coefficient not free of expansion variable")
 
     def __len__(self) -> int:
@@ -280,14 +434,40 @@ class SeriesCoefficients:
         return f"SeriesCoefficients({self.var}, {[c.to_string() for c in self]})"
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the four field operations (used by reports/CLI)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
+class LinearCombination:
+    """A sparse linear combination over the field: ``terms`` maps keys to
+    FieldElements. Subclasses give ``ctx``, ``_like(terms)`` (an element of
+    the same space, built with zero coefficients dropped) and may check
+    operands in ``_check``."""
+
+    __slots__ = ()
+
+    def _check(self, other: "LinearCombination") -> None:
+        pass
+
+    def _combine(self, other: "LinearCombination", op):
+        self._check(other)
+        z = self.ctx.zero()
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = op(out.get(k, z), v)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, s):
+        s = self.ctx(s)
+        return self._like({k: s * v for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self.terms.values())
+
+    def pruned(self):
+        return self._like({k: v for k, v in self.terms.items() if not v.is_zero()})

@@ -37,14 +37,13 @@ class TwistSeries:
         self.deformation = deformation
         if not self.orders:
             raise TwistError("need at least the constant order")
-        ctx = self.ctx
-        q = ctx.symbol(deformation)
+        self.ctx.symbol(deformation)
         for t in self.orders:
             if t.slots != self.slots:
                 raise TwistError("order has wrong slot signature")
             if validate:
                 for v in t.terms.values():
-                    if q in v.expr.free_symbols:
+                    if v.depends_on(deformation):
                         raise TwistError(
                             "order coefficient not free of the deformation symbol")
 
@@ -169,24 +168,13 @@ def abrr_twist(alg: PBWAlgebra, N: int, lowering: str = "y", raising: str = "x",
 def check_h_invariance(J: TwistSeries, h_name: str = "h") -> bool:
     """[h (x) 1 + 1 (x) h, J] = 0 at every order."""
     algs = J.slots
-    h1 = TensorUEA(algs, {
-        (_gen_exp(algs[0], h_name),) + tuple((0,) * a.ngens for a in algs[1:]):
-            J.ctx.one()})
-    total = h1
-    for s in range(1, len(algs)):
-        key = tuple(
-            _gen_exp(a, h_name) if i == s else (0,) * a.ngens
-            for i, a in enumerate(algs))
+    total = TensorUEA(algs, {})
+    for s in range(len(algs)):
+        # the exponent vector of h in slot s, of 1 elsewhere
+        key = tuple(next(iter(a.gen(h_name).terms)) if i == s else (0,) * a.ngens
+                    for i, a in enumerate(algs))
         total = total + TensorUEA(algs, {key: J.ctx.one()})
-    for t in J.orders:
-        if not (total * t - t * total).is_zero():
-            return False
-    return True
-
-
-def _gen_exp(alg: PBWAlgebra, name: str):
-    i = alg.order.index(name)
-    return tuple(1 if j == i else 0 for j in range(alg.ngens))
+    return all((total * t - t * total).is_zero() for t in J.orders)
 
 
 def shift_twist(J: TwistSeries, lam_name: str = "lam",
@@ -221,6 +209,41 @@ def shift_twist(J: TwistSeries, lam_name: str = "lam",
     return TwistSeries(slots3, orders, J.deformation, validate=False)
 
 
+def cocycle_sides(J: TwistSeries, right12: TwistSeries
+                  ) -> tuple[TwistSeries, TwistSeries]:
+    """The two sides of a cocycle identity for a two-slot series J:
+    (Delta (x) id)(J) * right12 and (id (x) Delta)(J) * J^{23}."""
+    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * right12
+    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
+        J.map_orders(lambda t: t.insert_unit(0))
+    return lhs, rhs
+
+
+def cocycle_residual(J: TwistSeries, right12: TwistSeries) -> dict:
+    """Order-by-order comparison of the two :func:`cocycle_sides`: the
+    orders that fail and the residual at the first of them."""
+    lhs, rhs = cocycle_sides(J, right12)
+    diff = lhs - rhs
+    failing = [r for r, t in enumerate(diff.orders) if not t.is_zero()]
+    return {
+        "checked_through": diff.truncation,
+        "ok": not failing,
+        "failing_orders": failing,
+        "first_residual": (diff.order(failing[0]).pruned().to_json()
+                           if failing else None),
+    }
+
+
+def counit_ok(J: TwistSeries) -> bool:
+    """Both slot counits collapse the series to 1."""
+    unit1 = TensorUEA.unit((J.slots[0],))
+    for r, t in enumerate(J.orders):
+        want = unit1 if r == 0 else TensorUEA((J.slots[0],), {})
+        if any(not (t.slot_counit(s) - want).is_zero() for s in (0, 1)):
+            return False
+    return True
+
+
 def check_dynamical_twist(J: TwistSeries, lam_name: str = "lam",
                           h_name: str = "h") -> dict:
     """Verify the shifted cocycle identity through the truncation order.
@@ -231,21 +254,7 @@ def check_dynamical_twist(J: TwistSeries, lam_name: str = "lam",
     """
     if len(J.slots) != 2:
         raise TwistError("cocycle identity applies to a two-slot twist")
-    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * shift_twist(J, lam_name, h_name)
-    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
-        J.map_orders(lambda t: t.insert_unit(0))
-    diff = lhs - rhs
-    residual_orders = []
-    for r, t in enumerate(diff.orders):
-        if not t.is_zero():
-            residual_orders.append(r)
-    return {
-        "checked_through": diff.truncation,
-        "ok": not residual_orders,
-        "failing_orders": residual_orders,
-        "first_residual": (diff.order(residual_orders[0]).pruned().to_json()
-                           if residual_orders else None),
-    }
+    return cocycle_residual(J, shift_twist(J, lam_name, h_name))
 
 
 def classical_limit_r(J: TwistSeries) -> Tensor2:

@@ -28,7 +28,7 @@ def _addvec(ctx: Context, a: Vec, b: Vec) -> Vec:
     z = ctx.zero()
     for k, v in b.items():
         out[k] = out.get(k, z) + v
-    return {k: v for k, v in out.items() if v._expr != 0}
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def _scalevec(s: FieldElement, a: Vec) -> Vec:
@@ -65,7 +65,7 @@ class VermaData:
                 out[k + 1] = out.get(k + 1, z) + c
             else:
                 raise VermaError(f"unknown generator {gen!r}")
-        return {k: c for k, c in out.items() if c._expr != 0}
+        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def check_relations(self) -> bool:
         """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every m_k with k <= K-1."""
@@ -134,7 +134,7 @@ class FiniteModule:
                     out[j + 1] = out.get(j + 1, z) + c
             else:
                 raise VermaError(f"unknown generator {gen!r}")
-        return {j: c for j, c in out.items() if c._expr != 0}
+        return {j: c for j, c in out.items() if not c.is_zero()}
 
     def resolvent(self, v: Vec, lam: FieldElement, shift: int) -> Vec:
         """(lam - (h + shift))^(-1) applied spectrally, weight by weight."""
@@ -153,11 +153,10 @@ class Intertwiner:
                  components: Mapping[int, Vec]):
         self.verma = verma
         self.module = module
-        self.components: dict[int, Vec] = {
-            k: {j: c for j, c in v.items() if c._expr != 0}
-            for k, v in components.items()
-        }
-        self.components = {k: v for k, v in self.components.items() if v}
+        self.components: dict[int, Vec] = {}
+        for k, v in components.items():
+            if v := {j: c for j, c in v.items() if not c.is_zero()}:
+                self.components[k] = v
 
     @property
     def expectation(self) -> Vec:

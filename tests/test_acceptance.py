@@ -19,7 +19,7 @@ from dynstar import (Context, FiniteModule, OrbitFunction, PBWAlgebra,
                      orbit_function, project_twist, realize_lie_algebra,
                      recover_classification, rising_factorial_projection,
                      split_basis_sl2, star_product, tensor2_from_names)
-from dynstar.cli import _counit_ok
+from dynstar.twist import counit_ok as _counit_ok
 
 FIXTURES = [
     ("A2 levi a1, U = pm a1, t = 1", "A", 2, [(1, 0)], [(1, 0), (-1, 0)]),

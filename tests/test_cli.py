@@ -92,6 +92,12 @@ class TestStar:
         assert code == 0
         assert rep["identity"] == "casimir"
 
+    @pytest.mark.parametrize("order", ["4", "-1"])
+    def test_order_out_of_range_rejected(self, capsys, order):
+        assert run(["star", "--order", order, "--identity", "casimir"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--order" in err
+
     def test_unknown_identity_is_schema_error(self, capsys):
         # argparse rejects the choice before the command runs
         with pytest.raises(SystemExit) as e:

@@ -1,0 +1,59 @@
+"""Byte-identity of ``--canonical`` reports across all eight subcommands.
+
+Each digest is the sha256 of everything ``dynstar`` prints for the command
+(the PASS/FAIL line and the JSON report). They were recorded with the
+earlier scalar core, which kept sympy expression trees and canonicalized
+them with ``cancel``; the num/den PolyRing core must print the same bytes.
+The one exception is the chevalley ``project-twist``: its closed form used
+to put the rising factorials in the wrong slots, so it reported
+``matches_closed_form: false`` and exited 1. That digest was recorded
+after the fix, and differs from the old one only in those two lines.
+
+The digests depend on sympy's printer; they were recorded with sympy 1.14.
+"""
+
+import hashlib
+
+import pytest
+
+from dynstar.cli import run
+
+GOLDEN = [
+    (["classify", "--type", "A", "--rank", "2", "--delta", "a1", "--u", "pm-a1"],
+     0, "5ea6952e8034d474c2ff9e3ad36778344704791aa2c0a28b4f12504b6bd2d6a9"),
+    (["classify", "--type", "C", "--rank", "3", "--delta", "a2,a3",
+      "--t", "a2=t2,a3=3"],
+     0, "640cff74055dabe7b78f73cf53e0c6922291a983e65e1870181911b670ed0b57"),
+    (["verify-rmatrix", "--type", "A", "--rank", "2", "--delta", "a1",
+      "--u", "pm-a1", "--recover"],
+     0, "b6d5ac6ab9b246e6cf0581fa864e0b089cac7b02f830eb379990e2fadc3468b7"),
+    (["verify-rmatrix", "--type", "D", "--rank", "4", "--delta", "a1,a3",
+      "--u", "pm-a1"],
+     0, "3c1911976c4d52517cd95c5996fc53279bcc57dcf8cbc5238b56a31a6c10e23d"),
+    (["lagrangian", "--type", "B", "--rank", "3", "--delta", "a2", "--t", "a2=t2"],
+     0, "3eeeda36b2f2c5713c1a28933777553b7306fb78ef6bf68b2c6bfc4b93d7ee64"),
+    (["abrr-check", "--order", "5"],
+     0, "77cc3533ce043e296a6156752f9f7483f6e49876f0b98fc1f6483a4ee6fc9d9d"),
+    (["cdybe-check"],
+     0, "04f6e52df3c5727f411402fa13284ea54759a06215df23565e1ab9ef6c5418a8"),
+    (["star", "--order", "3"],
+     0, "85ea1b873944d40f0804e4f419efbc692b735996df240cfc943ce02de1e84b67"),
+    (["star", "--order", "2", "--identity", "quasiclassical"],
+     0, "c0f5a58c18a994a852c6a04abef649f035b9776cb3ca4834a8c01bdf2b7d96a5"),
+    (["verma-oracle", "--v", "8", "--w", "6"],
+     0, "53d648f1022944cd31edbcbcfb0d00d8353622b731c7c1ac960aa3427b0e06a6"),
+    (["verma-oracle", "--v", "4", "--w", "4", "--mutate"],
+     1, "69ecb6b88c4c63424adf69be654f520887152a5957008f3b92f6885a6d1646d8"),
+    (["project-twist", "--order", "6", "--variant", "standard"],
+     0, "5f67dab6403cefd295ffaeaf9bf832e313242268e990ea639cf92973b4d71525"),
+    (["project-twist", "--order", "6", "--variant", "chevalley"],
+     0, "df14462cc853b1e7ed0d6eedabdc13a52cf328fc7528b720d94c846c631429b5"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=["_".join(a.lstrip("-") for a in g[0]) for g in GOLDEN])
+def test_canonical_report_digest(capsys, argv, code, digest):
+    assert run(argv + ["--canonical"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

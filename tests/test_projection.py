@@ -55,7 +55,9 @@ class TestClosedFormIngredients:
 
 
 class TestProjection:
-    def test_matches_closed_form(self, ctx, spl, J5):
+    @pytest.mark.parametrize("variant", ["standard", "chevalley"])
+    def test_matches_closed_form(self, ctx, J5, variant):
+        spl = split_basis_sl2(ctx, variant)
         got = project_twist(J5, spl).series
         want = closed_form_jv(spl, 5).series
         assert (got - want).is_zero()

@@ -3,7 +3,11 @@ import fractions
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynstar import Context, ContextMismatchError, FieldElement, PoleError, field_arith
+import sympy as sp
+
+from dynstar import (Context, ContextMismatchError, FieldElement, OrbitFunction,
+                     PBWAlgebra, PoleError, Tensor2, TensorUEA, UEAElement, sl2)
+from dynstar.verma import FiniteModule
 
 
 @pytest.fixture(scope="module")
@@ -160,11 +164,174 @@ class TestPrinting:
         assert c2(f.to_string()) == f
 
 
-def test_field_arith_dispatch(c2):
-    a, b = c2.var("lam"), c2.var("hbar")
-    assert field_arith(a, b, "add") == a + b
-    assert field_arith(a, b, "sub") == a - b
-    assert field_arith(a, b, "mul") == a * b
-    assert field_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        field_arith(a, b, "pow")
+
+# -- exactness against a sympy oracle ---------------------------------------
+#
+# Every element is drawn together with the sympy expression it was built
+# from; the oracle canonicalizes that expression with sympy's cancel, as
+# the expression-tree scalar core did, and the lazy num/den pairs must
+# agree with it.
+
+LAM, HBAR = sp.symbols("lam hbar")
+
+
+def pairs(ctx):
+    """(FieldElement, sympy expression) pairs of equal value."""
+    base = st.one_of(
+        rationals().map(lambda q: (ctx(q), sp.Rational(q.numerator, q.denominator))),
+        st.just((ctx.var("lam"), LAM)),
+        st.just((ctx.var("hbar"), HBAR)),
+    )
+
+    def combine(children):
+        two = st.tuples(children, children)
+        return st.one_of(
+            two.map(lambda p: (p[0][0] + p[1][0], p[0][1] + p[1][1])),
+            two.map(lambda p: (p[0][0] - p[1][0], p[0][1] - p[1][1])),
+            two.map(lambda p: (p[0][0] * p[1][0], p[0][1] * p[1][1])),
+            two.filter(lambda p: sp.cancel(p[1][1]) != 0).map(
+                lambda p: (p[0][0] / p[1][0], p[0][1] / p[1][1])),
+        )
+
+    return st.recursive(base, combine, max_leaves=6)
+
+
+def hidden_zeros(ctx):
+    """Elements that are zero only after cancellation."""
+    nonzero = pairs(ctx).filter(lambda p: sp.cancel(p[1]) != 0)
+
+    def quotient(t):
+        (a, _), (b, _), (c, _) = t
+        return a / b - (a * c) / (b * c)
+
+    def square(p):
+        x = p[0]
+        return (x + 1) ** 2 - x ** 2 - 2 * x - 1
+
+    return st.one_of(st.tuples(pairs(ctx), nonzero, nonzero).map(quotient),
+                     pairs(ctx).map(square))
+
+
+def oracle_string(expr):
+    """The report grammar, computed from sympy's canonical form."""
+    canon = sp.cancel(sp.together(expr))
+    num, den = sp.fraction(sp.together(canon))
+    ncon, nprim = sp.expand(num).as_content_primitive()
+    dcon, dprim = sp.expand(den).as_content_primitive()
+    ratio = sp.Rational(ncon / dcon)
+    num, den = nprim * ratio.p, dprim * ratio.q
+
+    def fmt(e):
+        return sp.sstr(sp.expand(e), order="grlex").replace("**", "^").replace(" ", "")
+
+    return fmt(num) if den == 1 else f"({fmt(num)})/({fmt(den)})"
+
+
+def oracle_zero(expr) -> bool:
+    return sp.cancel(sp.together(expr)) == 0
+
+
+class TestAgainstSympyOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_is_zero(self, data):
+        ctx = Context(["lam", "hbar"])
+        f, e = data.draw(pairs(ctx))
+        assert f.is_zero() == oracle_zero(e)
+        assert bool(f) == (not oracle_zero(e))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equality(self, data):
+        ctx = Context(["lam", "hbar"])
+        f, e = data.draw(pairs(ctx))
+        g, d = data.draw(pairs(ctx))
+        assert (f == g) == oracle_zero(e - d)
+        assert f == f + (g - g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_to_string(self, data):
+        ctx = Context(["lam", "hbar"])
+        f, e = data.draw(pairs(ctx))
+        assert f.to_string() == oracle_string(e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=3))
+    def test_series_expand(self, data, order):
+        ctx = Context(["lam", "hbar"])
+        f, e = data.draw(pairs(ctx))
+        g = sp.cancel(sp.together(e))
+        if sp.fraction(g)[1].subs(HBAR, 0) == 0:
+            with pytest.raises(PoleError):
+                f.series_expand("hbar", order)
+            return
+        got = f.series_expand("hbar", order)
+        for k in range(order + 1):
+            c = sp.cancel(g.subs(HBAR, 0))
+            assert oracle_zero(got[k].expr - c)
+            assert not got[k].depends_on("hbar")
+            g = sp.cancel((g - c) / HBAR)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_differentiate(self, data):
+        ctx = Context(["lam", "hbar"])
+        f, e = data.draw(pairs(ctx))
+        for var, sym in (("lam", LAM), ("hbar", HBAR)):
+            assert oracle_zero(f.differentiate(var).expr - sp.diff(e, sym))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_hidden_zeros_are_zero(self, data):
+        ctx = Context(["lam", "hbar"])
+        z = data.draw(hidden_zeros(ctx))
+        assert z.is_zero() and not z
+        assert z == 0 and z.to_string() == "0"
+
+
+@pytest.mark.parametrize("text", [
+    "1/(lam-hbar)", "(lam+1)/(hbar-lam)", "(-lam/2+hbar)/(hbar*lam/3-7)",
+    "(hbar-2*lam)/(3*hbar*lam-lam^2)", "3/7", "-lam/2", "lam^2*hbar/lam"])
+def test_fixed_elements_against_oracle(c2, text):
+    # denominators whose leading sign differs between the ring's order
+    # (lam before hbar) and sympy's (hbar before lam)
+    f = c2(text)
+    g, h = c2(text) * (c2.var("lam") + 1), c2.var("lam") + 1
+    e = sp.sympify(text.replace("^", "**"), locals={"lam": LAM, "hbar": HBAR})
+    assert f.to_string() == (g / h).to_string() == oracle_string(e)
+    assert f == g / h and f != f + 1 and (f != 0) == (not oracle_zero(e))
+    assert c2(1) != c2(2) and c2("1/2") == fractions.Fraction(1, 2)
+
+
+class TestExactPruning:
+    """Containers drop coefficients that vanish only after cancellation."""
+
+    @pytest.fixture
+    def z(self, ctx):
+        lam = ctx.var("lam")
+        a, b, c = lam + ctx.var("hbar"), lam - 1, lam + 2
+        zero = a / b - (a * c) / (b * c)
+        assert zero.is_zero()
+        return zero
+
+    def test_structural_zero_example(self, ctx):
+        # a sympy expression tree does not see this zero structurally
+        assert (LAM + 1) ** 2 - LAM ** 2 - 2 * LAM - 1 != 0
+        lam = ctx.var("lam")
+        assert ((lam + 1) ** 2 - lam ** 2 - 2 * lam - 1).is_zero()
+
+    def test_enveloping(self, ctx, z):
+        U = PBWAlgebra(sl2(ctx))
+        assert UEAElement(U, {(1, 0, 0): z}).terms == {}
+        assert TensorUEA((U, U), {((1, 0, 0), (0, 0, 1)): z}).terms == {}
+
+    def test_lie_tensor(self, ctx, z):
+        assert Tensor2(sl2(ctx), {(0, 2): z}).coeffs == {}
+
+    def test_orbit_function(self, ctx, z):
+        assert OrbitFunction(ctx, {(0, 1, 0, 0): z}).terms == {}
+        assert OrbitFunction(ctx, {(1, 0, 0, 1): z}).terms == {}
+
+    def test_module_action(self, ctx, z):
+        assert FiniteModule(ctx, 2).act("y", {0: z}) == {}
