@@ -47,7 +47,7 @@ print("tensor lies in M_Omega:", check_in_M_Omega(b, g))
 # %%
 # The converse direction: from the bare coefficients, enumerate every
 # (simple system, Levi subset, parameter) witness that reproduces them.
-witnesses = recover_classification(fam, ctx, table)
+witnesses = recover_classification(fam, ctx)
 print(f"recovered {len(witnesses)} witness(es); Levi subsets:",
       [w["delta"] for w in witnesses])
 

@@ -6,8 +6,7 @@ from .scalars import (Context, ContextMismatchError, FieldElement, PoleError,
 from .rootsystems import (RootSystem, RootSystemError, StructureTable,
                           build_root_system, check_parabolic,
                           check_reductive_subset, chevalley_constants,
-                          levi_subset, positive_systems, simple_roots_of,
-                          y_set_properties)
+                          positive_systems, simple_roots_of, y_set_properties)
 from .lie import (LieAlgebraData, LieAlgebraError, Tensor2, Tensor3, alt,
                   build_casimir_tensor, check_invariance, cyb,
                   realize_lie_algebra, reduce_mod_u, sl2, tensor2_from_names,

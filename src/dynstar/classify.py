@@ -11,7 +11,7 @@ on the Levi part. Every verification below is an exact rational identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy as sp
@@ -45,12 +45,15 @@ class DynrSpec:
     U: frozenset[Root]
     t: dict[Root, FieldElement]        # per delta in Delta
     ctx: Context
+    # every root's coordinates in ``simple``
+    coords: dict[Root, Root] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rs = self.system
         for d in self.delta:
             if d not in self.simple:
                 raise SpecError(f"{d} not in the chosen simple system")
+        self.coords = rsys.coordinates(self.simple, rs.roots)
         if not rsys.check_reductive_subset(rs, self.U):
             raise SpecError("U is not reductive")
         if not self.U <= self.levi_roots():
@@ -72,16 +75,19 @@ class DynrSpec:
 
     def levi_roots(self) -> frozenset[Root]:
         """N = (span Delta) cap R, computed in the chosen simple system."""
-        return _levi_of(self.system, self.simple, self.delta)
+        return _levi_of(self.coords, self.simple, self.delta)
 
     def t_of(self, a: Root) -> FieldElement:
-        """t_alpha extended multiplicatively over the Delta-expansion."""
-        basis = sp.Matrix([list(d) for d in self.delta]).T
-        coords = basis.solve(sp.Matrix(list(a)))
+        """t_alpha extended multiplicatively over the Delta-expansion;
+        SpecError for a root outside N."""
+        coords = self.coords.get(tuple(a))
+        if coords is None or any(c and s not in self.delta
+                                 for c, s in zip(coords, self.simple)):
+            raise SpecError(f"{a} is not a root of the Levi set N")
         out = self.ctx.one()
-        for c, d in zip(coords, self.delta):
+        for c, s in zip(coords, self.simple):
             if c != 0:
-                out = out * self.t[d] ** int(c)
+                out = out * self.t[s] ** c
         return out
 
 
@@ -113,9 +119,7 @@ def make_spec(
         else:
             k = (rs.simple.index(d) + 1) if d in rs.simple else (simple.index(d) + 1)
             tmap[d] = ctx.var(f"t{k}")
-    spec = DynrSpec(rs, simple, positive, delta, Uset, tmap, ctx)
-    spec.table = table
-    return spec
+    return DynrSpec(rs, simple, positive, delta, Uset, tmap, ctx)
 
 
 @dataclass
@@ -238,8 +242,7 @@ def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:
     return reduce_mod_u(cyb(b)).is_zero()
 
 
-def recover_classification(fam: CoefficientFamily, ctx: Context,
-                           table: Optional[StructureTable] = None) -> list[dict]:
+def recover_classification(fam: CoefficientFamily, ctx: Context) -> list[dict]:
     """Recover all (Pi, Delta, t) witnesses generating the family.
 
     P = {alpha : x_alpha != -1/2} must be parabolic; witnesses are the
@@ -254,10 +257,10 @@ def recover_classification(fam: CoefficientFamily, ctx: Context,
     witnesses = []
     for pos in rsys.positive_systems(rs):
         simple = rsys.simple_roots_of(rs, pos)
-        nroots_all = P - pos  # candidate Levi roots must cover this
+        coords = rsys.coordinates(simple, rs.roots)
         for k in range(len(simple) + 1):
             for delta in itertools.combinations(simple, k):
-                N = _levi_of(rs, simple, delta)
+                N = _levi_of(coords, simple, delta)
                 if pos | N != P:
                     continue
                 if not fam.U <= N:
@@ -277,8 +280,6 @@ def recover_classification(fam: CoefficientFamily, ctx: Context,
                     continue
                 spec = DynrSpec(rs, tuple(simple), frozenset(pos),
                                 tuple(delta), fam.U, t, ctx)
-                if table is not None:
-                    spec.table = table
                 rebuilt = build_coefficients(spec)
                 if all((rebuilt[a] - fam[a]).is_zero() for a in rs.roots):
                     witnesses.append(
@@ -289,19 +290,13 @@ def recover_classification(fam: CoefficientFamily, ctx: Context,
     return witnesses
 
 
-def _levi_of(rs: RootSystem, simple: Sequence[Root],
+def _levi_of(coords: Mapping[Root, Root], simple: Sequence[Root],
              delta: Sequence[Root]) -> frozenset[Root]:
-    """The roots whose coordinates in ``simple`` vanish outside ``delta``."""
-    if not delta:
-        return frozenset()
-    basis = sp.Matrix([list(s) for s in simple]).T
-    dset = set(delta)
-    out = set()
-    for r in rs.roots:
-        coords = basis.solve(sp.Matrix(list(r)))
-        if all(c == 0 for c, s in zip(coords, simple) if s not in dset):
-            out.add(r)
-    return frozenset(out)
+    """The roots whose coordinates in ``simple`` vanish outside ``delta``;
+    ``coords`` maps each root to its coordinates in ``simple``."""
+    outside = [i for i, s in enumerate(simple) if s not in delta]
+    return frozenset(r for r, c in coords.items()
+                     if all(c[i] == 0 for i in outside))
 
 
 def recover_b_from_initial(pi_e: Tensor2, rho: Tensor2) -> Tensor2:

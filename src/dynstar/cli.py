@@ -120,7 +120,7 @@ def cmd_verify_rmatrix(args) -> dict:
         member, quasi_unitary = False, False
     witnesses = []
     if args.recover:
-        for w in cls.recover_classification(fam, ctx, table):
+        for w in cls.recover_classification(fam, ctx):
             witnesses.append({
                 "simple": [_root_str(a) for a in w["simple"]],
                 "delta": [_root_str(a) for a in w["delta"]],

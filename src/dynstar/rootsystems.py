@@ -2,6 +2,9 @@
 basis.
 
 Roots are stored as integer coordinate tuples in the simple-root basis.
+``coordinates`` is the one change of basis, with one exact inverse per
+basis: it places the Euclidean roots in the Bourbaki simple system, and
+every root in each simple system that ``classify`` reads Levi sets from.
 Structure constants are read off from explicit matrix models (traceless
 matrices for type A, antidiagonal orthogonal/symplectic models for B, C, D),
 then rescaled so that <E_alpha, E_{-alpha}> = 1 under the trace form.
@@ -14,6 +17,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 Root = tuple[int, ...]
 
@@ -105,16 +111,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if not (lo <= rank <= MAX_RANK):
         raise RootSystemError(f"rank {rank} out of range [{lo}, {MAX_RANK}] for {family}")
     eroots, esimple = _euclid_roots(family, rank)
-    # change of basis: solve coordinates of each root in the simple system
-    m = sp.Matrix([list(s) for s in esimple]).T
-    coords = {}
-    for r in eroots:
-        sol = m.solve(sp.Matrix(list(r)))
-        c = tuple(int(x) for x in sol)
-        assert all(sp.Integer(ci) == si for ci, si in zip(c, sol))
-        coords[r] = c
+    coords = coordinates(esimple, eroots)
     roots = tuple(sorted(coords.values()))
-    euclid = {coords[r]: tuple(r) for r in eroots}
+    euclid = {c: r for r, c in coords.items()}
     positive = frozenset(c for c in roots if _is_positive(c))
     maxlen = max(sum(x * x for x in euclid[r]) for r in roots)
     scale = sp.Rational(2, maxlen)
@@ -122,6 +121,35 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     rs = RootSystem(family, rank, roots, simple, positive, euclid, scale)
     _validate(rs)
     return rs
+
+
+def coordinates(basis: Sequence[Sequence], vectors: Iterable[Sequence]) -> dict[tuple, Root]:
+    """Integer coordinates of each integer vector in ``basis``, keyed by the
+    vector.
+
+    One exact inverse per basis, of the Gram matrix B B^T (basis vectors as
+    rows), kept as an integer matrix over a common denominator, so the
+    basis may live in more dimensions than it has vectors (type A's
+    Euclidean roots lie in rank + 1 dimensions). Raises RootSystemError if
+    the basis is dependent or a vector is not an integral combination of it.
+    """
+    vectors = [tuple(v) for v in vectors]
+    B, V = (DomainMatrix([[ZZ.convert(x) for x in v] for v in vs],
+                         (len(vs), len(basis[0])), ZZ) for vs in (basis, vectors))
+    try:
+        gram_inv, den = (B * B.transpose()).inv_den()
+    except DMNonInvertibleMatrixError:
+        raise RootSystemError(f"basis {tuple(basis)} is linearly dependent") from None
+    C = V * B.transpose() * gram_inv          # den times the coordinates
+    out = {}
+    for v, c, image, want in zip(vectors, C.to_list(), (C * B).to_list(),
+                                 (V * den).to_list()):
+        if image != want:
+            raise RootSystemError(f"{v} is not in the span of the basis")
+        if any(x % den for x in c):
+            raise RootSystemError(f"{v} is not an integral combination of the basis")
+        out[v] = tuple(int(x // den) for x in c)
+    return out
 
 
 def _is_positive(c: Root) -> bool:
@@ -132,27 +160,18 @@ def _is_positive(c: Root) -> bool:
 
 
 def _validate(rs: RootSystem) -> None:
-    s = set(rs.roots)
-    assert all(_neg(a) in s for a in s), "not closed under negation"
-    assert rs.positive | {_neg(a) for a in rs.positive} == s
-    assert not (rs.positive & {_neg(a) for a in rs.positive})
+    # R = R+ cup -R+ disjointly (so -R = R), with the right number of roots
+    s, pos, neg = set(rs.roots), rs.positive, rs.negative
     counts = {"A": rs.rank * (rs.rank + 1), "B": 2 * rs.rank ** 2,
               "C": 2 * rs.rank ** 2, "D": 2 * rs.rank * (rs.rank - 1)}
-    assert len(s) == counts[rs.family]
+    if pos | neg != s or pos & neg or len(s) != counts[rs.family]:
+        raise RootSystemError(f"{rs}: expected {counts[rs.family]} roots, "
+                              "split into R+ and -R+")
 
 
 # ---------------------------------------------------------------------------
 # root-subset combinatorics (section on reductive / parabolic / Levi / Y sets)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootSubset:
-    system: RootSystem
-    roots: frozenset[Root]
-
-    def __contains__(self, a: Root) -> bool:
-        return tuple(a) in self.roots
-
 
 def _as_rootset(rs: RootSystem, roots: Iterable[Root]) -> frozenset[Root]:
     out = set()
@@ -174,21 +193,6 @@ def check_reductive_subset(rs: RootSystem, U: Iterable[Root]) -> bool:
     """True iff (U+U) cap R is contained in U and -U = U."""
     u = _as_rootset(rs, U)
     return {_neg(a) for a in u} == u and _sum_closed(rs, u)
-
-
-def levi_subset(rs: RootSystem, delta: Sequence[Root]) -> RootSubset:
-    """N = (span Delta) cap R for Delta a subset of the simple system."""
-    d = [tuple(a) for a in delta]
-    for a in d:
-        if a not in rs.simple:
-            raise RootSystemError(f"{a} is not a simple root")
-    idx = [rs.simple.index(a) for a in d]
-    span = frozenset(
-        r for r in rs.roots if all(r[i] == 0 for i in range(rs.rank) if i not in idx)
-    )
-    sub = RootSubset(rs, span)
-    assert check_reductive_subset(rs, sub.roots)
-    return sub
 
 
 def check_parabolic(rs: RootSystem, P: Iterable[Root]) -> bool:
@@ -319,24 +323,22 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
             raise RootSystemError(f"no matrix positions for root {a}")
         if M is None:
             # type A: single elementary position
-            assert len(positions) == 1
+            if len(positions) != 1:
+                raise RootSystemError(f"{len(positions)} matrix positions for root {a}")
             X = sp.zeros(m, m)
             X[positions[0]] = 1
         else:
-            # solve X^T M + M X = 0 on the span of the candidate positions
-            ncand = len(positions)
-            rows = []
-            for p in range(m):
-                for q in range(m):
-                    row = []
-                    for (j, k) in positions:
-                        E = sp.zeros(m, m)
-                        E[j, k] = 1
-                        row.append((E.T * M + M * E)[p, q])
-                    if any(x != 0 for x in row):
-                        rows.append(row)
+            # solve X^T M + M X = 0 on the span of the candidate positions:
+            # one constraint matrix per position, stacked entry by entry
+            cons = []
+            for (j, k) in positions:
+                E = sp.zeros(m, m)
+                E[j, k] = 1
+                cons.append(E.T * M + M * E)
+            stacked = ([c[p, q] for c in cons] for p in range(m) for q in range(m))
+            rows = [row for row in stacked if any(x != 0 for x in row)]
             null = sp.Matrix(rows).nullspace() if rows else [
-                sp.Matrix([1] * ncand)]
+                sp.Matrix([1] * len(positions))]
             if len(null) != 1:
                 raise RootSystemError(f"root space for {a} not one-dimensional")
             coeffs = null[0]
@@ -359,7 +361,8 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
         eu = rs.euclid[a]
         for i in range(n):
             comm = cartan[i] * evec[a] - evec[a] * cartan[i]
-            assert comm == weight(eu, i) * evec[a], f"weight failure at {a}"
+            if comm != weight(eu, i) * evec[a]:
+                raise RootSystemError(f"weight failure at {a}")
 
     c: dict[tuple[Root, Root], sp.Rational] = {}
     cartan_coords: dict[Root, tuple[sp.Rational, ...]] = {}
@@ -372,8 +375,8 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
                 c[(a, b)] = _ratio(comm, evec[s], a, b)
             elif all(x == 0 for x in s):
                 cartan_coords[a] = _h_coords(comm, cartan, rs.family, m, n)
-            else:
-                assert comm == sp.zeros(m, m), f"[E_{a}, E_{b}] not in root space"
+            elif not comm.is_zero_matrix:
+                raise RootSystemError(f"[E_{a}, E_{b}] not in root space")
 
     alpha_h = {
         a: tuple(weight(rs.euclid[a], i) for i in range(n)) for a in rs.roots
@@ -383,7 +386,7 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
     for i in range(n):
         names[f"H{i+1}"] = cartan[i]
     for a in rs.roots:
-        names[_root_name(a)] = evec[a]
+        names[root_name(a)] = evec[a]
     return StructureTable(rs, c, cartan_coords, alpha_h, gram, names)
 
 
@@ -392,7 +395,8 @@ def _ratio(comm: sp.Matrix, target: sp.Matrix, a, b) -> sp.Rational:
         for q in range(target.cols):
             if target[p, q] != 0:
                 r = sp.Rational(comm[p, q], target[p, q])
-                assert comm == r * target, f"[E_{a}, E_{b}] not proportional"
+                if comm != r * target:
+                    raise RootSystemError(f"[E_{a}, E_{b}] not proportional")
                 return r
     raise RootSystemError("zero target root vector")
 
@@ -412,13 +416,10 @@ def _h_coords(diag: sp.Matrix, cartan, family: str, m: int, n: int):
     check = sp.zeros(m, m)
     for x, H in zip(coords, cartan):
         check += x * H
-    assert check == diag, "cartan decomposition failure"
+    if check != diag:
+        raise RootSystemError("cartan decomposition failure")
     return tuple(sp.Rational(x) for x in coords)
 
 
-def _root_name(a: Root) -> str:
-    return "E(" + ",".join(str(x) for x in a) + ")"
-
-
 def root_name(a: Root) -> str:
-    return _root_name(tuple(a))
+    return "E(" + ",".join(str(x) for x in a) + ")"

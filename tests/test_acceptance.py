@@ -82,7 +82,7 @@ def test_criterion_2_recovery_round_trip(actx):
     ok = True
     for label, spec, table in _fixture_specs(actx):
         fam = build_coefficients(spec)
-        wits = recover_classification(fam, actx, table)
+        wits = recover_classification(fam, actx)
         if not wits:
             ok = False
             continue

@@ -1,12 +1,20 @@
-import pytest
+import functools
+import itertools
 
-from dynstar import (QuasiUnitarityError, SpecError, build_casimir_tensor,
-                     build_coefficients, build_lagrangian, build_root_system,
+import pytest
+import sympy as sp
+
+from dynstar import (DynrSpec, QuasiUnitarityError, SpecError,
+                     build_casimir_tensor, build_coefficients,
+                     build_lagrangian, build_root_system,
                      check_coefficient_conditions, check_in_M_Omega,
                      check_shift_form, chevalley_constants,
-                     coefficients_to_tensor, make_spec, realize_lie_algebra,
-                     recover_b_from_initial, recover_classification)
+                     coefficients_to_tensor, make_spec, positive_systems,
+                     realize_lie_algebra, recover_b_from_initial,
+                     recover_classification, simple_roots_of)
+from dynstar.classify import _levi_of
 from dynstar.lie import Tensor2
+from dynstar.rootsystems import coordinates
 
 
 def _fixture(ctx, family, rank, delta, U, t=None):
@@ -127,7 +135,7 @@ class TestRecovery:
     def test_round_trip(self, fixture):
         name, spec, table = fixture
         fam = build_coefficients(spec)
-        wits = recover_classification(fam, spec.ctx, table)
+        wits = recover_classification(fam, spec.ctx)
         assert wits
         for w in wits:
             rebuilt = build_coefficients(w["spec"])
@@ -137,7 +145,7 @@ class TestRecovery:
     def test_original_choice_among_witnesses(self, ctx):
         spec, table = _fixture(ctx, "A", 2, [(1, 0)], [(1, 0), (-1, 0)])
         fam = build_coefficients(spec)
-        wits = recover_classification(fam, ctx, table)
+        wits = recover_classification(fam, ctx)
         assert any(set(w["delta"]) == {(1, 0)} and
                    set(w["simple"]) == set(spec.simple) for w in wits)
 
@@ -147,7 +155,50 @@ class TestRecovery:
         for a in fam.x:
             fam.x[a] = ctx("1/3")
         with pytest.raises(SpecError):
-            recover_classification(fam, ctx, table)
+            recover_classification(fam, ctx)
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(basis, v):
+    """Coordinates of v in basis by sympy's linear solver: an oracle that
+    shares no code with ``rootsystems.coordinates``."""
+    return tuple(sp.Matrix([list(b) for b in basis]).T.solve(sp.Matrix(list(v))))
+
+
+SWEEP = [(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+         for r in range(lo, 4)]
+
+
+class TestLeviRoutine:
+    @pytest.mark.parametrize("family,rank", SWEEP,
+                             ids=[f"{f}{r}" for f, r in SWEEP])
+    def test_sweep_matches_solve_oracle(self, ctx, family, rank):
+        # every positive system and every Delta in its simple roots
+        rs = build_root_system(family, rank)
+        for pos in positive_systems(rs):
+            simple = simple_roots_of(rs, pos)
+            coords = coordinates(simple, rs.roots)
+            for k in range(rank + 1):
+                for delta in itertools.combinations(simple, k):
+                    N = frozenset(r for r in rs.roots if all(
+                        c == 0 for c, s in zip(_solved(simple, r), simple)
+                        if s not in delta))
+                    assert _levi_of(coords, simple, delta) == N
+                    t = {d: ctx.var(f"t{simple.index(d) + 1}") for d in delta}
+                    spec = DynrSpec(rs, simple, pos, delta, frozenset(), t, ctx)
+                    assert spec.levi_roots() == N
+                    for a in N:
+                        want = ctx.one()
+                        for c, d in zip(_solved(delta, a), delta):
+                            want = want * t[d] ** int(c)
+                        assert spec.t_of(a) == want
+
+    def test_t_of_outside_levi_set_rejected(self, ctx):
+        spec, table = _fixture(ctx, "A", 2, [(1, 0)], [])
+        assert spec.t_of((-1, 0)) == 1 / ctx.var("t1")
+        for a in [(0, 1), (1, 1), (2, 0)]:   # roots outside N, a non-root
+            with pytest.raises(SpecError):
+                spec.t_of(a)
 
 
 class TestLagrangian:

@@ -10,13 +10,25 @@ to put the rising factorials in the wrong slots, so it reported
 after the fix, and differs from the old one only in those two lines.
 
 The digests depend on sympy's printer; they were recorded with sympy 1.14.
+The B3 ``--recover`` entry finds four witnesses over non-standard simple
+systems; its digest was recorded before ``rootsystems.coordinates`` became
+the one source of root coordinates.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dynstar
 from dynstar.cli import run
+
+B3_RECOVER = (
+    ["verify-rmatrix", "--type", "B", "--rank", "3", "--delta", "a1,a3",
+     "--u", "pm-a3", "--recover"],
+    0, "a1505223b2bd5f4c156026243d9ed047344ec4812ee4676b973b075a05c88ed1")
 
 GOLDEN = [
     (["classify", "--type", "A", "--rank", "2", "--delta", "a1", "--u", "pm-a1"],
@@ -27,6 +39,7 @@ GOLDEN = [
     (["verify-rmatrix", "--type", "A", "--rank", "2", "--delta", "a1",
       "--u", "pm-a1", "--recover"],
      0, "b6d5ac6ab9b246e6cf0581fa864e0b089cac7b02f830eb379990e2fadc3468b7"),
+    B3_RECOVER,
     (["verify-rmatrix", "--type", "D", "--rank", "4", "--delta", "a1,a3",
       "--u", "pm-a1"],
      0, "3c1911976c4d52517cd95c5996fc53279bcc57dcf8cbc5238b56a31a6c10e23d"),
@@ -57,3 +70,16 @@ def test_canonical_report_digest(capsys, argv, code, digest):
     assert run(argv + ["--canonical"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_recover_report_survives_optimize_flag():
+    # python -O strips assert statements; the invariants recovery relies on
+    # are explicit raises, so the verdict and report must not change
+    argv, code, digest = B3_RECOVER
+    src = os.path.dirname(os.path.dirname(dynstar.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "dynstar", *argv, "--canonical"],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -3,9 +3,12 @@ import itertools
 import pytest
 import sympy as sp
 
-from dynstar import (RootSystemError, build_root_system, check_parabolic,
-                     check_reductive_subset, chevalley_constants, levi_subset,
-                     positive_systems, simple_roots_of, y_set_properties)
+from dynstar import (DynrSpec, RootSystemError, SpecError, build_root_system,
+                     check_parabolic, check_reductive_subset,
+                     chevalley_constants, make_spec, positive_systems,
+                     simple_roots_of, y_set_properties)
+from dynstar.classify import _levi_of
+from dynstar.rootsystems import coordinates
 
 ROOT_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 4): 20,
@@ -54,26 +57,48 @@ def test_simple_roots_are_unit_vectors():
     assert all(all(c >= 0 for c in a) for a in rs.positive)
 
 
+class TestCoordinates:
+    def test_type_a_euclidean_basis(self):
+        # three-dimensional vectors in a basis of two: the Gram inverse
+        basis = [(1, -1, 0), (0, 1, -1)]
+        assert coordinates(basis, [(1, 0, -1), (0, -1, 1)]) == {
+            (1, 0, -1): (1, 1), (0, -1, 1): (0, -1)}
+
+    def test_non_integral_vector_rejected(self):
+        with pytest.raises(RootSystemError, match="integral"):
+            coordinates([(2, 0), (0, 1)], [(1, 0)])
+
+    def test_vector_outside_span_rejected(self):
+        with pytest.raises(RootSystemError, match="span"):
+            coordinates([(1, 0, 0)], [(0, 1, 0)])
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(RootSystemError, match="dependent"):
+            coordinates([(1, 1), (2, 2)], [(1, 1)])
+
+
 class TestSubsets:
-    def test_levi_is_reductive(self):
+    def test_levi_is_reductive(self, ctx):
         rs = build_root_system("A", 3)
-        sub = levi_subset(rs, [(1, 0, 0), (0, 0, 1)])
-        assert sub.roots == {(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)}
-        assert check_reductive_subset(rs, sub.roots)
+        spec = make_spec(chevalley_constants(rs), ctx, [(1, 0, 0), (0, 0, 1)], [])
+        N = spec.levi_roots()
+        assert N == {(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)}
+        assert check_reductive_subset(rs, N)
 
     def test_empty_levi(self):
         rs = build_root_system("B", 2)
-        assert levi_subset(rs, []).roots == frozenset()
+        assert _levi_of(coordinates(rs.simple, rs.roots), rs.simple, ()) == frozenset()
 
     def test_non_reductive_subset(self):
         rs = build_root_system("A", 2)
         # a single root without its negative
         assert not check_reductive_subset(rs, [(1, 0)])
 
-    def test_non_simple_delta_rejected(self):
+    def test_non_simple_delta_rejected(self, ctx):
         rs = build_root_system("A", 2)
-        with pytest.raises(RootSystemError):
-            levi_subset(rs, [(1, 1)])
+        with pytest.raises(SpecError):
+            DynrSpec(rs, rs.simple, rs.positive, ((1, 1),), frozenset(),
+                     {(1, 1): ctx.var("t1")}, ctx)
 
     def test_parabolic(self):
         rs = build_root_system("A", 2)
