@@ -30,7 +30,7 @@ print(f"shifted cocycle identity holds through order {rep['checked_through']}:",
 # Quasiclassical shadow: the antisymmetrized first-order term solves the
 # classical dynamical Yang-Baxter equation exactly in Q(lam).
 r = classical_limit_r(J)
-print("classical r-matrix:", tensor_to_json(r.pruned()))
+print("classical r-matrix:", tensor_to_json(r))
 print("CDYBE residual vanishes:", check_cdybe(r, [("h", "lam")])["ok"])
 
 # %%

@@ -97,29 +97,26 @@ def make_spec(
     delta: Sequence[Root],
     U: Iterable[Root],
     t: Optional[Mapping[Root, object]] = None,
-    simple: Optional[Sequence[Root]] = None,
-    positive: Optional[Iterable[Root]] = None,
 ) -> DynrSpec:
-    """Convenience constructor using the standard simple system by default.
+    """Convenience constructor in the standard simple system.
 
     Missing t-parameters default to 1 on U and to the context symbols
     t1, t2, ... (by simple-root index) elsewhere.
     """
     rs = table.system
-    simple = tuple(tuple(s) for s in (simple or rs.simple))
-    positive = frozenset(tuple(p) for p in (positive or rs.positive))
     delta = tuple(tuple(d) for d in delta)
     Uset = frozenset(tuple(a) for a in U)
     tmap: dict[Root, FieldElement] = {}
     for d in delta:
+        if d not in rs.simple:
+            raise SpecError(f"{d} not in the standard simple system")
         if t is not None and d in t:
             tmap[d] = ctx(t[d])
         elif d in Uset:
             tmap[d] = ctx.one()
         else:
-            k = (rs.simple.index(d) + 1) if d in rs.simple else (simple.index(d) + 1)
-            tmap[d] = ctx.var(f"t{k}")
-    return DynrSpec(rs, simple, positive, delta, Uset, tmap, ctx)
+            tmap[d] = ctx.var(f"t{rs.simple.index(d) + 1}")
+    return DynrSpec(rs, rs.simple, rs.positive, delta, Uset, tmap, ctx)
 
 
 @dataclass
@@ -154,12 +151,11 @@ def build_coefficients(spec: DynrSpec) -> CoefficientFamily:
     return CoefficientFamily(spec.system, spec.U, x)
 
 
-def check_coefficient_conditions(fam: CoefficientFamily,
-                                 U: Optional[Iterable[Root]] = None) -> dict:
+def check_coefficient_conditions(fam: CoefficientFamily) -> dict:
     """Exact verification of the four coefficient conditions; reports the
     first violating root/triple per condition."""
     rs = fam.system
-    Uset = frozenset(tuple(a) for a in U) if U is not None else fam.U
+    Uset = fam.U
     allroots = set(rs.roots)
     rest = allroots - Uset
     report = {}

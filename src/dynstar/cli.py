@@ -17,7 +17,7 @@ from . import classify as cls
 from . import rootsystems as rsys
 from .enveloping import PBWAlgebra
 from .lie import realize_lie_algebra, sl2, tensor2_from_names, tensor_to_json
-from .scalars import Context, PoleError
+from .scalars import HBAR, LAM, Context, PoleError
 from .twist import (abrr_twist, check_cdybe, check_dynamical_twist,
                     check_h_invariance, classical_limit_r, counit_ok)
 
@@ -31,7 +31,7 @@ STAR_MAX_ORDER = 3
 
 
 def _context(rank: int = 4) -> Context:
-    return Context(["lam", "hbar"] + [f"t{i}" for i in range(1, rank + 1)])
+    return Context([LAM, HBAR] + [f"t{i}" for i in range(1, rank + 1)])
 
 
 def _parse_simple_token(tok: str, rank: int) -> tuple[int, ...]:
@@ -72,7 +72,10 @@ def _parse_t(s: Optional[str], rank: int, ctx: Context) -> dict:
         if "=" not in item:
             raise SchemaError(f"bad t binding {item!r} (expected aK=expr)")
         key, val = item.split("=", 1)
-        out[_parse_simple_token(key, rank)] = ctx(val)
+        try:
+            out[_parse_simple_token(key, rank)] = ctx(val)
+        except TypeError as e:
+            raise SchemaError(f"bad t value in {item!r}: {e}") from None
     return out
 
 
@@ -129,7 +132,7 @@ def cmd_verify_rmatrix(args) -> dict:
     return {
         "quasi_unitary": quasi_unitary,
         "in_M_Omega": member,
-        "tensor": tensor_to_json(b.pruned()),
+        "tensor": tensor_to_json(b),
         "witnesses": witnesses,
         "ok": quasi_unitary and member,
     }
@@ -168,9 +171,9 @@ def cmd_cdybe_check(args) -> dict:
     expected = tensor2_from_names(g, {("x", "y"): ctx("1/lam"),
                                       ("y", "x"): ctx("-1/lam")})
     limit_ok = (r - expected).is_zero()
-    rep = check_cdybe(r, [("h", "lam")])
+    rep = check_cdybe(r, [("h", LAM)])
     return {
-        "r": tensor_to_json(r.pruned()),
+        "r": tensor_to_json(r),
         "classical_limit_is_u_lambda": limit_ok,
         "cdybe": rep,
         "ok": limit_ok and rep["ok"],

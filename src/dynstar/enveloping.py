@@ -186,15 +186,12 @@ class UEAElement(LinearCombination):
         return {
             "gens": list(self.algebra.order),
             "terms": [{"exp": list(k), "coeff": v.to_string()}
-                      for k, v in sorted(self.terms.items())
-                      if not v.is_zero()],
+                      for k, v in sorted(self.terms.items())],
         }
 
     def __repr__(self) -> str:
         parts = []
         for k, v in sorted(self.terms.items()):
-            if v.is_zero():
-                continue
             mono = "*".join(
                 f"{g}^{e}" if e > 1 else g
                 for g, e in zip(self.algebra.order, k) if e > 0
@@ -349,9 +346,10 @@ class TensorUEA(LinearCombination):
                 out[nk] = out.get(nk, z) + v * m
         return TensorUEA(new_slots, out)
 
-    def insert_unit(self, position: int, alg: Optional[PBWAlgebra] = None) -> "TensorUEA":
-        """Insert a unit slot at the given position."""
-        alg = alg or self.slots[0]
+    def insert_unit(self, position: int) -> "TensorUEA":
+        """Insert a unit slot of the first slot's algebra at the given
+        position."""
+        alg = self.slots[0]
         zero_exp = (0,) * alg.ngens
         new_slots = self.slots[:position] + (alg,) + self.slots[position:]
         return TensorUEA(new_slots, {
@@ -387,14 +385,12 @@ class TensorUEA(LinearCombination):
     def to_json(self) -> list[dict]:
         return [
             {"slots": [list(e) for e in k], "coeff": v.to_string()}
-            for k, v in sorted(self.terms.items()) if not v.is_zero()
+            for k, v in sorted(self.terms.items())
         ]
 
     def __repr__(self) -> str:
         parts = []
         for k, v in sorted(self.terms.items()):
-            if v.is_zero():
-                continue
             slot_strs = []
             for alg, e in zip(self.slots, k):
                 mono = "*".join(

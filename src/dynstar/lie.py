@@ -33,7 +33,6 @@ class LieAlgebraData:
         brackets: Mapping[tuple[int, int], Mapping[int, FieldElement]],
         form: Sequence[Sequence[FieldElement]],
         u_indices: Optional[Sequence[int]] = None,
-        validate: bool = True,
     ):
         self.ctx = ctx
         self.names = tuple(names)
@@ -53,8 +52,7 @@ class LieAlgebraData:
             if u_indices is not None
             else None
         )
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- bracket -----------------------------------------------------------
 
@@ -224,12 +222,12 @@ class _Tensor(LinearCombination):
         return type(self)(self.algebra, coeffs)
 
     def support(self) -> list[tuple]:
-        return sorted(k for k, v in self.coeffs.items() if not v.is_zero())
+        return sorted(self.coeffs)
 
     def __repr__(self):
         entries = ", ".join(
             "(" + ",".join(self.algebra.names[i] for i in k) + f"): {v.to_string()}"
-            for k, v in sorted(self.coeffs.items()) if not v.is_zero()
+            for k, v in sorted(self.coeffs.items())
         )
         return f"{type(self).__name__}{{{entries}}}"
 
@@ -335,5 +333,5 @@ def tensor2_from_names(g: LieAlgebraData, entries: Mapping[tuple[str, str], obje
 def tensor_to_json(t: _Tensor) -> list[dict]:
     return [
         {"slots": [t.algebra.names[i] for i in k], "coeff": v.to_string()}
-        for k, v in sorted(t.coeffs.items()) if not v.is_zero()
+        for k, v in sorted(t.coeffs.items())
     ]

@@ -15,10 +15,15 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .enveloping import PBWAlgebra, UEAElement
-from .scalars import Context, FieldElement, LinearCombination
+from .scalars import HBAR, LAM, Context, FieldElement, LinearCombination
 
 MATRIX_VARS = ("g11", "g12", "g21", "g22")
 MExp = tuple[int, int, int, int]
+
+# star_product gives up on a series longer than this
+STAR_MAX_TERMS = 64
+# filtration_dims checks the products of basis functions up to this degree
+FILTRATION_DEGREE = 4
 
 
 class OrbitError(ValueError):
@@ -91,8 +96,7 @@ class OrbitFunction(LinearCombination):
         raise TypeError("OrbitFunction is unhashable")
 
     def degree(self) -> int:
-        degs = [sum(e) for e, v in self.terms.items() if not v.is_zero()]
-        return max(degs) if degs else 0
+        return max((sum(e) for e in self.terms), default=0)
 
     def evaluate_matrix(self, point: Mapping[str, object]) -> FieldElement:
         """Evaluate at explicit matrix entries (the caller is responsible
@@ -109,14 +113,12 @@ class OrbitFunction(LinearCombination):
     def to_json(self) -> list[dict]:
         return [
             {"exp": list(e), "coeff": v.to_string()}
-            for e, v in sorted(self.terms.items()) if not v.is_zero()
+            for e, v in sorted(self.terms.items())
         ]
 
     def __repr__(self) -> str:
         parts = []
         for e, v in sorted(self.terms.items()):
-            if v.is_zero():
-                continue
             mono = "*".join(
                 f"{n}^{p}" if p > 1 else n
                 for n, p in zip(MATRIX_VARS, e) if p > 0
@@ -125,8 +127,8 @@ class OrbitFunction(LinearCombination):
         return " + ".join(parts) or "0"
 
 
-def orbit_function(ctx: Context, a: Union[str, Mapping[str, object]],
-                   lam_name: str = "lam") -> OrbitFunction:
+def orbit_function(ctx: Context, a: Union[str, Mapping[str, object]]
+                   ) -> OrbitFunction:
     """The linear function f_a on the orbit through (lam/2) h:
     f_a(g) = (lam/2) trace(g h g^adj a), with g^adj the adjugate.
 
@@ -137,7 +139,7 @@ def orbit_function(ctx: Context, a: Union[str, Mapping[str, object]],
     p = ctx(a.get("h", 0))
     q = ctx(a.get("x", 0))
     r = ctx(a.get("y", 0))
-    lam = ctx.var(lam_name)
+    lam = ctx.var(LAM)
     # trace(g h g^adj a)/2 = p (g11 g22 + g12 g21) - r g11 g12 + q g21 g22
     return OrbitFunction(ctx, {
         (1, 0, 0, 1): lam * p,
@@ -224,15 +226,14 @@ def is_h_invariant(f: OrbitFunction) -> bool:
 
 
 def star_product(f1: OrbitFunction, f2: OrbitFunction,
-                 mode: str = "hbar_one", lam_name: str = "lam",
-                 hbar_name: str = "hbar", max_terms: int = 64) -> OrbitFunction:
+                 mode: str = "hbar_one") -> OrbitFunction:
     """The orbit star-product sum_n c_n (y^n . f1)(x^n . f2) with scalar
     coefficients c_n = (-1)^n q^n / (n! lam (lam-q) ... (lam-(n-1)q)).
 
     On right-H-invariant inputs the h-dependent twist factors act by their
     value at h = 0, which collapses to these scalars; non-invariant inputs
-    are rejected. ``mode`` is "hbar_one" (q set to 1, lam symbolic so the
-    finitely many poles never trigger) or "formal" (q kept symbolic; the
+    are rejected. ``mode`` is "hbar_one" (q = 1, lam symbolic so the
+    finitely many poles never trigger) or "formal" (q = hbar symbolic; the
     series terminates, so the result is still exact).
     """
     ctx = f1.ctx
@@ -240,12 +241,12 @@ def star_product(f1: OrbitFunction, f2: OrbitFunction,
         raise OrbitError("star-product inputs must be right-H-invariant")
     if mode not in ("hbar_one", "formal"):
         raise OrbitError(f"unknown mode {mode!r}")
-    lam = ctx.var(lam_name)
-    q = ctx.one() if mode == "hbar_one" else ctx.var(hbar_name)
+    lam = ctx.var(LAM)
+    q = ctx.one() if mode == "hbar_one" else ctx.var(HBAR)
     out = f1 * f2
     left, right = f1, f2
     coeff = ctx.one()
-    for n in range(1, max_terms + 1):
+    for n in range(1, STAR_MAX_TERMS + 1):
         left = generator_derivative(left, "y")
         right = generator_derivative(right, "x")
         if left.is_zero() or right.is_zero():
@@ -270,11 +271,11 @@ def apply_twist_orders(J, f1: OrbitFunction, f2: OrbitFunction) -> list[OrbitFun
     return out
 
 
-def _basis_functions(ctx: Context, lam_name: str = "lam") -> dict[str, OrbitFunction]:
-    return {n: orbit_function(ctx, n, lam_name) for n in ("x", "y", "h")}
+def _basis_functions(ctx: Context) -> dict[str, OrbitFunction]:
+    return {n: orbit_function(ctx, n) for n in ("x", "y", "h")}
 
 
-def _span_rank(funcs: Sequence[OrbitFunction], lam_name: str = "lam") -> int:
+def _span_rank(funcs: Sequence[OrbitFunction]) -> int:
     """Rank of the span. The pool members are lam-homogeneous of degree
     equal to their polynomial degree, so evaluating lam at 1 rescales each
     spanning vector and preserves the rank while keeping the matrix
@@ -285,7 +286,7 @@ def _span_rank(funcs: Sequence[OrbitFunction], lam_name: str = "lam") -> int:
     for f in funcs:
         row = {}
         for e, c in f.terms.items():
-            row[monos.setdefault(e, len(monos))] = c.evaluate({lam_name: 1}).expr
+            row[monos.setdefault(e, len(monos))] = c.evaluate({LAM: 1}).expr
         rows.append(row)
     M = sp.zeros(len(rows), len(monos))
     for i, row in enumerate(rows):
@@ -295,10 +296,7 @@ def _span_rank(funcs: Sequence[OrbitFunction], lam_name: str = "lam") -> int:
     return M.to_DM().rank()
 
 
-def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
-                            hbar_name: str = "hbar",
-                            twist_order: int = 3,
-                            max_filtration_degree: int = 4) -> dict:
+def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     """Exact verification of the orbit-algebra identities.
 
     Checks, all in Q(lam):
@@ -315,8 +313,8 @@ def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
                       space of dimension (d+1)^2
     """
     from .lie import sl2
-    fb = _basis_functions(ctx, lam_name)
-    lam = ctx.var(lam_name)
+    fb = _basis_functions(ctx)
+    lam = ctx.var(LAM)
     report: dict = {}
 
     brackets = {
@@ -355,14 +353,13 @@ def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
     report["associativity"] = {"ok": not assoc_fail, "failures": assoc_fail,
                                "test_set": "all basis triples"}
 
-    q = ctx.var(hbar_name)
     qc_fail = []
     for (a, b), br in brackets.items():
         comm = star_product(fb[a], fb[b], mode="formal") - \
             star_product(fb[b], fb[a], mode="formal")
         # first order in the deformation parameter
         first = OrbitFunction(ctx, {
-            e: v.series_expand(hbar_name, 1)[1] for e, v in comm.terms.items()})
+            e: v.series_expand(HBAR, 1)[1] for e, v in comm.terms.items()})
         biv = (generator_derivative(fb[a], "x") * generator_derivative(fb[b], "y")
                - generator_derivative(fb[a], "y") * generator_derivative(fb[b], "x")
                ).scale(1 / lam)
@@ -385,14 +382,14 @@ def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
     # full expanded twist operator vs scalar coefficients, per order
     from .twist import abrr_twist
     U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
-    J = abrr_twist(U, twist_order, lam_name=lam_name, deformation=hbar_name)
+    J = abrr_twist(U, twist_order)
     red_fail = []
     for (a, b) in pairs:
         full = apply_twist_orders(J, fb[a], fb[b])
         scalar = star_product(fb[a], fb[b], mode="formal")
         for k, fk in enumerate(full):
             want = OrbitFunction(ctx, {
-                e: v.series_expand(hbar_name, twist_order)[k]
+                e: v.series_expand(HBAR, twist_order)[k]
                 for e, v in scalar.terms.items()})
             if not (fk - want).is_zero():
                 red_fail.append((a, b, k))
@@ -406,11 +403,11 @@ def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
 
     dims = []
     prods = {0: [OrbitFunction.constant(ctx, 1)]}
-    for d in range(1, max_filtration_degree + 1):
+    for d in range(1, FILTRATION_DEGREE + 1):
         prods[d] = [p * fb[n] for p in prods[d - 1] for n in names]
     pool: list[OrbitFunction] = []
     dims_ok = True
-    for d in range(max_filtration_degree + 1):
+    for d in range(FILTRATION_DEGREE + 1):
         pool.extend(prods[d])
         rank = _span_rank(pool)
         dims.append(rank)
@@ -418,7 +415,7 @@ def verify_orbit_identities(ctx: Context, lam_name: str = "lam",
             dims_ok = False
     report["filtration_dims"] = {"ok": dims_ok, "dims": dims,
                                  "expected": [(d + 1) ** 2
-                                              for d in range(max_filtration_degree + 1)]}
+                                              for d in range(FILTRATION_DEGREE + 1)]}
 
     report["all_ok"] = all(
         v["ok"] for k, v in report.items() if isinstance(v, dict))

@@ -18,7 +18,7 @@ from typing import Optional
 from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
                          project_drop_right)
 from .lie import LieAlgebraData, sl2
-from .scalars import Context, FieldElement
+from .scalars import HBAR, LAM, Context
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
                     cocycle_sides, counit_ok, shift_twist)
 
@@ -126,44 +126,32 @@ class ProjectedTwist:
         alg = self.splitting.pbw
         hi = alg.order.index(hname)
         for t in self.series.orders:
-            for key, v in t.terms.items():
-                if v.is_zero():
-                    continue
+            for key in t.terms:
                 if any(e[hi] != 0 for e in key):
                     raise ProjectionError(
                         "coefficient leaks outside Uv (x) Uv")
 
 
-def _project_slots(t: TensorUEA, sp: SplittingData,
-                   already_split: bool) -> TensorUEA:
-    pbw = sp.pbw
-
-    def f(u: UEAElement) -> UEAElement:
-        if not already_split:
-            u = change_generators(u, pbw, sp.to_split)
-        return project_drop_right(u, (sp.h_name,))
-
-    return t.map_slots(f)
+def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
+    return t.map_slots(lambda u: project_drop_right(
+        change_generators(u, sp.pbw, sp.to_split), (sp.h_name,)))
 
 
-def project_twist(J: TwistSeries, sp: SplittingData,
-                  require_invariance: bool = True) -> ProjectedTwist:
-    """Rewrite each slot in the adapted basis and drop every monomial with
-    a positive Cartan exponent.
+def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
+    """Rewrite each slot of a twist over the ambient sl(2) in the adapted
+    basis and drop every monomial with a positive Cartan exponent.
 
     The projection only produces a twist when the input commutes with the
-    Cartan line, so by default that is checked first and violations are
-    reported instead of silently projecting.
+    Cartan line, so that is checked first and violations are reported
+    instead of silently projecting.
     """
-    already = J.slots[0] is sp.pbw
-    if require_invariance:
-        hname = sp.h_name if already else "h"
-        if not check_h_invariance(J, h_name=hname):
-            raise ProjectionError(
-                "input twist is not Cartan-invariant; projection refused")
-    orders = [_project_slots(t, sp, already) for t in J.orders]
-    series = TwistSeries((sp.pbw, sp.pbw), orders, J.deformation,
-                         validate=False)
+    if any(a.lie.names != sp.ambient.names for a in J.slots):
+        raise ProjectionError("input slots are not over the ambient sl(2)")
+    if not check_h_invariance(J):
+        raise ProjectionError(
+            "input twist is not Cartan-invariant; projection refused")
+    orders = [_project_slots(t, sp) for t in J.orders]
+    series = TwistSeries((sp.pbw, sp.pbw), orders, validate=False)
     return ProjectedTwist(series, sp)
 
 
@@ -198,24 +186,23 @@ def check_cb_identity(sp: SplittingData, n: int) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def closed_form_jv(sp: SplittingData, N: int, lam_name: str = "lam",
-                   deformation: str = "hbar",
+def closed_form_jv(sp: SplittingData, N: int,
                    term_scale: Optional[dict] = None) -> ProjectedTwist:
     """The projected series in closed form:
-    1 + sum_n (-1)^n q^n v_n / (n! lam (lam-q) ... (lam-(n-1)q)) with
-    v_n the pair of rising factorials in the two v-generators: first the
-    one the ambient lowering generator y maps into (the first slot of the
-    twist holds powers of y), then the other. The scalar denominators are
-    expanded as q-power series to the truncation order.
+    1 + sum_n (-1)^n hbar^n v_n / (n! lam (lam-hbar) ... (lam-(n-1)hbar))
+    with v_n the pair of rising factorials in the two v-generators: first
+    the one the ambient lowering generator y maps into (the first slot of
+    the twist holds powers of y), then the other. The scalar denominators
+    are expanded as hbar-power series to the truncation order.
     """
     first = next(v for v in sp.v_names if v in sp.to_split["y"])
     second = next(v for v in sp.v_names if v != first)
     ctx = sp.pbw.ctx
-    lam = ctx.var(lam_name)
-    q = ctx.var(deformation)
+    lam = ctx.var(LAM)
+    q = ctx.var(HBAR)
     slots = (sp.pbw, sp.pbw)
-    orders = [TensorUEA(slots, {}) for _ in range(N + 1)]
-    orders[0] = TensorUEA.unit(slots)
+    orders: list[dict] = [dict(TensorUEA.unit(slots).terms)]
+    orders += [{} for _ in range(N)]
     z = ctx.zero()
     for n in range(1, N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
@@ -224,7 +211,7 @@ def closed_form_jv(sp: SplittingData, N: int, lam_name: str = "lam",
         denom = ctx.one()
         for j in range(n):
             denom = denom * (lam - j * q)
-        coeffs = (pref / denom * q ** n).series_expand(deformation, N)
+        coeffs = (pref / denom * q ** n).series_expand(HBAR, N)
         v1 = rising_factorial(sp.pbw, first, n)
         v2 = rising_factorial(sp.pbw, second, n)
         for r in range(n, N + 1):
@@ -234,9 +221,9 @@ def closed_form_jv(sp: SplittingData, N: int, lam_name: str = "lam",
             for e1, c1 in v1.terms.items():
                 for e2, c2 in v2.terms.items():
                     key = (e1, e2)
-                    cur = orders[r].terms.get(key, z)
-                    orders[r].terms[key] = cur + cr * c1 * c2
-    series = TwistSeries(slots, orders, deformation, validate=False)
+                    orders[r][key] = orders[r].get(key, z) + cr * c1 * c2
+    series = TwistSeries(slots, [TensorUEA(slots, t) for t in orders],
+                         validate=False)
     return ProjectedTwist(series, sp)
 
 
@@ -253,8 +240,7 @@ def check_nondynamical_twist(Jv: ProjectedTwist) -> dict:
 
 
 def check_projected_equation(J: TwistSeries, sp: SplittingData,
-                             N: Optional[int] = None,
-                             lam_name: str = "lam") -> dict:
+                             N: Optional[int] = None) -> dict:
     """The route through the dynamical equation: project both sides of the
     shifted cocycle identity of the ambient twist slotwise and compare with
     the ordinary-axiom sides of the projected twist.
@@ -264,12 +250,11 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
     Cartan-invariance of the input guarantees.
     """
     if N is not None and N < J.truncation:
-        J = TwistSeries(J.slots, J.orders[:N + 1], J.deformation,
-                        validate=False)
+        J = TwistSeries(J.slots, J.orders[:N + 1], validate=False)
     Jv = project_twist(J, sp)
-    lhs_full, rhs_full = cocycle_sides(J, shift_twist(J, lam_name=lam_name))
-    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp, False))
-    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp, False))
+    lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
+    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
+    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp))
 
     V = Jv.series
     lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))

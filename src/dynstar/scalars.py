@@ -30,6 +30,10 @@ from sympy.polys.rings import PolyElement, PolyRing
 
 Scalarish = Union["FieldElement", int, fractions.Fraction, str, sp.Expr]
 
+# the named symbols of the base field: the dynamical variable and the
+# deformation parameter
+LAM, HBAR = "lam", "hbar"
+
 
 class ContextMismatchError(ValueError):
     """Raised when elements from different parameter contexts are mixed."""
@@ -98,7 +102,11 @@ class Context:
         if isinstance(value, sp.Expr):
             expr = value
         elif isinstance(value, str):
-            expr = sp.sympify(value.replace("^", "**"), locals=dict(self._by_name))
+            try:
+                expr = sp.sympify(value.replace("^", "**"),
+                                  locals=dict(self._by_name))
+            except (sp.SympifyError, AttributeError):
+                raise TypeError(f"cannot parse {value!r}") from None
         else:
             raise TypeError(f"cannot coerce {value!r} into a field element")
         bad = expr.free_symbols - set(self.symbols)
@@ -436,9 +444,10 @@ class SeriesCoefficients:
 
 class LinearCombination:
     """A sparse linear combination over the field: ``terms`` maps keys to
-    FieldElements. Subclasses give ``ctx``, ``_like(terms)`` (an element of
-    the same space, built with zero coefficients dropped) and may check
-    operands in ``_check``."""
+    nonzero FieldElements. Subclass constructors drop zero coefficients and
+    nothing writes into ``terms`` afterwards. Subclasses give ``ctx``,
+    ``_like(terms)`` (an element of the same space) and may check operands
+    in ``_check``."""
 
     __slots__ = ()
 
@@ -467,7 +476,4 @@ class LinearCombination:
         return self._like({k: s * v for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.terms.values())
-
-    def pruned(self):
-        return self._like({k: v for k, v in self.terms.items() if not v.is_zero()})
+        return not self.terms

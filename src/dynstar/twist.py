@@ -1,21 +1,21 @@
 """Quantum dynamical twists as truncated formal series.
 
-A twist is stored order by order in the deformation parameter: order n is a
-tensor-square (or tensor-cube) enveloping-algebra element whose coefficients
-are rational in the remaining parameters but free of the deformation symbol.
-The closed-form lowering/raising twist for sl(2), the dynamical-shift
-operation, the defining cocycle identity and the classical limit all live
-here.
+A twist is stored order by order in the deformation parameter ``hbar``:
+order n is a tensor-square (or tensor-cube) enveloping-algebra element whose
+coefficients are rational in the remaining parameters (the dynamical
+variable ``lam`` and the t's) but free of ``hbar``. The closed-form twist
+for sl(2) in the generators y, h, x, the dynamical-shift operation, the
+defining cocycle identity and the classical limit all live here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .enveloping import EnvelopingError, PBWAlgebra, TensorUEA, UEAElement
 from .lie import LieAlgebraData, Tensor2, Tensor3, alt, cyb
-from .scalars import Context, FieldElement
+from .scalars import HBAR, LAM, Context, FieldElement
 
 
 class TwistError(ValueError):
@@ -23,27 +23,25 @@ class TwistError(ValueError):
 
 
 class TwistSeries:
-    """A truncated series sum_n q^n T_n of tensor enveloping elements.
+    """A truncated series sum_n hbar^n T_n of tensor enveloping elements.
 
-    ``q`` names the deformation parameter (a declared context symbol);
-    coefficients of every order must be free of it, so truncation orders
-    compose exactly under multiplication.
+    Coefficients of every order must be free of ``hbar`` (a declared context
+    symbol), so truncation orders compose exactly under multiplication.
     """
 
     def __init__(self, slots: Sequence[PBWAlgebra], orders: Sequence[TensorUEA],
-                 deformation: str = "hbar", validate: bool = True):
+                 validate: bool = True):
         self.slots = tuple(slots)
         self.orders: list[TensorUEA] = list(orders)
-        self.deformation = deformation
         if not self.orders:
             raise TwistError("need at least the constant order")
-        self.ctx.symbol(deformation)
+        self.ctx.symbol(HBAR)
         for t in self.orders:
             if t.slots != self.slots:
                 raise TwistError("order has wrong slot signature")
             if validate:
                 for v in t.terms.values():
-                    if v.depends_on(deformation):
+                    if v.depends_on(HBAR):
                         raise TwistError(
                             "order coefficient not free of the deformation symbol")
 
@@ -61,7 +59,7 @@ class TwistSeries:
         return TensorUEA(self.slots, {})
 
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
-        if self.slots != other.slots or self.deformation != other.deformation:
+        if self.slots != other.slots:
             raise TwistError("series signature mismatch")
         N = min(self.truncation, other.truncation)
         out = []
@@ -70,47 +68,39 @@ class TwistSeries:
             for p in range(r + 1):
                 acc = acc + self.order(p) * other.order(r - p)
             out.append(acc)
-        return TwistSeries(self.slots, out, self.deformation, validate=False)
+        return TwistSeries(self.slots, out, validate=False)
 
     def __sub__(self, other: "TwistSeries") -> "TwistSeries":
-        if self.slots != other.slots or self.deformation != other.deformation:
+        if self.slots != other.slots:
             raise TwistError("series signature mismatch")
         N = min(self.truncation, other.truncation)
         return TwistSeries(
             self.slots,
             [self.order(r) - other.order(r) for r in range(N + 1)],
-            self.deformation, validate=False)
+            validate=False)
 
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.orders)
 
-    def pruned(self) -> "TwistSeries":
-        return TwistSeries(self.slots, [t.pruned() for t in self.orders],
-                           self.deformation, validate=False)
-
-    def map_orders(self, f: Callable[[TensorUEA], TensorUEA],
-                   slots: Optional[Sequence[PBWAlgebra]] = None) -> "TwistSeries":
+    def map_orders(self, f: Callable[[TensorUEA], TensorUEA]) -> "TwistSeries":
         mapped = [f(t) for t in self.orders]
-        return TwistSeries(slots or mapped[0].slots, mapped,
-                           self.deformation, validate=False)
+        return TwistSeries(mapped[0].slots, mapped, validate=False)
 
     def starts_at_unit(self) -> bool:
         return (self.order(0) - TensorUEA.unit(self.slots)).is_zero()
 
     def to_json(self) -> dict:
         return {
-            "deformation": self.deformation,
+            "deformation": HBAR,
             "truncation": self.truncation,
             "orders": [t.to_json() for t in self.orders],
         }
 
 
-def _h_powers(alg: PBWAlgebra, h_name: str, shift: int, kmax: int,
-              lam_name: str) -> list[UEAElement]:
+def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> list[UEAElement]:
     """(h + shift)^k / lam^(k+1) for k = 0..kmax, as slot elements."""
-    ctx = alg.ctx
-    lam = ctx.var(lam_name)
-    base = alg.gen(h_name) + alg.one().scale(shift)
+    lam = alg.ctx.var(LAM)
+    base = alg.gen("h") + alg.one().scale(shift)
     out = []
     acc = alg.one()
     for k in range(kmax + 1):
@@ -119,18 +109,17 @@ def _h_powers(alg: PBWAlgebra, h_name: str, shift: int, kmax: int,
     return out
 
 
-def abrr_factor_series(alg: PBWAlgebra, n: int, kmax: int,
-                       h_name: str = "h", lam_name: str = "lam") -> list[UEAElement]:
-    """Deformation-series coefficients of the resolvent product
-    prod_{j=0}^{n-1} (lam - q(h+j))^(-1), truncated at q^kmax.
+def abrr_factor_series(alg: PBWAlgebra, n: int, kmax: int) -> list[UEAElement]:
+    """hbar-series coefficients of the resolvent product
+    prod_{j=0}^{n-1} (lam - hbar(h+j))^(-1), truncated at hbar^kmax.
 
-    Each factor expands as sum_k q^k (h+j)^k / lam^(k+1); the list entry m
-    is the q^m coefficient of the product (a polynomial in h over the lam
-    line).
+    Each factor expands as sum_k hbar^k (h+j)^k / lam^(k+1); the list entry
+    m is the hbar^m coefficient of the product (a polynomial in h over the
+    lam line).
     """
     series = [alg.one() if m == 0 else alg.zero() for m in range(kmax + 1)]
     for j in range(n):
-        fj = _h_powers(alg, h_name, j, kmax, lam_name)
+        fj = _h_powers(alg, j, kmax)
         new = [alg.zero() for _ in range(kmax + 1)]
         for m in range(kmax + 1):
             for k in range(m + 1):
@@ -139,47 +128,46 @@ def abrr_factor_series(alg: PBWAlgebra, n: int, kmax: int,
     return series
 
 
-def abrr_twist(alg: PBWAlgebra, N: int, lowering: str = "y", raising: str = "x",
-               h_name: str = "h", lam_name: str = "lam",
-               deformation: str = "hbar") -> TwistSeries:
+def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
     """The closed-form dynamical twist for sl(2), truncated at order N.
 
-    Term n is ((-1)^n / n!) q^n (y^n (x) x^n) with the resolvent product
-    prod_{j<n} (lam - q(h+j))^(-1) acting on the right of the raising slot.
-    Expanding the resolvents in q spreads term n over orders n, n+1, ...
+    Term n is ((-1)^n / n!) hbar^n (y^n (x) x^n) with the resolvent product
+    prod_{j<n} (lam - hbar(h+j))^(-1) acting on the right of the x slot.
+    Expanding the resolvents in hbar spreads term n over orders n, n+1, ...
     """
     ctx = alg.ctx
-    orders = [TensorUEA((alg, alg), {}) for _ in range(N + 1)]
+    z = ctx.zero()
+    orders: list[dict] = [{} for _ in range(N + 1)]
     for n in range(N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
-        left = alg.gen(lowering) ** n
-        right_base = alg.gen(raising) ** n
-        factors = abrr_factor_series(alg, n, N - n, h_name, lam_name)
+        left = alg.gen("y") ** n
+        right_base = alg.gen("x") ** n
+        factors = abrr_factor_series(alg, n, N - n)
         for m, fm in enumerate(factors):
             right = right_base * fm
+            out = orders[n + m]
             for e1, c1 in left.terms.items():
                 for e2, c2 in right.terms.items():
                     key = (e1, e2)
-                    cur = orders[n + m].terms.get(key, ctx.zero())
-                    orders[n + m].terms[key] = cur + pref * c1 * c2
-    return TwistSeries((alg, alg), orders, deformation, validate=False)
+                    out[key] = out.get(key, z) + pref * c1 * c2
+    return TwistSeries((alg, alg), [TensorUEA((alg, alg), t) for t in orders],
+                       validate=False)
 
 
-def check_h_invariance(J: TwistSeries, h_name: str = "h") -> bool:
+def check_h_invariance(J: TwistSeries) -> bool:
     """[h (x) 1 + 1 (x) h, J] = 0 at every order."""
     algs = J.slots
     total = TensorUEA(algs, {})
     for s in range(len(algs)):
         # the exponent vector of h in slot s, of 1 elsewhere
-        key = tuple(next(iter(a.gen(h_name).terms)) if i == s else (0,) * a.ngens
+        key = tuple(next(iter(a.gen("h").terms)) if i == s else (0,) * a.ngens
                     for i, a in enumerate(algs))
         total = total + TensorUEA(algs, {key: J.ctx.one()})
     return all((total * t - t * total).is_zero() for t in J.orders)
 
 
-def shift_twist(J: TwistSeries, lam_name: str = "lam",
-                h_name: str = "h") -> TwistSeries:
-    """J(lam - q h^(3)) acting in slots 1,2 of a tensor cube.
+def shift_twist(J: TwistSeries) -> TwistSeries:
+    """J(lam - hbar h^(3)) acting in slots 1,2 of a tensor cube.
 
     Taylor expansion in the shift: coefficient c(lam) at order p contributes
     ((-1)^l / l!) d^l c/d lam^l at order p+l, with h^l placed in slot 3.
@@ -190,23 +178,24 @@ def shift_twist(J: TwistSeries, lam_name: str = "lam",
     ctx = J.ctx
     N = J.truncation
     slots3 = (J.slots[0], J.slots[1], alg)
-    h_i = alg.order.index(h_name)
-    orders = [TensorUEA(slots3, {}) for _ in range(N + 1)]
+    h_i = alg.order.index("h")
+    z = ctx.zero()
+    orders: list[dict] = [{} for _ in range(N + 1)]
     for p in range(N + 1):
         for (e1, e2), c in J.order(p).terms.items():
             for l in range(N - p + 1):
                 if l == 0:
                     d = c
                 else:
-                    d = d.differentiate(lam_name)
+                    d = d.differentiate(LAM)
                 if d.is_zero():
                     break
                 coeff = d * ctx((-1) ** l) / ctx(math.factorial(l))
                 e3 = tuple(l if j == h_i else 0 for j in range(alg.ngens))
                 key = (e1, e2, e3)
-                cur = orders[p + l].terms.get(key, ctx.zero())
-                orders[p + l].terms[key] = cur + coeff
-    return TwistSeries(slots3, orders, J.deformation, validate=False)
+                orders[p + l][key] = orders[p + l].get(key, z) + coeff
+    return TwistSeries(slots3, [TensorUEA(slots3, t) for t in orders],
+                       validate=False)
 
 
 def cocycle_sides(J: TwistSeries, right12: TwistSeries
@@ -229,7 +218,7 @@ def cocycle_residual(J: TwistSeries, right12: TwistSeries) -> dict:
         "checked_through": diff.truncation,
         "ok": not failing,
         "failing_orders": failing,
-        "first_residual": (diff.order(failing[0]).pruned().to_json()
+        "first_residual": (diff.order(failing[0]).to_json()
                            if failing else None),
     }
 
@@ -244,17 +233,16 @@ def counit_ok(J: TwistSeries) -> bool:
     return True
 
 
-def check_dynamical_twist(J: TwistSeries, lam_name: str = "lam",
-                          h_name: str = "h") -> dict:
+def check_dynamical_twist(J: TwistSeries) -> dict:
     """Verify the shifted cocycle identity through the truncation order.
 
-    Left side: (Delta (x) id)(J) * J(lam - q h^(3))^{12}.
+    Left side: (Delta (x) id)(J) * J(lam - hbar h^(3))^{12}.
     Right side: (id (x) Delta)(J) * J^{23}.
     Returns per-order residual flags and the first failing order, if any.
     """
     if len(J.slots) != 2:
         raise TwistError("cocycle identity applies to a two-slot twist")
-    return cocycle_residual(J, shift_twist(J, lam_name, h_name))
+    return cocycle_residual(J, shift_twist(J))
 
 
 def classical_limit_r(J: TwistSeries) -> Tensor2:
@@ -267,7 +255,7 @@ def classical_limit_r(J: TwistSeries) -> Tensor2:
     alg = J.slots[0]
     g = alg.lie
     j: dict[tuple, FieldElement] = {}
-    for (e1, e2), c in J.order(1).pruned().terms.items():
+    for (e1, e2), c in J.order(1).terms.items():
         if sum(e1) != 1 or sum(e2) != 1:
             raise TwistError("first-order term does not lie in g (x) g")
         i1 = alg._lie_index[e1.index(1)]
@@ -286,10 +274,10 @@ def check_cdybe(r: Tensor2, couplings: Sequence[tuple[str, str]]) -> dict:
     g = r.algebra
     z = g.ctx.zero()
     acc: dict[tuple, FieldElement] = {}
-    for h_name, lam_name in couplings:
-        hi = g.index[h_name]
+    for cartan, var in couplings:
+        hi = g.index[cartan]
         for (a, b), v in r.coeffs.items():
-            dv = v.differentiate(lam_name)
+            dv = v.differentiate(var)
             if dv.is_zero():
                 continue
             key = (hi, a, b)
@@ -297,4 +285,4 @@ def check_cdybe(r: Tensor2, couplings: Sequence[tuple[str, str]]) -> dict:
     residual = alt(Tensor3(g, acc)) + cyb(r)
     ok = residual.is_zero()
     from .lie import tensor_to_json
-    return {"ok": ok, "residual": [] if ok else tensor_to_json(residual.pruned())}
+    return {"ok": ok, "residual": [] if ok else tensor_to_json(residual)}

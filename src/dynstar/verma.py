@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import sympy as sp
 
-from .scalars import Context, FieldElement
+from .scalars import LAM, Context, FieldElement
 
 Vec = dict[int, FieldElement]
 
@@ -35,6 +35,22 @@ def _scalevec(s: FieldElement, a: Vec) -> Vec:
     return {k: s * v for k, v in a.items()}
 
 
+def _sl2_act(gen: str, v: Vec, hw: FieldElement | int, top: int) -> Vec:
+    """sl(2) on a highest-weight module of weight ``hw`` with basis
+    u_0..u_top, u_k = y^k u_0:
+    h u_k = (hw - 2k) u_k, x u_k = k(hw - k + 1) u_{k-1}, y u_k = u_{k+1},
+    with y u_top dropped."""
+    if gen == "h":
+        out = {k: c * (hw - 2 * k) for k, c in v.items()}
+    elif gen == "x":
+        out = {k - 1: c * (k * (hw - k + 1)) for k, c in v.items() if k > 0}
+    elif gen == "y":
+        out = {k + 1: c for k, c in v.items() if k < top}
+    else:
+        raise VermaError(f"unknown generator {gen!r}")
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
 class VermaData:
     """Truncated Verma module: basis m_0..m_K with m_k = y^k applied to the
     highest-weight vector, highest weight lam.
@@ -42,30 +58,17 @@ class VermaData:
     h m_k = (lam - 2k) m_k, x m_k = k(lam - k + 1) m_{k-1}, y m_k = m_{k+1}.
     """
 
-    def __init__(self, ctx: Context, K: int, lam_name: str = "lam"):
+    def __init__(self, ctx: Context, K: int):
         if K < 0:
             raise VermaError("depth cutoff must be >= 0")
         self.ctx = ctx
         self.K = K
-        self.lam = ctx.var(lam_name)
+        self.lam = ctx.var(LAM)
 
     def act(self, gen: str, v: Vec) -> Vec:
-        ctx = self.ctx
-        out: Vec = {}
-        z = ctx.zero()
-        for k, c in v.items():
-            if gen == "h":
-                out[k] = out.get(k, z) + c * (self.lam - 2 * k)
-            elif gen == "x":
-                if k > 0:
-                    out[k - 1] = out.get(k - 1, z) + c * ctx(k) * (self.lam - k + 1)
-            elif gen == "y":
-                if k + 1 > self.K:
-                    raise VermaError("depth cutoff exceeded; increase K")
-                out[k + 1] = out.get(k + 1, z) + c
-            else:
-                raise VermaError(f"unknown generator {gen!r}")
-        return {k: c for k, c in out.items() if not c.is_zero()}
+        if gen == "y" and any(k >= self.K for k in v):
+            raise VermaError("depth cutoff exceeded; increase K")
+        return _sl2_act(gen, v, self.lam, self.K)
 
     def check_relations(self) -> bool:
         """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every m_k with k <= K-1."""
@@ -120,21 +123,7 @@ class FiniteModule:
         return [j for j in range(self.dim) if self.weight(j) == mu]
 
     def act(self, gen: str, v: Vec) -> Vec:
-        ctx = self.ctx
-        out: Vec = {}
-        z = ctx.zero()
-        for j, c in v.items():
-            if gen == "h":
-                out[j] = out.get(j, z) + c * self.weight(j)
-            elif gen == "x":
-                if j > 0:
-                    out[j - 1] = out.get(j - 1, z) + c * (j * (self.m - j + 1))
-            elif gen == "y":
-                if j + 1 <= self.m:
-                    out[j + 1] = out.get(j + 1, z) + c
-            else:
-                raise VermaError(f"unknown generator {gen!r}")
-        return {j: c for j, c in out.items() if not c.is_zero()}
+        return _sl2_act(gen, v, self.m, self.m)
 
     def resolvent(self, v: Vec, lam: FieldElement, shift: int) -> Vec:
         """(lam - (h + shift))^(-1) applied spectrally, weight by weight."""
@@ -190,8 +179,8 @@ class Intertwiner:
         return all(c.is_zero() for c in acc.values())
 
 
-def build_verma(ctx: Context, K: int, lam_name: str = "lam") -> VermaData:
-    v = VermaData(ctx, K, lam_name)
+def build_verma(ctx: Context, K: int) -> VermaData:
+    v = VermaData(ctx, K)
     if not v.check_relations():
         raise VermaError("action tables violate the sl(2) relations")
     return v
@@ -238,7 +227,7 @@ def _pair_vec(ctx: Context, a: Vec, b: Vec) -> dict[tuple[int, int], FieldElemen
 
 
 def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
-                         u_phi: Vec, u_psi: Vec, lam_name: str = "lam",
+                         u_phi: Vec, u_psi: Vec,
                          term_scale: Optional[Mapping[int, object]] = None
                          ) -> dict[tuple[int, int], FieldElement]:
     """The closed-form twist evaluated in V (x) W at the deformation value 1:
@@ -247,7 +236,7 @@ def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
 
     ``term_scale`` multiplies individual terms (mutation controls).
     """
-    lam = ctx.var(lam_name)
+    lam = ctx.var(LAM)
     out: dict[tuple[int, int], FieldElement] = {}
     z = ctx.zero()
     n = 0
@@ -273,8 +262,7 @@ def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
 
 
 def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
-                        v0: Vec, w0: Vec, depth: Optional[int] = None,
-                        lam_name: str = "lam",
+                        v0: Vec, w0: Vec,
                         term_scale: Optional[Mapping[int, object]] = None) -> dict:
     """Oracle run: the leading coefficient of the composed intertwiner
     against the twist applied to the pair of expectation values.
@@ -284,9 +272,8 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     slot is read off. Twist side: the closed-form series acts in V (x) W.
     Returns the exact difference in Q(lam).
     """
-    if depth is None:
-        depth = V.dim + W.dim
-    verma = build_verma(ctx, depth, lam_name)
+    depth = V.dim + W.dim
+    verma = build_verma(ctx, depth)
     phi = solve_intertwiner(verma, V, v0)
     psi = solve_intertwiner(verma, W, w0)
 
@@ -309,7 +296,7 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     composed = {k: v for k, v in composed.items() if not v.is_zero()}
 
     twisted = twist_action_on_pair(ctx, V, W, phi.expectation,
-                                   psi.expectation, lam_name, term_scale)
+                                   psi.expectation, term_scale)
     diff = dict(composed)
     for k, v in twisted.items():
         diff[k] = diff.get(k, z) - v
@@ -323,10 +310,10 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     }
 
 
-def pole_locations(phi: Intertwiner, lam_name: str = "lam") -> set[int]:
+def pole_locations(phi: Intertwiner) -> set[int]:
     """Integer roots of all component denominators; the closed-form series
     predicts poles only at nonnegative integer shifts of lam."""
-    lam = phi.verma.ctx.symbol(lam_name)
+    lam = phi.verma.ctx.symbol(LAM)
     roots: set[int] = set()
     for v in phi.components.values():
         for c in v.values():

@@ -45,6 +45,13 @@ class TestClassify:
                     "--delta", "a1", "--t", "a1=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["sin(t1)", "("])
+    def test_malformed_t_value(self, capsys, value):
+        code = run(["classify", "--type", "A", "--rank", "2",
+                    "--delta", "a1", "--t", f"a1={value}"])
+        assert code == 2
+        assert "bad t value" in capsys.readouterr().err
+
 
 class TestVerifyAndLagrangian:
     def test_verify_with_recovery(self, capsys):

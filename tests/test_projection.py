@@ -4,7 +4,8 @@ from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      TwistSeries, abrr_twist, check_cb_identity,
                      check_nondynamical_twist, check_projected_equation,
                      closed_form_jv, project_twist, rising_factorial,
-                     rising_factorial_projection, sl2, split_basis_sl2)
+                     rising_factorial_projection, shift_twist, sl2,
+                     split_basis_sl2)
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +63,11 @@ class TestProjection:
         want = closed_form_jv(spl, 5).series
         assert (got - want).is_zero()
 
-    def test_idempotent_on_split_input(self, spl, J5):
-        # the projected series no longer commutes with c, so skip the
-        # invariance gate; dropping trailing Cartan monomials is idempotent
+    def test_split_input_refused(self, spl, J5):
+        # only series over the ambient sl(2) are projected
         Jv = project_twist(J5, spl)
-        again = project_twist(Jv.series, spl, require_invariance=False)
-        assert (again.series - Jv.series).is_zero()
+        with pytest.raises(ProjectionError, match="ambient"):
+            project_twist(Jv.series, spl)
 
     def test_non_invariant_input_refused(self, ctx, spl, U):
         y = U.gen("y")
@@ -115,6 +115,16 @@ class TestOrdinaryAxioms:
         rep = check_projected_equation(J5, spl, N=4)
         assert rep["checked_through"] == 4
         assert rep["ok"], rep["failing_orders"]
+
+
+def test_built_series_hold_no_zero_coefficient(ctx, U):
+    J7 = abrr_twist(U, 7)
+    built = [J7, shift_twist(J7)] + [
+        closed_form_jv(split_basis_sl2(ctx, v), 7).series
+        for v in ("standard", "chevalley")]
+    for J in built:
+        for t in J.orders:
+            assert all(not c.is_zero() for c in t.terms.values())
 
 
 def test_series_serialization(spl):

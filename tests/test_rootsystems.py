@@ -99,6 +99,9 @@ class TestSubsets:
         with pytest.raises(SpecError):
             DynrSpec(rs, rs.simple, rs.positive, ((1, 1),), frozenset(),
                      {(1, 1): ctx.var("t1")}, ctx)
+        # without a t-value for it, before any DynrSpec is built
+        with pytest.raises(SpecError):
+            make_spec(chevalley_constants(rs), ctx, [(1, 1)], [])
 
     def test_parabolic(self):
         rs = build_root_system("A", 2)

@@ -65,6 +65,8 @@ class TestFiniteModule:
             hv = V4.act("h", v)
             assert all((comm.get(k, ctx.zero()) - hv.get(k, ctx.zero())).is_zero()
                        for k in set(comm) | set(hv))
+        # the relations also hold with a phantom v_{m+1}; y must kill v_m
+        assert V4.act("y", {V4.m: ctx.one()}) == {}
 
     def test_resolvent_inverts_shifted_weight(self, V4, ctx):
         lam = ctx.var("lam")
