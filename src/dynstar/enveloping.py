@@ -3,22 +3,51 @@
 Elements are stored as maps from exponent vectors (in a fixed generator
 order) to field coefficients. Multiplication straightens words by recursive
 adjacent swaps against the bracket table, with memoized word normal forms.
+The structure constants must be rational, so the bracket table and every
+normal form are kept over QQ; a product of elements touches the field once
+per pair of terms and sums the rational expansions in a
+:class:`~dynstar.scalars.FieldAccumulator`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from .lie import LieAlgebraData
-from .scalars import Context, FieldElement, LinearCombination
+from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination
 
 Exp = tuple[int, ...]
 
 
 class EnvelopingError(ValueError):
     pass
+
+
+def _rational(c: FieldElement, what: str):
+    q = c.as_rational()
+    if q is None:
+        raise EnvelopingError(f"{what} {c.to_string()} is not rational")
+    return q
+
+
+def _lean(q):
+    """A rational as an int when it is integral (cheaper to multiply)."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _product(ctx: Context, terms1: Mapping, terms2: Mapping,
+             expand: Callable[[object, object], Iterable]) -> dict:
+    """sum c1 c2 expand(k1, k2) over the term pairs, where ``expand`` gives
+    the product of two basis keys as (key, rational) pairs."""
+    acc = FieldAccumulator(ctx)
+    for k1, c1 in terms1.items():
+        for k2, c2 in terms2.items():
+            acc.add(c1 * c2, expand(k1, k2))
+    return acc.sums()
 
 
 class PBWAlgebra:
@@ -37,14 +66,18 @@ class PBWAlgebra:
         # generator index (in PBW order) -> underlying Lie basis index
         self._lie_index = tuple(lie.index[n] for n in self.order)
         self.degree_cap = degree_cap
-        self._word_memo: dict[tuple[int, ...], dict[Exp, FieldElement]] = {}
+        # normal forms over QQ, of words and of monomial pairs
+        self._word_memo: dict[tuple[int, ...], dict[Exp, object]] = {}
+        self._mul_memo: dict[tuple[Exp, Exp], dict[Exp, object]] = {}
         # bracket in PBW-order indices
         back = {li: gi for gi, li in enumerate(self._lie_index)}
-        self._bracket: dict[tuple[int, int], dict[int, FieldElement]] = {}
+        self._bracket: dict[tuple[int, int], dict[int, object]] = {}
         for p in range(self.ngens):
             for q in range(self.ngens):
                 row = lie.bracket(self._lie_index[p], self._lie_index[q])
-                self._bracket[(p, q)] = {back[k]: c for k, c in row.items()}
+                self._bracket[(p, q)] = {
+                    back[k]: _lean(_rational(c, "structure constant"))
+                    for k, c in row.items()}
 
     # -- element constructors ---------------------------------------------
 
@@ -74,7 +107,9 @@ class PBWAlgebra:
             w.extend([i] * e)
         return tuple(w)
 
-    def word_normal_form(self, word: tuple[int, ...]) -> dict[Exp, FieldElement]:
+    def word_normal_form(self, word: tuple[int, ...]) -> dict[Exp, object]:
+        """The PBW normal form of a word of generator indices: rational
+        coefficients (ints when integral), none of them zero."""
         if len(word) > self.degree_cap:
             raise EnvelopingError(
                 f"word length {len(word)} exceeds degree cap {self.degree_cap}")
@@ -88,16 +123,23 @@ class PBWAlgebra:
                 for k, c in self._bracket[(p, q)].items():
                     sub = word[:i] + (k,) + word[i + 2:]
                     for e, c2 in self.word_normal_form(sub).items():
-                        out[e] = out.get(e, self.ctx.zero()) + c * c2
+                        out[e] = out.get(e, 0) + c * c2
+                out = {e: _lean(c) for e, c in out.items() if c}
                 memo[word] = out
                 return out
         exp = tuple(word.count(g) for g in range(self.ngens))
-        res = {exp: self.ctx.one()}
+        res = {exp: 1}
         memo[word] = res
         return res
 
-    def multiply_monomials(self, e1: Exp, e2: Exp) -> dict[Exp, FieldElement]:
-        return self.word_normal_form(self._exp_to_word(e1) + self._exp_to_word(e2))
+    def multiply_monomials(self, e1: Exp, e2: Exp) -> dict[Exp, object]:
+        """The normal form of the product of two PBW monomials, over QQ."""
+        key = (e1, e2)
+        nf = self._mul_memo.get(key)
+        if nf is None:
+            nf = self._mul_memo[key] = self.word_normal_form(
+                self._exp_to_word(e1) + self._exp_to_word(e2))
+        return nf
 
 
 class UEAElement(LinearCombination):
@@ -125,14 +167,9 @@ class UEAElement(LinearCombination):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        z = alg.ctx.zero()
-        out: dict[Exp, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = c1 * c2
-                for e, cf in alg.multiply_monomials(e1, e2).items():
-                    out[e] = out.get(e, z) + c * cf
-        return UEAElement(alg, out)
+        return UEAElement(alg, _product(
+            alg.ctx, self.terms, other.terms,
+            lambda e1, e2: alg.multiply_monomials(e1, e2).items()))
 
     def __rmul__(self, other) -> "UEAElement":
         if isinstance(other, UEAElement):
@@ -208,13 +245,11 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
     target generators. The change matrix must be invertible; the result is
     the image under the induced algebra isomorphism.
     """
-    import sympy as sp
     old = u.algebra
-    rows = []
-    for name in old.order:
-        row = expansion[name]
-        rows.append([old.ctx(row.get(g, 0)).expr for g in target.order])
-    if sp.Matrix(rows).det() == 0:
+    rows = [[_rational(old.ctx(expansion[name].get(g, 0)), "change-of-basis entry")
+             for g in target.order] for name in old.order]
+    if len(rows) != len(target.order) or \
+            not DomainMatrix(rows, (len(rows), len(rows)), QQ).det():
         raise EnvelopingError("singular change-of-basis matrix")
     images = {}
     for name in old.order:
@@ -296,23 +331,19 @@ class TensorUEA(LinearCombination):
         if not isinstance(other, TensorUEA):
             return self.scale(other)
         self._check(other)
-        z = self.ctx.zero()
-        out: dict[tuple, FieldElement] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                # expand the product slot by slot
-                partial: list[tuple[tuple, FieldElement]] = [((), c)]
-                for alg, e1, e2 in zip(self.slots, k1, k2):
-                    nf = alg.multiply_monomials(e1, e2)
-                    partial = [
-                        (key + (e,), cc * cf)
-                        for key, cc in partial
-                        for e, cf in nf.items()
-                    ]
-                for key, cc in partial:
-                    out[key] = out.get(key, z) + cc
-        return TensorUEA(self.slots, out)
+        slots = self.slots
+
+        def expand(k1, k2):
+            # the slot normal forms multiplied out over QQ
+            partial = [((), 1)]
+            for alg, e1, e2 in zip(slots, k1, k2):
+                nf = alg.multiply_monomials(e1, e2).items()
+                partial = [(key + (e,), q * r)
+                           for key, q in partial for e, r in nf]
+            return partial
+
+        return TensorUEA(slots, _product(self.ctx, self.terms, other.terms,
+                                         expand))
 
     def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
         """Apply the counit in one slot (drop it)."""
@@ -360,7 +391,6 @@ class TensorUEA(LinearCombination):
     def map_slots(self, f) -> "TensorUEA":
         """Apply an element-wise map (UEAElement -> UEAElement, possibly into
         another algebra) independently in every slot."""
-        out: Optional[TensorUEA] = None
         z = self.ctx.zero()
         acc: dict[tuple, FieldElement] = {}
         new_slots = None

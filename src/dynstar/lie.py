@@ -5,12 +5,11 @@ and reduction modulo a marked subalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy as sp
 
-from .rootsystems import Root, RootSystem, StructureTable, root_name, _neg
+from .rootsystems import Root, StructureTable, root_name, _neg
 from .scalars import Context, FieldElement, LinearCombination
 
 

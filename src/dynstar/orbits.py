@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .enveloping import PBWAlgebra, UEAElement
 from .scalars import HBAR, LAM, Context, FieldElement, LinearCombination

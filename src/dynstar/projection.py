@@ -132,9 +132,28 @@ class ProjectedTwist:
                         "coefficient leaks outside Uv (x) Uv")
 
 
-def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
-    return t.map_slots(lambda u: project_drop_right(
-        change_generators(u, sp.pbw, sp.to_split), (sp.h_name,)))
+def _project_slots(t: TensorUEA, sp: SplittingData, images: dict) -> TensorUEA:
+    """Project every slot of t. ``images`` holds the projected image of
+    each slot monomial met so far, keyed by (slot algebra, exponents)."""
+    def image(u: UEAElement) -> UEAElement:
+        (e,) = u.terms
+        key = (u.algebra, e)
+        if key not in images:
+            images[key] = project_drop_right(
+                change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
+        return images[key]
+    return t.map_slots(image)
+
+
+def _project(J: TwistSeries, sp: SplittingData, images: dict) -> ProjectedTwist:
+    if any(a.lie.names != sp.ambient.names for a in J.slots):
+        raise ProjectionError("input slots are not over the ambient sl(2)")
+    if not check_h_invariance(J):
+        raise ProjectionError(
+            "input twist is not Cartan-invariant; projection refused")
+    orders = [_project_slots(t, sp, images) for t in J.orders]
+    series = TwistSeries((sp.pbw, sp.pbw), orders, validate=False)
+    return ProjectedTwist(series, sp)
 
 
 def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
@@ -145,14 +164,7 @@ def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
     Cartan line, so that is checked first and violations are reported
     instead of silently projecting.
     """
-    if any(a.lie.names != sp.ambient.names for a in J.slots):
-        raise ProjectionError("input slots are not over the ambient sl(2)")
-    if not check_h_invariance(J):
-        raise ProjectionError(
-            "input twist is not Cartan-invariant; projection refused")
-    orders = [_project_slots(t, sp) for t in J.orders]
-    series = TwistSeries((sp.pbw, sp.pbw), orders, validate=False)
-    return ProjectedTwist(series, sp)
+    return _project(J, sp, {})
 
 
 def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
@@ -251,10 +263,11 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
     """
     if N is not None and N < J.truncation:
         J = TwistSeries(J.slots, J.orders[:N + 1], validate=False)
-    Jv = project_twist(J, sp)
+    images: dict = {}
+    Jv = _project(J, sp, images)
     lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
-    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
-    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp))
+    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp, images))
+    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp, images))
 
     V = Jv.series
     lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))

@@ -191,6 +191,12 @@ class FieldElement:
         self._reduce()
         return self.num.degree(x) > 0 or self.den.degree(x) > 0
 
+    def as_rational(self):
+        """The value in QQ of a constant, else None."""
+        if self._const is None and not self._reduced:
+            self._reduce()
+        return self._const
+
     def is_zero(self) -> bool:
         return not self.num
 
@@ -440,6 +446,58 @@ class SeriesCoefficients:
 
     def __repr__(self) -> str:
         return f"SeriesCoefficients({self.var}, {[c.to_string() for c in self]})"
+
+
+class FieldAccumulator:
+    """Keyed sums of products c * q, with c a FieldElement and q a rational
+    (an int or an element of QQ).
+
+    The sum at each (key, denominator of c) is a numerator coefficient dict
+    updated in place, so adding c * q at a key takes no field operation.
+    :meth:`sums` builds one fraction per (key, denominator) and only then
+    adds up a key's fractions (one-term denominators over their monomial
+    lcm, as field addition does).
+    """
+
+    __slots__ = ("context", "_groups", "_dens")
+
+    def __init__(self, context: Context):
+        self.context = context
+        # (key, denominator key) -> numerator coefficients
+        self._groups: dict = {}
+        self._dens: dict = {}       # denominator key -> denominator
+
+    def add(self, c: FieldElement, terms: Iterable[tuple[object, object]]) -> None:
+        """Add c * q at key for every (key, q) of ``terms``."""
+        den = c.den
+        # a monic monomial denominator is keyed by its monomial
+        dkey = next(iter(den)) if len(den) == 1 else den
+        self._dens.setdefault(dkey, den)
+        num = list(c.num.items())
+        zero = QQ.zero
+        groups = self._groups
+        for key, q in terms:
+            acc = groups.get((key, dkey))
+            if acc is None:
+                acc = groups[(key, dkey)] = {}
+            if q == 1:
+                for m, a in num:
+                    acc[m] = acc.get(m, zero) + a
+            else:
+                for m, a in num:
+                    acc[m] = acc.get(m, zero) + a * q
+
+    def sums(self) -> dict:
+        """The sums by key; a key whose terms cancel over different
+        denominators holds zero."""
+        ctx = self.context
+        out = {}
+        for (key, dkey), acc in self._groups.items():
+            acc = {m: a for m, a in acc.items() if a}
+            if acc:
+                f = FieldElement(ctx, ctx.ring.dtype(acc), self._dens[dkey])
+                out[key] = out[key] + f if key in out else f
+        return out
 
 
 class LinearCombination:

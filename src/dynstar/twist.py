@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .enveloping import EnvelopingError, PBWAlgebra, TensorUEA, UEAElement
-from .lie import LieAlgebraData, Tensor2, Tensor3, alt, cyb
+from .enveloping import PBWAlgebra, TensorUEA, UEAElement
+from .lie import Tensor2, Tensor3, alt, cyb
 from .scalars import HBAR, LAM, Context, FieldElement
 
 

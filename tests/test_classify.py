@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from dynstar import (DynrSpec, QuasiUnitarityError, SpecError,
-                     build_casimir_tensor, build_coefficients,
+                     build_coefficients,
                      build_lagrangian, build_root_system,
                      check_coefficient_conditions, check_in_M_Omega,
                      check_shift_form, chevalley_constants,

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynstar import (Context, EnvelopingError, PBWAlgebra, TensorUEA,
-                     change_generators, project_drop_right, project_zero_part,
-                     sl2, split_basis_sl2)
+from dynstar import (Context, EnvelopingError, LieAlgebraData, PBWAlgebra,
+                     TensorUEA, UEAElement, change_generators,
+                     project_drop_right, project_zero_part, sl2,
+                     split_basis_sl2)
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +183,145 @@ class TestTensor:
                 expect = expect + TensorUEA((sp_.pbw, sp_.pbw),
                                             {(e1, e2): c1 * c2})
         assert (mapped - expect).is_zero()
+
+
+def scaled_sl2(ctx, s):
+    """sl(2) in the basis (s y, h, x): [s y, x] = -s h."""
+    z, one, two = ctx.zero(), ctx.one(), ctx(2)
+    s = ctx(s)
+    brackets = {(0, 1): {0: two}, (0, 2): {1: -s}, (1, 2): {2: two}}
+    form = [[z, z, s], [z, two, z], [s, z, z]]
+    return LieAlgebraData(ctx, ("y", "h", "x"), brackets, form)
+
+
+def reference_product(a, b):
+    """The product of two elements (UEAElement or TensorUEA), term by term
+    and slot by slot with field arithmetic on every partial coefficient."""
+    tensor = isinstance(a, TensorUEA)
+    slots = a.slots if tensor else (a.algebra,)
+    z = a.ctx.zero()
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            partial = [((), c1 * c2)]
+            for alg, e1, e2 in zip(slots, *((k1, k2) if tensor
+                                             else ((k1,), (k2,)))):
+                nf = alg.multiply_monomials(e1, e2)
+                partial = [(key + (e,),
+                            cc * a.ctx(Fraction(q.numerator, q.denominator)))
+                           for key, cc in partial for e, q in nf.items()]
+            for key, cc in partial:
+                key = key if tensor else key[0]
+                out[key] = out.get(key, z) + cc
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def assert_same_terms(got, want):
+    assert all(not v.is_zero() for v in got.terms.values())
+    assert set(got.terms) == set(want)
+    for k, v in want.items():
+        assert got.terms[k] == v, k
+
+
+class TestProductsAgainstReference:
+    """Enveloping products against a slot-by-slot reference, with
+    coefficients over monomial (lam^k) and other (lam - hbar, t1 + lam)
+    denominators, several of them on the same output key."""
+
+    NUMERATORS = ["1", "-2", "3/2", "lam", "hbar + 1", "t1 - 2*lam", "lam*hbar"]
+    DENOMINATORS = ["1", "lam", "lam^2", "lam^3", "hbar", "lam*t1", "2*lam",
+                    "lam - hbar", "t1 + lam", "lam*(lam - hbar)"]
+
+    @pytest.fixture(scope="class")
+    def algebras(self, ctx):
+        # integer constants, and half-integer ones in the scaled basis
+        return [PBWAlgebra(sl2(ctx)),
+                PBWAlgebra(scaled_sl2(ctx, Fraction(1, 2)), order=("x", "h", "y"))]
+
+    def coefficients(self, ctx):
+        return st.tuples(st.sampled_from(self.NUMERATORS),
+                         st.sampled_from(self.DENOMINATORS)).map(
+            lambda nd: ctx(nd[0]) / ctx(nd[1]))
+
+    def exponents(self, top):
+        return st.tuples(*[st.integers(0, top)] * 3)
+
+    def uea(self, alg):
+        return st.dictionaries(self.exponents(2), self.coefficients(alg.ctx),
+                               min_size=1, max_size=4).map(
+            lambda terms: UEAElement(alg, terms))
+
+    def tensor(self, alg, n):
+        keys = st.tuples(*[self.exponents(1)] * n)
+        return st.dictionaries(keys, self.coefficients(alg.ctx),
+                               min_size=1, max_size=4).map(
+            lambda terms: TensorUEA((alg,) * n, terms))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), which=st.integers(0, 1))
+    def test_uea_product(self, algebras, data, which):
+        alg = algebras[which]
+        a, b = data.draw(self.uea(alg)), data.draw(self.uea(alg))
+        assert_same_terms(a * b, reference_product(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), which=st.integers(0, 1), n=st.integers(2, 3))
+    def test_tensor_product(self, algebras, data, which, n):
+        alg = algebras[which]
+        a, b = data.draw(self.tensor(alg, n)), data.draw(self.tensor(alg, n))
+        assert_same_terms(a * b, reference_product(a, b))
+
+    def test_denominators_combine_on_one_key(self, ctx, U):
+        # y*x and x*y both give y x; the h from x*y lands on its own key
+        y, h, x = _gens(U)
+        lam, hbar, t1 = (ctx.var(n) for n in ("lam", "hbar", "t1"))
+        a = y.scale(1 / lam) + x.scale(1 / lam ** 2) + \
+            y.scale(1 / (lam - hbar)) + x.scale(1 / (t1 + lam))
+        b = x.scale(lam ** 3) + y.scale(1 / lam)
+        assert_same_terms(a * b, reference_product(a, b))
+        yx = next(iter((y * x).terms))
+        # expected values parsed by sympy, not summed in the field
+        want = ctx("lam^2 + lam^3/(lam - hbar) + 1/lam^3 + 1/(lam*(t1 + lam))")
+        assert (a * b).terms[yx] == want
+        # monomial denominators neither of which divides the other
+        a = y.scale(1 / lam ** 2) + x.scale(1 / hbar)
+        got = a * (x + y)
+        assert_same_terms(got, reference_product(a, x + y))
+        assert got.terms[yx] == ctx("1/lam^2 + 1/hbar")
+
+    def test_cancelling_terms_are_pruned(self, ctx, U):
+        # (c x + c y)(x - y) = c (x^2 - h - y^2): the y x terms cancel
+        y, h, x = _gens(U)
+        c = 1 / (ctx.var("lam") - ctx.var("hbar"))
+        got = (x.scale(c) + y.scale(c)) * (x - y)
+        assert_same_terms(got, reference_product(x.scale(c) + y.scale(c), x - y))
+        assert (got - (x * x - h - y * y).scale(c)).is_zero()
+        assert len(got.terms) == 3
+        # the same in the first slot of a tensor square
+        (ex,), (ey,), one = x.terms, y.terms, (0, 0, 0)
+        ta = TensorUEA((U, U), {(ex, one): c, (ey, one): c})
+        tb = TensorUEA((U, U), {(ex, one): ctx.one(), (ey, one): -ctx.one()})
+        got = ta * tb
+        assert_same_terms(got, reference_product(ta, tb))
+        assert len(got.terms) == 3
+
+    def test_cancellation_across_denominators(self, ctx, U):
+        # c1 = 1/lam and c2 = -(lam - hbar)/(lam^2 - lam hbar) are opposite
+        # but kept over different denominators; their y x terms cancel
+        y, h, x = _gens(U)
+        lam, hbar = ctx.var("lam"), ctx.var("hbar")
+        c1 = 1 / lam
+        c2 = -(lam - hbar) / (lam * (lam - hbar))
+        assert c1.den != c2.den
+        a, b = x.scale(c1) + y.scale(c2), x + y
+        got = a * b
+        assert_same_terms(got, reference_product(a, b))
+        assert next(iter((y * x).terms)) not in got.terms
+        assert (got - (x * x + h - y * y).scale(c1)).is_zero()
+
+
+def test_irrational_structure_constant_rejected(ctx):
+    # sl(2) in the basis (lam y, h, x) is a Lie algebra over the field, but
+    # PBW straightening keeps its constants in QQ
+    with pytest.raises(EnvelopingError, match="not rational"):
+        PBWAlgebra(scaled_sl2(ctx, "lam"))

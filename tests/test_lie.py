@@ -1,6 +1,6 @@
 import pytest
 
-from dynstar import (Context, LieAlgebraData, LieAlgebraError, Tensor2,
+from dynstar import (LieAlgebraData, LieAlgebraError, Tensor2,
                      Tensor3, alt, build_casimir_tensor, build_root_system,
                      check_invariance, chevalley_constants, cyb,
                      realize_lie_algebra, reduce_mod_u, sl2,

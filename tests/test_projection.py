@@ -1,7 +1,8 @@
 import pytest
 
 from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
-                     TwistSeries, abrr_twist, check_cb_identity,
+                     TwistSeries, abrr_twist, change_generators,
+                     check_cb_identity,
                      check_nondynamical_twist, check_projected_equation,
                      closed_form_jv, project_twist, rising_factorial,
                      rising_factorial_projection, shift_twist, sl2,
@@ -115,6 +116,46 @@ class TestOrdinaryAxioms:
         rep = check_projected_equation(J5, spl, N=4)
         assert rep["checked_through"] == 4
         assert rep["ok"], rep["failing_orders"]
+
+
+@pytest.mark.parametrize("route", ["project", "equation"])
+def test_each_slot_monomial_changes_generators_once(monkeypatch, spl, J5,
+                                                    route):
+    import dynstar.projection as projection
+    seen = []
+    inner = projection.change_generators
+
+    def counted(u, target, expansion):
+        (e,) = u.terms
+        seen.append((u.algebra, e))
+        return inner(u, target, expansion)
+
+    monkeypatch.setattr(projection, "change_generators", counted)
+    if route == "project":
+        project_twist(J5, spl)
+    else:
+        assert check_projected_equation(J5, spl, N=3)["ok"]
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_slots_in_different_orders(ctx, spl, U, J5):
+    # the same twist with its second slot in the PBW order (x, h, y): equal
+    # exponent tuples name different monomials in the two slots
+    V = PBWAlgebra(sl2(ctx), order=("x", "h", "y"))
+    ident = {n: {n: 1} for n in U.order}
+    slots = (U, V)
+    orders = []
+    for t in J5.orders:
+        acc = TensorUEA(slots, {})
+        for (e1, e2), c in t.terms.items():
+            img = change_generators(U.monomial(e2), V, ident)
+            acc = acc + TensorUEA(slots, {(e1, f): c * d
+                                          for f, d in img.terms.items()})
+        orders.append(acc)
+    mixed = TwistSeries(slots, orders, validate=False)
+    got = project_twist(mixed, spl).series
+    assert (got - project_twist(J5, spl).series).is_zero()
 
 
 def test_built_series_hold_no_zero_coefficient(ctx, U):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import sympy as sp
 
-from dynstar import (Context, ContextMismatchError, FieldElement, OrbitFunction,
+from dynstar import (Context, ContextMismatchError, OrbitFunction,
                      PBWAlgebra, PoleError, Tensor2, TensorUEA, UEAElement, sl2)
 from dynstar.verma import FiniteModule
 

@@ -1,6 +1,6 @@
 import pytest
 
-from dynstar import (Context, PBWAlgebra, TensorUEA, TwistError, TwistSeries,
+from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
                      abrr_twist, check_cdybe, check_dynamical_twist,
                      check_h_invariance, classical_limit_r, shift_twist, sl2,
                      tensor2_from_names)
