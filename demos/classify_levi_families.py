@@ -22,13 +22,12 @@ from dynstar import (Context, build_coefficients, build_lagrangian,
 ctx = Context(["lam", "hbar", "t1", "t2"])
 
 rs = build_root_system("A", 2)
-table = chevalley_constants(rs)
 print(f"A2 has {len(rs.roots)} roots; simple system {rs.simple}")
 
 # %%
 # Fixture: Levi subset {alpha1}, reductive subset U = {+-alpha1}. On U the
 # parameters are forced to 1, so the family is entirely numeric.
-spec = make_spec(table, ctx, delta=[(1, 0)], U=[(1, 0), (-1, 0)])
+spec = make_spec(rs, ctx, delta=[(1, 0)], U=[(1, 0), (-1, 0)])
 fam = build_coefficients(spec)
 for a in sorted(rs.roots):
     print(f"  x_{a} = {fam[a].to_string()}")
@@ -40,7 +39,7 @@ print("conditions all hold:", report["all_ok"])
 # The same data in tensor form. check_in_M_Omega is an independent oracle:
 # it re-derives quasi-unitarity, u-invariance and the quotient Yang-Baxter
 # equation directly from the structure constants.
-g = realize_lie_algebra(table, ctx, U=spec.U)
+g = realize_lie_algebra(chevalley_constants(rs), ctx, U=spec.U)
 b = coefficients_to_tensor(fam, g)
 print("tensor lies in M_Omega:", check_in_M_Omega(b, g))
 

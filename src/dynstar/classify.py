@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import sympy as sp
 
 from . import rootsystems as rsys
-from .rootsystems import Root, RootSystem, StructureTable, _add, _neg
+from .rootsystems import Root, RootSystem, _add, _neg
 from .lie import (
     LieAlgebraData, Tensor2, build_casimir_tensor, check_invariance, cyb,
     reduce_mod_u,
@@ -92,7 +92,7 @@ class DynrSpec:
 
 
 def make_spec(
-    table: StructureTable,
+    rs: RootSystem,
     ctx: Context,
     delta: Sequence[Root],
     U: Iterable[Root],
@@ -103,7 +103,6 @@ def make_spec(
     Missing t-parameters default to 1 on U and to the context symbols
     t1, t2, ... (by simple-root index) elsewhere.
     """
-    rs = table.system
     delta = tuple(tuple(d) for d in delta)
     Uset = frozenset(tuple(a) for a in U)
     tmap: dict[Root, FieldElement] = {}

@@ -79,19 +79,25 @@ def _parse_t(s: Optional[str], rank: int, ctx: Context) -> dict:
     return out
 
 
-def _spec_from_args(args) -> tuple:
+def _spec_from_args(args) -> tuple[cls.DynrSpec, Context]:
     family = args.type.upper()
     rank = args.rank
     if family not in ("A", "B", "C", "D"):
         raise SchemaError(f"unknown family {args.type!r}")
     rs = rsys.build_root_system(family, rank)
-    table = rsys.chevalley_constants(rs)
     ctx = _context(rank)
     delta = _parse_delta(args.delta, rank)
     U = _parse_u(args.u, rank)
     t = _parse_t(getattr(args, "t", None), rank, ctx)
-    spec = cls.make_spec(table, ctx, delta, U, t=t or None)
-    return spec, table, ctx
+    return cls.make_spec(rs, ctx, delta, U, t=t or None), ctx
+
+
+def _at_least(args, name: str, low: int) -> int:
+    value = getattr(args, name)
+    if value < low:
+        raise SchemaError(f"{args.command} --{name} must be at least {low}, "
+                          f"got {value}")
+    return value
 
 
 def _root_str(a) -> str:
@@ -99,7 +105,7 @@ def _root_str(a) -> str:
 
 
 def cmd_classify(args) -> dict:
-    spec, table, ctx = _spec_from_args(args)
+    spec, ctx = _spec_from_args(args)
     fam = cls.build_coefficients(spec)
     report = cls.check_coefficient_conditions(fam)
     report["shift_form"] = cls.check_shift_form(fam)
@@ -112,9 +118,9 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_verify_rmatrix(args) -> dict:
-    spec, table, ctx = _spec_from_args(args)
+    spec, ctx = _spec_from_args(args)
     fam = cls.build_coefficients(spec)
-    g = realize_lie_algebra(table, ctx, U=spec.U)
+    g = realize_lie_algebra(rsys.chevalley_constants(spec.system), ctx, U=spec.U)
     b = cls.coefficients_to_tensor(fam, g)
     try:
         member = cls.check_in_M_Omega(b, g)
@@ -139,8 +145,8 @@ def cmd_verify_rmatrix(args) -> dict:
 
 
 def cmd_lagrangian(args) -> dict:
-    spec, table, ctx = _spec_from_args(args)
-    g = realize_lie_algebra(table, ctx, U=spec.U)
+    spec, ctx = _spec_from_args(args)
+    g = realize_lie_algebra(rsys.chevalley_constants(spec.system), ctx, U=spec.U)
     lag, report = cls.build_lagrangian(spec, g)
     report = dict(report)
     report["ok"] = report.pop("all_ok")
@@ -150,7 +156,7 @@ def cmd_lagrangian(args) -> dict:
 def cmd_abrr_check(args) -> dict:
     ctx = _context()
     U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
-    J = abrr_twist(U, args.order)
+    J = abrr_twist(U, _at_least(args, "order", 0))
     rep = check_dynamical_twist(J)
     counit = counit_ok(J)
     return {
@@ -166,7 +172,7 @@ def cmd_cdybe_check(args) -> dict:
     ctx = _context()
     g = sl2(ctx)
     U = PBWAlgebra(g, order=("y", "h", "x"))
-    J = abrr_twist(U, max(args.order, 1))
+    J = abrr_twist(U, _at_least(args, "order", 1))
     r = classical_limit_r(J)
     expected = tensor2_from_names(g, {("x", "y"): ctx("1/lam"),
                                       ("y", "x"): ctx("-1/lam")})
@@ -200,6 +206,8 @@ def cmd_star(args) -> dict:
 def cmd_verma_oracle(args) -> dict:
     from .verma import FiniteModule, compose_and_extract
     ctx = _context()
+    for name in ("v", "w"):
+        _at_least(args, name, 0)
     if args.v % 2 or args.w % 2:
         raise SchemaError("module highest weights must be even "
                           "(odd ones have no zero-weight vector)")
@@ -220,7 +228,7 @@ def cmd_project_twist(args) -> dict:
     ctx = _context()
     U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
     sp_ = split_basis_sl2(ctx, args.variant)
-    J = abrr_twist(U, args.order)
+    J = abrr_twist(U, _at_least(args, "order", 0))
     Jv = project_twist(J, sp_)
     cf = closed_form_jv(sp_, args.order)
     closed_match = all(

@@ -96,17 +96,21 @@ class LieAlgebraData:
                         raise LieAlgebraError(
                             f"Jacobi fails on ({self.names[i]}, {self.names[j]}, "
                             f"{self.names[k]})")
-        # ad-invariance of the form
+        # ad-invariance of the form: <[z,a],b> + <a,[z,b]> = 0, summed over
+        # the nonzero form entries only. By symmetry each product
+        # [z,a]_t <t,b> is the first term at (a,b) and the second at (b,a).
+        nonzero = [{b: f for b, f in enumerate(row) if not f.is_zero()}
+                   for row in self.form]
         for zi in range(d):
+            acc: dict[tuple[int, int], FieldElement] = {}
             for a in range(d):
-                for b in range(d):
-                    s = z
-                    for t, c in self.bracket(zi, a).items():
-                        s = s + c * self.form[t][b]
-                    for t, c in self.bracket(zi, b).items():
-                        s = s + c * self.form[a][t]
-                    if not s.is_zero():
-                        raise LieAlgebraError("form not ad-invariant")
+                for t, c in self.bracket(zi, a).items():
+                    for b, f in nonzero[t].items():
+                        cf = c * f
+                        acc[a, b] = acc.get((a, b), z) + cf
+                        acc[b, a] = acc.get((b, a), z) + cf
+            if any(not v.is_zero() for v in acc.values()):
+                raise LieAlgebraError("form not ad-invariant")
         if self.u_indices is not None:
             uset = set(self.u_indices)
             mset = set(self.m_indices)

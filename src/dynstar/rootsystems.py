@@ -7,14 +7,18 @@ basis: it places the Euclidean roots in the Bourbaki simple system, and
 every root in each simple system that ``classify`` reads Levi sets from.
 Structure constants are read off from explicit matrix models (traceless
 matrices for type A, antidiagonal orthogonal/symplectic models for B, C, D),
-then rescaled so that <E_alpha, E_{-alpha}> = 1 under the trace form.
+then rescaled so that <E_alpha, E_{-alpha}> = 1 under the trace form. Root
+vectors are kept as the sparse exact entries of their model matrices (one
+or two each) and Cartan elements as integer diagonals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import sympy as sp
 from sympy.polys.domains import ZZ
@@ -225,12 +229,20 @@ def y_set_properties(rs: RootSystem, P: Iterable[Root]) -> dict:
 
 
 def positive_systems(rs: RootSystem) -> list[frozenset[Root]]:
-    """All additively closed positive systems, by brute force over the sign
-    choices on each opposite pair of roots."""
-    pairs = sorted(rs.positive)
-    cands = (frozenset(a if s == 1 else _neg(a) for a, s in zip(pairs, signs))
-             for signs in itertools.product((1, -1), repeat=len(pairs)))
-    return [c for c in cands if _sum_closed(rs, c)]
+    """All positive systems, breadth-first from ``rs.positive``: for a
+    simple root a of P, s_a(P) is P with a replaced by -a, and W acts simply
+    transitively on positive systems. Sorted by sign pattern on
+    ``sorted(rs.positive)`` (1 where negated), the brute-force order."""
+    seen = {frozenset(rs.positive)}
+    queue = list(seen)
+    for pos in queue:
+        for a in simple_roots_of(rs, pos):
+            flipped = pos - {a} | {_neg(a)}
+            if flipped not in seen:
+                seen.add(flipped)
+                queue.append(flipped)
+    ref = sorted(rs.positive)
+    return sorted(seen, key=lambda pos: tuple(a not in pos for a in ref))
 
 
 def simple_roots_of(rs: RootSystem, pos: frozenset[Root]) -> tuple[Root, ...]:
@@ -267,101 +279,114 @@ class StructureTable:
         return self.c.get((tuple(a), tuple(b)), sp.Integer(0))
 
 
+# a sparse m x m matrix: its nonzero entries, keyed by (row, column)
+Sparse = dict[tuple[int, int], Fraction]
+
+
 def _matrix_model(rs: RootSystem):
-    """Return (dim, membership matrix condition, cartan matrices, weight fn)."""
+    """Return (dim m, form, Cartan diagonals, weight fn).
+
+    The form M preserved by the model (X^T M + M X = 0) is antidiagonal:
+    ``form[j]`` is M[j, m-1-j]; it is None for type A (traceless matrices).
+    """
     n = rs.rank
     if rs.family == "A":
         m = n + 1
-        cond = None
-        cartan = [sp.zeros(m, m) for _ in range(n)]
-        for i in range(n):
-            cartan[i][i, i] = 1
-            cartan[i][i + 1, i + 1] = -1
+        cartan = [[(k == i) - (k == i + 1) for k in range(m)] for i in range(n)]
+        # alpha(H_i) for alpha in e-coordinates
+        return m, None, cartan, lambda euclid, i: euclid[i] - euclid[i + 1]
+    m = 2 * n + 1 if rs.family == "B" else 2 * n
+    form = [1 if rs.family != "C" or j < n else -1 for j in range(m)]
+    cartan = [[(k == i) - (k == m - 1 - i) for k in range(m)] for i in range(n)]
+    return m, form, cartan, lambda euclid, i: euclid[i]
 
-        def weight(euclid, i):  # alpha(H_i) for alpha in e-coordinates
-            return euclid[i] - euclid[i + 1]
 
-        return m, cond, cartan, weight
-    if rs.family in ("B", "D"):
-        m = 2 * n + 1 if rs.family == "B" else 2 * n
-        M = sp.Matrix(m, m, lambda i, j: sp.Integer(1 if i + j == m - 1 else 0))
-    else:  # C
-        m = 2 * n
-        M = sp.zeros(m, m)
-        for i in range(m):
-            M[i, m - 1 - i] = sp.Integer(1 if i < n else -1)
-    cartan = [sp.zeros(m, m) for _ in range(n)]
-    for i in range(n):
-        cartan[i][i, i] = 1
-        cartan[i][m - 1 - i, m - 1 - i] = -1
+def _null_vector(rows: list[list[Fraction]], k: int) -> Optional[list[Fraction]]:
+    """The kernel of ``rows`` (k columns) scaled as sympy's nullspace scales
+    it (free entry 1, pivot entries read off the reduced echelon form), or
+    None unless the kernel is one-dimensional."""
+    reduced: list[tuple[int, list[Fraction]]] = []     # (pivot column, row)
+    for row in rows:
+        for col, piv in reduced:
+            row = [x - row[col] * y for x, y in zip(row, piv)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            piv = [x / row[col] for x in row]
+            reduced = [(c, [x - r[col] * y for x, y in zip(r, piv)])
+                       for c, r in reduced] + [(col, piv)]
+    free = [c for c in range(k) if c not in dict(reduced)]
+    if len(free) != 1:
+        return None
+    out = [Fraction(c == free[0]) for c in range(k)]
+    for c, r in reduced:
+        out[c] = -r[free[0]]
+    return out
 
-    def weight(euclid, i):
-        return euclid[i]
 
-    return m, M, cartan, weight
+def _commutator(x: Sparse, y: Sparse) -> Sparse:
+    out: Sparse = {}
+    for (i, j), u in x.items():
+        for (k, l), v in y.items():
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + u * v
+            if l == i:
+                out[k, j] = out.get((k, j), 0) - v * u
+    return {p: v for p, v in out.items() if v}
+
+
+def _dense(m: int, x: Sparse) -> sp.Matrix:
+    out = sp.zeros(m, m)
+    for p, v in x.items():
+        out[p] = sp.Rational(v)
+    return out
 
 
 def chevalley_constants(rs: RootSystem) -> StructureTable:
-    """Root vectors and structure constants from the matrix model."""
-    n = rs.rank
-    m, M, cartan, weight = _matrix_model(rs)
+    """Root vectors and structure constants from the matrix model.
 
-    evec: dict[Root, sp.Matrix] = {}
+    Each root vector is kept as the sparse exact entries (one or two) of
+    its matrix; the Cartan elements are integer diagonals.
+    """
+    n = rs.rank
+    m, form, cartan, weight = _matrix_model(rs)
+    alpha_h = {a: tuple(weight(rs.euclid[a], i) for i in range(n)) for a in rs.roots}
+    by_weight: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for j, k in itertools.product(range(m), repeat=2):
+        if j != k:
+            by_weight.setdefault(tuple(H[j] - H[k] for H in cartan), []).append((j, k))
+
+    evec: dict[Root, Sparse] = {}
     for a in rs.roots:
-        eu = rs.euclid[a]
-        w = [weight(eu, i) for i in range(n)]
         # candidate positions (j,k) with matching ad-h weight
-        positions = []
-        for j in range(m):
-            for k in range(m):
-                if j == k:
-                    continue
-                wj = [cartan[i][j, j] - cartan[i][k, k] for i in range(n)]
-                if wj == w:
-                    positions.append((j, k))
+        positions = by_weight.get(tuple(map(int, alpha_h[a])), [])
         if not positions:
             raise RootSystemError(f"no matrix positions for root {a}")
-        if M is None:
-            # type A: single elementary position
-            if len(positions) != 1:
-                raise RootSystemError(f"{len(positions)} matrix positions for root {a}")
-            X = sp.zeros(m, m)
-            X[positions[0]] = 1
-        else:
-            # solve X^T M + M X = 0 on the span of the candidate positions:
-            # one constraint matrix per position, stacked entry by entry
-            cons = []
-            for (j, k) in positions:
-                E = sp.zeros(m, m)
-                E[j, k] = 1
-                cons.append(E.T * M + M * E)
-            stacked = ([c[p, q] for c in cons] for p in range(m) for q in range(m))
-            rows = [row for row in stacked if any(x != 0 for x in row)]
-            null = sp.Matrix(rows).nullspace() if rows else [
-                sp.Matrix([1] * len(positions))]
-            if len(null) != 1:
-                raise RootSystemError(f"root space for {a} not one-dimensional")
-            coeffs = null[0]
-            den = sp.lcm([sp.fraction(sp.Rational(x))[1] for x in coeffs])
-            coeffs = [sp.Rational(x) * den for x in coeffs]
-            X = sp.zeros(m, m)
-            for (j, k), cx in zip(positions, coeffs):
-                X[j, k] = cx
-        evec[a] = X
+        if form is None and len(positions) != 1:
+            raise RootSystemError(f"{len(positions)} matrix positions for root {a}")
+        # solve X^T M + M X = 0 on the span of the candidate positions:
+        # E_jk contributes form[j] at (k, m-1-j) and form[m-1-j] at (m-1-j, k)
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for col, (j, k) in enumerate(positions if form else ()):
+            for p, v in (((k, m - 1 - j), form[j]), ((m - 1 - j, k), form[m - 1 - j])):
+                rows.setdefault(p, [Fraction(0)] * len(positions))[col] += v
+        null = _null_vector([r for r in rows.values() if any(r)], len(positions))
+        if null is None:
+            raise RootSystemError(f"root space for {a} not one-dimensional")
+        den = math.lcm(*(x.denominator for x in null))
+        evec[a] = {p: x * den for p, x in zip(positions, null) if x}
 
     # normalization: keep E_a for positive a, rescale E_{-a}
     for a in sorted(rs.positive):
-        pair = (evec[a] * evec[_neg(a)]).trace()
+        ea, ena = evec[a], evec[_neg(a)]
+        pair = sum(x * ena.get((k, j), 0) for (j, k), x in ea.items())
         if pair == 0:
             raise RootSystemError(f"degenerate pairing for {a}")
-        evec[_neg(a)] = evec[_neg(a)] / pair
+        evec[_neg(a)] = {p: x / pair for p, x in ena.items()}
 
-    # verify weights and membership once more
+    # verify weights once more: [H_i, X] = (d_j - d_k) X entrywise
     for a in rs.roots:
-        eu = rs.euclid[a]
-        for i in range(n):
-            comm = cartan[i] * evec[a] - evec[a] * cartan[i]
-            if comm != weight(eu, i) * evec[a]:
+        for H, w in zip(cartan, map(int, alpha_h[a])):
+            if any((H[j] - H[k]) * x != w * x for (j, k), x in evec[a].items()):
                 raise RootSystemError(f"weight failure at {a}")
 
     c: dict[tuple[Root, Root], sp.Rational] = {}
@@ -369,53 +394,41 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
     rootset = set(rs.roots)
     for a in rs.roots:
         for b in rs.roots:
-            comm = evec[a] * evec[b] - evec[b] * evec[a]
+            comm = _commutator(evec[a], evec[b])
             s = _add(a, b)
             if s in rootset:
                 c[(a, b)] = _ratio(comm, evec[s], a, b)
             elif all(x == 0 for x in s):
-                cartan_coords[a] = _h_coords(comm, cartan, rs.family, m, n)
-            elif not comm.is_zero_matrix:
+                cartan_coords[a] = _h_coords(comm, cartan, rs.family)
+            elif comm:
                 raise RootSystemError(f"[E_{a}, E_{b}] not in root space")
 
-    alpha_h = {
-        a: tuple(weight(rs.euclid[a], i) for i in range(n)) for a in rs.roots
-    }
-    gram = sp.Matrix(n, n, lambda i, j: (cartan[i] * cartan[j]).trace())
-    names = {}
-    for i in range(n):
-        names[f"H{i+1}"] = cartan[i]
+    gram = sp.Matrix(n, n, lambda i, j: sum(x * y for x, y in zip(cartan[i], cartan[j])))
+    names = {f"H{i+1}": _dense(m, {(j, j): h for j, h in enumerate(H) if h})
+             for i, H in enumerate(cartan)}
     for a in rs.roots:
-        names[root_name(a)] = evec[a]
+        names[root_name(a)] = _dense(m, evec[a])
     return StructureTable(rs, c, cartan_coords, alpha_h, gram, names)
 
 
-def _ratio(comm: sp.Matrix, target: sp.Matrix, a, b) -> sp.Rational:
-    for p in range(target.rows):
-        for q in range(target.cols):
-            if target[p, q] != 0:
-                r = sp.Rational(comm[p, q], target[p, q])
-                if comm != r * target:
-                    raise RootSystemError(f"[E_{a}, E_{b}] not proportional")
-                return r
-    raise RootSystemError("zero target root vector")
+def _ratio(comm: Sparse, target: Sparse, a, b) -> sp.Rational:
+    if not target:
+        raise RootSystemError("zero target root vector")
+    p = min(target)                    # the first nonzero entry, row-major
+    r = comm.get(p, 0) / target[p]
+    if comm != {q: r * v for q, v in target.items() if r}:
+        raise RootSystemError(f"[E_{a}, E_{b}] not proportional")
+    return sp.Rational(r)
 
 
-def _h_coords(diag: sp.Matrix, cartan, family: str, m: int, n: int):
+def _h_coords(diag: Sparse, cartan: list[list[int]], family: str):
     """Coordinates of a diagonal matrix in the cartan basis."""
-    d = [diag[i, i] for i in range(m)]
-    if family == "A":
-        # d has zero sum; coordinates are partial sums
-        coords = []
-        s = sp.Integer(0)
-        for i in range(n):
-            s += d[i]
-            coords.append(s)
-    else:
-        coords = d[:n]
-    check = sp.zeros(m, m)
-    for x, H in zip(coords, cartan):
-        check += x * H
+    d = [diag.get((j, j), 0) for j in range(len(cartan[0]))]
+    # type A: d has zero sum; coordinates are partial sums
+    coords = list(itertools.accumulate(d[:len(cartan)])) if family == "A" \
+        else d[:len(cartan)]
+    check = {(j, j): v for j in range(len(d))
+             if (v := sum(x * H[j] for x, H in zip(coords, cartan)))}
     if check != diag:
         raise RootSystemError("cartan decomposition failure")
     return tuple(sp.Rational(x) for x in coords)

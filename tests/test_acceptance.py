@@ -42,7 +42,7 @@ def _fixture_specs(ctx):
     for label, fam, rank, delta, U in FIXTURES:
         rs = build_root_system(fam, rank)
         table = chevalley_constants(rs)
-        out.append((label, make_spec(table, ctx, delta, U), table))
+        out.append((label, make_spec(rs, ctx, delta, U), table))
     return out
 
 

@@ -20,7 +20,7 @@ from dynstar.rootsystems import coordinates
 def _fixture(ctx, family, rank, delta, U, t=None):
     rs = build_root_system(family, rank)
     table = chevalley_constants(rs)
-    spec = make_spec(table, ctx, delta, U, t=t)
+    spec = make_spec(rs, ctx, delta, U, t=t)
     return spec, table
 
 

@@ -71,6 +71,24 @@ class TestVerifyAndLagrangian:
         assert rep["diag_intersection_dim"] == 4
 
 
+class TestTableOnlyWhereRead:
+    A2 = ["--type", "A", "--rank", "2", "--delta", "a1"]
+
+    @pytest.mark.parametrize("argv,code,calls", [
+        (["classify", *A2, "--u", "pm-a1"], 0, 0),
+        (["lagrangian", *A2, "--t", "a1=1"], 2, 0),    # t = 1 outside U
+        (["verify-rmatrix", *A2, "--u", "pm-a1"], 0, 1),
+        (["lagrangian", *A2, "--u", "pm-a1"], 0, 1),
+    ])
+    def test_chevalley_calls(self, capsys, monkeypatch, argv, code, calls):
+        from dynstar import rootsystems
+        built, real = [], rootsystems.chevalley_constants
+        monkeypatch.setattr(rootsystems, "chevalley_constants",
+                            lambda rs: built.append(rs) or real(rs))
+        assert run(argv + ["--canonical"]) == code
+        assert len(built) == calls
+
+
 class TestTwistCommands:
     def test_abrr_check(self, capsys):
         code, _, rep = _capture(capsys, ["abrr-check", "--order", "3",
@@ -133,6 +151,19 @@ class TestVermaOracle:
 class TestPlumbing:
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["abrr-check", "--order", "-1"],
+        ["project-twist", "--order", "-2"],
+        ["verma-oracle", "--v", "-2", "--w", "2"],
+        ["verma-oracle", "--v", "2", "--w", "-2"],
+        ["cdybe-check", "--order", "0"],
+    ])
+    def test_bad_size_is_bad_input(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "must be at least" in captured.err
 
     def test_canonical_is_deterministic(self, capsys):
         argv = ["classify", "--type", "B", "--rank", "2", "--delta", "a1",

@@ -43,6 +43,35 @@ class TestAlgebraData:
         with pytest.raises(LieAlgebraError):
             LieAlgebraData(ctx, ("y", "h", "x"), brackets, bad_form)
 
+    @staticmethod
+    def _a2_with_form(ctx, edit):
+        """Rebuild realized A2 from its bracket table and a copy of its form
+        changed by ``edit``."""
+        g = realize_lie_algebra(chevalley_constants(build_root_system("A", 2)), ctx)
+        brackets = {(i, j): g.bracket(i, j)
+                    for i in range(g.dim) for j in range(i + 1, g.dim)}
+        form = [list(row) for row in g.form]
+        edit(g, form)
+        return LieAlgebraData(ctx, g.names, brackets, form)
+
+    def test_form_invariance_enforced_on_root_pairing(self, ctx):
+        def edit(g, form):
+            i, j = g.root_index[(1, 1)], g.root_index[(-1, -1)]
+            form[i][j] = form[j][i] = form[i][j] * 2
+
+        with pytest.raises(LieAlgebraError, match="not ad-invariant"):
+            self._a2_with_form(ctx, edit)
+
+    def test_form_invariance_enforced_on_cartan_entry(self, ctx):
+        def edit(g, form):
+            form[0][1] = form[1][0] = ctx.zero()
+
+        with pytest.raises(LieAlgebraError, match="not ad-invariant"):
+            self._a2_with_form(ctx, edit)
+
+    def test_unchanged_form_is_accepted(self, ctx):
+        assert self._a2_with_form(ctx, lambda g, form: None).dim == 8
+
     def test_u_must_be_subalgebra(self, ctx):
         rs = build_root_system("A", 2)
         table = chevalley_constants(rs)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -8,7 +9,9 @@ from dynstar import (DynrSpec, RootSystemError, SpecError, build_root_system,
                      chevalley_constants, make_spec, positive_systems,
                      simple_roots_of, y_set_properties)
 from dynstar.classify import _levi_of
-from dynstar.rootsystems import coordinates
+from dynstar.rootsystems import (StructureTable, _add, _h_coords,
+                                 _matrix_model, _neg, _ratio, _sum_closed,
+                                 coordinates, root_name)
 
 ROOT_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 4): 20,
@@ -80,7 +83,7 @@ class TestCoordinates:
 class TestSubsets:
     def test_levi_is_reductive(self, ctx):
         rs = build_root_system("A", 3)
-        spec = make_spec(chevalley_constants(rs), ctx, [(1, 0, 0), (0, 0, 1)], [])
+        spec = make_spec(rs, ctx, [(1, 0, 0), (0, 0, 1)], [])
         N = spec.levi_roots()
         assert N == {(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)}
         assert check_reductive_subset(rs, N)
@@ -101,7 +104,7 @@ class TestSubsets:
                      {(1, 1): ctx.var("t1")}, ctx)
         # without a t-value for it, before any DynrSpec is built
         with pytest.raises(SpecError):
-            make_spec(chevalley_constants(rs), ctx, [(1, 1)], [])
+            make_spec(rs, ctx, [(1, 1)], [])
 
     def test_parabolic(self):
         rs = build_root_system("A", 2)
@@ -119,7 +122,23 @@ class TestSubsets:
             y_set_properties(rs, rs.positive - {(1, 1)})
 
 
+def _positive_systems_brute_force(rs):
+    """All additively closed positive systems, by brute force over the sign
+    choices on each opposite pair of roots (the reference enumeration)."""
+    pairs = sorted(rs.positive)
+    cands = (frozenset(a if s == 1 else _neg(a) for a, s in zip(pairs, signs))
+             for signs in itertools.product((1, -1), repeat=len(pairs)))
+    return [c for c in cands if _sum_closed(rs, c)]
+
+
 class TestPositiveSystems:
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+        ("D", 3), ("D", 4)])
+    def test_flips_match_brute_force_in_order(self, family, rank):
+        rs = build_root_system(family, rank)
+        assert positive_systems(rs) == _positive_systems_brute_force(rs)
+
     def test_a2_count_is_weyl_order(self):
         rs = build_root_system("A", 2)
         systems = positive_systems(rs)
@@ -138,10 +157,136 @@ class TestPositiveSystems:
             assert len(simple_roots_of(rs, pos)) == 2
 
 
+def _dense_matrix_model(rs):
+    """Return (dim, membership matrix condition, cartan matrices, weight fn)."""
+    n = rs.rank
+    if rs.family == "A":
+        m = n + 1
+        cartan = [sp.zeros(m, m) for _ in range(n)]
+        for i in range(n):
+            cartan[i][i, i] = 1
+            cartan[i][i + 1, i + 1] = -1
+        return m, None, cartan, lambda euclid, i: euclid[i] - euclid[i + 1]
+    if rs.family in ("B", "D"):
+        m = 2 * n + 1 if rs.family == "B" else 2 * n
+        M = sp.Matrix(m, m, lambda i, j: sp.Integer(1 if i + j == m - 1 else 0))
+    else:  # C
+        m = 2 * n
+        M = sp.zeros(m, m)
+        for i in range(m):
+            M[i, m - 1 - i] = sp.Integer(1 if i < n else -1)
+    cartan = [sp.zeros(m, m) for _ in range(n)]
+    for i in range(n):
+        cartan[i][i, i] = 1
+        cartan[i][m - 1 - i, m - 1 - i] = -1
+    return m, M, cartan, lambda euclid, i: euclid[i]
+
+
+def _dense_chevalley_constants(rs):
+    """The structure table from dense sympy matrices: nullspaces of the
+    stacked X^T M + M X constraints and every commutator as a full matrix
+    product (the reference for the sparse kernel)."""
+    n = rs.rank
+    m, M, cartan, weight = _dense_matrix_model(rs)
+    evec = {}
+    for a in rs.roots:
+        w = [weight(rs.euclid[a], i) for i in range(n)]
+        positions = [(j, k) for j in range(m) for k in range(m) if j != k and
+                     [cartan[i][j, j] - cartan[i][k, k] for i in range(n)] == w]
+        assert positions
+        if M is None:
+            assert len(positions) == 1
+            X = sp.zeros(m, m)
+            X[positions[0]] = 1
+        else:
+            cons = []
+            for (j, k) in positions:
+                E = sp.zeros(m, m)
+                E[j, k] = 1
+                cons.append(E.T * M + M * E)
+            stacked = ([c[p, q] for c in cons] for p in range(m) for q in range(m))
+            rows = [row for row in stacked if any(x != 0 for x in row)]
+            null = (sp.Matrix(rows).nullspace() if rows
+                    else [sp.Matrix([1] * len(positions))])
+            assert len(null) == 1
+            den = sp.lcm([sp.fraction(sp.Rational(x))[1] for x in null[0]])
+            X = sp.zeros(m, m)
+            for (j, k), cx in zip(positions, null[0]):
+                X[j, k] = sp.Rational(cx) * den
+        evec[a] = X
+    for a in sorted(rs.positive):
+        evec[_neg(a)] = evec[_neg(a)] / (evec[a] * evec[_neg(a)]).trace()
+    for a in rs.roots:
+        for i in range(n):
+            comm = cartan[i] * evec[a] - evec[a] * cartan[i]
+            assert comm == weight(rs.euclid[a], i) * evec[a]
+    c, cartan_coords = {}, {}
+    for a in rs.roots:
+        for b in rs.roots:
+            comm = evec[a] * evec[b] - evec[b] * evec[a]
+            s = _add(a, b)
+            if rs.is_root(s):
+                target = evec[s]
+                p = next(p for p in itertools.product(range(m), repeat=2)
+                         if target[p] != 0)
+                c[(a, b)] = sp.Rational(comm[p], target[p])
+                assert comm == c[(a, b)] * target
+            elif all(x == 0 for x in s):
+                d = [comm[i, i] for i in range(m)]
+                coords = (list(itertools.accumulate(d[:n])) if rs.family == "A"
+                          else d[:n])
+                assert comm == sum((x * H for x, H in zip(coords, cartan)),
+                                   sp.zeros(m, m))
+                cartan_coords[a] = tuple(sp.Rational(x) for x in coords)
+            else:
+                assert comm.is_zero_matrix
+    alpha_h = {a: tuple(weight(rs.euclid[a], i) for i in range(n))
+               for a in rs.roots}
+    gram = sp.Matrix(n, n, lambda i, j: (cartan[i] * cartan[j]).trace())
+    names = {f"H{i+1}": cartan[i] for i in range(n)}
+    names.update((root_name(a), evec[a]) for a in rs.roots)
+    return StructureTable(rs, c, cartan_coords, alpha_h, gram, names)
+
+
 class TestChevalleyConstants:
+    @pytest.mark.parametrize("family,rank", sorted(ROOT_COUNTS))
+    def test_sparse_kernel_matches_dense_oracle(self, family, rank):
+        rs = build_root_system(family, rank)
+        got, want = chevalley_constants(rs), _dense_chevalley_constants(rs)
+        for field in ("c", "cartan", "alpha_h", "gram_h", "matrices"):
+            # repr pins the sympy number types as well as the values
+            assert getattr(got, field) == getattr(want, field), field
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+    def test_non_proportional_bracket_rejected(self):
+        target = {(0, 1): Fraction(1), (2, 3): Fraction(2)}
+        assert _ratio({(0, 1): Fraction(3), (2, 3): Fraction(6)}, target,
+                      (1,), (1,)) == 3
+        with pytest.raises(RootSystemError, match="not proportional"):
+            _ratio({(0, 1): Fraction(3), (2, 3): Fraction(3)}, target, (1,), (1,))
+
+    @pytest.mark.parametrize("family,diag", [
+        ("B", {(0, 0): 1, (4, 4): 1}),       # mirror entry with the wrong sign
+        ("B", {(0, 0): 1}),                  # mirror entry missing
+        ("B", {(2, 2): 1}),                  # nonzero middle entry
+        ("B", {(0, 0): 1, (4, 4): -1, (0, 1): 1}),   # off the diagonal
+        ("C", {(1, 1): 1, (2, 2): 1}),
+        ("A", {(0, 0): 1, (1, 1): 1}),       # nonzero trace
+    ])
+    def test_cartan_decomposition_rejected(self, family, diag):
+        _, _, cartan, _ = _matrix_model(build_root_system(family, 2))
+        with pytest.raises(RootSystemError, match="cartan decomposition"):
+            _h_coords(diag, cartan, family)
+
+    def test_cartan_decomposition(self):
+        _, _, cartan, _ = _matrix_model(build_root_system("B", 2))
+        assert _h_coords({(0, 0): 1, (4, 4): -1, (1, 1): 2, (3, 3): -2},
+                         cartan, "B") == (1, 2)
+        _, _, cartan, _ = _matrix_model(build_root_system("A", 2))
+        assert _h_coords({(0, 0): 1, (2, 2): -1}, cartan, "A") == (1, 1)
+
     @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
     def test_normalization(self, family, rank):
-        from dynstar.rootsystems import root_name
         rs = build_root_system(family, rank)
         table = chevalley_constants(rs)
         for a in rs.roots:
@@ -151,7 +296,6 @@ class TestChevalleyConstants:
             assert sp.trace(Ea * Ena) == 1
 
     def test_a2_constants_against_matrices(self):
-        from dynstar.rootsystems import root_name
         rs = build_root_system("A", 2)
         table = chevalley_constants(rs)
         for a, b in itertools.product(rs.roots, rs.roots):
