@@ -2,7 +2,8 @@
 
 Each subcommand wraps one verification pipeline and emits a deterministic
 JSON report. Exit status: 0 when every requested check passes, 1 when a
-check fails (the report carries the residuals), 2 on malformed input.
+check fails (the report carries the residuals), 2 on malformed input and
+3 on an internal error (one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def _parse_t(s: Optional[str], rank: int, ctx: Context) -> dict:
         key, val = item.split("=", 1)
         try:
             out[_parse_simple_token(key, rank)] = ctx(val)
-        except TypeError as e:
+        except (TypeError, KeyError) as e:
+            # KeyError: the value names an undeclared parameter
             raise SchemaError(f"bad t value in {item!r}: {e}") from None
     return out
 
@@ -361,10 +363,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
     try:
         report = _COMMANDS[args.command](args)
-    except (SchemaError, KeyError, rsys.RootSystemError, cls.SpecError,
-            PoleError) as e:
+    except (SchemaError, rsys.RootSystemError, cls.SpecError, PoleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a fault of the program, not of the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     report = {"command": args.command, **_jsonable(report)}
     if not getattr(args, "canonical", False):
         report["elapsed_seconds"] = round(time.monotonic() - t0, 3)

@@ -6,7 +6,10 @@ adjacent swaps against the bracket table, with memoized word normal forms.
 The structure constants must be rational, so the bracket table and every
 normal form are kept over QQ; a product of elements touches the field once
 per pair of terms and sums the rational expansions in a
-:class:`~dynstar.scalars.FieldAccumulator`.
+:class:`~dynstar.scalars.FieldAccumulator`. :meth:`TensorUEA.add_product`
+adds into an accumulator its caller owns, so a series product sums each
+order in one accumulator, and coproducts add binomial splits with integer
+multiplicities.
 """
 
 from __future__ import annotations
@@ -39,15 +42,25 @@ def _lean(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def _product(ctx: Context, terms1: Mapping, terms2: Mapping,
-             expand: Callable[[object, object], Iterable]) -> dict:
-    """sum c1 c2 expand(k1, k2) over the term pairs, where ``expand`` gives
-    the product of two basis keys as (key, rational) pairs."""
-    acc = FieldAccumulator(ctx)
+def _product(terms1: Mapping, terms2: Mapping,
+             expand: Callable[[object, object], Iterable],
+             acc: FieldAccumulator) -> None:
+    """Add sum c1 c2 expand(k1, k2) over the term pairs into ``acc``, where
+    ``expand`` gives the product of two basis keys as (key, rational) pairs."""
     for k1, c1 in terms1.items():
         for k2, c2 in terms2.items():
             acc.add(c1 * c2, expand(k1, k2))
-    return acc.sums()
+
+
+def _binomial_splits(exp: Exp) -> list[tuple[Exp, Exp, int]]:
+    """The coproduct of a PBW monomial with primitive generators: every
+    (left, right, multiplicity) with left + right = exp, the multiplicity
+    a product of binomial coefficients."""
+    splits = [((), (), 1)]
+    for e in exp:
+        splits = [(l + (a,), r + (e - a,), m * math.comb(e, a))
+                  for l, r, m in splits for a in range(e + 1)]
+    return splits
 
 
 class PBWAlgebra:
@@ -167,9 +180,10 @@ class UEAElement(LinearCombination):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        return UEAElement(alg, _product(
-            alg.ctx, self.terms, other.terms,
-            lambda e1, e2: alg.multiply_monomials(e1, e2).items()))
+        acc = FieldAccumulator(alg.ctx)
+        _product(self.terms, other.terms,
+                 lambda e1, e2: alg.multiply_monomials(e1, e2).items(), acc)
+        return UEAElement(alg, acc.sums())
 
     def __rmul__(self, other) -> "UEAElement":
         if isinstance(other, UEAElement):
@@ -200,24 +214,10 @@ class UEAElement(LinearCombination):
         """Standard coproduct: generators primitive, extended
         multiplicatively. Exact on PBW monomials via binomial splits."""
         alg = self.algebra
-        z = alg.ctx.zero()
-        out: dict[tuple[Exp, Exp], FieldElement] = {}
+        acc = FieldAccumulator(alg.ctx)
         for exp, c in self.terms.items():
-            splits = [((0,) * alg.ngens, (0,) * alg.ngens, 1)]
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                new = []
-                for (l, r, m) in splits:
-                    for a in range(e + 1):
-                        ll = list(l); rr = list(r)
-                        ll[i] = a; rr[i] = e - a
-                        new.append((tuple(ll), tuple(rr), m * math.comb(e, a)))
-                splits = new
-            for (l, r, m) in splits:
-                key = (l, r)
-                out[key] = out.get(key, z) + c * m
-        return TensorUEA((alg, alg), out)
+            acc.add(c, [((l, r), m) for l, r, m in _binomial_splits(exp)])
+        return TensorUEA((alg, alg), acc.sums())
 
     def to_json(self) -> dict:
         return {
@@ -330,6 +330,13 @@ class TensorUEA(LinearCombination):
         """Slot-wise product."""
         if not isinstance(other, TensorUEA):
             return self.scale(other)
+        acc = FieldAccumulator(self.ctx)
+        self.add_product(other, acc)
+        return TensorUEA(self.slots, acc.sums())
+
+    def add_product(self, other: "TensorUEA", acc: FieldAccumulator) -> None:
+        """Add the slot-wise product self * other into ``acc``, keyed by
+        tensor keys."""
         self._check(other)
         slots = self.slots
 
@@ -342,40 +349,33 @@ class TensorUEA(LinearCombination):
                            for key, q in partial for e, r in nf]
             return partial
 
-        return TensorUEA(slots, _product(self.ctx, self.terms, other.terms,
-                                         expand))
+        _product(self.terms, other.terms, expand, acc)
 
     def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
-        """Apply the counit in one slot (drop it)."""
-        z = self.ctx.zero()
+        """Apply the counit in one slot (drop it). The kept keys all hold
+        the unit monomial in that slot, so dropping it merges no keys."""
         zero_exp = (0,) * self.slots[slot].ngens
+        out = {k[:slot] + k[slot + 1:]: v for k, v in self.terms.items()
+               if k[slot] == zero_exp}
         if len(self.slots) == 1:
-            acc = z
-            for k, v in self.terms.items():
-                if k[0] == zero_exp:
-                    acc = acc + v
-            return acc
-        out: dict[tuple, FieldElement] = {}
-        new_slots = self.slots[:slot] + self.slots[slot + 1:]
-        for k, v in self.terms.items():
-            if k[slot] != zero_exp:
-                continue
-            nk = k[:slot] + k[slot + 1:]
-            out[nk] = out.get(nk, z) + v
-        return TensorUEA(new_slots, out)
+            return out.get((), self.ctx.zero())
+        return TensorUEA(self.slots[:slot] + self.slots[slot + 1:], out)
 
     def slot_coproduct(self, slot: int) -> "TensorUEA":
-        """Apply the coproduct in one slot (split it into two)."""
+        """Apply the coproduct in one slot (split it into two). The splits
+        of each distinct slot monomial are computed once per call and enter
+        the sum with integer multiplicities."""
         alg = self.slots[slot]
-        z = self.ctx.zero()
-        out: dict[tuple, FieldElement] = {}
-        new_slots = self.slots[:slot] + (alg, alg) + self.slots[slot + 1:]
+        splits: dict[Exp, list] = {}
+        acc = FieldAccumulator(self.ctx)
         for k, v in self.terms.items():
-            cop = UEAElement(alg, {k[slot]: self.ctx.one()}).coproduct()
-            for (l, r), m in cop.terms.items():
-                nk = k[:slot] + (l, r) + k[slot + 1:]
-                out[nk] = out.get(nk, z) + v * m
-        return TensorUEA(new_slots, out)
+            e = k[slot]
+            if e not in splits:
+                splits[e] = _binomial_splits(e)
+            head, tail = k[:slot], k[slot + 1:]
+            acc.add(v, [(head + (l, r) + tail, m) for l, r, m in splits[e]])
+        return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:],
+                         acc.sums())
 
     def insert_unit(self, position: int) -> "TensorUEA":
         """Insert a unit slot of the first slot's algebra at the given

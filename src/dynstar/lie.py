@@ -8,6 +8,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .rootsystems import Root, StructureTable, root_name, _neg
 from .scalars import Context, FieldElement, LinearCombination
@@ -254,18 +257,19 @@ class Tensor3(_Tensor):
 
 
 def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
-    """The symmetric invariant tensor dual to the form (split Casimir)."""
+    """The symmetric invariant tensor dual to the form (split Casimir),
+    from the inverse of the form over QQ; the form must be rational."""
     d = g.dim
-    G = sp.Matrix(d, d, lambda i, j: g.form[i][j].expr)
-    if G.det() == 0:
-        raise LieAlgebraError("invariant form is degenerate")
-    Ginv = G.inv()
-    coeffs = {}
-    for i in range(d):
-        for j in range(d):
-            if Ginv[i, j] != 0:
-                coeffs[(i, j)] = g.ctx(Ginv[i, j])
-    return Tensor2(g, coeffs)
+    rows = [[x.as_rational() for x in row] for row in g.form]
+    if any(q is None for row in rows for q in row):
+        raise LieAlgebraError("invariant form is not rational")
+    try:
+        inv = DomainMatrix(rows, (d, d), QQ).inv()
+    except DMNonInvertibleMatrixError:
+        raise LieAlgebraError("invariant form is degenerate") from None
+    return Tensor2(g, {(i, j): g.ctx.constant(q)
+                       for i, row in enumerate(inv.to_list())
+                       for j, q in enumerate(row) if q})
 
 
 def cyb(r: Tensor2) -> Tensor3:

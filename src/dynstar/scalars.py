@@ -11,6 +11,9 @@ their monomial lcm. A fraction is zero exactly when its numerator is, so
 the zero test needs no reduction, and equality cross-multiplies. The gcd
 (``PolyElement.cancel``) is taken only where a canonical pair is needed:
 printing, hashing, ``expr``, differentiation and series expansion.
+Reports are printed straight from the reduced pair, with the content,
+sign and term order that sympy's ``cancel`` and printer give; no sympy
+expression is built, and sympy printing survives only as a test oracle.
 
 All higher layers (tensors, enveloping algebras, twists) keep their
 coefficients in a single shared :class:`Context`, so every identity in the
@@ -20,12 +23,15 @@ library reduces to a zero test in this field.
 from __future__ import annotations
 
 import fractions
+import functools
+import math
 import operator
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing
 
 Scalarish = Union["FieldElement", int, fractions.Fraction, str, sp.Expr]
@@ -58,6 +64,10 @@ class Context:
             sp.Symbol(n, commutative=True) for n in self.names
         )
         self._by_name = dict(zip(self.names, self.symbols))
+        # printing signs by lex order over the generators sorted as sympy's
+        # cancel sorts them (t1 before hbar), and orders terms by name
+        self._sign_gens = tuple(map(self.symbols.index, _sort_gens(self.symbols)))
+        self._print_gens = tuple(sorted(range(len(names)), key=self.names.__getitem__))
         self.ring = PolyRing(self.symbols, QQ, lex)
         self._one_poly = self.ring.one     # the denominator of every polynomial
         self._zero = FieldElement(self, self.ring.zero, self._one_poly)
@@ -160,8 +170,15 @@ class FieldElement:
 
     def _reduce(self) -> None:
         if not self._reduced:
-            num, den = self.num.cancel(self.den)
-            red = _frac(self.context, num.quo_ground(den.LC), den.monic())
+            if len(self.den) == 1:
+                # a one-term denominator shares only a monomial with num
+                g = functools.reduce(self.context.ring.monomial_gcd,
+                                     self.num.itermonoms(), self.den.LM)
+                num, den = (p.quo_term((g, QQ.one)) for p in (self.num, self.den))
+            else:
+                num, den = self.num.cancel(self.den)
+                num, den = num.quo_ground(den.LC), den.monic()
+            red = _frac(self.context, num, den)
             self.num, self.den, self._const = red.num, red.den, red._const
             self._reduced = True
 
@@ -372,17 +389,28 @@ class FieldElement:
 
     def to_string(self) -> str:
         """Serialize in the report grammar: integer coefficients, `^` powers,
-        explicit `*`, parenthesized numerator/denominator."""
-        num, den = sp.fraction(sp.together(self.expr))
-        # clear rational content so both parts have integer coefficients
-        ncon, nprim = sp.expand(num).as_content_primitive()
-        dcon, dprim = sp.expand(den).as_content_primitive()
-        ratio = sp.Rational(ncon / dcon)
-        num = nprim * ratio.p
-        den = dprim * ratio.q
-        if den == 1:
-            return _poly_string(num)
-        return f"({_poly_string(num)})/({_poly_string(den)})"
+        explicit `*`, parenthesized numerator/denominator.
+
+        Printed from the reduced pair: both parts are scaled to integer
+        coefficients with no common factor, signed so that the denominator
+        leads with a positive coefficient, and ordered as the context says.
+        """
+        if not self.num:
+            return "0"
+        self._reduce()
+        ctx = self.context
+        num, den = list(self.num.items()), list(self.den.items())
+        scale = math.lcm(*(c.denominator for _, c in num + den))
+        num = [(m, c.numerator * (scale // c.denominator)) for m, c in num]
+        den = [(m, c.numerator * (scale // c.denominator)) for m, c in den]
+        g = math.gcd(*(c for _, c in num + den))
+        _, lead = max(den, key=lambda t: [t[0][i] for i in ctx._sign_gens])
+        g = -g if lead < 0 else g
+        num = [(m, c // g) for m, c in num]
+        den = [(m, c // g) for m, c in den]
+        if den == [(ctx.ring.zero_monom, 1)]:
+            return _terms_string(ctx, num)
+        return f"({_terms_string(ctx, num)})/({_terms_string(ctx, den)})"
 
     def __repr__(self) -> str:
         return f"FieldElement({self.to_string()})"
@@ -411,9 +439,19 @@ def _substitute(ctx: Context, p: PolyElement,
     return acc
 
 
-def _poly_string(e: sp.Expr) -> str:
-    s = sp.sstr(sp.expand(e), order="grlex")
-    return s.replace("**", "^").replace(" ", "")
+def _terms_string(ctx: Context, terms: list[tuple[tuple, int]]) -> str:
+    """Integer-coefficient terms in descending grlex, signs joined with no
+    spaces and unit coefficients dropped."""
+    gens = ctx._print_gens
+    out = []
+    for m, c in sorted(terms, reverse=True,
+                       key=lambda t: (sum(t[0]), [t[0][i] for i in gens])):
+        factors = [ctx.names[i] if m[i] == 1 else f"{ctx.names[i]}^{m[i]}"
+                   for i in gens if m[i]]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        out.append(("-" if c < 0 else "+") + "*".join(factors))
+    return "".join(out).removeprefix("+")
 
 
 class SeriesCoefficients:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .enveloping import PBWAlgebra, TensorUEA, UEAElement
 from .lie import Tensor2, Tensor3, alt, cyb
-from .scalars import HBAR, LAM, Context, FieldElement
+from .scalars import HBAR, LAM, Context, FieldAccumulator, FieldElement
 
 
 class TwistError(ValueError):
@@ -64,10 +64,11 @@ class TwistSeries:
         N = min(self.truncation, other.truncation)
         out = []
         for r in range(N + 1):
-            acc = TensorUEA(self.slots, {})
+            # one accumulator per order: fractions are formed once, at the end
+            acc = FieldAccumulator(self.ctx)
             for p in range(r + 1):
-                acc = acc + self.order(p) * other.order(r - p)
-            out.append(acc)
+                self.order(p).add_product(other.order(r - p), acc)
+            out.append(TensorUEA(self.slots, acc.sums()))
         return TwistSeries(self.slots, out, validate=False)
 
     def __sub__(self, other: "TwistSeries") -> "TwistSeries":

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dynstar import cli
 from dynstar.cli import run
 
 
@@ -45,7 +46,7 @@ class TestClassify:
                     "--delta", "a1", "--t", "a1=1"])
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["sin(t1)", "("])
+    @pytest.mark.parametrize("value", ["sin(t1)", "(", "t9"])
     def test_malformed_t_value(self, capsys, value):
         code = run(["classify", "--type", "A", "--rank", "2",
                     "--delta", "a1", "--t", f"a1={value}"])
@@ -206,3 +207,14 @@ class TestPlumbing:
 
     def test_job_file_unreadable(self, capsys, tmp_path):
         assert run(["--job", str(tmp_path / "absent.json")]) == 2
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        # a fault inside a command is not blamed on the input
+        def broken(args):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+        assert run(["classify", "--type", "A", "--rank", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: KeyError: 'boom'\n"

@@ -1,10 +1,15 @@
 import pytest
+import sympy as sp
 
 from dynstar import (LieAlgebraData, LieAlgebraError, Tensor2,
                      Tensor3, alt, build_casimir_tensor, build_root_system,
                      check_invariance, chevalley_constants, cyb,
                      realize_lie_algebra, reduce_mod_u, sl2,
                      tensor2_from_names, tensor_to_json)
+
+# every (family, rank) the root-system layer builds
+CLASSICAL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                   ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4)]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,28 @@ class TestCasimir:
         g = LieAlgebraData(ctx, ("a", "b"), {}, [[z, z], [z, z]])
         with pytest.raises(LieAlgebraError):
             build_casimir_tensor(g)
+
+    def test_non_rational_form_rejected(self, ctx):
+        z, lam = ctx.zero(), ctx.var("lam")
+        g = LieAlgebraData(ctx, ("a", "b"), {}, [[lam, z], [z, lam]])
+        with pytest.raises(LieAlgebraError, match="not rational"):
+            build_casimir_tensor(g)
+
+    @pytest.mark.parametrize("with_u", [False, True], ids=["plain", "U"])
+    @pytest.mark.parametrize("family,rank", CLASSICAL_TYPES,
+                             ids=[f"{f}{r}" for f, r in CLASSICAL_TYPES])
+    def test_matches_dense_inverse(self, ctx, family, rank, with_u):
+        # oracle: the dense sympy inverse of the form, as the split
+        # Casimir was built before it was inverted over QQ
+        rs = build_root_system(family, rank)
+        U = [rs.simple[0], tuple(-c for c in rs.simple[0])] if with_u else None
+        g = realize_lie_algebra(chevalley_constants(rs), ctx, U=U)
+        inv = sp.Matrix(g.dim, g.dim, lambda i, j: g.form[i][j].expr).inv()
+        want = Tensor2(g, {(i, j): ctx(inv[i, j]) for i in range(g.dim)
+                           for j in range(g.dim) if inv[i, j] != 0})
+        om = build_casimir_tensor(g)
+        assert om.coeffs == want.coeffs
+        assert all(c.as_rational() is not None for c in om.coeffs.values())
 
 
 class TestTensorOps:

@@ -174,13 +174,17 @@ class TestPrinting:
 
 LAM, HBAR = sp.symbols("lam hbar")
 
+# the CLI's context: declared order (lam first), name order (hbar first)
+# and the order sympy's cancel sorts generators in (t1 first) all differ
+CLI_NAMES = ["lam", "hbar", "t1", "t2", "t3", "t4"]
+
 
 def pairs(ctx):
-    """(FieldElement, sympy expression) pairs of equal value."""
+    """(FieldElement, sympy expression) pairs of equal value, in all the
+    context's symbols."""
     base = st.one_of(
         rationals().map(lambda q: (ctx(q), sp.Rational(q.numerator, q.denominator))),
-        st.just((ctx.var("lam"), LAM)),
-        st.just((ctx.var("hbar"), HBAR)),
+        st.sampled_from(ctx.names).map(lambda n: (ctx.var(n), ctx.symbol(n))),
     )
 
     def combine(children):
@@ -210,6 +214,31 @@ def hidden_zeros(ctx):
 
     return st.one_of(st.tuples(pairs(ctx), nonzero, nonzero).map(quotient),
                      pairs(ctx).map(square))
+
+
+def unit_fractions(ctx):
+    """(FieldElement, sympy expression) pairs q * P / Q with P and Q sums
+    of distinct monomials with coefficients +-1."""
+    monomial = st.lists(st.sampled_from(ctx.names), max_size=3).map(
+        lambda ns: tuple(sorted(ns)))
+    signed = st.dictionaries(monomial, st.sampled_from([1, -1]),
+                             min_size=1, max_size=4)
+
+    def build(terms):
+        f, e = ctx.zero(), sp.Integer(0)
+        for names, sign in terms.items():
+            t, x = ctx(sign), sp.Integer(sign)
+            for n in names:
+                t, x = t * ctx.var(n), x * ctx.symbol(n)
+            f, e = f + t, e + x
+        return f, e
+
+    def fraction(t):
+        (p, ep), (q, eq), c = t
+        return ctx(c) * p / q, sp.Rational(c.numerator, c.denominator) * ep / eq
+
+    return st.tuples(signed.map(build), signed.map(build).filter(
+        lambda p: not p[0].is_zero()), rationals().filter(bool)).map(fraction)
 
 
 def oracle_string(expr):
@@ -249,11 +278,21 @@ class TestAgainstSympyOracle:
         assert (f == g) == oracle_zero(e - d)
         assert f == f + (g - g)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_to_string(self, data):
-        ctx = Context(["lam", "hbar"])
+        ctx = Context(CLI_NAMES)
         f, e = data.draw(pairs(ctx))
+        assert f.to_string() == oracle_string(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_to_string_unit_coefficients(self, data):
+        # sums of +-1 monomials over sums of +-1 monomials, times a
+        # rational content: the printer drops unit coefficients and must
+        # sign the denominator as sympy does
+        ctx = Context(CLI_NAMES)
+        f, e = data.draw(unit_fractions(ctx))
         assert f.to_string() == oracle_string(e)
 
     @settings(max_examples=40, deadline=None)
@@ -302,6 +341,22 @@ def test_fixed_elements_against_oracle(c2, text):
     assert f.to_string() == (g / h).to_string() == oracle_string(e)
     assert f == g / h and f != f + 1 and (f != 0) == (not oracle_zero(e))
     assert c2(1) != c2(2) and c2("1/2") == fractions.Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "1", "-4", "3/7", "-6/4", "t3/6", "1/(2*t4)",
+    "1/(lam-t1)", "(hbar+1)/(t2*lam-t1*hbar)", "(lam-hbar)/(hbar-t3)",
+    "(t1-lam)/(-t2+hbar^2)", "-(2*t1+4*lam)/(6*hbar*t4-9*lam^2)",
+    "(t1*t2-t3)/(lam*hbar-t4^2+1)"])
+def test_cli_context_fixed_against_oracle(text):
+    # the denominators' leading signs differ between the ring's order
+    # (lam, hbar, t1, ...), the name order (hbar, lam, t1, ...) and the
+    # generator order of sympy's cancel (t1, ..., hbar, lam)
+    ctx = Context(CLI_NAMES)
+    f = ctx(text)
+    e = sp.sympify(text.replace("^", "**"), locals=dict(zip(ctx.names, ctx.symbols)))
+    assert f.to_string() == oracle_string(e)
+    assert (f * (ctx.var("t1") + 1) / (ctx.var("t1") + 1)).to_string() == f.to_string()
 
 
 class TestExactPruning:

@@ -1,10 +1,15 @@
+import hashlib
+import json
+import math
+
 import pytest
 
 from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
                      abrr_twist, check_cdybe, check_dynamical_twist,
                      check_h_invariance, classical_limit_r, shift_twist, sl2,
                      tensor2_from_names)
-from dynstar.twist import abrr_factor_series
+from dynstar import twist
+from dynstar.twist import abrr_factor_series, cocycle_residual, cocycle_sides
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +176,120 @@ def test_json_round_structure(J5):
     assert js["deformation"] == "hbar"
     assert js["truncation"] == 5
     assert len(js["orders"]) == 6
+
+
+# -- references: the series product and the slot coproduct as they were
+# computed before each order was summed in one accumulator -----------------
+
+def reference_series_mul(A, B):
+    """Each order summed through LinearCombination additions."""
+    out = []
+    for r in range(min(A.truncation, B.truncation) + 1):
+        acc = TensorUEA(A.slots, {})
+        for p in range(r + 1):
+            acc = acc + A.order(p) * B.order(r - p)
+        out.append(acc)
+    return TwistSeries(A.slots, out, validate=False)
+
+
+def reference_splits(exp):
+    """The coproduct of a PBW monomial, one exponent at a time."""
+    n = len(exp)
+    splits = [((0,) * n, (0,) * n, 1)]
+    for i, e in enumerate(exp):
+        if e == 0:
+            continue
+        new = []
+        for (l, r, m) in splits:
+            for a in range(e + 1):
+                ll, rr = list(l), list(r)
+                ll[i], rr[i] = a, e - a
+                new.append((tuple(ll), tuple(rr), m * math.comb(e, a)))
+        splits = new
+    return splits
+
+
+def reference_slot_coproduct(t, slot):
+    """One coproduct per term, each multiplicity a field multiplication."""
+    alg, ctx = t.slots[slot], t.ctx
+    out = {}
+    for k, v in t.terms.items():
+        for l, r, m in reference_splits(k[slot]):
+            nk = k[:slot] + (l, r) + k[slot + 1:]
+            out[nk] = out.get(nk, ctx.zero()) + v * ctx(m)
+    return TensorUEA(t.slots[:slot] + (alg, alg) + t.slots[slot + 1:], out)
+
+
+def doubled_twist(U, N):
+    """abrr_twist with its first order-2 coefficient doubled."""
+    J = abrr_twist(U, N)
+    orders = list(J.orders)
+    terms = dict(orders[2].terms)
+    key = min(terms)
+    terms[key] = terms[key] * 2
+    orders[2] = TensorUEA((U, U), terms)
+    return TwistSeries((U, U), orders, validate=False)
+
+
+def wrong_shift_twist(U, N, monkeypatch):
+    """abrr_twist with the resolvent shifts j replaced by 2j."""
+    real = twist._h_powers
+    with monkeypatch.context() as m:
+        m.setattr(twist, "_h_powers",
+                  lambda alg, shift, kmax: real(alg, 2 * shift, kmax))
+        return abrr_twist(U, N)
+
+
+def series_equal(A, B):
+    return A.slots == B.slots and A.truncation == B.truncation and all(
+        (a - b).is_zero() for a, b in zip(A.orders, B.orders))
+
+
+class TestAgainstReferences:
+    @pytest.fixture(scope="class")
+    def twists(self, U):
+        return {"abrr": abrr_twist(U, 4), "doubled": doubled_twist(U, 4)}
+
+    @pytest.mark.parametrize("name", ["abrr", "doubled"])
+    def test_series_product(self, twists, name):
+        J = twists[name]
+        lhs12 = J.map_orders(lambda t: t.slot_coproduct(0))
+        rhs12 = J.map_orders(lambda t: t.slot_coproduct(1))
+        J23 = J.map_orders(lambda t: t.insert_unit(0))
+        for A, B in ((J, J), (lhs12, shift_twist(J)), (rhs12, J23)):
+            assert series_equal(A * B, reference_series_mul(A, B))
+        lhs, rhs = cocycle_sides(J, shift_twist(J))
+        assert series_equal(lhs, reference_series_mul(lhs12, shift_twist(J)))
+        assert series_equal(rhs, reference_series_mul(rhs12, J23))
+
+    @pytest.mark.parametrize("name", ["abrr", "doubled", "shifted"])
+    def test_slot_coproduct(self, twists, name):
+        J = shift_twist(twists["abrr"]) if name == "shifted" else twists[name]
+        for t in J.orders:
+            for slot in range(len(J.slots)):
+                want = reference_slot_coproduct(t, slot)
+                got = t.slot_coproduct(slot)
+                assert got.slots == want.slots and (got - want).is_zero()
+
+    def test_element_coproduct(self, U):
+        u = (U.gen("y") + U.gen("h") * U.gen("x")) ** 3 + U.one().scale(2)
+        unit = TensorUEA((U,), {(e,): c for e, c in u.terms.items()})
+        want = reference_slot_coproduct(unit, 0)
+        assert (u.coproduct() - want).is_zero()
+
+    # sha256 of the sorted-key JSON of cocycle_residual(J, shift_twist(J)),
+    # recorded before the per-order accumulator: checked_through,
+    # failing_orders and first_residual must stay byte-identical
+    @pytest.mark.parametrize("kind,failing,digest", [
+        ("doubled", [3, 4],
+         "1ac1820eea2b092afe84f8d747f900261fe2ac395967bad6e75b922b6dc8d9dd"),
+        ("wrong_shift", [3, 4],
+         "ca5567479da233b8d37a59a54a55c5308a83d060f91783b76733f6c6a73c0716"),
+    ], ids=["doubled", "wrong_shift"])
+    def test_mutated_residual_digest(self, U, monkeypatch, kind, failing, digest):
+        J = doubled_twist(U, 4) if kind == "doubled" else \
+            wrong_shift_twist(U, 4, monkeypatch)
+        rep = cocycle_residual(J, shift_twist(J))
+        assert rep["failing_orders"] == failing and rep["checked_through"] == 4
+        text = json.dumps(rep, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
