@@ -206,14 +206,8 @@ def check_shift_form(fam: CoefficientFamily) -> bool:
 def coefficients_to_tensor(fam: CoefficientFamily, g: LieAlgebraData) -> Tensor2:
     """r = sum x_alpha E_alpha (x) E_{-alpha} + Omega/2 in the realized
     algebra; satisfies r + r^21 = Omega by construction."""
-    omega = build_casimir_tensor(g)
-    r = omega.scale(sp.Rational(1, 2))
-    coeffs = dict(r.coeffs)
-    z = g.ctx.zero()
-    for a, xa in fam.x.items():
-        i, j = g.root_index[a], g.root_index[_neg(a)]
-        coeffs[(i, j)] = coeffs.get((i, j), z) + xa
-    return Tensor2(g, coeffs)
+    return build_casimir_tensor(g).scale(sp.Rational(1, 2)) + Tensor2(g, {
+        (g.root_index[a], g.root_index[_neg(a)]): xa for a, xa in fam.x.items()})
 
 
 def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:

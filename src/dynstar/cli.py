@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import classify as cls
 from . import rootsystems as rsys
-from .enveloping import PBWAlgebra
+from .enveloping import DegreeCapError, PBWAlgebra
 from .lie import realize_lie_algebra, sl2, tensor2_from_names, tensor_to_json
 from .scalars import HBAR, LAM, Context, PoleError
 from .twist import (abrr_twist, check_cdybe, check_dynamical_twist,
@@ -45,10 +45,16 @@ def _parse_simple_token(tok: str, rank: int) -> tuple[int, ...]:
     return tuple(1 if i == k - 1 else 0 for i in range(rank))
 
 
+def _distinct(roots: list, s: str) -> list:
+    if len(set(roots)) != len(roots):
+        raise SchemaError(f"repeated token in {s!r}")
+    return roots
+
+
 def _parse_delta(s: Optional[str], rank: int) -> list[tuple[int, ...]]:
     if not s or s.lower() == "none":
         return []
-    return [_parse_simple_token(t, rank) for t in s.split(",")]
+    return _distinct([_parse_simple_token(t, rank) for t in s.split(",")], s)
 
 
 def _parse_u(s: Optional[str], rank: int) -> list[tuple[int, ...]]:
@@ -62,14 +68,15 @@ def _parse_u(s: Optional[str], rank: int) -> list[tuple[int, ...]]:
         r = _parse_simple_token(tok[3:], rank)
         out.append(r)
         out.append(tuple(-c for c in r))
-    return out
+    return _distinct(out, s)
 
 
 def _parse_t(s: Optional[str], rank: int, ctx: Context) -> dict:
     if not s:
         return {}
     out = {}
-    for item in s.split(","):
+    items = s.split(",")
+    for item in items:
         if "=" not in item:
             raise SchemaError(f"bad t binding {item!r} (expected aK=expr)")
         key, val = item.split("=", 1)
@@ -78,6 +85,8 @@ def _parse_t(s: Optional[str], rank: int, ctx: Context) -> dict:
         except (TypeError, KeyError) as e:
             # KeyError: the value names an undeclared parameter
             raise SchemaError(f"bad t value in {item!r}: {e}") from None
+    if len(out) < len(items):
+        raise SchemaError(f"repeated token in {s!r}")
     return out
 
 
@@ -363,7 +372,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
     try:
         report = _COMMANDS[args.command](args)
-    except (SchemaError, rsys.RootSystemError, cls.SpecError, PoleError) as e:
+    except (SchemaError, rsys.RootSystemError, cls.SpecError, PoleError, DegreeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -30,6 +30,10 @@ class EnvelopingError(ValueError):
     pass
 
 
+class DegreeCapError(EnvelopingError):
+    """A word longer than the degree cap: a limit on the input, not a fault."""
+
+
 def _rational(c: FieldElement, what: str):
     q = c.as_rational()
     if q is None:
@@ -124,7 +128,7 @@ class PBWAlgebra:
         """The PBW normal form of a word of generator indices: rational
         coefficients (ints when integral), none of them zero."""
         if len(word) > self.degree_cap:
-            raise EnvelopingError(
+            raise DegreeCapError(
                 f"word length {len(word)} exceeds degree cap {self.degree_cap}")
         memo = self._word_memo
         if word in memo:
@@ -391,8 +395,7 @@ class TensorUEA(LinearCombination):
     def map_slots(self, f) -> "TensorUEA":
         """Apply an element-wise map (UEAElement -> UEAElement, possibly into
         another algebra) independently in every slot."""
-        z = self.ctx.zero()
-        acc: dict[tuple, FieldElement] = {}
+        acc = FieldAccumulator(self.ctx)
         new_slots = None
         for k, v in self.terms.items():
             mapped = [f(UEAElement(alg, {e: self.ctx.one()}))
@@ -407,10 +410,10 @@ class TensorUEA(LinearCombination):
                     for e, cf in m.terms.items()
                 ]
             for key, cc in partial:
-                acc[key] = acc.get(key, z) + cc
+                acc.add(cc, ((key, 1),))
         if new_slots is None:
             new_slots = self.slots
-        return TensorUEA(new_slots, acc)
+        return TensorUEA(new_slots, acc.sums())
 
     def to_json(self) -> list[dict]:
         return [

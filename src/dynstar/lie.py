@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .rootsystems import Root, StructureTable, root_name, _neg
-from .scalars import Context, FieldElement, LinearCombination
+from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination
 
 
 class LieAlgebraError(ValueError):
@@ -66,12 +66,12 @@ class LieAlgebraData:
 
     def bracket_vectors(self, v: Mapping[int, FieldElement],
                         w: Mapping[int, FieldElement]) -> dict[int, FieldElement]:
-        out: dict[int, FieldElement] = {}
+        acc = FieldAccumulator(self.ctx)
         for i, a in v.items():
             for j, b in w.items():
                 for k, c in self.bracket(i, j).items():
-                    out[k] = out.get(k, self.ctx.zero()) + a * b * c
-        return {k: x for k, x in out.items() if not x.is_zero()}
+                    acc.add(a * b * c, ((k, 1),))
+        return {k: x for k, x in acc.sums().items() if x}
 
     def pairing(self, i: int, j: int) -> FieldElement:
         return self.form[i][j]
@@ -79,7 +79,6 @@ class LieAlgebraData:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        z = self.ctx.zero()
         d = self.dim
         for i in range(d):
             for j in range(d):
@@ -89,13 +88,12 @@ class LieAlgebraData:
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    acc: dict[int, FieldElement] = {}
+                    acc = FieldAccumulator(self.ctx)
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(b, c)
-                        for t, coeff in inner.items():
+                        for t, coeff in self.bracket(b, c).items():
                             for s, coeff2 in self.bracket(a, t).items():
-                                acc[s] = acc.get(s, z) + coeff * coeff2
-                    if any(not v.is_zero() for v in acc.values()):
+                                acc.add(coeff * coeff2, ((s, 1),))
+                    if any(acc.sums().values()):
                         raise LieAlgebraError(
                             f"Jacobi fails on ({self.names[i]}, {self.names[j]}, "
                             f"{self.names[k]})")
@@ -105,14 +103,12 @@ class LieAlgebraData:
         nonzero = [{b: f for b, f in enumerate(row) if not f.is_zero()}
                    for row in self.form]
         for zi in range(d):
-            acc: dict[tuple[int, int], FieldElement] = {}
+            acc = FieldAccumulator(self.ctx)
             for a in range(d):
                 for t, c in self.bracket(zi, a).items():
                     for b, f in nonzero[t].items():
-                        cf = c * f
-                        acc[a, b] = acc.get((a, b), z) + cf
-                        acc[b, a] = acc.get((b, a), z) + cf
-            if any(not v.is_zero() for v in acc.values()):
+                        acc.add(c * f, (((a, b), 1), ((b, a), 1)))
+            if any(acc.sums().values()):
                 raise LieAlgebraError("form not ad-invariant")
         if self.u_indices is not None:
             uset = set(self.u_indices)
@@ -245,9 +241,6 @@ class Tensor2(_Tensor):
         """The 21-flip."""
         return Tensor2(self.algebra, {(j, i): v for (i, j), v in self.coeffs.items()})
 
-    def is_symmetric(self) -> bool:
-        return (self - self.transpose()).is_zero()
-
     def is_antisymmetric(self) -> bool:
         return (self + self.transpose()).is_zero()
 
@@ -275,34 +268,26 @@ def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
 def cyb(r: Tensor2) -> Tensor3:
     """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23]."""
     g = r.algebra
-    z = g.ctx.zero()
-    out: dict[tuple, FieldElement] = {}
-
-    def acc(key, val):
-        out[key] = out.get(key, z) + val
-
+    acc = FieldAccumulator(g.ctx)
     items = list(r.coeffs.items())
     for (a, b), v1 in items:
         for (c, d), v2 in items:
             v = v1 * v2
             for k, cf in g.bracket(a, c).items():   # [r12, r13]
-                acc((k, b, d), v * cf)
+                acc.add(v * cf, (((k, b, d), 1),))
             for k, cf in g.bracket(b, c).items():   # [r12, r23]
-                acc((a, k, d), v * cf)
+                acc.add(v * cf, (((a, k, d), 1),))
             for k, cf in g.bracket(b, d).items():   # [r13, r23]
-                acc((a, c, k), v * cf)
-    return Tensor3(g, out)
+                acc.add(v * cf, (((a, c, k), 1),))
+    return Tensor3(g, acc.sums())
 
 
 def alt(t: Tensor3) -> Tensor3:
     """Alt(t) = t^123 + t^231 + t^312 (sum of cyclic slot rotations)."""
-    g = t.algebra
-    z = g.ctx.zero()
-    out: dict[tuple, FieldElement] = {}
+    acc = FieldAccumulator(t.ctx)
     for (a, b, c), v in t.coeffs.items():
-        for key in ((a, b, c), (c, a, b), (b, c, a)):
-            out[key] = out.get(key, z) + v
-    return Tensor3(g, out)
+        acc.add(v, (((a, b, c), 1), ((c, a, b), 1), ((b, c, a), 1)))
+    return Tensor3(t.algebra, acc.sums())
 
 
 def reduce_mod_u(t: Tensor3) -> Tensor3:
@@ -319,15 +304,13 @@ def reduce_mod_u(t: Tensor3) -> Tensor3:
 def check_invariance(t: _Tensor, generators: Iterable[int]) -> bool:
     """True iff ad_z applied across all slots sums to zero for each z."""
     g = t.algebra
-    z0 = g.ctx.zero()
     for zi in generators:
-        out: dict[tuple, FieldElement] = {}
+        acc = FieldAccumulator(g.ctx)
         for key, v in t.coeffs.items():
             for slot in range(t.rank):
                 for k, cf in g.bracket(zi, key[slot]).items():
-                    nk = key[:slot] + (k,) + key[slot + 1:]
-                    out[nk] = out.get(nk, z0) + v * cf
-        if any(not v.is_zero() for v in out.values()):
+                    acc.add(v * cf, ((key[:slot] + (k,) + key[slot + 1:], 1),))
+        if any(acc.sums().values()):
             return False
     return True
 

@@ -5,7 +5,9 @@ Functions are polynomials in the matrix entries g11, g12, g21, g22 kept in
 normal form modulo the determinant relation: any monomial divisible by
 g11*g22 is rewritten through g11*g22 -> g12*g21 + 1, which is confluent
 because the relation is principal and the substitution lowers the g11
-exponent.
+exponent. Products, that rewriting and the vector fields sum their terms in
+a :class:`~dynstar.scalars.FieldAccumulator`, with the binomial
+multiplicities and the integer vector-field entries as rational multipliers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .enveloping import PBWAlgebra, UEAElement
-from .scalars import HBAR, LAM, Context, FieldElement, LinearCombination
+from .scalars import (HBAR, LAM, Context, FieldAccumulator, FieldElement,
+                      LinearCombination)
 
 MATRIX_VARS = ("g11", "g12", "g21", "g22")
 MExp = tuple[int, int, int, int]
@@ -31,21 +34,13 @@ class OrbitError(ValueError):
 
 
 def _normalize(ctx: Context, terms: Mapping[MExp, FieldElement]) -> dict[MExp, FieldElement]:
-    z = ctx.zero()
-    out: dict[MExp, FieldElement] = {}
+    acc = FieldAccumulator(ctx)
     for (a, b, c, d), v in terms.items():
-        if v.is_zero():
-            continue
-        k = min(a, d)
-        if k == 0:
-            key = (a, b, c, d)
-            out[key] = out.get(key, z) + v
-            continue
         # g11^a g22^d = g11^(a-k) g22^(d-k) (g12 g21 + 1)^k
-        for i in range(k + 1):
-            key = (a - k, b + i, c + i, d - k)
-            out[key] = out.get(key, z) + v * math.comb(k, i)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        k = min(a, d)
+        acc.add(v, [((a - k, b + i, c + i, d - k), math.comb(k, i))
+                    for i in range(k + 1)])
+    return {k: v for k, v in acc.sums().items() if v}
 
 
 class OrbitFunction(LinearCombination):
@@ -74,13 +69,11 @@ class OrbitFunction(LinearCombination):
     def __mul__(self, other) -> "OrbitFunction":
         if not isinstance(other, OrbitFunction):
             return self.scale(other)
-        z = self.ctx.zero()
-        out: dict[MExp, FieldElement] = {}
+        acc = FieldAccumulator(self.ctx)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, z) + c1 * c2
-        return OrbitFunction(self.ctx, out)
+                acc.add(c1 * c2, ((tuple(a + b for a, b in zip(e1, e2)), 1),))
+        return OrbitFunction(self.ctx, acc.sums())
 
     def __rmul__(self, other) -> "OrbitFunction":
         if isinstance(other, OrbitFunction):
@@ -157,24 +150,21 @@ _GEN_MATRICES: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 
 
 def _vector_field(f: OrbitFunction, coeff_of_dkl) -> OrbitFunction:
-    """Apply sum_{kl} coeff(k,l) d/dg_{kl} where each coefficient is an
-    OrbitFunction-style term map."""
-    ctx = f.ctx
-    z = ctx.zero()
-    out: dict[MExp, FieldElement] = {}
+    """Apply sum_{kl} coeff(k,l) d/dg_{kl} where each coefficient maps
+    monomials to integers."""
+    acc = FieldAccumulator(f.ctx)
     for e, c in f.terms.items():
         for pos in range(4):
             if e[pos] == 0:
                 continue
             de = list(e)
             de[pos] -= 1
-            for me, mc in coeff_of_dkl[pos].items():
-                key = tuple(a + b for a, b in zip(de, me))
-                out[key] = out.get(key, z) + c * e[pos] * mc
-    return OrbitFunction(ctx, out)
+            acc.add(c, [(tuple(a + b for a, b in zip(de, me)), e[pos] * mc)
+                        for me, mc in coeff_of_dkl[pos].items()])
+    return OrbitFunction(f.ctx, acc.sums())
 
 
-def _product_coeffs(ctx: Context, name: str, invariant: bool):
+def _product_coeffs(name: str, invariant: bool):
     """The entries of g v (the left-invariant field, ``invariant``) or of
     v g (the infinitesimal left translation, which commutes with every
     left-invariant operator) for the generator v, indexed by the flattened
@@ -183,23 +173,23 @@ def _product_coeffs(ctx: Context, name: str, invariant: bool):
     coeffs = []
     for k in range(2):
         for l in range(2):
-            poly: dict[MExp, FieldElement] = {}
+            poly: dict[MExp, int] = {}
             for m in range(2):
                 pos, c = (2 * k + m, v[m][l]) if invariant else (2 * m + l, v[k][m])
                 if c:
-                    poly[tuple(int(i == pos) for i in range(4))] = ctx(c)
+                    poly[tuple(int(i == pos) for i in range(4))] = c
             coeffs.append(poly)
     return coeffs
 
 
 def generator_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The left-invariant vector field of one sl(2) generator."""
-    return _vector_field(f, _product_coeffs(f.ctx, name, True))
+    return _vector_field(f, _product_coeffs(name, True))
 
 
 def group_action_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The generator of the left G-translation action on functions."""
-    return _vector_field(f, _product_coeffs(f.ctx, name, False))
+    return _vector_field(f, _product_coeffs(name, False))
 
 
 def invariant_derivative(u: Union[UEAElement, Mapping], f: OrbitFunction) -> OrbitFunction:

@@ -18,7 +18,7 @@ from typing import Optional
 from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
                          project_drop_right)
 from .lie import LieAlgebraData, sl2
-from .scalars import HBAR, LAM, Context
+from .scalars import HBAR, LAM, Context, FieldAccumulator
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
                     cocycle_sides, counit_ok, shift_twist)
 
@@ -51,16 +51,11 @@ class SplittingData:
         idx = self.algebra.index
         b, a, c = (idx[self.v_names[0]], idx[self.v_names[1]], idx[self.h_name])
 
-        def eq(got: dict, want: dict) -> bool:
-            z = ctx.zero()
-            keys = set(got) | set(want)
-            return all((got.get(k, z) - want.get(k, z)).is_zero() for k in keys)
-
         one = ctx.one()
         rel = {
-            "cb": eq(self.algebra.bracket(c, b), {b: one, c: one}),
-            "ca": eq(self.algebra.bracket(c, a), {c: one, a: -one}),
-            "ba": eq(self.algebra.bracket(b, a), {a: one, b: -one}),
+            "cb": self.algebra.bracket(c, b) == {b: one, c: one},
+            "ca": self.algebra.bracket(c, a) == {c: one, a: -one},
+            "ba": self.algebra.bracket(b, a) == {a: one, b: -one},
             "v_closed": all(
                 set(self.algebra.bracket(i, j)) <= {b, a}
                 for i in (b, a) for j in (b, a)),
@@ -213,9 +208,7 @@ def closed_form_jv(sp: SplittingData, N: int,
     lam = ctx.var(LAM)
     q = ctx.var(HBAR)
     slots = (sp.pbw, sp.pbw)
-    orders: list[dict] = [dict(TensorUEA.unit(slots).terms)]
-    orders += [{} for _ in range(N)]
-    z = ctx.zero()
+    orders = [FieldAccumulator(ctx) for _ in range(N + 1)]
     for n in range(1, N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
         if term_scale and n in term_scale:
@@ -232,9 +225,9 @@ def closed_form_jv(sp: SplittingData, N: int,
                 continue
             for e1, c1 in v1.terms.items():
                 for e2, c2 in v2.terms.items():
-                    key = (e1, e2)
-                    orders[r][key] = orders[r].get(key, z) + cr * c1 * c2
-    series = TwistSeries(slots, [TensorUEA(slots, t) for t in orders],
+                    orders[r].add(cr * c1 * c2, (((e1, e2), 1),))
+    series = TwistSeries(slots, [TensorUEA.unit(slots)] +
+                         [TensorUEA(slots, t.sums()) for t in orders[1:]],
                          validate=False)
     return ProjectedTwist(series, sp)
 

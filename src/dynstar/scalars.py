@@ -17,7 +17,8 @@ expression is built, and sympy printing survives only as a test oracle.
 
 All higher layers (tensors, enveloping algebras, twists) keep their
 coefficients in a single shared :class:`Context`, so every identity in the
-library reduces to a zero test in this field.
+library reduces to a zero test in this field. Every keyed sum of field
+terms outside this module is formed by :class:`FieldAccumulator`.
 """
 
 from __future__ import annotations

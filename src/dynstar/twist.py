@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from sympy.polys.domains import QQ
+
 from .enveloping import PBWAlgebra, TensorUEA, UEAElement
 from .lie import Tensor2, Tensor3, alt, cyb
 from .scalars import HBAR, LAM, Context, FieldAccumulator, FieldElement
@@ -136,23 +138,19 @@ def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
     prod_{j<n} (lam - hbar(h+j))^(-1) acting on the right of the x slot.
     Expanding the resolvents in hbar spreads term n over orders n, n+1, ...
     """
-    ctx = alg.ctx
-    z = ctx.zero()
-    orders: list[dict] = [{} for _ in range(N + 1)]
+    orders = [FieldAccumulator(alg.ctx) for _ in range(N + 1)]
     for n in range(N + 1):
-        pref = ctx((-1) ** n) / ctx(math.factorial(n))
+        pref = QQ((-1) ** n, math.factorial(n))
         left = alg.gen("y") ** n
         right_base = alg.gen("x") ** n
         factors = abrr_factor_series(alg, n, N - n)
         for m, fm in enumerate(factors):
             right = right_base * fm
-            out = orders[n + m]
             for e1, c1 in left.terms.items():
                 for e2, c2 in right.terms.items():
-                    key = (e1, e2)
-                    out[key] = out.get(key, z) + pref * c1 * c2
-    return TwistSeries((alg, alg), [TensorUEA((alg, alg), t) for t in orders],
-                       validate=False)
+                    orders[n + m].add(c1 * c2, (((e1, e2), pref),))
+    return TwistSeries((alg, alg), [TensorUEA((alg, alg), t.sums())
+                                    for t in orders], validate=False)
 
 
 def check_h_invariance(J: TwistSeries) -> bool:
@@ -180,8 +178,7 @@ def shift_twist(J: TwistSeries) -> TwistSeries:
     N = J.truncation
     slots3 = (J.slots[0], J.slots[1], alg)
     h_i = alg.order.index("h")
-    z = ctx.zero()
-    orders: list[dict] = [{} for _ in range(N + 1)]
+    orders = [FieldAccumulator(ctx) for _ in range(N + 1)]
     for p in range(N + 1):
         for (e1, e2), c in J.order(p).terms.items():
             for l in range(N - p + 1):
@@ -191,11 +188,10 @@ def shift_twist(J: TwistSeries) -> TwistSeries:
                     d = d.differentiate(LAM)
                 if d.is_zero():
                     break
-                coeff = d * ctx((-1) ** l) / ctx(math.factorial(l))
                 e3 = tuple(l if j == h_i else 0 for j in range(alg.ngens))
-                key = (e1, e2, e3)
-                orders[p + l][key] = orders[p + l].get(key, z) + coeff
-    return TwistSeries(slots3, [TensorUEA(slots3, t) for t in orders],
+                orders[p + l].add(
+                    d, (((e1, e2, e3), QQ((-1) ** l, math.factorial(l))),))
+    return TwistSeries(slots3, [TensorUEA(slots3, t.sums()) for t in orders],
                        validate=False)
 
 
@@ -254,15 +250,13 @@ def classical_limit_r(J: TwistSeries) -> Tensor2:
     if not J.starts_at_unit():
         raise TwistError("twist must start at 1 (x) 1")
     alg = J.slots[0]
-    g = alg.lie
     j: dict[tuple, FieldElement] = {}
     for (e1, e2), c in J.order(1).terms.items():
         if sum(e1) != 1 or sum(e2) != 1:
             raise TwistError("first-order term does not lie in g (x) g")
-        i1 = alg._lie_index[e1.index(1)]
-        i2 = alg._lie_index[e2.index(1)]
-        j[(i1, i2)] = j.get((i1, i2), g.ctx.zero()) + c
-    jt = Tensor2(g, j)
+        # distinct degree-one monomials are distinct basis elements
+        j[alg._lie_index[e1.index(1)], alg._lie_index[e2.index(1)]] = c
+    jt = Tensor2(alg.lie, j)
     return jt - jt.transpose()
 
 
@@ -273,17 +267,12 @@ def check_cdybe(r: Tensor2, couplings: Sequence[tuple[str, str]]) -> dict:
     ``couplings`` pairs each Cartan basis name with its dynamical parameter.
     """
     g = r.algebra
-    z = g.ctx.zero()
-    acc: dict[tuple, FieldElement] = {}
+    acc = FieldAccumulator(g.ctx)
     for cartan, var in couplings:
         hi = g.index[cartan]
         for (a, b), v in r.coeffs.items():
-            dv = v.differentiate(var)
-            if dv.is_zero():
-                continue
-            key = (hi, a, b)
-            acc[key] = acc.get(key, z) + dv
-    residual = alt(Tensor3(g, acc)) + cyb(r)
+            acc.add(v.differentiate(var), (((hi, a, b), 1),))
+    residual = alt(Tensor3(g, acc.sums())) + cyb(r)
     ok = residual.is_zero()
     from .lie import tensor_to_json
     return {"ok": ok, "residual": [] if ok else tensor_to_json(residual)}

@@ -5,6 +5,9 @@ M -> M (x) V act on highest-weight expectation values. This module builds
 that composition from first principles (truncated Verma module, solved
 highest-weight systems) and compares it with the closed-form twist series,
 giving a check that shares no code path with the series construction.
+Vectors are plain dicts; every sum of them goes through one
+:class:`~dynstar.scalars.FieldAccumulator`, with signs, binomials and
+(-1)^n/n! as rational multipliers.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import math
 from typing import Mapping, Optional
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
-from .scalars import LAM, Context, FieldElement
+from .scalars import LAM, Context, FieldAccumulator, FieldElement
 
 Vec = dict[int, FieldElement]
 
@@ -23,16 +27,14 @@ class VermaError(ValueError):
     pass
 
 
-def _addvec(ctx: Context, a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    z = ctx.zero()
-    for k, v in b.items():
-        out[k] = out.get(k, z) + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _scalevec(s: FieldElement, a: Vec) -> Vec:
-    return {k: s * v for k, v in a.items()}
+def _signed_sum(ctx: Context, parts) -> dict:
+    """The sum of q v over the (q, v) parts, with q rational and v a sparse
+    vector; zero entries are dropped."""
+    acc = FieldAccumulator(ctx)
+    for q, v in parts:
+        for k, c in v.items():
+            acc.add(c, ((k, q),))
+    return {k: c for k, c in acc.sums().items() if c}
 
 
 def _sl2_act(gen: str, v: Vec, hw: FieldElement | int, top: int) -> Vec:
@@ -75,14 +77,12 @@ class VermaData:
         ctx = self.ctx
         for k in range(self.K):
             m: Vec = {k: ctx.one()}
-            pairs = [("h", "x", _scalevec(ctx(2), self.act("x", m))),
-                     ("h", "y", _scalevec(ctx(-2), self.act("y", m))),
-                     ("x", "y", self.act("h", m))]
-            for a, b, want in pairs:
-                got = _addvec(ctx, self.act(a, self.act(b, m)),
-                              _scalevec(ctx(-1), self.act(b, self.act(a, m))))
-                res = _addvec(ctx, got, _scalevec(ctx(-1), want))
-                if any(not c.is_zero() for c in res.values()):
+            for a, b, s, c in (("h", "x", 2, "x"), ("h", "y", -2, "y"),
+                               ("x", "y", 1, "h")):
+                # [a, b] m - s c m
+                if _signed_sum(ctx, ((1, self.act(a, self.act(b, m))),
+                                     (-1, self.act(b, self.act(a, m))),
+                                     (-s, self.act(c, m)))):
                     return False
         return True
 
@@ -93,12 +93,10 @@ class VermaData:
         target = self.lam * (self.lam + 2) / 2
         for k in range(self.K):
             m: Vec = {k: ctx.one()}
-            cv = _addvec(ctx, self.act("x", self.act("y", m)),
-                         self.act("y", self.act("x", m)))
-            cv = _addvec(ctx, cv,
-                         _scalevec(ctx("1/2"), self.act("h", self.act("h", m))))
-            res = _addvec(ctx, cv, _scalevec(-target, m))
-            if any(not c.is_zero() for c in res.values()):
+            if _signed_sum(ctx, ((1, self.act("x", self.act("y", m))),
+                                 (1, self.act("y", self.act("x", m))),
+                                 (QQ(1, 2), self.act("h", self.act("h", m))),
+                                 (-1, {k: target}))):
                 raise VermaError(f"Casimir not scalar on m_{k}")
         return target
 
@@ -119,19 +117,12 @@ class FiniteModule:
     def weight(self, j: int) -> int:
         return self.m - 2 * j
 
-    def weight_space(self, mu: int) -> list[int]:
-        return [j for j in range(self.dim) if self.weight(j) == mu]
-
     def act(self, gen: str, v: Vec) -> Vec:
         return _sl2_act(gen, v, self.m, self.m)
 
     def resolvent(self, v: Vec, lam: FieldElement, shift: int) -> Vec:
         """(lam - (h + shift))^(-1) applied spectrally, weight by weight."""
-        out: Vec = {}
-        for j, c in v.items():
-            denom = lam - (self.weight(j) + shift)
-            out[j] = c / denom
-        return out
+        return {j: c / (lam - (self.weight(j) + shift)) for j, c in v.items()}
 
 
 class Intertwiner:
@@ -156,27 +147,17 @@ class Intertwiner:
         on it by lam."""
         ctx = self.verma.ctx
         lam = self.verma.lam
-        acc: dict[tuple[int, int], FieldElement] = {}
-        z = ctx.zero()
-
-        def add(k: int, v: Vec, sign: int = 1):
-            for j, c in v.items():
-                acc[(k, j)] = acc.get((k, j), z) + sign * c
-
+        parts: dict[str, list] = {"x": [], "h": []}
         for k, v in self.components.items():
             mk: Vec = {k: ctx.one()}
-            for kk, mc in self.verma.act("x", mk).items():
-                add(kk, _scalevec(mc, v))
-            add(k, self.module.act("x", v))
-        if any(not c.is_zero() for c in acc.values()):
-            return False
-        acc.clear()
-        for k, v in self.components.items():
-            hv = _scalevec(lam - 2 * k, v)
-            hv = _addvec(ctx, hv, self.module.act("h", v))
-            add(k, hv)
-            add(k, _scalevec(lam, v), sign=-1)
-        return all(c.is_zero() for c in acc.values())
+            # g (m_k (x) v) = (g m_k) (x) v + m_k (x) g v
+            for gen, terms in parts.items():
+                for kk, mc in self.verma.act(gen, mk).items():
+                    terms.append((1, {(kk, j): mc * c for j, c in v.items()}))
+                terms.append((1, {(k, j): c for j, c in
+                                  self.module.act(gen, v).items()}))
+            parts["h"].append((-1, {(k, j): lam * c for j, c in v.items()}))
+        return not any(_signed_sum(ctx, terms) for terms in parts.values())
 
 
 def build_verma(ctx: Context, K: int) -> VermaData:
@@ -206,7 +187,8 @@ def solve_intertwiner(verma: VermaData, module: FiniteModule,
         denom = ctx(k + 1) * (verma.lam - k)
         if denom.is_zero():
             raise VermaError("singular recursion step (non-generic weight)")
-        cur = _scalevec(ctx(-1) / denom, module.act("x", cur))
+        s = -1 / denom
+        cur = {j: s * c for j, c in module.act("x", cur).items()}
         k += 1
         if k > verma.K:
             raise VermaError("depth cutoff too small for this module")
@@ -218,12 +200,8 @@ def solve_intertwiner(verma: VermaData, module: FiniteModule,
     return phi
 
 
-def _pair_vec(ctx: Context, a: Vec, b: Vec) -> dict[tuple[int, int], FieldElement]:
-    out = {}
-    for i, c1 in a.items():
-        for j, c2 in b.items():
-            out[(i, j)] = c1 * c2
-    return out
+def _pair_vec(a: Vec, b: Vec) -> dict[tuple[int, int], FieldElement]:
+    return {(i, j): c1 * c2 for i, c1 in a.items() for j, c2 in b.items()}
 
 
 def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
@@ -237,8 +215,7 @@ def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
     ``term_scale`` multiplies individual terms (mutation controls).
     """
     lam = ctx.var(LAM)
-    out: dict[tuple[int, int], FieldElement] = {}
-    z = ctx.zero()
+    parts = []
     n = 0
     while True:
         left = dict(u_phi)
@@ -252,13 +229,11 @@ def twist_action_on_pair(ctx: Context, V: FiniteModule, W: FiniteModule,
             right = W.act("x", right)
         if not left or not right:
             break
-        pref = ctx((-1) ** n) / ctx(math.factorial(n))
         if term_scale and n in term_scale:
-            pref = pref * ctx(term_scale[n])
-        for key, c in _pair_vec(ctx, left, right).items():
-            out[key] = out.get(key, z) + pref * c
+            left = {i: ctx(term_scale[n]) * c for i, c in left.items()}
+        parts.append((QQ((-1) ** n, math.factorial(n)), _pair_vec(left, right)))
         n += 1
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return _signed_sum(ctx, parts)
 
 
 def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
@@ -277,8 +252,7 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     phi = solve_intertwiner(verma, V, v0)
     psi = solve_intertwiner(verma, W, w0)
 
-    z = ctx.zero()
-    composed: dict[tuple[int, int], FieldElement] = {}
+    parts = []
     for k, wk in psi.components.items():
         # phi(m_k) = Delta(y^k) phi(highest vector); the coefficient of the
         # highest vector needs all Verma lowering to cancel, which forces
@@ -287,20 +261,15 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
             for i in range(k + 1):
                 if j + i != 0:
                     continue
-                coeff = ctx(math.comb(k, i))
                 vpart = dict(vj)
                 for _ in range(k - i):
                     vpart = V.act("y", vpart)
-                for key, c in _pair_vec(ctx, vpart, wk).items():
-                    composed[key] = composed.get(key, z) + coeff * c
-    composed = {k: v for k, v in composed.items() if not v.is_zero()}
+                parts.append((math.comb(k, i), _pair_vec(vpart, wk)))
+    composed = _signed_sum(ctx, parts)
 
     twisted = twist_action_on_pair(ctx, V, W, phi.expectation,
                                    psi.expectation, term_scale)
-    diff = dict(composed)
-    for k, v in twisted.items():
-        diff[k] = diff.get(k, z) - v
-    diff = {k: v for k, v in diff.items() if not v.is_zero()}
+    diff = _signed_sum(ctx, ((1, composed), (-1, twisted)))
     return {
         "V": V.m, "W": W.m, "depth": depth,
         "composed": {str(k): v.to_string() for k, v in sorted(composed.items())},

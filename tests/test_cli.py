@@ -53,6 +53,18 @@ class TestClassify:
         assert code == 2
         assert "bad t value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "a1", "--t", "a1=2,a1=3"],
+        ["--delta", "a1,a1"],
+        ["--delta", "a1", "--u", "pm-a1,pm-a1"],
+    ], ids=["t", "delta", "u"])
+    def test_repeated_token_rejected(self, capsys, flags):
+        # a repeated token is bad input, never silently merged or dropped
+        assert run(["classify", "--type", "A", "--rank", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "repeated token" in captured.err
+
 
 class TestVerifyAndLagrangian:
     def test_verify_with_recovery(self, capsys):
@@ -165,6 +177,16 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be at least" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["cdybe-check", "--order", "17"],
+        ["project-twist", "--order", "16"],
+    ])
+    def test_degree_cap_is_bad_input(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: word length 17 exceeds degree cap 16\n"
 
     def test_canonical_is_deterministic(self, capsys):
         argv = ["classify", "--type", "B", "--rank", "2", "--delta", "a1",

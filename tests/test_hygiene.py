@@ -1,5 +1,6 @@
 """Static hygiene of the package source, read with ``ast``: no ``assert``
-statement (they vanish under ``python -O``) and no unused import."""
+statement (they vanish under ``python -O``), no unused import, and no keyed
+sum of field terms formed outside ``scalars.FieldAccumulator``."""
 
 import ast
 import pathlib
@@ -82,3 +83,43 @@ def test_scanner_sees_unused_and_quoted_names():
         "def f(x: 'Sequence[int]') -> int:\n"
         "    return sp.Integer(1)\n")
     assert unused_imports(tree) == [(1, "Optional"), (3, "os")]
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def keyed_sum_sites(tree: ast.Module) -> list[int]:
+    """Lines of every ``+`` or ``-`` whose left operand is
+    ``X.get(key, default)`` with a non-literal default, such as
+    ``out[k] = out.get(k, zero) + v``: a hand-rolled keyed sum."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Attribute)
+        and node.left.func.attr == "get" and len(node.left.args) == 2
+        and not _is_literal(node.left.args[1]))
+
+
+# scalars.py defines the accumulator (and the container's own + and -)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_keyed_sums_use_the_accumulator(path):
+    sites = keyed_sum_sites(_tree(path))
+    assert not sites, f"{path.name}: hand-rolled keyed sums at lines {sites}"
+
+
+def test_scanner_sees_keyed_sums():
+    tree = ast.parse(
+        "out[k] = out.get(k, z) + v\n"
+        "out[k] = out.get(k, ctx.zero()) - v\n"
+        "n = counts.get(k, 0) + 1\n"
+        "m = counts.get(k, -1) - 1\n"
+        "w = v - out.get(k, z)\n"
+        "x = out.get(k, z) * v\n")
+    assert keyed_sum_sites(tree) == [1, 2]

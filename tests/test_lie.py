@@ -99,7 +99,7 @@ class TestCasimir:
         want = tensor2_from_names(g2, {
             ("x", "y"): 1, ("y", "x"): 1, ("h", "h"): ctx("1/2")})
         assert (om - want).is_zero()
-        assert om.is_symmetric()
+        assert (om - om.transpose()).is_zero()
         assert check_invariance(om, range(g2.dim))
 
     def test_a2_casimir_invariant_and_split(self, a2):
@@ -142,7 +142,7 @@ class TestTensorOps:
     def test_transpose_and_symmetry(self, g2, ctx):
         t = tensor2_from_names(g2, {("x", "y"): 1, ("y", "x"): -1})
         assert t.is_antisymmetric()
-        assert not t.is_symmetric()
+        assert not (t - t.transpose()).is_zero()
         assert (t.transpose() + t).is_zero()
 
     def test_cyb_of_zero(self, g2):

@@ -1,12 +1,16 @@
 import fractions
+import functools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from dynstar import (Context, ContextMismatchError, OrbitFunction,
                      PBWAlgebra, PoleError, Tensor2, TensorUEA, UEAElement, sl2)
+from dynstar.scalars import FieldAccumulator
 from dynstar.verma import FiniteModule
 
 
@@ -357,6 +361,66 @@ def test_cli_context_fixed_against_oracle(text):
     e = sp.sympify(text.replace("^", "**"), locals=dict(zip(ctx.names, ctx.symbols)))
     assert f.to_string() == oracle_string(e)
     assert (f * (ctx.var("t1") + 1) / (ctx.var("t1") + 1)).to_string() == f.to_string()
+
+
+def accumulator_terms(ctx):
+    """(key, c, q) triples for FieldAccumulator.add: c a polynomial over a
+    constant, a monomial or a multi-term denominator, q an int or an
+    element of QQ. Some terms are followed by their negation over another
+    denominator, so their sums cancel across groups."""
+    lam, t1 = ctx.var("lam"), ctx.var("t1")
+    dens = [ctx.one(), lam ** 2 * t1, lam - t1,
+            lam * ctx.var("hbar") - ctx.var("t2") + 1]
+    monomial = st.lists(st.sampled_from(ctx.names), max_size=2).map(
+        lambda ns: functools.reduce(operator.mul, map(ctx.var, ns), ctx.one()))
+    poly = st.lists(st.tuples(rationals(), monomial), min_size=1, max_size=3).map(
+        lambda ts: sum((ctx(q) * m for q, m in ts), ctx.zero()))
+    coeff = st.tuples(poly, st.sampled_from(dens)).map(lambda t: t[0] / t[1])
+    q = st.one_of(st.integers(-3, 3),
+                  rationals().map(lambda f: QQ(f.numerator, f.denominator)))
+    disguise = st.sampled_from([None, t1, lam - t1, lam ** 2 + ctx.var("t3")])
+
+    def expand(t):
+        key, c, q, d = t
+        return [(key, c, q)] if d is None else [(key, c, q), (key, c * d / d, -q)]
+
+    term = st.tuples(st.integers(0, 3), coeff, q, disguise).map(expand)
+    return st.lists(term, max_size=8).map(lambda ts: [x for t in ts for x in t])
+
+
+class TestFieldAccumulator:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sums_against_naive_keyed_sum(self, data):
+        ctx = Context(CLI_NAMES)
+        terms = data.draw(accumulator_terms(ctx))
+        acc = FieldAccumulator(ctx)
+        naive = {}
+        for key, c, q in terms:
+            acc.add(c, [(key, q)])
+            naive[key] = naive.get(key, ctx.zero()) + c * ctx.constant(QQ(q))
+        got = acc.sums()
+        assert set(got) <= set(naive)
+        for key, want in naive.items():
+            assert got.get(key, ctx.zero()) == want
+
+    def test_many_keys_in_one_add(self, c2):
+        acc = FieldAccumulator(c2)
+        lam = c2.var("lam")
+        acc.add(1 / lam, [("a", 2), ("b", QQ(-1, 3)), ("a", 1)])
+        acc.add(c2.var("hbar"), [("b", 1)])
+        assert acc.sums() == {"a": 3 / lam, "b": c2("hbar - 1/(3*lam)")}
+
+    def test_cancellation_across_denominators_holds_zero(self, c2):
+        lam, hbar = c2.var("lam"), c2.var("hbar")
+        acc = FieldAccumulator(c2)
+        acc.add(1 / lam, [("k", 1)])
+        acc.add(hbar / (lam * hbar), [("k", -1)])     # lam*hbar is kept
+        acc.add((lam - 1) / ((lam - 1) * (hbar + 2)), [("m", QQ(1, 2))])
+        acc.add(1 / (hbar + 2), [("m", QQ(-1, 2))])
+        got = acc.sums()
+        assert set(got) <= {"k", "m"}
+        assert all(v.is_zero() for v in got.values())
 
 
 class TestExactPruning:

@@ -49,11 +49,6 @@ class TestVermaModule:
 
 
 class TestFiniteModule:
-    def test_weight_spaces(self, V2, V4, ctx):
-        assert V2.weight_space(0) == [1]
-        assert V4.weight_space(0) == [2]
-        assert FiniteModule(ctx, 3).weight_space(0) == []
-
     def test_relations_on_basis(self, V4, ctx):
         for j in range(V4.dim):
             v = {j: ctx.one()}
