@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy as sp
+from sympy.polys.domains import QQ
 
 from . import rootsystems as rsys
 from .rootsystems import Root, RootSystem, _add, _neg
@@ -22,7 +22,7 @@ from .lie import (
     LieAlgebraData, Tensor2, build_casimir_tensor, check_invariance, cyb,
     reduce_mod_u,
 )
-from .scalars import Context, FieldElement
+from .scalars import Context, FieldAccumulator, FieldElement
 
 
 class SpecError(ValueError):
@@ -132,7 +132,7 @@ def build_coefficients(spec: DynrSpec) -> CoefficientFamily:
     """x_alpha = 0 on U, (1/2)(t+1)/(t-1) on the Levi part outside U,
     +-1/2 outside the Levi set."""
     ctx = spec.ctx
-    half = ctx(sp.Rational(1, 2))
+    half = ctx(QQ(1, 2))
     N = spec.levi_roots()
     x: dict[Root, FieldElement] = {}
     for a in spec.system.roots:
@@ -173,13 +173,12 @@ def check_coefficient_conditions(fam: CoefficientFamily) -> dict:
                 bad.append((a, b, c))
     report["pair_sum_on_u"] = {"ok": not bad, "witness": bad[:1]}
 
-    quarter = next(iter(fam.x.values())).context(sp.Rational(1, 4))
     bad = []
     for a in sorted(rest):
         for b in sorted(rest):
             c = _neg(_add(a, b))
             if c in rest:
-                res = fam[a] * fam[b] + fam[b] * fam[c] + fam[c] * fam[a] + quarter
+                res = fam[a] * fam[b] + fam[b] * fam[c] + fam[c] * fam[a] + QQ(1, 4)
                 if not res.is_zero():
                     bad.append((a, b, c))
     report["triple_product"] = {"ok": not bad, "witness": bad[:1]}
@@ -206,7 +205,7 @@ def check_shift_form(fam: CoefficientFamily) -> bool:
 def coefficients_to_tensor(fam: CoefficientFamily, g: LieAlgebraData) -> Tensor2:
     """r = sum x_alpha E_alpha (x) E_{-alpha} + Omega/2 in the realized
     algebra; satisfies r + r^21 = Omega by construction."""
-    return build_casimir_tensor(g).scale(sp.Rational(1, 2)) + Tensor2(g, {
+    return build_casimir_tensor(g).scale(QQ(1, 2)) + Tensor2(g, {
         (g.root_index[a], g.root_index[_neg(a)]): xa for a, xa in fam.x.items()})
 
 
@@ -220,7 +219,7 @@ def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:
     omega = build_casimir_tensor(g)
     if not (b + b.transpose() - omega).is_zero():
         raise QuasiUnitarityError("b + b^21 != Omega")
-    B = b - omega.scale(sp.Rational(1, 2))
+    B = b - omega.scale(QQ(1, 2))
     if not B.is_antisymmetric():
         return False
     mset = set(g.m_indices)
@@ -239,8 +238,7 @@ def recover_classification(fam: CoefficientFamily, ctx: Context) -> list[dict]:
     t = (2x + 1)/(2x - 1).
     """
     rs = fam.system
-    half = ctx(sp.Rational(1, 2))
-    P = frozenset(a for a in rs.roots if not (fam[a] + half).is_zero())
+    P = frozenset(a for a in rs.roots if not (fam[a] + QQ(1, 2)).is_zero())
     if not rsys.check_parabolic(rs, P):
         raise SpecError("P = {x_alpha != -1/2} is not parabolic; family invalid")
     witnesses = []
@@ -299,10 +297,10 @@ def recover_b_from_initial(pi_e: Tensor2, rho: Tensor2) -> Tensor2:
     mset = set(g.m_indices)
     if any(not (i in mset and j in mset) for (i, j) in pi_e.support()):
         raise QuasiUnitarityError("initial bivector not supported on m (x) m")
-    lam = rho - omega.scale(sp.Rational(1, 2))
+    lam = rho - omega.scale(QQ(1, 2))
     proj = Tensor2(g, {k: v for k, v in lam.coeffs.items()
                        if all(i in mset for i in k)})
-    return omega.scale(sp.Rational(1, 2)) + pi_e + proj
+    return omega.scale(QQ(1, 2)) + pi_e + proj
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +321,13 @@ class LagrangianData:
 
     def quad_form(self, v: tuple[Vec, Vec], w: tuple[Vec, Vec]) -> FieldElement:
         g = self.algebra
-        s = g.ctx.zero()
-        for i, a in v[0].items():
-            for j, b in w[0].items():
-                s = s + a * b * g.pairing(i, j)
-        for i, a in v[1].items():
-            for j, b in w[1].items():
-                s = s - a * b * g.pairing(i, j)
-        return s
+        acc = FieldAccumulator(g.ctx)
+        for sign, x, y in ((1, v[0], w[0]), (-1, v[1], w[1])):
+            for i, a in x.items():
+                for j, b in y.items():
+                    if q := g.pairing(i, j):
+                        acc.add(a * b, ((0, sign * q),))
+        return acc.sums().get(0, g.ctx.zero())
 
     def contains(self, v: tuple[Vec, Vec]) -> bool:
         """Membership via the defining criterion: components in p_-, p_+,

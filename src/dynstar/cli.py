@@ -168,13 +168,15 @@ def cmd_abrr_check(args) -> dict:
     ctx = _context()
     U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
     J = abrr_twist(U, _at_least(args, "order", 0))
+    # first: its words are the longest (N + 1), so it meets the degree cap
+    h_invariant = check_h_invariance(J)
     rep = check_dynamical_twist(J)
     counit = counit_ok(J)
     return {
         "order": args.order,
         "cocycle": rep,
         "counit_ok": counit,
-        "h_invariant": check_h_invariance(J),
+        "h_invariant": h_invariant,
         "ok": rep["ok"] and counit,
     }
 

@@ -3,9 +3,9 @@
 Elements are stored as maps from exponent vectors (in a fixed generator
 order) to field coefficients. Multiplication straightens words by recursive
 adjacent swaps against the bracket table, with memoized word normal forms.
-The structure constants must be rational, so the bracket table and every
-normal form are kept over QQ; a product of elements touches the field once
-per pair of terms and sums the rational expansions in a
+The bracket table is read over QQ, as ``LieAlgebraData`` keeps it, and so
+is every normal form; a product of elements touches the field once per pair
+of terms and sums the rational expansions in a
 :class:`~dynstar.scalars.FieldAccumulator`. :meth:`TensorUEA.add_product`
 adds into an accumulator its caller owns, so a series product sums each
 order in one accumulator, and coproducts add binomial splits with integer
@@ -92,9 +92,7 @@ class PBWAlgebra:
         for p in range(self.ngens):
             for q in range(self.ngens):
                 row = lie.bracket(self._lie_index[p], self._lie_index[q])
-                self._bracket[(p, q)] = {
-                    back[k]: _lean(_rational(c, "structure constant"))
-                    for k, c in row.items()}
+                self._bracket[(p, q)] = {back[k]: _lean(c) for k, c in row.items()}
 
     # -- element constructors ---------------------------------------------
 
@@ -255,14 +253,9 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
     if len(rows) != len(target.order) or \
             not DomainMatrix(rows, (len(rows), len(rows)), QQ).det():
         raise EnvelopingError("singular change-of-basis matrix")
-    images = {}
-    for name in old.order:
-        images[name] = target.from_terms({
-            tuple(1 if i == j else 0 for i in range(target.ngens)):
-                expansion[name].get(g, 0)
-            for j, g in enumerate(target.order)
-            if not target.ctx(expansion[name].get(g, 0)).is_zero()
-        })
+    images = {name: target.from_terms({
+        tuple(1 if i == j else 0 for i in range(target.ngens)): q
+        for j, q in enumerate(row) if q}) for name, row in zip(old.order, rows)}
     out = target.zero()
     for exp, c in u.terms.items():
         acc = target.one()

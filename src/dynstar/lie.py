@@ -1,13 +1,14 @@
 """Realized Lie algebras with an invariant form, and the rank-2/3 tensor
 calculus on top of them: CYB, Alt, the split Casimir, invariance checks,
-and reduction modulo a marked subalgebra.
+and reduction modulo a marked subalgebra. Brackets and the form are over
+QQ and tensor coefficients in the field: a tensor sum takes each bracket
+constant as a :class:`~dynstar.scalars.FieldAccumulator`'s rational multiplier.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
@@ -25,29 +26,36 @@ class LieAlgebraData:
     table and a symmetric invariant form, optionally with a marked subalgebra
     u and u-invariant complement m.
 
-    Brackets and form entries are FieldElements of a shared context.
+    Structure constants and form entries are converted to QQ here, once; a
+    non-rational entry raises LieAlgebraError naming it. Tensor coefficients
+    over the algebra are FieldElements of ``ctx``.
     """
 
     def __init__(
         self,
         ctx: Context,
         names: Sequence[str],
-        brackets: Mapping[tuple[int, int], Mapping[int, FieldElement]],
-        form: Sequence[Sequence[FieldElement]],
+        brackets: Mapping[tuple[int, int], Mapping[int, object]],
+        form: Sequence[Sequence[object]],
         u_indices: Optional[Sequence[int]] = None,
     ):
         self.ctx = ctx
         self.names = tuple(names)
         self.dim = len(self.names)
         self.index = {n: i for i, n in enumerate(self.names)}
+        n = self.names
         # store the full antisymmetric table
-        tbl: dict[tuple[int, int], dict[int, FieldElement]] = {}
+        tbl: dict[tuple[int, int], dict[int, object]] = {}
         for (i, j), row in brackets.items():
-            row = {k: ctx(v) for k, v in row.items() if not ctx(v).is_zero()}
+            row = {k: q for k, v in row.items() if (q := self._rational(
+                v, f"structure constant of {n[k]} in [{n[i]}, {n[j]}]"))}
             tbl[(i, j)] = row
-            tbl[(j, i)] = {k: -v for k, v in row.items()}
+            tbl[(j, i)] = {k: -q for k, q in row.items()}
         self._brackets = tbl
-        self.form = [[ctx(x) for x in row] for row in form]
+        self.form = tuple(
+            tuple(self._rational(x, f"form entry <{n[i]}, {n[j]}>")
+                  for j, x in enumerate(row))
+            for i, row in enumerate(form))
         self.u_indices = tuple(u_indices) if u_indices is not None else None
         self.m_indices = (
             tuple(i for i in range(self.dim) if i not in set(self.u_indices))
@@ -56,10 +64,16 @@ class LieAlgebraData:
         )
         self._validate()
 
+    def _rational(self, value, what: str):
+        if (q := self.ctx(value).as_rational()) is None:
+            raise LieAlgebraError(
+                f"{what} is {self.ctx(value).to_string()}, not rational")
+        return q
+
     # -- bracket -----------------------------------------------------------
 
-    def bracket(self, i: int, j: int) -> dict[int, FieldElement]:
-        """[e_i, e_j] as a sparse coordinate vector."""
+    def bracket(self, i: int, j: int) -> dict[int, object]:
+        """[e_i, e_j] as a sparse coordinate vector over QQ."""
         if i == j:
             return {}
         return self._brackets.get((i, j), {})
@@ -69,46 +83,44 @@ class LieAlgebraData:
         acc = FieldAccumulator(self.ctx)
         for i, a in v.items():
             for j, b in w.items():
-                for k, c in self.bracket(i, j).items():
-                    acc.add(a * b * c, ((k, 1),))
+                if row := self.bracket(i, j):
+                    acc.add(a * b, row.items())
         return {k: x for k, x in acc.sums().items() if x}
 
-    def pairing(self, i: int, j: int) -> FieldElement:
+    def pairing(self, i: int, j: int):
         return self.form[i][j]
 
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if not (self.form[i][j] - self.form[j][i]).is_zero():
-                    raise LieAlgebraError("form not symmetric")
-        # Jacobi on all basis triples
+        d, form = self.dim, self.form
+        if any(form[i][j] != form[j][i] for i in range(d) for j in range(i)):
+            raise LieAlgebraError("form not symmetric")
+        # Jacobi on all basis triples, summed over QQ
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    acc = FieldAccumulator(self.ctx)
+                    out: dict[int, object] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t, coeff in self.bracket(b, c).items():
-                            for s, coeff2 in self.bracket(a, t).items():
-                                acc.add(coeff * coeff2, ((s, 1),))
-                    if any(acc.sums().values()):
+                        for t, q in self.bracket(b, c).items():
+                            for s, q2 in self.bracket(a, t).items():
+                                out[s] = out.get(s, 0) + q * q2
+                    if any(out.values()):
                         raise LieAlgebraError(
                             f"Jacobi fails on ({self.names[i]}, {self.names[j]}, "
                             f"{self.names[k]})")
         # ad-invariance of the form: <[z,a],b> + <a,[z,b]> = 0, summed over
         # the nonzero form entries only. By symmetry each product
         # [z,a]_t <t,b> is the first term at (a,b) and the second at (b,a).
-        nonzero = [{b: f for b, f in enumerate(row) if not f.is_zero()}
-                   for row in self.form]
+        nonzero = [{b: f for b, f in enumerate(row) if f} for row in form]
         for zi in range(d):
-            acc = FieldAccumulator(self.ctx)
+            out = {}
             for a in range(d):
-                for t, c in self.bracket(zi, a).items():
+                for t, q in self.bracket(zi, a).items():
                     for b, f in nonzero[t].items():
-                        acc.add(c * f, (((a, b), 1), ((b, a), 1)))
-            if any(acc.sums().values()):
+                        out[a, b] = out.get((a, b), 0) + q * f
+                        out[b, a] = out.get((b, a), 0) + q * f
+            if any(out.values()):
                 raise LieAlgebraError("form not ad-invariant")
         if self.u_indices is not None:
             uset = set(self.u_indices)
@@ -138,12 +150,11 @@ def realize_lie_algebra(
     idx = {nm: i for i, nm in enumerate(names)}
     ridx = {a: idx[root_name(a)] for a in ordered_roots}
 
-    brackets: dict[tuple[int, int], dict[int, FieldElement]] = {}
+    # zero entries are dropped by LieAlgebraData
+    brackets: dict[tuple[int, int], dict[int, object]] = {}
     for i in range(n):
         for a in ordered_roots:
-            w = table.alpha_h[a][i]
-            if w != 0:
-                brackets[(i, ridx[a])] = {ridx[a]: ctx(sp.Rational(w))}
+            brackets[(i, ridx[a])] = {ridx[a]: table.alpha_h[a][i]}
     for a in ordered_roots:
         for b in ordered_roots:
             if ridx[a] >= ridx[b]:
@@ -151,21 +162,16 @@ def realize_lie_algebra(
             key = (ridx[a], ridx[b])
             s = tuple(x + y for x, y in zip(a, b))
             if all(x == 0 for x in s):
-                brackets[key] = {
-                    i: ctx(sp.Rational(c))
-                    for i, c in enumerate(table.cartan[a]) if c != 0
-                }
+                brackets[key] = dict(enumerate(table.cartan[a]))
             elif (a, b) in table.c:
-                brackets[key] = {ridx[s]: ctx(sp.Rational(table.c[(a, b)]))}
+                brackets[key] = {ridx[s]: table.c[(a, b)]}
 
     dim = len(names)
-    zero = ctx.zero()
-    form = [[zero for _ in range(dim)] for _ in range(dim)]
+    form = [[0] * dim for _ in range(dim)]
     for i in range(n):
-        for j in range(n):
-            form[i][j] = ctx(sp.Rational(table.gram_h[i, j]))
+        form[i][:n] = table.gram_h.row(i)
     for a in ordered_roots:
-        form[ridx[a]][ridx[_neg(a)]] = ctx.one()
+        form[ridx[a]][ridx[_neg(a)]] = 1
 
     u_indices = None
     if U is not None:
@@ -182,14 +188,12 @@ def realize_lie_algebra(
 def sl2(ctx: Context) -> LieAlgebraData:
     """sl(2) with basis (y, h, x), trace form: <x,y> = 1, <h,h> = 2."""
     names = ("y", "h", "x")
-    one, two = ctx.one(), ctx(2)
     brackets = {
-        (0, 1): {0: two},        # [y, h] = 2y
-        (0, 2): {1: -one},       # [y, x] = -h
-        (1, 2): {2: two},        # [h, x] = 2x
+        (0, 1): {0: 2},         # [y, h] = 2y
+        (0, 2): {1: -1},        # [y, x] = -h
+        (1, 2): {2: 2},         # [h, x] = 2x
     }
-    z = ctx.zero()
-    form = [[z, z, one], [z, two, z], [one, z, z]]
+    form = [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
     return LieAlgebraData(ctx, names, brackets, form)
 
 
@@ -251,13 +255,10 @@ class Tensor3(_Tensor):
 
 def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
     """The symmetric invariant tensor dual to the form (split Casimir),
-    from the inverse of the form over QQ; the form must be rational."""
+    from the inverse of the form over QQ."""
     d = g.dim
-    rows = [[x.as_rational() for x in row] for row in g.form]
-    if any(q is None for row in rows for q in row):
-        raise LieAlgebraError("invariant form is not rational")
     try:
-        inv = DomainMatrix(rows, (d, d), QQ).inv()
+        inv = DomainMatrix([list(row) for row in g.form], (d, d), QQ).inv()
     except DMNonInvertibleMatrixError:
         raise LieAlgebraError("invariant form is degenerate") from None
     return Tensor2(g, {(i, j): g.ctx.constant(q)
@@ -272,13 +273,11 @@ def cyb(r: Tensor2) -> Tensor3:
     items = list(r.coeffs.items())
     for (a, b), v1 in items:
         for (c, d), v2 in items:
-            v = v1 * v2
-            for k, cf in g.bracket(a, c).items():   # [r12, r13]
-                acc.add(v * cf, (((k, b, d), 1),))
-            for k, cf in g.bracket(b, c).items():   # [r12, r23]
-                acc.add(v * cf, (((a, k, d), 1),))
-            for k, cf in g.bracket(b, d).items():   # [r13, r23]
-                acc.add(v * cf, (((a, c, k), 1),))
+            terms = [((k, b, d), q) for k, q in g.bracket(a, c).items()]  # [r12, r13]
+            terms += [((a, k, d), q) for k, q in g.bracket(b, c).items()]  # [r12, r23]
+            terms += [((a, c, k), q) for k, q in g.bracket(b, d).items()]  # [r13, r23]
+            if terms:
+                acc.add(v1 * v2, terms)
     return Tensor3(g, acc.sums())
 
 
@@ -307,9 +306,9 @@ def check_invariance(t: _Tensor, generators: Iterable[int]) -> bool:
     for zi in generators:
         acc = FieldAccumulator(g.ctx)
         for key, v in t.coeffs.items():
-            for slot in range(t.rank):
-                for k, cf in g.bracket(zi, key[slot]).items():
-                    acc.add(v * cf, ((key[:slot] + (k,) + key[slot + 1:], 1),))
+            acc.add(v, [(key[:slot] + (k,) + key[slot + 1:], q)
+                        for slot in range(t.rank)
+                        for k, q in g.bracket(zi, key[slot]).items()])
         if any(acc.sums().values()):
             return False
     return True

@@ -13,8 +13,10 @@ multiplicities and the integer vector-field entries as rational multipliers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
+
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from .enveloping import PBWAlgebra, UEAElement
 from .scalars import (HBAR, LAM, Context, FieldAccumulator, FieldElement,
@@ -270,20 +272,19 @@ def _span_rank(funcs: Sequence[OrbitFunction]) -> int:
     equal to their polynomial degree, so evaluating lam at 1 rescales each
     spanning vector and preserves the rank while keeping the matrix
     rational."""
-    import sympy as sp
     monos: dict[MExp, int] = {}
     rows = []
     for f in funcs:
         row = {}
         for e, c in f.terms.items():
-            row[monos.setdefault(e, len(monos))] = c.evaluate({LAM: 1}).expr
+            q = c.evaluate({LAM: 1}).as_rational()
+            if q is None:
+                raise OrbitError(
+                    f"coefficient {c.to_string()} is not rational at lam = 1")
+            row[monos.setdefault(e, len(monos))] = q
         rows.append(row)
-    M = sp.zeros(len(rows), len(monos))
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            M[i, j] = v
-    # eliminate over QQ in the polys domain, not on sympy Expr entries
-    return M.to_DM().rank()
+    return DomainMatrix([[row.get(j, QQ.zero) for j in range(len(monos))]
+                         for row in rows], (len(rows), len(monos)), QQ).rank()
 
 
 def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
@@ -306,6 +307,11 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     fb = _basis_functions(ctx)
     lam = ctx.var(LAM)
     report: dict = {}
+    names = ("x", "y", "h")
+    # the star-products of basis functions, in both modes, formed once
+    star, formal = ({(a, b): star_product(fb[a], fb[b], mode)
+                     for a in names for b in names}
+                    for mode in ("hbar_one", "formal"))
 
     brackets = {
         ("h", "x"): {"x": 2}, ("x", "h"): {"x": -2},
@@ -315,7 +321,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     }
     comm_fail = []
     for (a, b), br in brackets.items():
-        lhs = star_product(fb[a], fb[b]) - star_product(fb[b], fb[a])
+        lhs = star[a, b] - star[b, a]
         rhs = OrbitFunction(ctx, {})
         for n, c in br.items():
             rhs = rhs + fb[n].scale(c)
@@ -323,21 +329,19 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
             comm_fail.append((a, b))
     report["commutator"] = {"ok": not comm_fail, "failures": comm_fail}
 
-    cas = star_product(fb["x"], fb["y"]) + star_product(fb["y"], fb["x"]) + \
-        star_product(fb["h"], fb["h"]).scale(ctx(Fraction(1, 2)))
+    cas = star["x", "y"] + star["y", "x"] + star["h", "h"].scale(QQ(1, 2))
     cas_target = OrbitFunction.constant(ctx, lam * (lam + 2) / 2)
     report["casimir"] = {
         "ok": (cas - cas_target).is_zero(),
         "value": cas.to_json(),
     }
 
-    names = ("x", "y", "h")
     assoc_fail = []
     for a in names:
         for b in names:
             for c in names:
-                l = star_product(star_product(fb[a], fb[b]), fb[c])
-                r = star_product(fb[a], star_product(fb[b], fb[c]))
+                l = star_product(star[a, b], fb[c])
+                r = star_product(fb[a], star[b, c])
                 if not (l - r).is_zero():
                     assoc_fail.append((a, b, c))
     report["associativity"] = {"ok": not assoc_fail, "failures": assoc_fail,
@@ -345,8 +349,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
 
     qc_fail = []
     for (a, b), br in brackets.items():
-        comm = star_product(fb[a], fb[b], mode="formal") - \
-            star_product(fb[b], fb[a], mode="formal")
+        comm = formal[a, b] - formal[b, a]
         # first order in the deformation parameter
         first = OrbitFunction(ctx, {
             e: v.series_expand(HBAR, 1)[1] for e, v in comm.terms.items()})
@@ -362,7 +365,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     for v in names:
         for (a, b) in pairs:
             f1, f2 = fb[a], fb[b]
-            lhs = group_action_derivative(star_product(f1, f2), v)
+            lhs = group_action_derivative(star[a, b], v)
             rhs = star_product(group_action_derivative(f1, v), f2) + \
                 star_product(f1, group_action_derivative(f2, v))
             if not (lhs - rhs).is_zero():
@@ -376,7 +379,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     red_fail = []
     for (a, b) in pairs:
         full = apply_twist_orders(J, fb[a], fb[b])
-        scalar = star_product(fb[a], fb[b], mode="formal")
+        scalar = formal[a, b]
         for k, fk in enumerate(full):
             want = OrbitFunction(ctx, {
                 e: v.series_expand(HBAR, twist_order)[k]

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
+
+from sympy.polys.domains import QQ
 
 from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
                          project_drop_right)
@@ -47,15 +48,13 @@ class SplittingData:
     def check(self) -> dict:
         """Bracket relations of the split basis and exactness of the
         decomposition (round-trip change of basis on the generators)."""
-        ctx = self.algebra.ctx
         idx = self.algebra.index
         b, a, c = (idx[self.v_names[0]], idx[self.v_names[1]], idx[self.h_name])
 
-        one = ctx.one()
         rel = {
-            "cb": self.algebra.bracket(c, b) == {b: one, c: one},
-            "ca": self.algebra.bracket(c, a) == {c: one, a: -one},
-            "ba": self.algebra.bracket(b, a) == {a: one, b: -one},
+            "cb": self.algebra.bracket(c, b) == {b: 1, c: 1},
+            "ca": self.algebra.bracket(c, a) == {c: 1, a: -1},
+            "ba": self.algebra.bracket(b, a) == {a: 1, b: -1},
             "v_closed": all(
                 set(self.algebra.bracket(i, j)) <= {b, a}
                 for i in (b, a) for j in (b, a)),
@@ -81,11 +80,11 @@ def split_basis_sl2(ctx: Context, variant: str = "standard") -> SplittingData:
     nonabelian subalgebra with the same bracket relations).
     """
     g = sl2(ctx)
-    one, half = ctx.one(), ctx(Fraction(1, 2))
+    half = QQ(1, 2)
     br = {
-        (0, 1): {1: one, 0: -one},    # [b, a] = a - b
-        (0, 2): {0: -one, 2: -one},   # [b, c] = -(b + c)
-        (1, 2): {1: one, 2: -one},    # [a, c] = a - c
+        (0, 1): {1: 1, 0: -1},        # [b, a] = a - b
+        (0, 2): {0: -1, 2: -1},       # [b, c] = -(b + c)
+        (1, 2): {1: 1, 2: -1},        # [a, c] = a - c
     }
     form = [[half, half, -half], [half, half, half], [-half, half, half]]
     split = LieAlgebraData(ctx, ("b", "a", "c"), br, form)

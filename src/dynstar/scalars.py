@@ -35,7 +35,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing
 
-Scalarish = Union["FieldElement", int, fractions.Fraction, str, sp.Expr]
+Scalarish = Union["FieldElement", int, QQ.dtype, fractions.Fraction, str, sp.Expr]
 
 # the named symbols of the base field: the dynamical variable and the
 # deformation parameter
@@ -100,15 +100,15 @@ class Context:
                             self._one_poly)
 
     def __call__(self, value: Scalarish) -> "FieldElement":
-        """Coerce ints, Fractions, strings (with `^` powers) or sympy
-        expressions into a FieldElement of this context."""
+        """Coerce ints, elements of QQ, Fractions, strings (with `^` powers)
+        or sympy expressions into a FieldElement of this context."""
         if isinstance(value, FieldElement):
             if value.context is not self:
                 raise ContextMismatchError("element belongs to a different context")
             return value
-        if isinstance(value, int):
+        if isinstance(value, (int, QQ.dtype, fractions.Fraction)):
             return self.constant(QQ(value))
-        if isinstance(value, (fractions.Fraction, sp.Rational)):
+        if isinstance(value, sp.Rational):
             return self.constant(QQ(int(value.numerator), int(value.denominator)))
         if isinstance(value, sp.Expr):
             expr = value
@@ -223,7 +223,7 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    _COERCIBLE = (int, fractions.Fraction, str, sp.Expr)
+    _COERCIBLE = (int, QQ.dtype, fractions.Fraction, str, sp.Expr)
 
     def _operand(self, other: Scalarish) -> "FieldElement | None":
         if type(other) is FieldElement and other.context is self.context:

@@ -112,43 +112,30 @@ def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> list[UEAElement]:
     return out
 
 
-def abrr_factor_series(alg: PBWAlgebra, n: int, kmax: int) -> list[UEAElement]:
-    """hbar-series coefficients of the resolvent product
-    prod_{j=0}^{n-1} (lam - hbar(h+j))^(-1), truncated at hbar^kmax.
-
-    Each factor expands as sum_k hbar^k (h+j)^k / lam^(k+1); the list entry
-    m is the hbar^m coefficient of the product (a polynomial in h over the
-    lam line).
-    """
-    series = [alg.one() if m == 0 else alg.zero() for m in range(kmax + 1)]
-    for j in range(n):
-        fj = _h_powers(alg, j, kmax)
-        new = [alg.zero() for _ in range(kmax + 1)]
-        for m in range(kmax + 1):
-            for k in range(m + 1):
-                new[m] = new[m] + series[m - k] * fj[k]
-        series = new
-    return series
-
-
 def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
     """The closed-form dynamical twist for sl(2), truncated at order N.
 
     Term n is ((-1)^n / n!) hbar^n (y^n (x) x^n) with the resolvent product
     prod_{j<n} (lam - hbar(h+j))^(-1) acting on the right of the x slot.
-    Expanding the resolvents in hbar spreads term n over orders n, n+1, ...
+    Expanding the resolvents in hbar spreads term n over orders n, n+1, ...;
+    the product for n + 1 is the product for n times the factor j = n.
     """
     orders = [FieldAccumulator(alg.ctx) for _ in range(N + 1)]
+    # hbar^m coefficients of the resolvent product, m = 0..N-n
+    resolvent = [alg.one()] + [alg.zero()] * N
     for n in range(N + 1):
         pref = QQ((-1) ** n, math.factorial(n))
         left = alg.gen("y") ** n
         right_base = alg.gen("x") ** n
-        factors = abrr_factor_series(alg, n, N - n)
-        for m, fm in enumerate(factors):
+        for m, fm in enumerate(resolvent):
             right = right_base * fm
             for e1, c1 in left.terms.items():
                 for e2, c2 in right.terms.items():
                     orders[n + m].add(c1 * c2, (((e1, e2), pref),))
+        if n < N:
+            factor = _h_powers(alg, n, N - n - 1)
+            resolvent = [sum((resolvent[m - k] * factor[k] for k in range(m + 1)),
+                             alg.zero()) for m in range(N - n)]
     return TwistSeries((alg, alg), [TensorUEA((alg, alg), t.sums())
                                     for t in orders], validate=False)
 

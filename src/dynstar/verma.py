@@ -255,16 +255,12 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     parts = []
     for k, wk in psi.components.items():
         # phi(m_k) = Delta(y^k) phi(highest vector); the coefficient of the
-        # highest vector needs all Verma lowering to cancel, which forces
-        # the pure second-slot part of the coproduct on the depth-0 layer.
-        for j, vj in phi.components.items():
-            for i in range(k + 1):
-                if j + i != 0:
-                    continue
-                vpart = dict(vj)
-                for _ in range(k - i):
-                    vpart = V.act("y", vpart)
-                parts.append((math.comb(k, i), _pair_vec(vpart, wk)))
+        # highest vector keeps only the pure second-slot part of the
+        # coproduct on the depth-0 layer: y^k on phi's expectation.
+        vpart = phi.expectation
+        for _ in range(k):
+            vpart = V.act("y", vpart)
+        parts.append((1, _pair_vec(vpart, wk)))
     composed = _signed_sum(ctx, parts)
 
     twisted = twist_action_on_pair(ctx, V, W, phi.expectation,

@@ -181,6 +181,7 @@ class TestPlumbing:
     @pytest.mark.parametrize("argv", [
         ["cdybe-check", "--order", "17"],
         ["project-twist", "--order", "16"],
+        ["abrr-check", "--order", "16"],
     ])
     def test_degree_cap_is_bad_input(self, capsys, argv):
         assert run(argv) == 2

@@ -1,5 +1,6 @@
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from dynstar import (LieAlgebraData, LieAlgebraError, Tensor2,
                      Tensor3, alt, build_casimir_tensor, build_root_system,
@@ -48,6 +49,12 @@ class TestAlgebraData:
         with pytest.raises(LieAlgebraError):
             LieAlgebraData(ctx, ("y", "h", "x"), brackets, bad_form)
 
+    def test_form_symmetry_enforced(self, ctx):
+        # every form on an abelian algebra is invariant, so only the
+        # symmetry check rejects this one
+        with pytest.raises(LieAlgebraError, match="form not symmetric"):
+            LieAlgebraData(ctx, ("a", "b"), {}, [[1, 1], [0, 1]])
+
     @staticmethod
     def _a2_with_form(ctx, edit):
         """Rebuild realized A2 from its bracket table and a copy of its form
@@ -86,6 +93,32 @@ class TestAlgebraData:
             # with alpha+(-beta) outside is not closed
             realize_lie_algebra(table, ctx, U=[(1, 0), (-1, -1)])
 
+    def test_non_rational_structure_constant_rejected(self, ctx):
+        brackets = {(0, 1): {0: 2}, (0, 2): {1: "-lam"}, (1, 2): {2: 2}}
+        form = [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
+        with pytest.raises(LieAlgebraError, match=r"structure constant of h "
+                           r"in \[y, x\] is -lam, not rational"):
+            LieAlgebraData(ctx, ("y", "h", "x"), brackets, form)
+
+    def test_non_rational_form_entry_rejected(self, ctx):
+        brackets = {(0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2}}
+        form = [[0, 0, 1], [0, "2*hbar", 0], [1, 0, 0]]
+        with pytest.raises(LieAlgebraError,
+                           match="form entry <h, h> is 2[*]hbar, not rational"):
+            LieAlgebraData(ctx, ("y", "h", "x"), brackets, form)
+
+    @pytest.mark.parametrize("with_u", [False, True], ids=["plain", "U"])
+    @pytest.mark.parametrize("family,rank", CLASSICAL_TYPES,
+                             ids=[f"{f}{r}" for f, r in CLASSICAL_TYPES])
+    def test_constants_are_rationals(self, ctx, family, rank, with_u):
+        rs = build_root_system(family, rank)
+        U = [rs.simple[0], tuple(-c for c in rs.simple[0])] if with_u else None
+        g = realize_lie_algebra(chevalley_constants(rs), ctx, U=U)
+        values = [q for i in range(g.dim) for j in range(g.dim)
+                  for q in g.bracket(i, j).values()]
+        assert values and all(QQ.of_type(q) and q for q in values)
+        assert all(QQ.of_type(q) for row in g.form for q in row)
+
     def test_realized_a2_dimensions(self, a2):
         assert a2.dim == 8
         assert len(a2.cartan_indices) == 2
@@ -117,8 +150,8 @@ class TestCasimir:
 
     def test_non_rational_form_rejected(self, ctx):
         z, lam = ctx.zero(), ctx.var("lam")
-        g = LieAlgebraData(ctx, ("a", "b"), {}, [[lam, z], [z, lam]])
         with pytest.raises(LieAlgebraError, match="not rational"):
+            g = LieAlgebraData(ctx, ("a", "b"), {}, [[lam, z], [z, lam]])
             build_casimir_tensor(g)
 
     @pytest.mark.parametrize("with_u", [False, True], ids=["plain", "U"])
@@ -130,7 +163,7 @@ class TestCasimir:
         rs = build_root_system(family, rank)
         U = [rs.simple[0], tuple(-c for c in rs.simple[0])] if with_u else None
         g = realize_lie_algebra(chevalley_constants(rs), ctx, U=U)
-        inv = sp.Matrix(g.dim, g.dim, lambda i, j: g.form[i][j].expr).inv()
+        inv = sp.Matrix(g.dim, g.dim, lambda i, j: QQ.to_sympy(g.form[i][j])).inv()
         want = Tensor2(g, {(i, j): ctx(inv[i, j]) for i in range(g.dim)
                            for j in range(g.dim) if inv[i, j] != 0})
         om = build_casimir_tensor(g)

@@ -89,6 +89,8 @@ class TestCoercion:
 
     def test_fraction_coercion(self, c2):
         assert c2(fractions.Fraction(3, 4)) * 4 == 3
+        lam = c2.var("lam")
+        assert c2(QQ(1, 2)) * 2 == 1 and lam * QQ(1, 2) == c2("lam/2")
 
     def test_unknown_symbol_rejected(self, c2):
         with pytest.raises(KeyError):
