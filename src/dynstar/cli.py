@@ -244,9 +244,7 @@ def cmd_project_twist(args) -> dict:
     J = abrr_twist(U, _at_least(args, "order", 0))
     Jv = project_twist(J, sp_)
     cf = closed_form_jv(sp_, args.order)
-    closed_match = all(
-        (Jv.series.order(k) - cf.series.order(k)).is_zero()
-        for k in range(args.order + 1))
+    closed_match = not Jv.series.differing_orders(cf.series)
     rep = check_nondynamical_twist(Jv)
     return {
         "order": args.order,

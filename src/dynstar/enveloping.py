@@ -1,14 +1,16 @@
 """Poincare-Birkhoff-Witt normal forms for universal enveloping algebras.
 
 Elements are stored as maps from exponent vectors (in a fixed generator
-order) to field coefficients. Multiplication straightens words by recursive
-adjacent swaps against the bracket table, with memoized word normal forms.
-The bracket table is read over QQ, as ``LieAlgebraData`` keeps it, and so
-is every normal form; a product of elements touches the field once per pair
-of terms and sums the rational expansions in a
-:class:`~dynstar.scalars.FieldAccumulator`. :meth:`TensorUEA.add_product`
-adds into an accumulator its caller owns, so a series product sums each
-order in one accumulator, and coproducts add binomial splits with integer
+order) to coefficients: field elements, or rationals (ints when integral)
+for the twist tower and changes of basis. Multiplication straightens words
+by recursive adjacent swaps against the bracket table, with memoized word
+normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
+keeps it, and so is every normal form; a product of elements touches the
+coefficients once per pair of terms and sums the rational expansions in a
+:class:`~dynstar.scalars.FieldAccumulator`, or for rational coefficients in
+a :class:`RationalAccumulator` of ints. :meth:`TensorUEA.add_product` adds
+into an accumulator its caller owns, so a series product sums each order
+in one accumulator, and coproducts add binomial splits with integer
 multiplicities.
 """
 
@@ -41,9 +43,65 @@ def _rational(c: FieldElement, what: str):
     return q
 
 
-def _lean(q):
+def lean(q):
     """A rational as an int when it is integral (cheaper to multiply)."""
     return q.numerator if q.denominator == 1 else q
+
+
+class RationalAccumulator:
+    """Keyed sums of products c * q with c and q rational: the plain-dict
+    counterpart of :class:`~dynstar.scalars.FieldAccumulator` for elements
+    with rational coefficients. Each key holds an integer numerator over
+    the lcm of the denominators added there, so every addition is of ints
+    and :meth:`sums` reduces one fraction per key."""
+
+    __slots__ = ("_sums",)
+
+    def __init__(self):
+        self._sums: dict = {}
+
+    def add(self, c, terms: Iterable[tuple[object, object]]) -> None:
+        """Add c * q at key for every (key, q) of ``terms``."""
+        num, den = c.numerator, c.denominator
+        sums = self._sums
+        for key, q in terms:
+            n, d = num * q.numerator, den * q.denominator
+            s = sums.get(key)
+            if s is None:
+                sums[key] = [n, d]
+            elif s[1] == d:
+                s[0] += n
+            else:
+                common = math.lcm(s[1], d)
+                s[0] = s[0] * (common // s[1]) + n * (common // d)
+                s[1] = common
+
+    def sums(self) -> dict:
+        """The nonzero sums by key, ints when integral."""
+        return {key: n // d if n % d == 0 else QQ.dtype(n, d)
+                for key, (n, d) in self._sums.items() if n}
+
+
+def _accumulator(ctx: Context, *term_maps: Mapping):
+    """The keyed sum for products of the given coefficient maps: a
+    FieldAccumulator once a FieldElement is among them, else rational."""
+    if any(isinstance(next(iter(t.values()), None), FieldElement)
+           for t in term_maps):
+        return FieldAccumulator(ctx)
+    return RationalAccumulator()
+
+
+def _terms_repr(slots: Sequence["PBWAlgebra"], terms: Mapping) -> str:
+    """(coefficient)*monomial(x)monomial... for every term, keys holding one
+    exponent vector per slot."""
+    parts = []
+    for k, c in sorted(terms.items()):
+        monos = ("*".join(f"{g}^{x}" if x > 1 else g
+                          for g, x in zip(alg.order, e) if x > 0) or "1"
+                 for alg, e in zip(slots, k))
+        coeff = c.to_string() if isinstance(c, FieldElement) else str(c)
+        parts.append(f"({coeff})*" + "(x)".join(monos))
+    return " + ".join(parts) or "0"
 
 
 def _product(terms1: Mapping, terms2: Mapping,
@@ -92,7 +150,7 @@ class PBWAlgebra:
         for p in range(self.ngens):
             for q in range(self.ngens):
                 row = lie.bracket(self._lie_index[p], self._lie_index[q])
-                self._bracket[(p, q)] = {back[k]: _lean(c) for k, c in row.items()}
+                self._bracket[(p, q)] = {back[k]: lean(c) for k, c in row.items()}
 
     # -- element constructors ---------------------------------------------
 
@@ -110,9 +168,6 @@ class PBWAlgebra:
 
     def monomial(self, exp: Exp, coeff=1) -> "UEAElement":
         return UEAElement(self, {tuple(exp): self.ctx(coeff)})
-
-    def from_terms(self, terms: Mapping[Exp, object]) -> "UEAElement":
-        return UEAElement(self, {tuple(k): self.ctx(v) for k, v in terms.items()})
 
     # -- straightening -----------------------------------------------------
 
@@ -139,7 +194,7 @@ class PBWAlgebra:
                     sub = word[:i] + (k,) + word[i + 2:]
                     for e, c2 in self.word_normal_form(sub).items():
                         out[e] = out.get(e, 0) + c * c2
-                out = {e: _lean(c) for e, c in out.items() if c}
+                out = {e: lean(c) for e, c in out.items() if c}
                 memo[word] = out
                 return out
         exp = tuple(word.count(g) for g in range(self.ngens))
@@ -164,7 +219,7 @@ class UEAElement(LinearCombination):
 
     def __init__(self, algebra: PBWAlgebra, terms: Mapping[Exp, FieldElement]):
         self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @property
     def ctx(self) -> Context:
@@ -182,7 +237,7 @@ class UEAElement(LinearCombination):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        acc = FieldAccumulator(alg.ctx)
+        acc = _accumulator(alg.ctx, self.terms, other.terms)
         _product(self.terms, other.terms,
                  lambda e1, e2: alg.multiply_monomials(e1, e2).items(), acc)
         return UEAElement(alg, acc.sums())
@@ -229,14 +284,8 @@ class UEAElement(LinearCombination):
         }
 
     def __repr__(self) -> str:
-        parts = []
-        for k, v in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{g}^{e}" if e > 1 else g
-                for g, e in zip(self.algebra.order, k) if e > 0
-            ) or "1"
-            parts.append(f"({v.to_string()})*{mono}")
-        return " + ".join(parts) or "0"
+        return _terms_repr((self.algebra,),
+                           {(k,): v for k, v in self.terms.items()})
 
 
 def change_generators(u: UEAElement, target: PBWAlgebra,
@@ -245,7 +294,9 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
 
     ``expansion`` maps each old generator name to its linear expansion in the
     target generators. The change matrix must be invertible; the result is
-    the image under the induced algebra isomorphism.
+    the image under the induced algebra isomorphism. The generator images
+    are rational, so each monomial's image is multiplied out over QQ and
+    then scaled by its coefficient.
     """
     old = u.algebra
     rows = [[_rational(old.ctx(expansion[name].get(g, 0)), "change-of-basis entry")
@@ -253,12 +304,12 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
     if len(rows) != len(target.order) or \
             not DomainMatrix(rows, (len(rows), len(rows)), QQ).det():
         raise EnvelopingError("singular change-of-basis matrix")
-    images = {name: target.from_terms({
-        tuple(1 if i == j else 0 for i in range(target.ngens)): q
+    images = {name: UEAElement(target, {
+        tuple(1 if i == j else 0 for i in range(target.ngens)): lean(q)
         for j, q in enumerate(row) if q}) for name, row in zip(old.order, rows)}
     out = target.zero()
     for exp, c in u.terms.items():
-        acc = target.one()
+        acc = UEAElement(target, {(0,) * target.ngens: 1})
         for i, e in enumerate(exp):
             for _ in range(e):
                 acc = acc * images[old.order[i]]
@@ -305,7 +356,7 @@ class TensorUEA(LinearCombination):
     def __init__(self, slots: Sequence[PBWAlgebra],
                  terms: Mapping[tuple, FieldElement]):
         self.slots = tuple(slots)
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @property
     def ctx(self) -> Context:
@@ -327,7 +378,7 @@ class TensorUEA(LinearCombination):
         """Slot-wise product."""
         if not isinstance(other, TensorUEA):
             return self.scale(other)
-        acc = FieldAccumulator(self.ctx)
+        acc = _accumulator(self.ctx, self.terms, other.terms)
         self.add_product(other, acc)
         return TensorUEA(self.slots, acc.sums())
 
@@ -364,7 +415,7 @@ class TensorUEA(LinearCombination):
         the sum with integer multiplicities."""
         alg = self.slots[slot]
         splits: dict[Exp, list] = {}
-        acc = FieldAccumulator(self.ctx)
+        acc = _accumulator(self.ctx, self.terms)
         for k, v in self.terms.items():
             e = k[slot]
             if e not in splits:
@@ -387,14 +438,15 @@ class TensorUEA(LinearCombination):
 
     def map_slots(self, f) -> "TensorUEA":
         """Apply an element-wise map (UEAElement -> UEAElement, possibly into
-        another algebra) independently in every slot."""
-        acc = FieldAccumulator(self.ctx)
-        new_slots = None
+        another algebra) independently in every slot. The images take the
+        coefficients of the result: rational images of a rational tensor
+        give a rational tensor."""
+        one = self.ctx.one()
+        units = [f(UEAElement(alg, {(0,) * alg.ngens: one})) for alg in self.slots]
+        acc = _accumulator(self.ctx, self.terms, *(u.terms for u in units))
         for k, v in self.terms.items():
-            mapped = [f(UEAElement(alg, {e: self.ctx.one()}))
+            mapped = [f(UEAElement(alg, {e: one}))
                       for alg, e in zip(self.slots, k)]
-            if new_slots is None:
-                new_slots = tuple(m.algebra for m in mapped)
             partial: list[tuple[tuple, FieldElement]] = [((), v)]
             for m in mapped:
                 partial = [
@@ -404,9 +456,7 @@ class TensorUEA(LinearCombination):
                 ]
             for key, cc in partial:
                 acc.add(cc, ((key, 1),))
-        if new_slots is None:
-            new_slots = self.slots
-        return TensorUEA(new_slots, acc.sums())
+        return TensorUEA(tuple(u.algebra for u in units), acc.sums())
 
     def to_json(self) -> list[dict]:
         return [
@@ -415,14 +465,4 @@ class TensorUEA(LinearCombination):
         ]
 
     def __repr__(self) -> str:
-        parts = []
-        for k, v in sorted(self.terms.items()):
-            slot_strs = []
-            for alg, e in zip(self.slots, k):
-                mono = "*".join(
-                    f"{g}^{x}" if x > 1 else g
-                    for g, x in zip(alg.order, e) if x > 0
-                ) or "1"
-                slot_strs.append(mono)
-            parts.append(f"({v.to_string()})*" + "(x)".join(slot_strs))
-        return " + ".join(parts) or "0"
+        return _terms_repr(self.slots, self.terms)

@@ -44,12 +44,18 @@ class LieAlgebraData:
         self.dim = len(self.names)
         self.index = {n: i for i, n in enumerate(self.names)}
         n = self.names
-        # store the full antisymmetric table
+        # store the full antisymmetric table; a pair given in both orders
+        # must hold opposite rows, and [e_i, e_i] = 0 takes no entry
         tbl: dict[tuple[int, int], dict[int, object]] = {}
         for (i, j), row in brackets.items():
+            if i == j:
+                raise LieAlgebraError(
+                    f"bracket table has an entry for [{n[i]}, {n[i]}]")
             row = {k: q for k, v in row.items() if (q := self._rational(
                 v, f"structure constant of {n[k]} in [{n[i]}, {n[j]}]"))}
-            tbl[(i, j)] = row
+            if tbl.setdefault((i, j), row) != row:
+                raise LieAlgebraError(
+                    f"[{n[i]}, {n[j]}] and [{n[j]}, {n[i]}] are not opposite")
             tbl[(j, i)] = {k: -q for k, q in row.items()}
         self._brackets = tbl
         self.form = tuple(

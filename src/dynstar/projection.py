@@ -17,7 +17,7 @@ from typing import Optional
 from sympy.polys.domains import QQ
 
 from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
-                         project_drop_right)
+                         lean, project_drop_right)
 from .lie import LieAlgebraData, sl2
 from .scalars import HBAR, LAM, Context, FieldAccumulator
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
@@ -58,7 +58,6 @@ class SplittingData:
             "v_closed": all(
                 set(self.algebra.bracket(i, j)) <= {b, a}
                 for i in (b, a) for j in (b, a)),
-            "h_abelian": not self.algebra.bracket(c, c),
         }
         amb = PBWAlgebra(self.ambient)
         ok_round = True
@@ -119,22 +118,25 @@ class ProjectedTwist:
         hname = self.splitting.h_name
         alg = self.splitting.pbw
         hi = alg.order.index(hname)
-        for t in self.series.orders:
-            for key in t.terms:
+        for g in self.series.grades:
+            for key in (k for t in g.values() for k in t.terms):
                 if any(e[hi] != 0 for e in key):
                     raise ProjectionError(
                         "coefficient leaks outside Uv (x) Uv")
 
 
 def _project_slots(t: TensorUEA, sp: SplittingData, images: dict) -> TensorUEA:
-    """Project every slot of t. ``images`` holds the projected image of
-    each slot monomial met so far, keyed by (slot algebra, exponents)."""
+    """Project every slot of a tensor over QQ. ``images`` holds the
+    projected image of each slot monomial met so far, over QQ, keyed by
+    (slot algebra, exponents)."""
     def image(u: UEAElement) -> UEAElement:
         (e,) = u.terms
         key = (u.algebra, e)
         if key not in images:
-            images[key] = project_drop_right(
+            v = project_drop_right(
                 change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
+            images[key] = UEAElement(sp.pbw, {
+                k: lean(c.as_rational()) for k, c in v.terms.items()})
         return images[key]
     return t.map_slots(image)
 
@@ -145,9 +147,8 @@ def _project(J: TwistSeries, sp: SplittingData, images: dict) -> ProjectedTwist:
     if not check_h_invariance(J):
         raise ProjectionError(
             "input twist is not Cartan-invariant; projection refused")
-    orders = [_project_slots(t, sp, images) for t in J.orders]
-    series = TwistSeries((sp.pbw, sp.pbw), orders, validate=False)
-    return ProjectedTwist(series, sp)
+    return ProjectedTwist(
+        J.map_orders(lambda t: _project_slots(t, sp, images)), sp)
 
 
 def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
@@ -216,18 +217,15 @@ def closed_form_jv(sp: SplittingData, N: int,
         for j in range(n):
             denom = denom * (lam - j * q)
         coeffs = (pref / denom * q ** n).series_expand(HBAR, N)
-        v1 = rising_factorial(sp.pbw, first, n)
-        v2 = rising_factorial(sp.pbw, second, n)
+        v1, v2 = (rising_factorial(sp.pbw, g, n).terms for g in (first, second))
+        # the rising factorials have rational coefficients
+        pairs = [((e1, e2), c1.as_rational() * c2.as_rational())
+                 for e1, c1 in v1.items() for e2, c2 in v2.items()]
         for r in range(n, N + 1):
-            cr = coeffs[r]
-            if cr.is_zero():
-                continue
-            for e1, c1 in v1.terms.items():
-                for e2, c2 in v2.terms.items():
-                    orders[r].add(cr * c1 * c2, (((e1, e2), 1),))
+            if not coeffs[r].is_zero():
+                orders[r].add(coeffs[r], pairs)
     series = TwistSeries(slots, [TensorUEA.unit(slots)] +
-                         [TensorUEA(slots, t.sums()) for t in orders[1:]],
-                         validate=False)
+                         [TensorUEA(slots, t.sums()) for t in orders[1:]])
     return ProjectedTwist(series, sp)
 
 
@@ -254,7 +252,7 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
     Cartan-invariance of the input guarantees.
     """
     if N is not None and N < J.truncation:
-        J = TwistSeries(J.slots, J.orders[:N + 1], validate=False)
+        J = TwistSeries.graded(J.slots, J.grades[:N + 1])
     images: dict = {}
     Jv = _project(J, sp, images)
     lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
@@ -264,10 +262,8 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
     V = Jv.series
     lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
 
-    bad_l = [r for r, t in enumerate((lhs_proj - lhs_v).orders)
-             if not t.is_zero()]
-    bad_r = [r for r, t in enumerate((rhs_proj - rhs_v).orders)
-             if not t.is_zero()]
+    bad_l = lhs_proj.differing_orders(lhs_v)
+    bad_r = rhs_proj.differing_orders(rhs_v)
     return {
         "checked_through": min(lhs_proj.truncation, lhs_v.truncation),
         "lhs_ok": not bad_l, "rhs_ok": not bad_r,

@@ -99,6 +99,14 @@ class Context:
         return FieldElement(self, self.ring.dtype([(self.ring.zero_monom, q)]),
                             self._one_poly)
 
+    def laurent(self, var: str, coefficients: Mapping[int, object]) -> "FieldElement":
+        """sum_d q_d var^d for the q_d in QQ of ``coefficients``."""
+        x = self.ring.gens[self.index(var)]
+        low = min(min(coefficients, default=0), 0)
+        num = sum((x ** (d - low) * q for d, q in coefficients.items()),
+                  self.ring.zero)
+        return _frac(self, num, x ** -low)
+
     def __call__(self, value: Scalarish) -> "FieldElement":
         """Coerce ints, elements of QQ, Fractions, strings (with `^` powers)
         or sympy expressions into a FieldElement of this context."""
@@ -214,6 +222,24 @@ class FieldElement:
         if self._const is None and not self._reduced:
             self._reduce()
         return self._const
+
+    def laurent_coefficients(self, var: str) -> "dict[int, object] | None":
+        """The q_d in QQ with self = sum_d q_d var^d when self is a Laurent
+        polynomial in ``var`` over QQ, else None."""
+        i = self.context.index(var)
+        out = self._laurent_in(i)
+        if out is None and not self._reduced:
+            self._reduce()      # a common factor may hide it
+            out = self._laurent_in(i)
+        return out
+
+    def _laurent_in(self, i: int) -> "dict[int, object] | None":
+        if len(self.den) != 1 or any(e for m in (*self.num, *self.den)
+                                     for j, e in enumerate(m) if j != i):
+            return None
+        ((dm, dc),) = self.den.items()
+        return {m[i] - dm[i]: q if dc == 1 else q / dc
+                for m, q in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
@@ -540,30 +566,26 @@ class FieldAccumulator:
 
 
 class LinearCombination:
-    """A sparse linear combination over the field: ``terms`` maps keys to
-    nonzero FieldElements. Subclass constructors drop zero coefficients and
-    nothing writes into ``terms`` afterwards. Subclasses give ``ctx``,
-    ``_like(terms)`` (an element of the same space) and may check operands
-    in ``_check``."""
+    """A sparse linear combination: ``terms`` maps keys to nonzero
+    coefficients, all FieldElements or all rationals (ints or elements of
+    QQ). Subclass constructors drop zero coefficients and nothing writes
+    into ``terms`` afterwards. Subclasses give ``ctx``, ``_like(terms)`` (an
+    element of the same space) and may check operands in ``_check``."""
 
     __slots__ = ()
 
     def _check(self, other: "LinearCombination") -> None:
         pass
 
-    def _combine(self, other: "LinearCombination", op):
+    def __add__(self, other):
         self._check(other)
-        z = self.ctx.zero()
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = op(out.get(k, z), v)
+            out[k] = out[k] + v if k in out else v
         return self._like(out)
 
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self + -other
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.terms.items()})

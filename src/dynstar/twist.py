@@ -1,21 +1,26 @@
 """Quantum dynamical twists as truncated formal series.
 
-A twist is stored order by order in the deformation parameter ``hbar``:
-order n is a tensor-square (or tensor-cube) enveloping-algebra element whose
-coefficients are rational in the remaining parameters (the dynamical
-variable ``lam`` and the t's) but free of ``hbar``. The closed-form twist
-for sl(2) in the generators y, h, x, the dynamical-shift operation, the
-defining cocycle identity and the classical limit all live here.
+A twist is stored order by order in the deformation parameter ``hbar``,
+and each order graded by the power of the dynamical variable ``lam``: order
+n maps every exponent d that occurs to a tensor-square (or tensor-cube)
+enveloping-algebra element over QQ, so the order is sum_d lam^d T_{n,d}.
+The sl(2) twists are homogeneous (order n sits at d = -n), products,
+coproducts, the dynamical shift and every zero test run on the QQ tensors,
+and field coefficients are formed only where one is read. The closed-form
+twist for sl(2) in the generators y, h, x, the dynamical-shift operation,
+the defining cocycle identity and the classical limit all live here.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Callable, Sequence
 
 from sympy.polys.domains import QQ
 
-from .enveloping import PBWAlgebra, TensorUEA, UEAElement
+from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
+                         lean)
 from .lie import Tensor2, Tensor3, alt, cyb
 from .scalars import HBAR, LAM, Context, FieldAccumulator, FieldElement
 
@@ -24,28 +29,52 @@ class TwistError(ValueError):
     pass
 
 
+def _unit(slots: Sequence[PBWAlgebra]) -> TensorUEA:
+    """1 (x) ... (x) 1 over QQ."""
+    return TensorUEA(slots, {tuple((0,) * a.ngens for a in slots): 1})
+
+
+def _grades(t: TensorUEA, n: int) -> dict[int, TensorUEA]:
+    """The entry check: a field tensor t as {d: T_d} over QQ with
+    t = sum_d lam^d T_d. A coefficient that is not a Laurent polynomial in
+    lam over QQ (one with hbar, a t or another denominator) raises."""
+    split: dict[int, dict] = {}
+    for k, c in t.terms.items():
+        coeffs = c.laurent_coefficients(LAM)
+        if coeffs is None:
+            raise TwistError(f"order {n} coefficient {c.to_string()} is not "
+                             f"a Laurent polynomial in {LAM} over QQ")
+        for d, q in coeffs.items():
+            split.setdefault(d, {})[k] = lean(q)
+    return {d: TensorUEA(t.slots, terms) for d, terms in split.items()}
+
+
 class TwistSeries:
     """A truncated series sum_n hbar^n T_n of tensor enveloping elements.
 
-    Coefficients of every order must be free of ``hbar`` (a declared context
-    symbol), so truncation orders compose exactly under multiplication.
+    ``grades[n]`` maps each power d of lam that occurs in order n to a
+    nonzero TensorUEA over QQ. The constructor takes field orders through
+    the entry check of :func:`_grades`; :meth:`order` and :attr:`orders`
+    give the field view back.
     """
 
-    def __init__(self, slots: Sequence[PBWAlgebra], orders: Sequence[TensorUEA],
-                 validate: bool = True):
+    def __init__(self, slots: Sequence[PBWAlgebra], orders: Sequence[TensorUEA]):
         self.slots = tuple(slots)
-        self.orders: list[TensorUEA] = list(orders)
-        if not self.orders:
+        if not orders:
             raise TwistError("need at least the constant order")
-        self.ctx.symbol(HBAR)
-        for t in self.orders:
-            if t.slots != self.slots:
-                raise TwistError("order has wrong slot signature")
-            if validate:
-                for v in t.terms.values():
-                    if v.depends_on(HBAR):
-                        raise TwistError(
-                            "order coefficient not free of the deformation symbol")
+        if any(t.slots != self.slots for t in orders):
+            raise TwistError("order has wrong slot signature")
+        self.grades = [_grades(t, n) for n, t in enumerate(orders)]
+
+    @classmethod
+    def graded(cls, slots: Sequence[PBWAlgebra],
+               grades: Sequence[dict[int, TensorUEA]]) -> "TwistSeries":
+        """The series with the given QQ grades, zero ones dropped (no entry
+        check)."""
+        series = cls.__new__(cls)
+        series.slots = tuple(slots)
+        series.grades = [{d: t for d, t in g.items() if t.terms} for g in grades]
+        return series
 
     @property
     def ctx(self) -> Context:
@@ -53,44 +82,61 @@ class TwistSeries:
 
     @property
     def truncation(self) -> int:
-        return len(self.orders) - 1
+        return len(self.grades) - 1
 
     def order(self, n: int) -> TensorUEA:
-        if n <= self.truncation:
-            return self.orders[n]
-        return TensorUEA(self.slots, {})
+        """Order n with field coefficients (zero past the truncation)."""
+        coeffs: dict[tuple, dict[int, object]] = {}
+        for d, t in (self.grades[n] if n <= self.truncation else {}).items():
+            for k, q in t.terms.items():
+                coeffs.setdefault(k, {})[d] = q
+        return TensorUEA(self.slots, {k: self.ctx.laurent(LAM, qs)
+                                      for k, qs in coeffs.items()})
+
+    @property
+    def orders(self) -> list[TensorUEA]:
+        return [self.order(n) for n in range(len(self.grades))]
 
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
         if self.slots != other.slots:
             raise TwistError("series signature mismatch")
         N = min(self.truncation, other.truncation)
-        out = []
+        # one accumulator per (order, lam power)
+        sums = defaultdict(RationalAccumulator)
         for r in range(N + 1):
-            # one accumulator per order: fractions are formed once, at the end
-            acc = FieldAccumulator(self.ctx)
             for p in range(r + 1):
-                self.order(p).add_product(other.order(r - p), acc)
-            out.append(TensorUEA(self.slots, acc.sums()))
-        return TwistSeries(self.slots, out, validate=False)
+                for d1, a in self.grades[p].items():
+                    for d2, b in other.grades[r - p].items():
+                        a.add_product(b, sums[r, d1 + d2])
+        return _summed(self.slots, sums, N)
 
     def __sub__(self, other: "TwistSeries") -> "TwistSeries":
         if self.slots != other.slots:
             raise TwistError("series signature mismatch")
-        N = min(self.truncation, other.truncation)
-        return TwistSeries(
-            self.slots,
-            [self.order(r) - other.order(r) for r in range(N + 1)],
-            validate=False)
+        return TwistSeries.graded(self.slots, [
+            {**a, **{d: a[d] - t if d in a else -t for d, t in b.items()}}
+            for a, b in zip(self.grades, other.grades)])
 
     def is_zero(self) -> bool:
-        return all(t.is_zero() for t in self.orders)
+        return not any(self.grades)
+
+    def differing_orders(self, other: "TwistSeries") -> list[int]:
+        """The orders, through the lower truncation, at which the two series
+        differ. Coefficients are nonzero and compared exactly, so equal
+        orders have equal term maps."""
+        if self.slots != other.slots:
+            raise TwistError("series signature mismatch")
+        return [r for r, (a, b) in enumerate(zip(self.grades, other.grades))
+                if a.keys() != b.keys() or any(a[d].terms != b[d].terms for d in a)]
 
     def map_orders(self, f: Callable[[TensorUEA], TensorUEA]) -> "TwistSeries":
-        mapped = [f(t) for t in self.orders]
-        return TwistSeries(mapped[0].slots, mapped, validate=False)
+        """Apply a QQ-linear map of tensors to every grade of every order."""
+        return TwistSeries.graded(f(TensorUEA(self.slots, {})).slots,
+                                  [{d: f(t) for d, t in g.items()}
+                                   for g in self.grades])
 
     def starts_at_unit(self) -> bool:
-        return (self.order(0) - TensorUEA.unit(self.slots)).is_zero()
+        return not self.differing_orders(_unit_series(self.slots, 0))
 
     def to_json(self) -> dict:
         return {
@@ -98,6 +144,18 @@ class TwistSeries:
             "truncation": self.truncation,
             "orders": [t.to_json() for t in self.orders],
         }
+
+
+def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
+    return TwistSeries.graded(slots, [{0: _unit(slots)}] + [{}] * N)
+
+
+def _summed(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
+    """The series whose order n holds sums[n, d].sums() at lam^d."""
+    grades: list[dict] = [{} for _ in range(N + 1)]
+    for (n, d), acc in sums.items():
+        grades[n][d] = TensorUEA(slots, acc.sums())
+    return TwistSeries.graded(slots, grades)
 
 
 def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> list[UEAElement]:
@@ -118,68 +176,68 @@ def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
     Term n is ((-1)^n / n!) hbar^n (y^n (x) x^n) with the resolvent product
     prod_{j<n} (lam - hbar(h+j))^(-1) acting on the right of the x slot.
     Expanding the resolvents in hbar spreads term n over orders n, n+1, ...;
-    the product for n + 1 is the product for n times the factor j = n.
+    the product for n + 1 is the product for n times the factor j = n, and
+    y^n, x^n are carried the same way. The resolvent product is a one-slot
+    series, so its zero orders take no products.
     """
-    orders = [FieldAccumulator(alg.ctx) for _ in range(N + 1)]
-    # hbar^m coefficients of the resolvent product, m = 0..N-n
-    resolvent = [alg.one()] + [alg.zero()] * N
+    slot = (alg,)
+    y, x = (TensorUEA(slot, {(next(iter(alg.gen(g).terms)),): 1}) for g in "yx")
+    yn = xn = _unit(slot)
+    resolvent = _unit_series(slot, N)
+    sums = defaultdict(RationalAccumulator)
     for n in range(N + 1):
         pref = QQ((-1) ** n, math.factorial(n))
-        left = alg.gen("y") ** n
-        right_base = alg.gen("x") ** n
-        for m, fm in enumerate(resolvent):
-            right = right_base * fm
-            for e1, c1 in left.terms.items():
-                for e2, c2 in right.terms.items():
-                    orders[n + m].add(c1 * c2, (((e1, e2), pref),))
+        for m, grades in enumerate(resolvent.grades):
+            for d, fm in grades.items():
+                right = (xn * fm).terms.items()
+                for (e1,), c1 in yn.terms.items():
+                    sums[n + m, d].add(c1 * pref, [((e1, e2), c2)
+                                                   for (e2,), c2 in right])
         if n < N:
-            factor = _h_powers(alg, n, N - n - 1)
-            resolvent = [sum((resolvent[m - k] * factor[k] for k in range(m + 1)),
-                             alg.zero()) for m in range(N - n)]
-    return TwistSeries((alg, alg), [TensorUEA((alg, alg), t.sums())
-                                    for t in orders], validate=False)
+            factor = [TensorUEA(slot, {(e,): c for e, c in f.terms.items()})
+                      for f in _h_powers(alg, n, N - n - 1)]
+            resolvent = resolvent * TwistSeries(slot, factor)
+            yn, xn = yn * y, xn * x
+    return _summed((alg, alg), sums, N)
 
 
 def check_h_invariance(J: TwistSeries) -> bool:
     """[h (x) 1 + 1 (x) h, J] = 0 at every order."""
     algs = J.slots
-    total = TensorUEA(algs, {})
-    for s in range(len(algs)):
-        # the exponent vector of h in slot s, of 1 elsewhere
-        key = tuple(next(iter(a.gen("h").terms)) if i == s else (0,) * a.ngens
-                    for i, a in enumerate(algs))
-        total = total + TensorUEA(algs, {key: J.ctx.one()})
-    return all((total * t - t * total).is_zero() for t in J.orders)
+    # the exponent vectors of h in slot s and of 1 elsewhere
+    total = TensorUEA(algs, {
+        tuple(next(iter(a.gen("h").terms)) if i == s else (0,) * a.ngens
+              for i, a in enumerate(algs)): 1
+        for s in range(len(algs))})
+    return all((total * t - t * total).is_zero()
+               for g in J.grades for t in g.values())
 
 
 def shift_twist(J: TwistSeries) -> TwistSeries:
     """J(lam - hbar h^(3)) acting in slots 1,2 of a tensor cube.
 
-    Taylor expansion in the shift: coefficient c(lam) at order p contributes
-    ((-1)^l / l!) d^l c/d lam^l at order p+l, with h^l placed in slot 3.
+    Taylor expansion in the shift: lam^d at order p contributes
+    ((-1)^l / l!) (d/dlam)^l lam^d = (-1)^l C(d, l) lam^(d-l) at order p+l,
+    with h^l placed in slot 3. For d = -k that integer is C(k+l-1, l).
     """
     if len(J.slots) != 2:
         raise TwistError("shift applies to a two-slot twist")
     alg = J.slots[0]
-    ctx = J.ctx
     N = J.truncation
     slots3 = (J.slots[0], J.slots[1], alg)
     h_i = alg.order.index("h")
-    orders = [FieldAccumulator(ctx) for _ in range(N + 1)]
-    for p in range(N + 1):
-        for (e1, e2), c in J.order(p).terms.items():
+    sums = defaultdict(RationalAccumulator)
+    for p, grades in enumerate(J.grades):
+        for d, t in grades.items():
             for l in range(N - p + 1):
-                if l == 0:
-                    d = c
-                else:
-                    d = d.differentiate(LAM)
-                if d.is_zero():
+                m = (-1) ** l * math.comb(d, l) if d >= 0 else \
+                    math.comb(l - d - 1, l)
+                if not m:
                     break
                 e3 = tuple(l if j == h_i else 0 for j in range(alg.ngens))
-                orders[p + l].add(
-                    d, (((e1, e2, e3), QQ((-1) ** l, math.factorial(l))),))
-    return TwistSeries(slots3, [TensorUEA(slots3, t.sums()) for t in orders],
-                       validate=False)
+                sums[p + l, d - l].add(m, [((e1, e2, e3), c)
+                                           for (e1, e2), c in t.terms.items()])
+    return _summed(slots3, sums, N)
 
 
 def cocycle_sides(J: TwistSeries, right12: TwistSeries
@@ -196,25 +254,21 @@ def cocycle_residual(J: TwistSeries, right12: TwistSeries) -> dict:
     """Order-by-order comparison of the two :func:`cocycle_sides`: the
     orders that fail and the residual at the first of them."""
     lhs, rhs = cocycle_sides(J, right12)
-    diff = lhs - rhs
-    failing = [r for r, t in enumerate(diff.orders) if not t.is_zero()]
+    failing = lhs.differing_orders(rhs)
     return {
-        "checked_through": diff.truncation,
+        "checked_through": min(lhs.truncation, rhs.truncation),
         "ok": not failing,
         "failing_orders": failing,
-        "first_residual": (diff.order(failing[0]).to_json()
+        "first_residual": ((lhs - rhs).order(failing[0]).to_json()
                            if failing else None),
     }
 
 
 def counit_ok(J: TwistSeries) -> bool:
     """Both slot counits collapse the series to 1."""
-    unit1 = TensorUEA.unit((J.slots[0],))
-    for r, t in enumerate(J.orders):
-        want = unit1 if r == 0 else TensorUEA((J.slots[0],), {})
-        if any(not (t.slot_counit(s) - want).is_zero() for s in (0, 1)):
-            return False
-    return True
+    counits = (J.map_orders(lambda t, s=s: t.slot_counit(s)) for s in (0, 1))
+    return not any(c.differing_orders(_unit_series(c.slots, c.truncation))
+                   for c in counits)
 
 
 def check_dynamical_twist(J: TwistSeries) -> dict:

@@ -73,13 +73,18 @@ def test_canonical_report_digest(capsys, argv, code, digest):
 
 
 def test_recover_report_survives_optimize_flag():
-    # python -O strips assert statements; the invariants recovery relies on
-    # are explicit raises, so the verdict and report must not change
-    argv, code, digest = B3_RECOVER
+    # python -O strips assert statements; the invariants recovery and the
+    # twist series' entry check rely on are explicit raises, so the
+    # verdicts and reports must not change
     src = os.path.dirname(os.path.dirname(dynstar.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-O", "-m", "dynstar", *argv, "--canonical"],
-                          capture_output=True, env=env, timeout=300)
-    assert proc.returncode == code
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    cases = [B3_RECOVER] + [g for g in GOLDEN if g[0][:3] in (
+        ["abrr-check", "--order", "5"], ["project-twist", "--order", "6"])]
+    assert len(cases) == 4
+    for argv, code, digest in cases:
+        proc = subprocess.run([sys.executable, "-O", "-m", "dynstar", *argv,
+                               "--canonical"],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == code, argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv

@@ -55,6 +55,21 @@ class TestAlgebraData:
         with pytest.raises(LieAlgebraError, match="form not symmetric"):
             LieAlgebraData(ctx, ("a", "b"), {}, [[1, 1], [0, 1]])
 
+    def test_diagonal_bracket_key_rejected(self, ctx):
+        # a table claiming [a, a] = b
+        with pytest.raises(LieAlgebraError, match=r"entry for \[a, a\]"):
+            LieAlgebraData(ctx, ("a", "b"), {(0, 0): {1: 1}}, [[1, 0], [0, 1]])
+
+    def test_pair_in_both_orders_must_be_opposite(self, ctx):
+        # the Heisenberg algebra [a, b] = c, with the zero form
+        form = [[0] * 3 for _ in range(3)]
+        with pytest.raises(LieAlgebraError, match="not opposite"):
+            LieAlgebraData(ctx, ("a", "b", "c"),
+                           {(0, 1): {2: 1}, (1, 0): {2: 1}}, form)
+        g = LieAlgebraData(ctx, ("a", "b", "c"),
+                           {(0, 1): {2: 1}, (1, 0): {2: -1}}, form)
+        assert g.bracket(0, 1) == {2: 1} and g.bracket(1, 0) == {2: -1}
+
     @staticmethod
     def _a2_with_form(ctx, edit):
         """Rebuild realized A2 from its bracket table and a copy of its form

@@ -5,9 +5,11 @@ import math
 import pytest
 
 from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
-                     abrr_twist, check_cdybe, check_dynamical_twist,
-                     check_h_invariance, classical_limit_r, shift_twist, sl2,
-                     tensor2_from_names)
+                     abrr_twist, change_generators, check_cdybe,
+                     check_dynamical_twist, check_h_invariance,
+                     check_projected_equation, classical_limit_r,
+                     closed_form_jv, project_drop_right, project_twist,
+                     shift_twist, sl2, split_basis_sl2, tensor2_from_names)
 from dynstar import twist
 from dynstar.twist import cocycle_residual, cocycle_sides
 
@@ -45,6 +47,29 @@ class TestSeriesContainer:
         bad = tensor2(U, y.scale(ctx.var("hbar")), x)
         with pytest.raises(TwistError):
             TwistSeries((U, U), [TensorUEA.unit((U, U)), bad])
+
+    @pytest.mark.parametrize("coeff", ["t1/lam", "1/(t1*lam)", "1/(lam - 1)"])
+    def test_entry_check_rejects_non_laurent(self, U, ctx, coeff):
+        bad = tensor2(U, U.gen("y"), U.gen("x")).scale(ctx(coeff))
+        with pytest.raises(TwistError, match="not a Laurent polynomial"):
+            TwistSeries((U, U), [TensorUEA.unit((U, U)), bad])
+
+    def test_entry_check_sees_through_a_common_factor(self, U, ctx):
+        # lam (lam - 1) / (lam - 1), kept unreduced, is lam
+        lam = ctx.var("lam")
+        c = lam * (lam - 1) / (lam - 1)
+        assert len(c.den) == 2
+        J = TwistSeries((U, U), [TensorUEA.unit((U, U)),
+                                 tensor2(U, U.gen("y"), U.gen("x")).scale(c)])
+        assert list(J.grades[1]) == [1]
+        assert (J.order(1) - tensor2(U, U.gen("y"), U.gen("x")).scale(lam)).is_zero()
+
+    def test_differing_orders_sees_a_grade_on_one_side(self, U):
+        J = abrr_twist(U, 3)
+        K = nonhomogeneous_twist(U, 3)
+        assert sorted(K.grades[2]) == [-2, -1]
+        assert J.differing_orders(K) == K.differing_orders(J) == [2]
+        assert not J.differing_orders(abrr_twist(U, 3))
 
     def test_slot_signature_checked(self, U, ctx):
         wrong = TensorUEA((U, U, U), {})
@@ -92,8 +117,7 @@ class TestClosedForm:
     def test_h_invariance_detects_breakage(self, J5, U, ctx):
         broken = TwistSeries(
             (U, U),
-            [J5.order(0), J5.order(1) + tensor2(U, U.gen("y"), U.one())],
-            validate=False)
+            [J5.order(0), J5.order(1) + tensor2(U, U.gen("y"), U.one())])
         assert not check_h_invariance(broken)
 
     def test_counit_axiom_per_order(self, J5):
@@ -140,7 +164,7 @@ class TestCocycle:
         orders = list(J5.orders)
         orders[2] = orders[2] + tensor2(
             U, U.gen("y"), U.gen("x")).scale(ctx("1/lam"))
-        broken = TwistSeries((U, U), orders, validate=False)
+        broken = TwistSeries((U, U), orders)
         rep = check_dynamical_twist(broken)
         assert not rep["ok"]
         assert rep["failing_orders"]
@@ -181,15 +205,21 @@ def test_json_round_structure(J5):
 # -- references: the series product and the slot coproduct as they were
 # computed before each order was summed in one accumulator -----------------
 
+def reference_orders_mul(a, b):
+    """The product of two lists of field orders, each order summed through
+    LinearCombination additions."""
+    out = []
+    for r in range(min(len(a), len(b))):
+        acc = TensorUEA(a[0].slots, {})
+        for p in range(r + 1):
+            acc = acc + a[p] * b[r - p]
+        out.append(acc)
+    return out
+
+
 def reference_series_mul(A, B):
     """Each order summed through LinearCombination additions."""
-    out = []
-    for r in range(min(A.truncation, B.truncation) + 1):
-        acc = TensorUEA(A.slots, {})
-        for p in range(r + 1):
-            acc = acc + A.order(p) * B.order(r - p)
-        out.append(acc)
-    return TwistSeries(A.slots, out, validate=False)
+    return TwistSeries(A.slots, reference_orders_mul(A.orders, B.orders))
 
 
 def reference_splits(exp):
@@ -228,7 +258,15 @@ def doubled_twist(U, N):
     key = min(terms)
     terms[key] = terms[key] * 2
     orders[2] = TensorUEA((U, U), terms)
-    return TwistSeries((U, U), orders, validate=False)
+    return TwistSeries((U, U), orders)
+
+
+def nonhomogeneous_twist(U, N):
+    """abrr_twist with (1/lam) y (x) x added at order 2, where the twist
+    holds lam^-2 only."""
+    orders = abrr_twist(U, N).orders
+    orders[2] = orders[2] + tensor2(U, U.gen("y"), U.gen("x")).scale(U.ctx("1/lam"))
+    return TwistSeries((U, U), orders)
 
 
 def wrong_shift_twist(U, N, monkeypatch):
@@ -278,18 +316,150 @@ class TestAgainstReferences:
         assert (u.coproduct() - want).is_zero()
 
     # sha256 of the sorted-key JSON of cocycle_residual(J, shift_twist(J)),
-    # recorded before the per-order accumulator: checked_through,
+    # recorded before the per-order accumulator (the nonhomogeneous one
+    # before the twist was graded by the power of lam): checked_through,
     # failing_orders and first_residual must stay byte-identical
     @pytest.mark.parametrize("kind,failing,digest", [
         ("doubled", [3, 4],
          "1ac1820eea2b092afe84f8d747f900261fe2ac395967bad6e75b922b6dc8d9dd"),
         ("wrong_shift", [3, 4],
          "ca5567479da233b8d37a59a54a55c5308a83d060f91783b76733f6c6a73c0716"),
-    ], ids=["doubled", "wrong_shift"])
+        ("nonhomogeneous", [3, 4],
+         "3ae88f993562225bea3d6a54e1a46b52d68a7f6e2d4865738990499c889ed46f"),
+    ], ids=["doubled", "wrong_shift", "nonhomogeneous"])
     def test_mutated_residual_digest(self, U, monkeypatch, kind, failing, digest):
-        J = doubled_twist(U, 4) if kind == "doubled" else \
-            wrong_shift_twist(U, 4, monkeypatch)
+        J = {"doubled": lambda: doubled_twist(U, 4),
+             "wrong_shift": lambda: wrong_shift_twist(U, 4, monkeypatch),
+             "nonhomogeneous": lambda: nonhomogeneous_twist(U, 4)}[kind]()
         rep = cocycle_residual(J, shift_twist(J))
         assert rep["failing_orders"] == failing and rep["checked_through"] == 4
         text = json.dumps(rep, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the graded QQ tower, read back through the field view, against the
+# same series summed over the field coefficient by coefficient -------------
+
+def reference_abrr_orders(U, N):
+    """The closed-form twist's orders: term n is ((-1)^n / n!) y^n (x) x^n
+    times the resolvent product, whose hbar^m coefficients are multiplied
+    out over the field one factor _h_powers(U, j, .) at a time."""
+    orders = [TensorUEA((U, U), {}) for _ in range(N + 1)]
+    resolvent = [U.one()] + [U.zero()] * N
+    for n in range(N + 1):
+        pref = U.ctx((-1) ** n) / math.factorial(n)
+        for m, fm in enumerate(resolvent[:N - n + 1]):
+            orders[n + m] = orders[n + m] + tensor2(
+                U, U.gen("y") ** n, U.gen("x") ** n * fm).scale(pref)
+        if n < N:
+            factor = twist._h_powers(U, n, N - n - 1)
+            resolvent = [sum((resolvent[m - k] * factor[k] for k in range(m + 1)),
+                             U.zero()) for m in range(N - n)]
+    return orders
+
+
+def reference_shift(orders):
+    """The field Taylor shift lam -> lam - hbar h^(3): a coefficient c at
+    order p adds ((-1)^l / l!) d^l c / dlam^l at order p + l, with h^l in
+    the third slot."""
+    U = orders[0].slots[0]
+    slots3 = orders[0].slots + (U,)
+    e_h = next(iter(U.gen("h").terms))
+    out = [TensorUEA(slots3, {}) for _ in orders]
+    for p, t in enumerate(orders):
+        for (e1, e2), c in t.terms.items():
+            d = c
+            for l in range(len(orders) - p):
+                e3 = tuple(l * x for x in e_h)
+                out[p + l] = out[p + l] + TensorUEA(slots3, {
+                    (e1, e2, e3): d * U.ctx((-1) ** l) / math.factorial(l)})
+                d = d.differentiate("lam")
+    return out
+
+
+def reference_project(t, sp_):
+    """A field tensor rewritten slotwise in the split basis, Cartan
+    monomials dropped."""
+    return t.map_slots(lambda u: project_drop_right(
+        change_generators(u, sp_.pbw, sp_.to_split), (sp_.h_name,)))
+
+
+def reference_sides(orders, right12):
+    """The two cocycle sides of a list of field orders."""
+    lhs = reference_orders_mul([reference_slot_coproduct(t, 0) for t in orders],
+                               right12)
+    rhs = reference_orders_mul([reference_slot_coproduct(t, 1) for t in orders],
+                               [t.insert_unit(0) for t in orders])
+    return lhs, rhs
+
+
+def orders_equal(a, b):
+    return len(a) == len(b) and all(
+        x.slots == y.slots and (x - y).is_zero() for x, y in zip(a, b))
+
+
+TWISTS = {"abrr": abrr_twist, "doubled": doubled_twist,
+          "nonhomogeneous": nonhomogeneous_twist}
+
+
+class TestGradedAgainstField:
+    @pytest.mark.parametrize("N", range(7))
+    def test_twist_and_shift(self, U, N):
+        J = abrr_twist(U, N)
+        want = reference_abrr_orders(U, N)
+        assert all(list(g) == [-n] for n, g in enumerate(J.grades))
+        assert orders_equal(J.orders, want)
+        assert orders_equal(shift_twist(J).orders, reference_shift(want))
+
+    def test_mixed_lam_powers(self, U, ctx):
+        # positive, zero and negative powers of lam in one order
+        lam = ctx.var("lam")
+        y, h, x = U.gen("y"), U.gen("h"), U.gen("x")
+        orders = [TensorUEA.unit((U, U)),
+                  tensor2(U, y, x).scale(lam ** 2 + 1 + 1 / lam),
+                  tensor2(U, y * h, x).scale(3 / lam ** 2 - lam),
+                  TensorUEA((U, U), {})]
+        J = TwistSeries((U, U), orders)
+        assert sorted(J.grades[1]) == [-1, 0, 2]
+        assert not J.grades[3]
+        assert orders_equal(J.orders, orders)
+        assert orders_equal(shift_twist(J).orders, reference_shift(orders))
+        assert orders_equal((J * J).orders, reference_orders_mul(orders, orders))
+
+    @pytest.mark.parametrize("name,N", [("abrr", 2), ("abrr", 4), ("abrr", 6),
+                                        ("doubled", 4), ("nonhomogeneous", 4)])
+    def test_cocycle_sides(self, U, name, N):
+        J = TWISTS[name](U, N)
+        lhs, rhs = cocycle_sides(J, shift_twist(J))
+        want_l, want_r = reference_sides(J.orders, reference_shift(J.orders))
+        assert orders_equal(lhs.orders, want_l)
+        assert orders_equal(rhs.orders, want_r)
+
+    @pytest.mark.parametrize("variant", ["standard", "chevalley"])
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    def test_projection_and_closed_form(self, ctx, U, variant, N):
+        sp_ = split_basis_sl2(ctx, variant)
+        want = [reference_project(t, sp_) for t in reference_abrr_orders(U, N)]
+        assert orders_equal(project_twist(abrr_twist(U, N), sp_).series.orders, want)
+        assert orders_equal(closed_form_jv(sp_, N).series.orders, want)
+
+    @pytest.mark.parametrize("variant", ["standard", "chevalley"])
+    @pytest.mark.parametrize("name,N", [("abrr", 6), ("doubled", 4)])
+    def test_projected_equation(self, ctx, U, variant, name, N):
+        sp_ = split_basis_sl2(ctx, variant)
+        J = TWISTS[name](U, N)
+        f = J.orders
+        sides = reference_sides(f, reference_shift(f))
+        lhs, rhs = ([reference_project(t, sp_) for t in side] for side in sides)
+        v = [reference_project(t, sp_) for t in f]
+        lhs_v, rhs_v = reference_sides(v, [t.insert_unit(2) for t in v])
+        bad_l = [r for r in range(N + 1) if not (lhs[r] - lhs_v[r]).is_zero()]
+        bad_r = [r for r in range(N + 1) if not (rhs[r] - rhs_v[r]).is_zero()]
+        assert check_projected_equation(J, sp_) == {
+            "checked_through": N, "lhs_ok": not bad_l, "rhs_ok": not bad_r,
+            "ok": not (bad_l or bad_r),
+            "failing_orders": sorted(set(bad_l) | set(bad_r))}
+        V = project_twist(J, sp_).series
+        got_l, got_r = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
+        assert orders_equal(got_l.orders, lhs_v)
+        assert orders_equal(got_r.orders, rhs_v)
