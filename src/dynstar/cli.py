@@ -9,6 +9,7 @@ check fails (the report carries the residuals), 2 on malformed input and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -280,7 +281,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`run` in the process (parsing leaves no state in it)."""
     p = argparse.ArgumentParser(
         prog="dynstar",
         description="Exact verification of dynamical r-matrix, twist and "

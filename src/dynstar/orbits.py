@@ -8,10 +8,17 @@ because the relation is principal and the substitution lowers the g11
 exponent. Products, that rewriting and the vector fields sum their terms in
 a :class:`~dynstar.scalars.FieldAccumulator`, with the binomial
 multiplicities and the integer vector-field entries as rational multipliers.
+
+A star-product sums c_n (y^n . f1)(x^n . f2) from the y-tower of f1 and the
+x-tower of f2 (f, D f, D^2 f, ... up to the last nonzero term). The
+identity sweep forms the towers of its operands and the coefficient lists
+c_n once. Its filtration ranks are taken over products of basis functions
+indexed by multisets, evaluated at lam = 1, over QQ.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Sequence, Union
 
@@ -45,6 +52,17 @@ def _normalize(ctx: Context, terms: Mapping[MExp, FieldElement]) -> dict[MExp, F
     return {k: v for k, v in acc.sums().items() if v}
 
 
+def _sum_of_products(ctx: Context, triples) -> "OrbitFunction":
+    """sum c f g over the (c, f, g) of ``triples``, normalized once."""
+    acc = FieldAccumulator(ctx)
+    for c, f, g in triples:
+        for e1, c1 in f.terms.items():
+            c1 = c * c1
+            for e2, c2 in g.terms.items():
+                acc.add(c1 * c2, ((tuple(a + b for a, b in zip(e1, e2)), 1),))
+    return OrbitFunction(ctx, acc.sums())
+
+
 class OrbitFunction(LinearCombination):
     """A polynomial function on SL(2) in determinant normal form."""
 
@@ -71,11 +89,7 @@ class OrbitFunction(LinearCombination):
     def __mul__(self, other) -> "OrbitFunction":
         if not isinstance(other, OrbitFunction):
             return self.scale(other)
-        acc = FieldAccumulator(self.ctx)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                acc.add(c1 * c2, ((tuple(a + b for a, b in zip(e1, e2)), 1),))
-        return OrbitFunction(self.ctx, acc.sums())
+        return _sum_of_products(self.ctx, [(self.ctx.one(), self, other)])
 
     def __rmul__(self, other) -> "OrbitFunction":
         if isinstance(other, OrbitFunction):
@@ -89,21 +103,6 @@ class OrbitFunction(LinearCombination):
 
     def __hash__(self):
         raise TypeError("OrbitFunction is unhashable")
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def evaluate_matrix(self, point: Mapping[str, object]) -> FieldElement:
-        """Evaluate at explicit matrix entries (the caller is responsible
-        for the point satisfying det = 1 if that matters)."""
-        vals = [self.ctx(point[n]) for n in MATRIX_VARS]
-        acc = self.ctx.zero()
-        for e, c in self.terms.items():
-            term = c
-            for v, p in zip(vals, e):
-                term = term * v ** p
-            acc = acc + term
-        return acc
 
     def to_json(self) -> list[dict]:
         return [
@@ -194,17 +193,14 @@ def group_action_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     return _vector_field(f, _product_coeffs(name, False))
 
 
-def invariant_derivative(u: Union[UEAElement, Mapping], f: OrbitFunction) -> OrbitFunction:
+def invariant_derivative(u: UEAElement, f: OrbitFunction) -> OrbitFunction:
     """Apply an enveloping-algebra element as a left-invariant differential
     operator: in each PBW word the rightmost generator acts first."""
-    ctx = f.ctx
-    if isinstance(u, UEAElement):
-        order = u.algebra.order
-        items = list(u.terms.items())
-    else:
+    if not isinstance(u, UEAElement):
         raise OrbitError("expected a UEAElement")
-    out = OrbitFunction(ctx, {})
-    for exp, c in items:
+    order = u.algebra.order
+    out = OrbitFunction(f.ctx, {})
+    for exp, c in u.terms.items():
         g = f
         for i in range(len(order) - 1, -1, -1):
             for _ in range(exp[i]):
@@ -217,10 +213,45 @@ def is_h_invariant(f: OrbitFunction) -> bool:
     return generator_derivative(f, "h").is_zero()
 
 
+def _tower(f: OrbitFunction, name: str) -> list[OrbitFunction]:
+    """f, D f, D^2 f, ... up to the last nonzero term, with D the
+    left-invariant field of the generator ``name``."""
+    tower = [f]
+    while True:
+        d = generator_derivative(tower[-1], name)
+        if d.is_zero():
+            return tower
+        if len(tower) > STAR_MAX_TERMS:
+            raise OrbitError("star-product series did not terminate")
+        tower.append(d)
+
+
+def _star_coefficients(ctx: Context, mode: str, count: int) -> list[FieldElement]:
+    """c_0, ..., c_{count-1} with c_n = (-1)^n q^n / (n! lam (lam-q) ...
+    (lam-(n-1)q)); q = 1 in mode "hbar_one" and q = hbar in mode "formal"."""
+    if mode not in ("hbar_one", "formal"):
+        raise OrbitError(f"unknown mode {mode!r}")
+    lam = ctx.var(LAM)
+    q = ctx.one() if mode == "hbar_one" else ctx.var(HBAR)
+    coeffs = [ctx.one()]
+    for n in range(1, count):
+        coeffs.append(coeffs[-1] * (-q) / (ctx(n) * (lam - (n - 1) * q)))
+    return coeffs
+
+
+def _tower_product(left: Sequence[OrbitFunction], right: Sequence[OrbitFunction],
+                   coeffs: Sequence[FieldElement]) -> OrbitFunction:
+    """sum_n c_n L_n R_n over the n where both towers are nonzero."""
+    n = min(len(left), len(right))
+    if len(coeffs) < n:
+        raise OrbitError(f"star-product series needs {n} coefficients")
+    return _sum_of_products(left[0].ctx, zip(coeffs, left[:n], right[:n]))
+
+
 def star_product(f1: OrbitFunction, f2: OrbitFunction,
                  mode: str = "hbar_one") -> OrbitFunction:
-    """The orbit star-product sum_n c_n (y^n . f1)(x^n . f2) with scalar
-    coefficients c_n = (-1)^n q^n / (n! lam (lam-q) ... (lam-(n-1)q)).
+    """The orbit star-product sum_n c_n (y^n . f1)(x^n . f2) with the
+    scalar coefficients c_n of :func:`_star_coefficients`.
 
     On right-H-invariant inputs the h-dependent twist factors act by their
     value at h = 0, which collapses to these scalars; non-invariant inputs
@@ -228,63 +259,29 @@ def star_product(f1: OrbitFunction, f2: OrbitFunction,
     finitely many poles never trigger) or "formal" (q = hbar symbolic; the
     series terminates, so the result is still exact).
     """
-    ctx = f1.ctx
-    if not is_h_invariant(f1) or not is_h_invariant(f2):
+    if not (is_h_invariant(f1) and is_h_invariant(f2)):
         raise OrbitError("star-product inputs must be right-H-invariant")
-    if mode not in ("hbar_one", "formal"):
-        raise OrbitError(f"unknown mode {mode!r}")
-    lam = ctx.var(LAM)
-    q = ctx.one() if mode == "hbar_one" else ctx.var(HBAR)
-    out = f1 * f2
-    left, right = f1, f2
-    coeff = ctx.one()
-    for n in range(1, STAR_MAX_TERMS + 1):
-        left = generator_derivative(left, "y")
-        right = generator_derivative(right, "x")
-        if left.is_zero() or right.is_zero():
-            return out
-        coeff = coeff * (-q) / (ctx(n) * (lam - (n - 1) * q))
-        out = out + (left * right).scale(coeff)
-    raise OrbitError("star-product series did not terminate")
+    left, right = _tower(f1, "y"), _tower(f2, "x")
+    return _tower_product(left, right, _star_coefficients(
+        f1.ctx, mode, min(len(left), len(right))))
 
 
 def apply_twist_orders(J, f1: OrbitFunction, f2: OrbitFunction) -> list[OrbitFunction]:
     """Apply a TwistSeries as a bidifferential operator, order by order in
     the deformation parameter. No invariance assumption: the full expanded
     h-dependence acts."""
-    out = []
-    for t in J.orders:
-        acc = OrbitFunction(f1.ctx, {})
-        for (e1, e2), c in t.terms.items():
-            a1 = invariant_derivative(UEAElement(J.slots[0], {e1: f1.ctx.one()}), f1)
-            a2 = invariant_derivative(UEAElement(J.slots[1], {e2: f1.ctx.one()}), f2)
-            acc = acc + (a1 * a2).scale(c)
-        out.append(acc)
-    return out
+    one = f1.ctx.one()
+    return [_sum_of_products(f1.ctx, [
+        (c, invariant_derivative(UEAElement(J.slots[0], {e1: one}), f1),
+         invariant_derivative(UEAElement(J.slots[1], {e2: one}), f2))
+        for (e1, e2), c in t.terms.items()]) for t in J.orders]
 
 
-def _basis_functions(ctx: Context) -> dict[str, OrbitFunction]:
-    return {n: orbit_function(ctx, n) for n in ("x", "y", "h")}
-
-
-def _span_rank(funcs: Sequence[OrbitFunction]) -> int:
-    """Rank of the span. The pool members are lam-homogeneous of degree
-    equal to their polynomial degree, so evaluating lam at 1 rescales each
-    spanning vector and preserves the rank while keeping the matrix
-    rational."""
-    monos: dict[MExp, int] = {}
-    rows = []
-    for f in funcs:
-        row = {}
-        for e, c in f.terms.items():
-            q = c.evaluate({LAM: 1}).as_rational()
-            if q is None:
-                raise OrbitError(
-                    f"coefficient {c.to_string()} is not rational at lam = 1")
-            row[monos.setdefault(e, len(monos))] = q
-        rows.append(row)
-    return DomainMatrix([[row.get(j, QQ.zero) for j in range(len(monos))]
-                         for row in rows], (len(rows), len(monos)), QQ).rank()
+def _span_rank(rows: Sequence[Mapping[MExp, object]]) -> int:
+    """Rank of the span of rows of rationals keyed by monomial."""
+    cols = list(dict.fromkeys(e for row in rows for e in row))
+    return DomainMatrix([[row.get(e, QQ.zero) for e in cols] for row in rows],
+                        (len(rows), len(cols)), QQ).rank()
 
 
 def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
@@ -304,14 +301,26 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
                       space of dimension (d+1)^2
     """
     from .lie import sl2
-    fb = _basis_functions(ctx)
+    names = ("x", "y", "h")
+    fb = {n: orbit_function(ctx, n) for n in names}
     lam = ctx.var(LAM)
     report: dict = {}
-    names = ("x", "y", "h")
-    # the star-products of basis functions, in both modes, formed once
-    star, formal = ({(a, b): star_product(fb[a], fb[b], mode)
+
+    def towers(f: OrbitFunction) -> tuple[list, list]:
+        if not is_h_invariant(f):
+            raise OrbitError("star operand is not right-H-invariant")
+        return _tower(f, "y"), _tower(f, "x")
+
+    # The towers of every star operand and the series coefficients are
+    # formed once. The operands have degree <= 2, so (degree_bound) their
+    # towers have at most 3 terms.
+    tb = {a: towers(fb[a]) for a in names}
+    coeffs = {mode: _star_coefficients(ctx, mode, 3)
+              for mode in ("hbar_one", "formal")}
+    star, formal = ({(a, b): _tower_product(tb[a][0], tb[b][1], coeffs[mode])
                      for a in names for b in names}
                     for mode in ("hbar_one", "formal"))
+    ts = {k: towers(f) for k, f in star.items()}
 
     brackets = {
         ("h", "x"): {"x": 2}, ("x", "h"): {"x": -2},
@@ -322,9 +331,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     comm_fail = []
     for (a, b), br in brackets.items():
         lhs = star[a, b] - star[b, a]
-        rhs = OrbitFunction(ctx, {})
-        for n, c in br.items():
-            rhs = rhs + fb[n].scale(c)
+        rhs = sum((fb[n].scale(c) for n, c in br.items()), OrbitFunction(ctx, {}))
         if not (lhs - rhs).is_zero():
             comm_fail.append((a, b))
     report["commutator"] = {"ok": not comm_fail, "failures": comm_fail}
@@ -337,13 +344,11 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     }
 
     assoc_fail = []
-    for a in names:
-        for b in names:
-            for c in names:
-                l = star_product(star[a, b], fb[c])
-                r = star_product(fb[a], star[b, c])
-                if not (l - r).is_zero():
-                    assoc_fail.append((a, b, c))
+    for a, b, c in itertools.product(names, repeat=3):
+        l = _tower_product(ts[a, b][0], tb[c][1], coeffs["hbar_one"])
+        r = _tower_product(tb[a][0], ts[b, c][1], coeffs["hbar_one"])
+        if not (l - r).is_zero():
+            assoc_fail.append((a, b, c))
     report["associativity"] = {"ok": not assoc_fail, "failures": assoc_fail,
                                "test_set": "all basis triples"}
 
@@ -362,14 +367,13 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
 
     equi_fail = []
     pairs = [("x", "y"), ("h", "h"), ("x", "h")]
-    for v in names:
-        for (a, b) in pairs:
-            f1, f2 = fb[a], fb[b]
-            lhs = group_action_derivative(star[a, b], v)
-            rhs = star_product(group_action_derivative(f1, v), f2) + \
-                star_product(f1, group_action_derivative(f2, v))
-            if not (lhs - rhs).is_zero():
-                equi_fail.append((v, a, b))
+    for v, (a, b) in itertools.product(names, pairs):
+        f1, f2 = fb[a], fb[b]
+        lhs = group_action_derivative(star[a, b], v)
+        rhs = star_product(group_action_derivative(f1, v), f2) + \
+            star_product(f1, group_action_derivative(f2, v))
+        if not (lhs - rhs).is_zero():
+            equi_fail.append((v, a, b))
     report["equivariance"] = {"ok": not equi_fail, "failures": equi_fail}
 
     # full expanded twist operator vs scalar coefficients, per order
@@ -389,26 +393,27 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     report["scalar_reduction"] = {"ok": not red_fail, "failures": red_fail,
                                   "orders": twist_order}
 
-    f_deg2 = fb["x"] * fb["y"]
-    d2 = generator_derivative(generator_derivative(f_deg2, "y"), "y")
-    d3 = generator_derivative(d2, "y")
-    report["degree_bound"] = {"ok": (not d2.is_zero()) and d3.is_zero()}
+    report["degree_bound"] = {"ok": len(_tower(fb["x"] * fb["y"], "y")) == 3}
 
+    # The product is commutative, so products over multisets of basis
+    # functions span the filtration. Each is lam-homogeneous, and lam -> 1
+    # is a ring homomorphism on their coefficients: it keeps the ranks.
+    at_one = [OrbitFunction(ctx, {e: c.evaluate({LAM: 1})
+                                  for e, c in fb[n].terms.items()})
+              for n in names]
+    layer = [(0, OrbitFunction.constant(ctx, 1))]   # (last factor, product)
+    rows: list[dict] = []
     dims = []
-    prods = {0: [OrbitFunction.constant(ctx, 1)]}
-    for d in range(1, FILTRATION_DEGREE + 1):
-        prods[d] = [p * fb[n] for p in prods[d - 1] for n in names]
-    pool: list[OrbitFunction] = []
-    dims_ok = True
     for d in range(FILTRATION_DEGREE + 1):
-        pool.extend(prods[d])
-        rank = _span_rank(pool)
-        dims.append(rank)
-        if rank != (d + 1) ** 2:
-            dims_ok = False
-    report["filtration_dims"] = {"ok": dims_ok, "dims": dims,
-                                 "expected": [(d + 1) ** 2
-                                              for d in range(FILTRATION_DEGREE + 1)]}
+        if d:
+            layer = [(j, p * at_one[j]) for i, p in layer
+                     for j in range(i, len(names))]
+        rows.extend({e: c.as_rational() for e, c in p.terms.items()}
+                    for _, p in layer)
+        dims.append(_span_rank(rows))
+    expected = [(d + 1) ** 2 for d in range(FILTRATION_DEGREE + 1)]
+    report["filtration_dims"] = {"ok": dims == expected, "dims": dims,
+                                 "expected": expected}
 
     report["all_ok"] = all(
         v["ok"] for k, v in report.items() if isinstance(v, dict))

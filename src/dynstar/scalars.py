@@ -500,15 +500,6 @@ class SeriesCoefficients:
     def __iter__(self) -> Iterable[FieldElement]:
         return iter(self.coefficients)
 
-    def resum(self) -> FieldElement:
-        """Reconstruct sum c_k var^k (the truncation polynomial)."""
-        ctx = self.coefficients[0].context
-        x = ctx.var(self.var)
-        acc = ctx.zero()
-        for k, c in enumerate(self.coefficients):
-            acc = acc + c * x ** k
-        return acc
-
     def __repr__(self) -> str:
         return f"SeriesCoefficients({self.var}, {[c.to_string() for c in self]})"
 

@@ -222,6 +222,27 @@ class TestPlumbing:
         assert rep["command"] == "classify"
         assert rep["ok"]
 
+    def test_shared_parser_leaks_nothing(self, capsys, tmp_path):
+        # one parser serves every run in a process: each report must equal
+        # the report of a run with a freshly built parser
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "command": "verify-rmatrix", "type": "A", "rank": 2,
+            "delta": "a1", "canonical": True}))
+        argv = ["verify-rmatrix", "--type", "A", "--rank", "2",
+                "--delta", "a1", "--u", "pm-a1", "--canonical"]
+        argvs = [argv + ["--recover"], argv, ["--job", str(job)]]
+        fresh = []
+        for a in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(_capture(capsys, a))
+        cli.build_parser.cache_clear()
+        shared = [_capture(capsys, a) for a in argvs]
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert fresh[0][2]["witnesses"] and not fresh[1][2]["witnesses"]
+        assert fresh[2][2]["tensor"] != fresh[1][2]["tensor"]
+
     def test_job_file_missing_command(self, capsys, tmp_path):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"rank": 2}))

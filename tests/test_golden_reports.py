@@ -73,15 +73,17 @@ def test_canonical_report_digest(capsys, argv, code, digest):
 
 
 def test_recover_report_survives_optimize_flag():
-    # python -O strips assert statements; the invariants recovery and the
-    # twist series' entry check rely on are explicit raises, so the
-    # verdicts and reports must not change
+    # python -O strips assert statements; the invariants recovery, the
+    # twist series' entry check and the star sweep's invariance checks
+    # rely on are explicit raises, so the verdicts and reports must not
+    # change
     src = os.path.dirname(os.path.dirname(dynstar.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     cases = [B3_RECOVER] + [g for g in GOLDEN if g[0][:3] in (
-        ["abrr-check", "--order", "5"], ["project-twist", "--order", "6"])]
-    assert len(cases) == 4
+        ["abrr-check", "--order", "5"], ["project-twist", "--order", "6"],
+        ["star", "--order", "3"])]
+    assert len(cases) == 5
     for argv, code, digest in cases:
         proc = subprocess.run([sys.executable, "-O", "-m", "dynstar", *argv,
                                "--canonical"],

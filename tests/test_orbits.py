@@ -6,7 +6,8 @@ from dynstar import (OrbitError, OrbitFunction, PBWAlgebra, abrr_twist,
                      generator_derivative, group_action_derivative,
                      invariant_derivative, is_h_invariant, orbit_function,
                      sl2, star_product, verify_orbit_identities)
-from dynstar.orbits import apply_twist_orders
+from dynstar import orbits
+from dynstar.orbits import MATRIX_VARS, STAR_MAX_TERMS, apply_twist_orders
 
 
 @pytest.fixture(scope="module")
@@ -14,13 +15,49 @@ def fb(ctx):
     return {n: orbit_function(ctx, n) for n in ("x", "y", "h")}
 
 
+def evaluate_matrix(f, point):
+    """f at explicit matrix entries (whether the point has det = 1 is the
+    caller's concern)."""
+    vals = [f.ctx(point[n]) for n in MATRIX_VARS]
+    acc = f.ctx.zero()
+    for e, c in f.terms.items():
+        term = c
+        for v, p in zip(vals, e):
+            term = term * v ** p
+        acc = acc + term
+    return acc
+
+
+def reference_star_product(f1, f2, mode="hbar_one"):
+    """The star-product series as one loop: both derivatives and c_n are
+    formed step by step until either side vanishes."""
+    ctx = f1.ctx
+    if not is_h_invariant(f1) or not is_h_invariant(f2):
+        raise OrbitError("star-product inputs must be right-H-invariant")
+    if mode not in ("hbar_one", "formal"):
+        raise OrbitError(f"unknown mode {mode!r}")
+    lam = ctx.var("lam")
+    q = ctx.one() if mode == "hbar_one" else ctx.var("hbar")
+    out = f1 * f2
+    left, right = f1, f2
+    coeff = ctx.one()
+    for n in range(1, STAR_MAX_TERMS + 1):
+        left = generator_derivative(left, "y")
+        right = generator_derivative(right, "x")
+        if left.is_zero() or right.is_zero():
+            return out
+        coeff = coeff * (-q) / (ctx(n) * (lam - (n - 1) * q))
+        out = out + (left * right).scale(coeff)
+    raise OrbitError("star-product series did not terminate")
+
+
 class TestMomentFunctions:
     def test_values_at_identity(self, ctx, fb):
         lam = ctx.var("lam")
         pt = {"g11": 1, "g12": 0, "g21": 0, "g22": 1}
-        assert fb["h"].evaluate_matrix(pt) == lam
-        assert fb["x"].evaluate_matrix(pt).is_zero()
-        assert fb["y"].evaluate_matrix(pt).is_zero()
+        assert evaluate_matrix(fb["h"], pt) == lam
+        assert evaluate_matrix(fb["x"], pt).is_zero()
+        assert evaluate_matrix(fb["y"], pt).is_zero()
 
     def test_explicit_monomials(self, ctx, fb):
         lam = ctx.var("lam")
@@ -144,6 +181,68 @@ class TestStarProduct:
                 e: v.series_expand("hbar", 2)[k]
                 for e, v in scalar.terms.items()})
             assert fk == want
+
+
+class TestTowerProduct:
+    # invariant operands of degree 2 and 3, as (left, right) builders
+    PAIRS = {
+        "xy_hh": (lambda fb: fb["x"] * fb["y"], lambda fb: fb["h"] * fb["h"]),
+        "hh_xy": (lambda fb: fb["h"] * fb["h"], lambda fb: fb["x"] * fb["y"]),
+        "hy_xxx": (lambda fb: fb["h"] * fb["y"],
+                   lambda fb: (fb["x"] * fb["x"]) * fb["x"]),
+        "xxx_hy": (lambda fb: (fb["x"] * fb["x"]) * fb["x"],
+                   lambda fb: fb["h"] * fb["y"]),
+        "yyh_xxh": (lambda fb: fb["y"] * fb["y"] * fb["h"],
+                    lambda fb: fb["x"] * fb["x"] * fb["h"]),
+    }
+
+    @pytest.mark.parametrize("mode", ["hbar_one", "formal"])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_reference_loop(self, fb, mode, pair):
+        f1, f2 = (build(fb) for build in self.PAIRS[pair])
+        assert star_product(f1, f2, mode) == reference_star_product(f1, f2, mode)
+
+    def test_non_invariant_degree_two_rejected(self, ctx, fb):
+        g11 = OrbitFunction.coordinate(ctx, "g11")
+        with pytest.raises(OrbitError):
+            star_product(fb["x"] * fb["y"], g11 * fb["x"])
+
+    def test_series_cap_is_loud(self, fb, monkeypatch):
+        monkeypatch.setattr(orbits, "STAR_MAX_TERMS", 1)
+        with pytest.raises(OrbitError, match="did not terminate"):
+            star_product(fb["y"] * fb["y"], fb["x"] * fb["x"])
+
+    def test_degree_two_associativity(self, fb):
+        P, Q, R = fb["x"] * fb["y"], fb["h"] * fb["y"], fb["x"] * fb["x"]
+        assert star_product(star_product(P, Q), R) == \
+            star_product(P, star_product(Q, R))
+
+
+class TestMutationControls:
+    def test_dropped_determinant_rewrite_fails_sweep(self, ctx, monkeypatch):
+        monkeypatch.setattr(orbits, "_normalize", lambda ctx, terms: {
+            k: v for k, v in terms.items() if v})
+        rep = verify_orbit_identities(ctx)
+        failed = sorted(k for k, v in rep.items()
+                        if isinstance(v, dict) and not v["ok"])
+        assert failed == ["casimir", "commutator", "filtration_dims"]
+        assert rep["filtration_dims"]["dims"] == [1, 4, 10, 20, 35]
+        assert not rep["all_ok"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_doubled_coefficient_breaks_associativity(self, fb, monkeypatch, n):
+        real = orbits._star_coefficients
+
+        def doubled(ctx, mode, count):
+            coeffs = real(ctx, mode, count)
+            if n < count:
+                coeffs[n] = coeffs[n] * 2
+            return coeffs
+
+        monkeypatch.setattr(orbits, "_star_coefficients", doubled)
+        P, Q, R = fb["x"] * fb["y"], fb["h"] * fb["y"], fb["x"] * fb["x"]
+        assert star_product(star_product(P, Q), R) != \
+            star_product(P, star_product(Q, R))
 
 
 def test_verify_orbit_identities(ctx):

@@ -134,7 +134,8 @@ class TestCalculus:
         a = data.draw(elements(ctx))
         s = a.series_expand("hbar", order)
         h = ctx.var("hbar")
-        diff = a - s.resum()
+        # the truncation polynomial sum_k c_k hbar^k
+        diff = a - sum((c * h ** k for k, c in enumerate(s)), ctx.zero())
         # the difference is divisible by hbar^(order+1)
         num = diff.numerator
         den = diff.denominator
