@@ -9,10 +9,21 @@ reproduce it exactly in Q(lam). Nothing here touches the series
 construction, so a match is meaningful evidence rather than a tautology.
 """
 
+import sympy as sp
+
 from dynstar import (Context, FiniteModule, build_verma, compose_and_extract,
-                     pole_locations, solve_intertwiner)
+                     solve_intertwiner)
 
 ctx = Context(["lam"])
+
+
+def pole_locations(phi):
+    """Integer roots of all component denominators; the closed-form series
+    predicts poles only at nonnegative integer shifts of lam."""
+    lam = ctx.symbol("lam")
+    return {int(r) for comp in phi.components.values() for c in comp.values()
+            for r in sp.roots(sp.Poly(sp.factor(c.denominator), lam), filter="Z")}
+
 
 # %%
 # A truncated Verma module with highest weight lam and the 3-dimensional

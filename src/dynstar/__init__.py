@@ -6,7 +6,7 @@ from .scalars import (Context, ContextMismatchError, FieldElement, PoleError,
 from .rootsystems import (RootSystem, RootSystemError, StructureTable,
                           build_root_system, check_parabolic,
                           check_reductive_subset, chevalley_constants,
-                          positive_systems, simple_roots_of, y_set_properties)
+                          positive_systems, simple_roots_of)
 from .lie import (LieAlgebraData, LieAlgebraError, Tensor2, Tensor3, alt,
                   build_casimir_tensor, check_invariance, cyb,
                   realize_lie_algebra, reduce_mod_u, sl2, tensor2_from_names,
@@ -28,8 +28,8 @@ from .orbits import (OrbitError, OrbitFunction, generator_derivative,
                      is_h_invariant, orbit_function, star_product,
                      verify_orbit_identities)
 from .verma import (FiniteModule, Intertwiner, VermaData, VermaError,
-                    build_verma, compose_and_extract, pole_locations,
-                    solve_intertwiner, twist_action_on_pair)
+                    build_verma, compose_and_extract, solve_intertwiner,
+                    twist_action_on_pair)
 from .projection import (ProjectedTwist, ProjectionError, SplittingData,
                          check_cb_identity, check_nondynamical_twist,
                          check_projected_equation, closed_form_jv,

@@ -155,14 +155,13 @@ def check_coefficient_conditions(fam: CoefficientFamily) -> dict:
     first violating root/triple per condition."""
     rs = fam.system
     Uset = fam.U
-    allroots = set(rs.roots)
-    rest = allroots - Uset
+    rest = rs.rootset - Uset
     report = {}
 
     bad = [a for a in sorted(Uset) if not fam[a].is_zero()]
     report["vanishes_on_u"] = {"ok": not bad, "witness": bad[:1]}
 
-    bad = [a for a in sorted(allroots) if not (fam[_neg(a)] + fam[a]).is_zero()]
+    bad = [a for a in rs.roots if not (fam[_neg(a)] + fam[a]).is_zero()]
     report["odd"] = {"ok": not bad, "witness": bad[:1]}
 
     bad = []
@@ -193,11 +192,10 @@ def check_shift_form(fam: CoefficientFamily) -> bool:
     """The equivalent form of the pair condition: x_{alpha+beta} = x_alpha
     whenever alpha lies outside U, beta in U and alpha+beta is a root."""
     rs = fam.system
-    allroots = set(rs.roots)
-    for a in allroots - fam.U:
+    for a in rs.rootset - fam.U:
         for b in fam.U:
             s = _add(a, b)
-            if s in allroots and not (fam[s] - fam[a]).is_zero():
+            if s in rs.rootset and not (fam[s] - fam[a]).is_zero():
                 return False
     return True
 

@@ -26,7 +26,8 @@ class LieAlgebraData:
     table and a symmetric invariant form, optionally with a marked subalgebra
     u and u-invariant complement m.
 
-    Structure constants and form entries are converted to QQ here, once; a
+    Structure constants and form entries are converted to QQ here, once:
+    ints and QQ elements directly, anything else through ``ctx``; a
     non-rational entry raises LieAlgebraError naming it. Tensor coefficients
     over the algebra are FieldElements of ``ctx``.
     """
@@ -71,6 +72,8 @@ class LieAlgebraData:
         self._validate()
 
     def _rational(self, value, what: str):
+        if isinstance(value, int) or QQ.of_type(value):
+            return QQ(value)
         if (q := self.ctx(value).as_rational()) is None:
             raise LieAlgebraError(
                 f"{what} is {self.ctx(value).to_string()}, not rational")
@@ -102,10 +105,14 @@ class LieAlgebraData:
         d, form = self.dim, self.form
         if any(form[i][j] != form[j][i] for i in range(d) for j in range(i)):
             raise LieAlgebraError("form not symmetric")
-        # Jacobi on all basis triples, summed over QQ
+        # Jacobi on the basis triples i < j < k in lexicographic order, summed
+        # over QQ, skipping those whose three pairs all bracket to zero
+        partners = [{j for j in range(d) if self.bracket(i, j)} for i in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
-                for k in range(j + 1, d):
+                ks = (range(j + 1, d) if j in partners[i] else
+                      sorted(k for k in partners[i] | partners[j] if k > j))
+                for k in ks:
                     out: dict[int, object] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for t, q in self.bracket(b, c).items():
@@ -175,7 +182,7 @@ def realize_lie_algebra(
     dim = len(names)
     form = [[0] * dim for _ in range(dim)]
     for i in range(n):
-        form[i][:n] = table.gram_h.row(i)
+        form[i][:n] = table.gram_h[i]
     for a in ordered_roots:
         form[ridx[a]][ridx[_neg(a)]] = 1
 

@@ -1,15 +1,17 @@
 """Root systems of classical type with a concrete matrix-realized Chevalley
-basis.
+basis, computed in Python ints and QQ.
 
-Roots are stored as integer coordinate tuples in the simple-root basis.
+Roots are stored as integer coordinate tuples in the simple-root basis, and
+the Euclidean roots as integer tuples in orthogonal coordinates.
 ``coordinates`` is the one change of basis, with one exact inverse per
 basis: it places the Euclidean roots in the Bourbaki simple system, and
 every root in each simple system that ``classify`` reads Levi sets from.
 Structure constants are read off from explicit matrix models (traceless
 matrices for type A, antidiagonal orthogonal/symplectic models for B, C, D),
 then rescaled so that <E_alpha, E_{-alpha}> = 1 under the trace form. Root
-vectors are kept as the sparse exact entries of their model matrices (one
-or two each) and Cartan elements as integer diagonals.
+vectors are kept as the sparse entries over QQ of their model matrices (one
+or two each) and Cartan elements as integer diagonals; no dense matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import sympy as sp
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -54,17 +54,18 @@ class RootSystem:
     roots: tuple[Root, ...]            # simple-root-basis coordinates
     simple: tuple[Root, ...]           # the unit vectors, in order
     positive: frozenset[Root]
-    euclid: dict[Root, tuple[sp.Rational, ...]] = field(compare=False, repr=False)
-    ip_scale: sp.Rational = field(compare=False, repr=False, default=sp.Integer(1))
+    euclid: dict[Root, tuple[int, ...]] = field(compare=False, repr=False)
+    ip_scale: QQ.dtype = field(compare=False, repr=False)
+    rootset: frozenset[Root] = field(compare=False, repr=False)
 
     @property
     def negative(self) -> frozenset[Root]:
         return frozenset(_neg(a) for a in self.positive)
 
     def is_root(self, a: Root) -> bool:
-        return tuple(a) in set(self.roots)
+        return tuple(a) in self.rootset
 
-    def inner(self, a: Root, b: Root) -> sp.Rational:
+    def inner(self, a: Root, b: Root) -> QQ.dtype:
         """<a,b> normalized so long roots have squared length 2."""
         ea, eb = self.euclid[tuple(a)], self.euclid[tuple(b)]
         return self.ip_scale * sum(x * y for x, y in zip(ea, eb))
@@ -78,13 +79,13 @@ def _euclid_roots(family: str, rank: int) -> tuple[list, list]:
     n = rank
     if family == "A":
         dim = n + 1
-        e = lambda i: tuple(sp.Integer(1 if k == i else 0) for k in range(dim))
+        e = lambda i: tuple(int(k == i) for k in range(dim))
         roots = [tuple(a - b for a, b in zip(e(i), e(j)))
                  for i in range(dim) for j in range(dim) if i != j]
         simple = [tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(n)]
         return roots, simple
-    e = lambda i: tuple(sp.Integer(1 if k == i else 0) for k in range(n))
-    pm = [sp.Integer(1), sp.Integer(-1)]
+    e = lambda i: tuple(int(k == i) for k in range(n))
+    pm = [1, -1]
     long_short = []
     for i, j in itertools.combinations(range(n), 2):
         for si in pm:
@@ -120,9 +121,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     euclid = {c: r for r, c in coords.items()}
     positive = frozenset(c for c in roots if _is_positive(c))
     maxlen = max(sum(x * x for x in euclid[r]) for r in roots)
-    scale = sp.Rational(2, maxlen)
     simple = tuple(coords[s] for s in esimple)
-    rs = RootSystem(family, rank, roots, simple, positive, euclid, scale)
+    rs = RootSystem(family, rank, roots, simple, positive, euclid,
+                    QQ(2, maxlen), frozenset(roots))
     _validate(rs)
     return rs
 
@@ -165,7 +166,7 @@ def _is_positive(c: Root) -> bool:
 
 def _validate(rs: RootSystem) -> None:
     # R = R+ cup -R+ disjointly (so -R = R), with the right number of roots
-    s, pos, neg = set(rs.roots), rs.positive, rs.negative
+    s, pos, neg = rs.rootset, rs.positive, rs.negative
     counts = {"A": rs.rank * (rs.rank + 1), "B": 2 * rs.rank ** 2,
               "C": 2 * rs.rank ** 2, "D": 2 * rs.rank * (rs.rank - 1)}
     if pos | neg != s or pos & neg or len(s) != counts[rs.family]:
@@ -189,8 +190,7 @@ def _as_rootset(rs: RootSystem, roots: Iterable[Root]) -> frozenset[Root]:
 
 def _sum_closed(rs: RootSystem, s: Iterable[Root]) -> bool:
     """True iff (S+S) cap R is contained in S."""
-    allroots = set(rs.roots)
-    return all(c in s for a in s for b in s if (c := _add(a, b)) in allroots)
+    return all(c in s for a in s for b in s if (c := _add(a, b)) in rs.rootset)
 
 
 def check_reductive_subset(rs: RootSystem, U: Iterable[Root]) -> bool:
@@ -202,30 +202,7 @@ def check_reductive_subset(rs: RootSystem, U: Iterable[Root]) -> bool:
 def check_parabolic(rs: RootSystem, P: Iterable[Root]) -> bool:
     """True iff P cup (-P) = R and (P+P) cap R is contained in P."""
     p = _as_rootset(rs, P)
-    return p | {_neg(a) for a in p} == set(rs.roots) and _sum_closed(rs, p)
-
-
-def y_set_properties(rs: RootSystem, P: Iterable[Root]) -> dict:
-    """Check the three closure properties of Y = R \\ P for parabolic P."""
-    p = _as_rootset(rs, P)
-    if not check_parabolic(rs, p):
-        raise RootSystemError("P is not parabolic")
-    y = set(rs.roots) - p
-    allroots = set(rs.roots)
-    a_ok = not ({_neg(a) for a in y} & y)
-    b_ok = _sum_closed(rs, y)
-    c_ok = all(
-        _sub(a, b) in y
-        for a in y for b in p
-        if _sub(a, b) in allroots
-    )
-    return {
-        "Y": sorted(y),
-        "antisymmetric_disjoint": a_ok,
-        "sum_closed": b_ok,
-        "difference_closed": c_ok,
-        "all_hold": a_ok and b_ok and c_ok,
-    }
+    return p | {_neg(a) for a in p} == rs.rootset and _sum_closed(rs, p)
 
 
 def positive_systems(rs: RootSystem) -> list[frozenset[Root]]:
@@ -258,29 +235,29 @@ def simple_roots_of(rs: RootSystem, pos: frozenset[Root]) -> tuple[Root, ...]:
 # Chevalley structure constants from matrix models
 # ---------------------------------------------------------------------------
 
+# a sparse m x m matrix: its nonzero entries over QQ, keyed by (row, column)
+Sparse = dict[tuple[int, int], QQ.dtype]
+
+
 @dataclass
 class StructureTable:
-    """Exact structure data of the matrix-realized algebra.
+    """Exact structure data of the matrix-realized algebra, in ints and QQ.
 
     c[(a, b)] is the constant in [E_a, E_b] = c E_{a+b};
     cartan[a] gives the H-basis coordinates of [E_a, E_{-a}];
-    alpha_h[a][i] = a(H_i); gram_h is the trace-form Gram matrix on h.
+    alpha_h[a][i] = a(H_i); gram_h is the trace-form Gram matrix on h, as
+    integer rows. vectors[a] is the model matrix of E_a as sparse entries
+    and diagonals[i] the integer diagonal of H_i.
     The normalization <E_a, E_{-a}> = 1 holds for every root.
     """
 
     system: RootSystem
-    c: dict[tuple[Root, Root], sp.Rational]
-    cartan: dict[Root, tuple[sp.Rational, ...]]
-    alpha_h: dict[Root, tuple[sp.Rational, ...]]
-    gram_h: sp.Matrix
-    matrices: dict = None  # basis-name -> sympy Matrix, for oracle tests
-
-    def constant(self, a: Root, b: Root) -> sp.Rational:
-        return self.c.get((tuple(a), tuple(b)), sp.Integer(0))
-
-
-# a sparse m x m matrix: its nonzero entries, keyed by (row, column)
-Sparse = dict[tuple[int, int], Fraction]
+    c: dict[tuple[Root, Root], QQ.dtype]
+    cartan: dict[Root, tuple[QQ.dtype, ...]]
+    alpha_h: dict[Root, tuple[int, ...]]
+    gram_h: tuple[tuple[int, ...], ...]
+    vectors: dict[Root, Sparse]
+    diagonals: list[list[int]]
 
 
 def _matrix_model(rs: RootSystem):
@@ -301,11 +278,11 @@ def _matrix_model(rs: RootSystem):
     return m, form, cartan, lambda euclid, i: euclid[i]
 
 
-def _null_vector(rows: list[list[Fraction]], k: int) -> Optional[list[Fraction]]:
+def _null_vector(rows: list[list[QQ.dtype]], k: int) -> Optional[list[QQ.dtype]]:
     """The kernel of ``rows`` (k columns) scaled as sympy's nullspace scales
     it (free entry 1, pivot entries read off the reduced echelon form), or
     None unless the kernel is one-dimensional."""
-    reduced: list[tuple[int, list[Fraction]]] = []     # (pivot column, row)
+    reduced: list[tuple[int, list[QQ.dtype]]] = []     # (pivot column, row)
     for row in rows:
         for col, piv in reduced:
             row = [x - row[col] * y for x, y in zip(row, piv)]
@@ -317,7 +294,7 @@ def _null_vector(rows: list[list[Fraction]], k: int) -> Optional[list[Fraction]]
     free = [c for c in range(k) if c not in dict(reduced)]
     if len(free) != 1:
         return None
-    out = [Fraction(c == free[0]) for c in range(k)]
+    out = [QQ(int(c == free[0])) for c in range(k)]
     for c, r in reduced:
         out[c] = -r[free[0]]
     return out
@@ -334,17 +311,10 @@ def _commutator(x: Sparse, y: Sparse) -> Sparse:
     return {p: v for p, v in out.items() if v}
 
 
-def _dense(m: int, x: Sparse) -> sp.Matrix:
-    out = sp.zeros(m, m)
-    for p, v in x.items():
-        out[p] = sp.Rational(v)
-    return out
-
-
 def chevalley_constants(rs: RootSystem) -> StructureTable:
     """Root vectors and structure constants from the matrix model.
 
-    Each root vector is kept as the sparse exact entries (one or two) of
+    Each root vector is kept as the sparse entries over QQ (one or two) of
     its matrix; the Cartan elements are integer diagonals.
     """
     n = rs.rank
@@ -358,17 +328,17 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
     evec: dict[Root, Sparse] = {}
     for a in rs.roots:
         # candidate positions (j,k) with matching ad-h weight
-        positions = by_weight.get(tuple(map(int, alpha_h[a])), [])
+        positions = by_weight.get(alpha_h[a], [])
         if not positions:
             raise RootSystemError(f"no matrix positions for root {a}")
         if form is None and len(positions) != 1:
             raise RootSystemError(f"{len(positions)} matrix positions for root {a}")
         # solve X^T M + M X = 0 on the span of the candidate positions:
         # E_jk contributes form[j] at (k, m-1-j) and form[m-1-j] at (m-1-j, k)
-        rows: dict[tuple[int, int], list[Fraction]] = {}
+        rows: dict[tuple[int, int], list[QQ.dtype]] = {}
         for col, (j, k) in enumerate(positions if form else ()):
             for p, v in (((k, m - 1 - j), form[j]), ((m - 1 - j, k), form[m - 1 - j])):
-                rows.setdefault(p, [Fraction(0)] * len(positions))[col] += v
+                rows.setdefault(p, [QQ(0)] * len(positions))[col] += v
         null = _null_vector([r for r in rows.values() if any(r)], len(positions))
         if null is None:
             raise RootSystemError(f"root space for {a} not one-dimensional")
@@ -385,44 +355,40 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
 
     # verify weights once more: [H_i, X] = (d_j - d_k) X entrywise
     for a in rs.roots:
-        for H, w in zip(cartan, map(int, alpha_h[a])):
+        for H, w in zip(cartan, alpha_h[a]):
             if any((H[j] - H[k]) * x != w * x for (j, k), x in evec[a].items()):
                 raise RootSystemError(f"weight failure at {a}")
 
-    c: dict[tuple[Root, Root], sp.Rational] = {}
-    cartan_coords: dict[Root, tuple[sp.Rational, ...]] = {}
-    rootset = set(rs.roots)
+    c: dict[tuple[Root, Root], QQ.dtype] = {}
+    cartan_coords: dict[Root, tuple[QQ.dtype, ...]] = {}
     for a in rs.roots:
         for b in rs.roots:
             comm = _commutator(evec[a], evec[b])
             s = _add(a, b)
-            if s in rootset:
+            if s in rs.rootset:
                 c[(a, b)] = _ratio(comm, evec[s], a, b)
             elif all(x == 0 for x in s):
                 cartan_coords[a] = _h_coords(comm, cartan, rs.family)
             elif comm:
                 raise RootSystemError(f"[E_{a}, E_{b}] not in root space")
 
-    gram = sp.Matrix(n, n, lambda i, j: sum(x * y for x, y in zip(cartan[i], cartan[j])))
-    names = {f"H{i+1}": _dense(m, {(j, j): h for j, h in enumerate(H) if h})
-             for i, H in enumerate(cartan)}
-    for a in rs.roots:
-        names[root_name(a)] = _dense(m, evec[a])
-    return StructureTable(rs, c, cartan_coords, alpha_h, gram, names)
+    gram = tuple(tuple(sum(x * y for x, y in zip(Hi, Hj)) for Hj in cartan)
+                 for Hi in cartan)
+    return StructureTable(rs, c, cartan_coords, alpha_h, gram, evec, cartan)
 
 
-def _ratio(comm: Sparse, target: Sparse, a, b) -> sp.Rational:
+def _ratio(comm: Sparse, target: Sparse, a, b) -> QQ.dtype:
     if not target:
         raise RootSystemError("zero target root vector")
     p = min(target)                    # the first nonzero entry, row-major
     r = comm.get(p, 0) / target[p]
     if comm != {q: r * v for q, v in target.items() if r}:
         raise RootSystemError(f"[E_{a}, E_{b}] not proportional")
-    return sp.Rational(r)
+    return r
 
 
 def _h_coords(diag: Sparse, cartan: list[list[int]], family: str):
-    """Coordinates of a diagonal matrix in the cartan basis."""
+    """Coordinates over QQ of a diagonal matrix in the cartan basis."""
     d = [diag.get((j, j), 0) for j in range(len(cartan[0]))]
     # type A: d has zero sum; coordinates are partial sums
     coords = list(itertools.accumulate(d[:len(cartan)])) if family == "A" \
@@ -431,7 +397,7 @@ def _h_coords(diag: Sparse, cartan: list[list[int]], family: str):
              if (v := sum(x * H[j] for x, H in zip(coords, cartan)))}
     if check != diag:
         raise RootSystemError("cartan decomposition failure")
-    return tuple(sp.Rational(x) for x in coords)
+    return tuple(QQ(x) for x in coords)
 
 
 def root_name(a: Root) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-import sympy as sp
 from sympy.polys.domains import QQ
 
 from .scalars import LAM, Context, FieldAccumulator, FieldElement
@@ -273,17 +272,3 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
         "difference_terms": {str(k): v.to_string() for k, v in sorted(diff.items())},
         "status": "match" if not diff else "mismatch",
     }
-
-
-def pole_locations(phi: Intertwiner) -> set[int]:
-    """Integer roots of all component denominators; the closed-form series
-    predicts poles only at nonnegative integer shifts of lam."""
-    lam = phi.verma.ctx.symbol(LAM)
-    roots: set[int] = set()
-    for v in phi.components.values():
-        for c in v.values():
-            den = sp.factor(c.denominator)
-            poly = sp.Poly(den, lam)
-            for r in sp.roots(poly, filter="Z"):
-                roots.add(int(r))
-    return roots

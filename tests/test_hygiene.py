@@ -1,7 +1,7 @@
 """Static hygiene of the package source, read with ``ast``: no ``assert``
 statement (they vanish under ``python -O``), no unused import, no keyed
 sum of field terms formed outside ``scalars.FieldAccumulator``, and no
-rational type other than QQ above the root-system layer."""
+rational type other than QQ outside ``scalars``."""
 
 import ast
 import pathlib
@@ -127,23 +127,22 @@ def test_scanner_sees_keyed_sums():
 
 
 def rational_constructor_sites(tree: ast.Module) -> list[int]:
-    """Lines of every call to ``Rational`` or ``Fraction``, bare or as an
-    attribute such as ``sp.Rational(1, 2)``."""
+    """Lines of every call to ``Rational``, ``Fraction`` or ``Integer``, bare
+    or as an attribute such as ``sp.Rational(1, 2)``."""
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (node.func.attr if isinstance(node.func, ast.Attribute)
-             else getattr(node.func, "id", None)) in ("Rational", "Fraction"))
+             else getattr(node.func, "id", None))
+        in ("Rational", "Fraction", "Integer"))
 
 
-# scalars.py coerces every rational type into the field; the root-system
-# layer keeps sympy's types, which its oracle tests pin
-@pytest.mark.parametrize("path", [p for p in MODULES
-                                  if p.name not in ("scalars.py", "rootsystems.py")],
+# scalars.py coerces every rational type into the field
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalars.py"],
                          ids=lambda p: p.name)
 def test_rationals_are_QQ(path):
     sites = rational_constructor_sites(_tree(path))
-    assert not sites, f"{path.name}: Rational/Fraction calls at lines {sites}"
+    assert not sites, f"{path.name}: Rational/Fraction/Integer calls at lines {sites}"
 
 
 def test_scanner_sees_rational_constructors():
@@ -152,5 +151,6 @@ def test_scanner_sees_rational_constructors():
         "b = Fraction(1, 2)\n"
         "c = fractions.Fraction(3)\n"
         "d = QQ(1, 2)\n"
-        "e = isinstance(x, Fraction)\n")
-    assert rational_constructor_sites(tree) == [1, 2, 3]
+        "e = isinstance(x, Fraction)\n"
+        "f = sp.Integer(1)\n")
+    assert rational_constructor_sites(tree) == [1, 2, 3, 6]

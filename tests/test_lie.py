@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -40,6 +43,44 @@ class TestAlgebraData:
         form = [[z, z, one], [z, one, z], [one, z, z]]
         with pytest.raises(LieAlgebraError):
             LieAlgebraData(ctx, ("a", "b", "c"), bad, form)
+
+    def test_jacobi_sees_a_triple_with_one_nonzero_pair(self, ctx):
+        # [a, b] = c and [c, d] = e: of the pairs in (a, b, d) only [a, b]
+        # is nonzero, and the Jacobiator is [d, c] = -e
+        with pytest.raises(LieAlgebraError, match=r"Jacobi fails on \(a, b, d\)"):
+            LieAlgebraData(ctx, "abcde", {(0, 1): {2: 1}, (2, 3): {4: 1}},
+                           [[0] * 5 for _ in range(5)])
+
+    def test_jacobi_failure_names_the_first_triple(self, ctx):
+        # realized B3 with [E(1,2,2), E(0,-1,-1)] doubled: the check must
+        # name the first failing triple of a loop over all basis triples.
+        # That triple's first pair brackets to zero, and a later third
+        # element fails with the same first two.
+        g = realize_lie_algebra(chevalley_constants(build_root_system("B", 3)), ctx)
+        brackets = {(i, j): g.bracket(i, j)
+                    for i in range(g.dim) for j in range(i + 1, g.dim)}
+        key = (g.root_index[(1, 2, 2)], g.root_index[(0, -1, -1)])
+        brackets[key] = {k: 2 * q for k, q in brackets[key].items()}
+
+        def bracket(i, j):
+            if i < j:
+                return brackets[(i, j)]
+            return {k: -q for k, q in brackets.get((j, i), {}).items()}
+
+        def jacobiator(i, j, k):
+            out = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, q in bracket(b, c).items():
+                    for s, q2 in bracket(a, t).items():
+                        out[s] = out.get(s, 0) + q * q2
+            return {s: q for s, q in out.items() if q}
+
+        first = next(t for t in itertools.combinations(range(g.dim), 3)
+                     if jacobiator(*t))
+        names = ", ".join(g.names[i] for i in first)
+        with pytest.raises(LieAlgebraError,
+                           match=re.escape(f"Jacobi fails on ({names})")):
+            LieAlgebraData(ctx, g.names, brackets, g.form)
 
     def test_form_invariance_enforced(self, ctx):
         one, two = ctx.one(), ctx(2)

@@ -1,17 +1,17 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from dynstar import (DynrSpec, RootSystemError, SpecError, build_root_system,
                      check_parabolic, check_reductive_subset,
                      chevalley_constants, make_spec, positive_systems,
-                     simple_roots_of, y_set_properties)
+                     simple_roots_of)
 from dynstar.classify import _levi_of
-from dynstar.rootsystems import (StructureTable, _add, _h_coords,
-                                 _matrix_model, _neg, _ratio, _sum_closed,
-                                 coordinates, root_name)
+from dynstar.rootsystems import (_add, _as_rootset, _h_coords, _matrix_model,
+                                 _neg, _ratio, _sub, _sum_closed, coordinates,
+                                 root_name)
 
 ROOT_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 4): 20,
@@ -43,7 +43,7 @@ def test_inner_product_normalization():
     for family, rank in (("A", 2), ("B", 2), ("C", 2), ("D", 3)):
         rs = build_root_system(family, rank)
         lengths = {rs.inner(a, a) for a in rs.roots}
-        assert sp.Integer(2) in lengths
+        assert 2 in lengths
         assert max(lengths) == 2
 
 
@@ -78,6 +78,25 @@ class TestCoordinates:
     def test_dependent_basis_rejected(self):
         with pytest.raises(RootSystemError, match="dependent"):
             coordinates([(1, 1), (2, 2)], [(1, 1)])
+
+
+def y_set_properties(rs, P):
+    """Check the three closure properties of Y = R \\ P for parabolic P."""
+    p = _as_rootset(rs, P)
+    if not check_parabolic(rs, p):
+        raise RootSystemError("P is not parabolic")
+    y = rs.rootset - p
+    a_ok = not ({_neg(a) for a in y} & y)
+    b_ok = _sum_closed(rs, y)
+    c_ok = all(_sub(a, b) in y for a in y for b in p
+               if _sub(a, b) in rs.rootset)
+    return {
+        "Y": sorted(y),
+        "antisymmetric_disjoint": a_ok,
+        "sum_closed": b_ok,
+        "difference_closed": c_ok,
+        "all_hold": a_ok and b_ok and c_ok,
+    }
 
 
 class TestSubsets:
@@ -183,9 +202,10 @@ def _dense_matrix_model(rs):
 
 
 def _dense_chevalley_constants(rs):
-    """The structure table from dense sympy matrices: nullspaces of the
-    stacked X^T M + M X constraints and every commutator as a full matrix
-    product (the reference for the sparse kernel)."""
+    """The structure table's fields from dense sympy matrices: nullspaces of
+    the stacked X^T M + M X constraints and every commutator as a full
+    matrix product (the reference for the sparse kernel). "matrices" maps
+    each basis name to its dense model matrix."""
     n = rs.rank
     m, M, cartan, weight = _dense_matrix_model(rs)
     evec = {}
@@ -245,7 +265,26 @@ def _dense_chevalley_constants(rs):
     gram = sp.Matrix(n, n, lambda i, j: (cartan[i] * cartan[j]).trace())
     names = {f"H{i+1}": cartan[i] for i in range(n)}
     names.update((root_name(a), evec[a]) for a in rs.roots)
-    return StructureTable(rs, c, cartan_coords, alpha_h, gram, names)
+    return {"c": c, "cartan": cartan_coords, "alpha_h": alpha_h,
+            "gram_h": gram, "matrices": names}
+
+
+def _densify(table, sparse):
+    """The dense sympy matrix of a sparse model matrix of ``table``."""
+    m = len(table.diagonals[0])
+    out = sp.zeros(m, m)
+    for p, v in sparse.items():
+        out[p] = QQ.to_sympy(v)
+    return out
+
+
+def _dense_matrices(table):
+    """Basis name -> dense model matrix, from the table's sparse data."""
+    names = {f"H{i+1}": _densify(table, {(j, j): QQ(h) for j, h in enumerate(H) if h})
+             for i, H in enumerate(table.diagonals)}
+    names.update((root_name(a), _densify(table, v))
+                 for a, v in table.vectors.items())
+    return names
 
 
 class TestChevalleyConstants:
@@ -253,17 +292,24 @@ class TestChevalleyConstants:
     def test_sparse_kernel_matches_dense_oracle(self, family, rank):
         rs = build_root_system(family, rank)
         got, want = chevalley_constants(rs), _dense_chevalley_constants(rs)
-        for field in ("c", "cartan", "alpha_h", "gram_h", "matrices"):
-            # repr pins the sympy number types as well as the values
-            assert getattr(got, field) == getattr(want, field), field
-            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+        assert got.c == want["c"]
+        assert got.cartan == want["cartan"]
+        assert got.alpha_h == want["alpha_h"]
+        assert sp.Matrix(got.gram_h) == want["gram_h"]
+        assert _dense_matrices(got) == want["matrices"]
+        # the table holds only ints and QQ elements
+        assert all(QQ.of_type(q) for q in got.c.values())
+        assert all(QQ.of_type(q) for row in got.cartan.values() for q in row)
+        assert all(type(x) is int for row in got.alpha_h.values() for x in row)
+        assert all(type(x) is int for row in got.gram_h for x in row)
+        assert all(QQ.of_type(q) for v in got.vectors.values() for q in v.values())
+        assert all(type(x) is int for H in got.diagonals for x in H)
 
     def test_non_proportional_bracket_rejected(self):
-        target = {(0, 1): Fraction(1), (2, 3): Fraction(2)}
-        assert _ratio({(0, 1): Fraction(3), (2, 3): Fraction(6)}, target,
-                      (1,), (1,)) == 3
+        target = {(0, 1): QQ(1), (2, 3): QQ(2)}
+        assert _ratio({(0, 1): QQ(3), (2, 3): QQ(6)}, target, (1,), (1,)) == 3
         with pytest.raises(RootSystemError, match="not proportional"):
-            _ratio({(0, 1): Fraction(3), (2, 3): Fraction(3)}, target, (1,), (1,))
+            _ratio({(0, 1): QQ(3), (2, 3): QQ(3)}, target, (1,), (1,))
 
     @pytest.mark.parametrize("family,diag", [
         ("B", {(0, 0): 1, (4, 4): 1}),       # mirror entry with the wrong sign
@@ -291,20 +337,21 @@ class TestChevalleyConstants:
         table = chevalley_constants(rs)
         for a in rs.roots:
             na = tuple(-c for c in a)
-            Ea = table.matrices[root_name(a)]
-            Ena = table.matrices[root_name(na)]
+            Ea = _densify(table, table.vectors[a])
+            Ena = _densify(table, table.vectors[na])
             assert sp.trace(Ea * Ena) == 1
 
     def test_a2_constants_against_matrices(self):
         rs = build_root_system("A", 2)
         table = chevalley_constants(rs)
+        mats = _dense_matrices(table)
         for a, b in itertools.product(rs.roots, rs.roots):
             s = tuple(x + y for x, y in zip(a, b))
             if not rs.is_root(s):
                 continue
-            Ea, Eb = table.matrices[root_name(a)], table.matrices[root_name(b)]
+            Ea, Eb = mats[root_name(a)], mats[root_name(b)]
             comm = Ea * Eb - Eb * Ea
-            assert comm == table.constant(a, b) * table.matrices[root_name(s)]
+            assert comm == QQ.to_sympy(table.c[(a, b)]) * mats[root_name(s)]
 
     def test_cartan_pairing(self):
         # with <E_a, E_{-a}> = 1, the coroot [E_a, E_{-a}] pairs against
@@ -313,7 +360,7 @@ class TestChevalleyConstants:
             rs = build_root_system(family, rank)
             table = chevalley_constants(rs)
             for a in rs.positive:
-                coords = sp.Matrix(list(table.cartan[a]))
-                vals = table.gram_h * coords
+                coords = sp.Matrix([QQ.to_sympy(x) for x in table.cartan[a]])
+                vals = sp.Matrix(table.gram_h) * coords
                 for i in range(rs.rank):
                     assert sp.simplify(vals[i] - table.alpha_h[a][i]) == 0

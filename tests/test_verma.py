@@ -1,8 +1,24 @@
 import pytest
+import sympy as sp
 
 from dynstar import (FiniteModule, Intertwiner, VermaData, VermaError,
-                     build_verma, compose_and_extract, pole_locations,
-                     solve_intertwiner, twist_action_on_pair)
+                     build_verma, compose_and_extract, solve_intertwiner,
+                     twist_action_on_pair)
+from dynstar.scalars import LAM
+
+
+def pole_locations(phi: Intertwiner) -> set[int]:
+    """Integer roots of all component denominators; the closed-form series
+    predicts poles only at nonnegative integer shifts of lam."""
+    lam = phi.verma.ctx.symbol(LAM)
+    roots: set[int] = set()
+    for v in phi.components.values():
+        for c in v.values():
+            den = sp.factor(c.denominator)
+            poly = sp.Poly(den, lam)
+            for r in sp.roots(poly, filter="Z"):
+                roots.add(int(r))
+    return roots
 
 
 @pytest.fixture(scope="module")
