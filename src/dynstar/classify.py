@@ -10,7 +10,6 @@ on the Levi part. Every verification below is an exact rational identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -231,45 +230,32 @@ def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:
 def recover_classification(fam: CoefficientFamily, ctx: Context) -> list[dict]:
     """Recover all (Pi, Delta, t) witnesses generating the family.
 
-    P = {alpha : x_alpha != -1/2} must be parabolic; witnesses are the
-    simple systems with P = R+ cup N and the t-values inverted through
-    t = (2x + 1)/(2x - 1).
+    P = {alpha : x_alpha != -1/2} must be parabolic. A positive system R+
+    inside P gives P = R+ cup N with N = P cap -P and Delta its simple roots
+    in N (Bourbaki, Lie Groups and Lie Algebras, VI.1.7, Prop. 20): one
+    candidate per R+, decided by the rebuilt family. t = 1 + 2/(2x - 1)
+    shares no factor with den(x); (2x + 1)/(2x - 1) keeps one uncancelled.
     """
     rs = fam.system
     P = frozenset(a for a in rs.roots if not (fam[a] + QQ(1, 2)).is_zero())
     if not rsys.check_parabolic(rs, P):
         raise SpecError("P = {x_alpha != -1/2} is not parabolic; family invalid")
+    N = P & {_neg(a) for a in P}
     witnesses = []
-    for pos in rsys.positive_systems(rs):
+    for pos in rsys.positive_systems(rs) if fam.U <= N else ():
+        if not pos <= P:
+            continue
         simple = rsys.simple_roots_of(rs, pos)
-        coords = rsys.coordinates(simple, rs.roots)
-        for k in range(len(simple) + 1):
-            for delta in itertools.combinations(simple, k):
-                N = _levi_of(coords, simple, delta)
-                if pos | N != P:
-                    continue
-                if not fam.U <= N:
-                    continue
-                t = {}
-                ok = True
-                for d in delta:
-                    if d in fam.U:
-                        t[d] = ctx.one()
-                    else:
-                        denom = 2 * fam[d] - 1
-                        if denom.is_zero():
-                            ok = False
-                            break
-                        t[d] = (2 * fam[d] + 1) / denom
-                if not ok:
-                    continue
-                spec = DynrSpec(rs, tuple(simple), frozenset(pos),
-                                tuple(delta), fam.U, t, ctx)
-                rebuilt = build_coefficients(spec)
-                if all((rebuilt[a] - fam[a]).is_zero() for a in rs.roots):
-                    witnesses.append(
-                        {"simple": tuple(simple), "delta": tuple(delta),
-                         "t": t, "spec": spec})
+        delta = tuple(s for s in simple if s in N)
+        if any(d not in fam.U and (2 * fam[d] - 1).is_zero() for d in delta):
+            continue
+        t = {d: ctx.one() if d in fam.U else 1 + 2 / (2 * fam[d] - 1)
+             for d in delta}
+        spec = DynrSpec(rs, simple, pos, delta, fam.U, t, ctx)
+        rebuilt = build_coefficients(spec)
+        if all((rebuilt[a] - fam[a]).is_zero() for a in rs.roots):
+            witnesses.append({"simple": simple, "delta": delta, "t": t,
+                              "spec": spec})
     if not witnesses:
         raise SpecError("no witness found (family invalid)")
     return witnesses

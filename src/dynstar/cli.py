@@ -139,14 +139,12 @@ def cmd_verify_rmatrix(args) -> dict:
         quasi_unitary = True
     except cls.QuasiUnitarityError:
         member, quasi_unitary = False, False
-    witnesses = []
-    if args.recover:
-        for w in cls.recover_classification(fam, ctx):
-            witnesses.append({
-                "simple": [_root_str(a) for a in w["simple"]],
-                "delta": [_root_str(a) for a in w["delta"]],
-                "t": {_root_str(k): v.to_string() for k, v in w["t"].items()},
-            })
+    recovered = cls.recover_classification(fam, ctx) if args.recover else []
+    witnesses = [{
+        "simple": [_root_str(a) for a in w["simple"]],
+        "delta": [_root_str(a) for a in w["delta"]],
+        "t": {_root_str(k): v.to_string() for k, v in w["t"].items()},
+    } for w in recovered]
     return {
         "quasi_unitary": quasi_unitary,
         "in_M_Omega": member,
@@ -355,7 +353,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         try:
             with open(args.job) as fh:
                 job = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+            if not isinstance(job, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as e:    # JSONDecodeError is a ValueError
             print(f"error: cannot read job file: {e}", file=sys.stderr)
             return 2
         merged = [job.pop("command", args.command)]
@@ -387,12 +387,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "canonical", False):
         report["elapsed_seconds"] = round(time.monotonic() - t0, 3)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
     status = "PASS" if report.get("ok") else "FAIL"
     print(f"{args.command}: {status}")
     print(text)
+    if getattr(args, "json_out", None):
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     return 0 if report.get("ok") else 1
 
 

@@ -23,7 +23,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .lie import LieAlgebraData
-from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination
+from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination, holds_field
 
 Exp = tuple[int, ...]
 
@@ -85,8 +85,7 @@ class RationalAccumulator:
 def _accumulator(ctx: Context, *term_maps: Mapping):
     """The keyed sum for products of the given coefficient maps: a
     FieldAccumulator once a FieldElement is among them, else rational."""
-    if any(isinstance(next(iter(t.values()), None), FieldElement)
-           for t in term_maps):
+    if any(map(holds_field, term_maps)):
         return FieldAccumulator(ctx)
     return RationalAccumulator()
 

@@ -556,11 +556,17 @@ class FieldAccumulator:
         return out
 
 
+def holds_field(terms: Mapping) -> bool:
+    """Whether a coefficient map, all of one kind, holds FieldElements."""
+    return isinstance(next(iter(terms.values()), None), FieldElement)
+
+
 class LinearCombination:
     """A sparse linear combination: ``terms`` maps keys to nonzero
     coefficients, all FieldElements or all rationals (ints or elements of
-    QQ). Subclass constructors drop zero coefficients and nothing writes
-    into ``terms`` afterwards. Subclasses give ``ctx``, ``_like(terms)`` (an
+    QQ); a sum of the two kinds lifts the rational side into the field.
+    Subclass constructors drop zero coefficients and nothing writes into
+    ``terms`` afterwards. Subclasses give ``ctx``, ``_like(terms)`` (an
     element of the same space) and may check operands in ``_check``."""
 
     __slots__ = ()
@@ -570,8 +576,10 @@ class LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out, more = dict(self.terms), other.terms
+        if out and more and holds_field(out) != holds_field(more):
+            out, more = ({k: self.ctx(v) for k, v in t.items()} for t in (out, more))
+        for k, v in more.items():
             out[k] = out[k] + v if k in out else v
         return self._like(out)
 

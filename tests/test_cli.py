@@ -252,6 +252,26 @@ class TestPlumbing:
     def test_job_file_unreadable(self, capsys, tmp_path):
         assert run(["--job", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("content", ["[1, 2]", '"classify"', "3", "null"])
+    def test_job_file_not_an_object(self, capsys, tmp_path, content):
+        job = tmp_path / "job.json"
+        job.write_text(content)
+        assert run(["--job", str(job)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot read job file: "
+                                "not a JSON object\n")
+
+    def test_json_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "report.json"
+        code = run(["cdybe-check", "--canonical", "--json-out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cdybe-check: PASS\n")
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write report:")
+        assert not target.exists()
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # a fault inside a command is not blamed on the input
         def broken(args):

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynstar import (Context, EnvelopingError, LieAlgebraData, LieAlgebraError,
-                     PBWAlgebra, TensorUEA, UEAElement, change_generators,
-                     project_drop_right, project_zero_part, sl2,
-                     split_basis_sl2)
+from dynstar import (Context, EnvelopingError, FieldElement, LieAlgebraData,
+                     LieAlgebraError, PBWAlgebra, TensorUEA, UEAElement,
+                     change_generators, project_drop_right, project_zero_part,
+                     sl2, split_basis_sl2)
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,33 @@ class TestProductsAgainstReference:
         assert_same_terms(got, reference_product(a, b))
         assert next(iter((y * x).terms)) not in got.terms
         assert (got - (x * x + h - y * y).scale(c1)).is_zero()
+
+
+class TestMixedKinds:
+    """A sum of a rational element and a field element with disjoint keys
+    holds field coefficients only, so its products and coproducts work."""
+
+    def test_tensor_sum(self, ctx, U):
+        (ey,), (ex,) = U.gen("y").terms, U.gen("x").terms
+        lam = ctx.var("lam")
+        rational = TensorUEA((U, U), {(ey, ex): 1})
+        field = TensorUEA((U, U), {(ex, ey): lam})
+        want = TensorUEA((U, U), {(ey, ex): ctx.one(), (ex, ey): lam})
+        for mixed in (rational + field, field + rational, field - (-rational)):
+            assert all(isinstance(v, FieldElement) for v in mixed.terms.values())
+            assert (mixed - want).is_zero()
+            assert (mixed * mixed - want * want).is_zero()
+            for slot in (0, 1):
+                assert (mixed.slot_coproduct(slot)
+                        - want.slot_coproduct(slot)).is_zero()
+
+    def test_uea_sum(self, ctx, U):
+        (ey,), (ex,) = U.gen("y").terms, U.gen("x").terms
+        lam = ctx.var("lam")
+        mixed = UEAElement(U, {ey: 1}) + UEAElement(U, {ex: lam})
+        want = UEAElement(U, {ey: ctx.one(), ex: lam})
+        assert all(isinstance(v, FieldElement) for v in mixed.terms.values())
+        assert mixed * mixed == want * want
 
 
 def test_irrational_structure_constant_rejected(ctx):

@@ -12,7 +12,9 @@ after the fix, and differs from the old one only in those two lines.
 The digests depend on sympy's printer; they were recorded with sympy 1.14.
 The B3 ``--recover`` entry finds four witnesses over non-standard simple
 systems; its digest was recorded before ``rootsystems.coordinates`` became
-the one source of root coordinates.
+the one source of root coordinates. The full-Delta A4 ``--recover`` entry
+(120 witnesses) was recorded with the subset search that recovery ran
+before it read each positive system's Delta off P.
 """
 
 import hashlib
@@ -40,6 +42,9 @@ GOLDEN = [
       "--u", "pm-a1", "--recover"],
      0, "b6d5ac6ab9b246e6cf0581fa864e0b089cac7b02f830eb379990e2fadc3468b7"),
     B3_RECOVER,
+    (["verify-rmatrix", "--type", "A", "--rank", "4", "--delta", "a1,a2,a3,a4",
+      "--recover"],
+     0, "4a4c44c0bd0271b1d05d45dcc1c48b1150c8e70bde96cf8206b95cc00604bed9"),
     (["verify-rmatrix", "--type", "D", "--rank", "4", "--delta", "a1,a3",
       "--u", "pm-a1"],
      0, "3c1911976c4d52517cd95c5996fc53279bcc57dcf8cbc5238b56a31a6c10e23d"),
