@@ -32,8 +32,27 @@ class SchemaError(ValueError):
 STAR_MAX_ORDER = 3
 
 
-def _context(rank: int = 4) -> Context:
+# Built on first use and shared by every verdict of the process: one context
+# per rank, U sl(2) with its normal-form memos (bounded by its degree cap)
+# and one splitting per variant with its projected monomial images.
+@functools.cache
+def _contexts(rank: int) -> Context:
     return Context([LAM, HBAR] + [f"t{i}" for i in range(1, rank + 1)])
+
+
+def _context(rank: int = 4) -> Context:
+    return _contexts(rank)
+
+
+@functools.cache
+def _sl2_pbw() -> PBWAlgebra:
+    return PBWAlgebra(sl2(_context()), order=("y", "h", "x"))
+
+
+@functools.cache
+def _splitting(variant: str):
+    from .projection import split_basis_sl2
+    return split_basis_sl2(_context(), variant)
 
 
 def _parse_simple_token(tok: str, rank: int) -> tuple[int, ...]:
@@ -164,9 +183,7 @@ def cmd_lagrangian(args) -> dict:
 
 
 def cmd_abrr_check(args) -> dict:
-    ctx = _context()
-    U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
-    J = abrr_twist(U, _at_least(args, "order", 0))
+    J = abrr_twist(_sl2_pbw(), _at_least(args, "order", 0))
     # first: its words are the longest (N + 1), so it meets the degree cap
     h_invariant = check_h_invariance(J)
     rep = check_dynamical_twist(J)
@@ -181,13 +198,11 @@ def cmd_abrr_check(args) -> dict:
 
 
 def cmd_cdybe_check(args) -> dict:
-    ctx = _context()
-    g = sl2(ctx)
-    U = PBWAlgebra(g, order=("y", "h", "x"))
+    U = _sl2_pbw()
     J = abrr_twist(U, _at_least(args, "order", 1))
     r = classical_limit_r(J)
-    expected = tensor2_from_names(g, {("x", "y"): ctx("1/lam"),
-                                      ("y", "x"): ctx("-1/lam")})
+    inv = 1 / U.ctx.var(LAM)
+    expected = tensor2_from_names(U.lie, {("x", "y"): inv, ("y", "x"): -inv})
     limit_ok = (r - expected).is_zero()
     rep = check_cdybe(r, [("h", LAM)])
     return {
@@ -236,11 +251,10 @@ def cmd_verma_oracle(args) -> dict:
 
 def cmd_project_twist(args) -> dict:
     from .projection import (check_nondynamical_twist, closed_form_jv,
-                             project_twist, split_basis_sl2)
-    ctx = _context()
-    U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
-    sp_ = split_basis_sl2(ctx, args.variant)
-    J = abrr_twist(U, _at_least(args, "order", 0))
+                             project_twist)
+    # the cached splitting still passes its self-check on every verdict
+    sp_ = _splitting(args.variant).validate()
+    J = abrr_twist(_sl2_pbw(), _at_least(args, "order", 0))
     Jv = project_twist(J, sp_)
     cf = closed_form_jv(sp_, args.order)
     closed_match = not Jv.series.differing_orders(cf.series)

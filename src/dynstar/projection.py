@@ -11,7 +11,7 @@ twist axioms order by order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from sympy.polys.domains import QQ
@@ -35,6 +35,8 @@ class SplittingData:
     ``algebra`` carries the (b, a, c) basis with v = span{b, a} and
     h = span{c}; ``order`` puts the v-generators first so that dropping
     trailing c-exponents is a projection along the left ideal Ug h.
+    ``images`` holds the projected image over QQ of every slot monomial
+    projected so far, keyed by (slot algebra, exponents).
     """
     ambient: LieAlgebraData
     algebra: LieAlgebraData
@@ -44,6 +46,7 @@ class SplittingData:
     v_names: tuple[str, str]
     h_name: str
     variant: str
+    images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def check(self) -> dict:
         """Bracket relations of the split basis and exactness of the
@@ -68,6 +71,13 @@ class SplittingData:
         rel["round_trip"] = ok_round
         rel["all_ok"] = all(rel.values())
         return rel
+
+    def validate(self) -> "SplittingData":
+        """This splitting, once :meth:`check` passes; raises otherwise."""
+        rel = self.check()
+        if not rel["all_ok"]:
+            raise ProjectionError(f"splitting self-check failed: {rel}")
+        return self
 
 
 def split_basis_sl2(ctx: Context, variant: str = "standard") -> SplittingData:
@@ -100,12 +110,8 @@ def split_basis_sl2(ctx: Context, variant: str = "standard") -> SplittingData:
                       "c": {"h": half}}
     else:
         raise ProjectionError(f"unknown splitting variant {variant!r}")
-    data = SplittingData(g, split, pbw, to_split, from_split,
-                         ("b", "a"), "c", variant)
-    rel = data.check()
-    if not rel["all_ok"]:
-        raise ProjectionError(f"splitting self-check failed: {rel}")
-    return data
+    return SplittingData(g, split, pbw, to_split, from_split,
+                         ("b", "a"), "c", variant).validate()
 
 
 @dataclass
@@ -125,30 +131,19 @@ class ProjectedTwist:
                         "coefficient leaks outside Uv (x) Uv")
 
 
-def _project_slots(t: TensorUEA, sp: SplittingData, images: dict) -> TensorUEA:
-    """Project every slot of a tensor over QQ. ``images`` holds the
-    projected image of each slot monomial met so far, over QQ, keyed by
-    (slot algebra, exponents)."""
+def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
+    """Project every slot of a tensor over QQ, each slot monomial through
+    its image in ``sp.images``."""
     def image(u: UEAElement) -> UEAElement:
         (e,) = u.terms
         key = (u.algebra, e)
-        if key not in images:
+        if key not in sp.images:
             v = project_drop_right(
                 change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
-            images[key] = UEAElement(sp.pbw, {
+            sp.images[key] = UEAElement(sp.pbw, {
                 k: lean(c.as_rational()) for k, c in v.terms.items()})
-        return images[key]
+        return sp.images[key]
     return t.map_slots(image)
-
-
-def _project(J: TwistSeries, sp: SplittingData, images: dict) -> ProjectedTwist:
-    if any(a.lie.names != sp.ambient.names for a in J.slots):
-        raise ProjectionError("input slots are not over the ambient sl(2)")
-    if not check_h_invariance(J):
-        raise ProjectionError(
-            "input twist is not Cartan-invariant; projection refused")
-    return ProjectedTwist(
-        J.map_orders(lambda t: _project_slots(t, sp, images)), sp)
 
 
 def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
@@ -159,7 +154,12 @@ def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
     Cartan line, so that is checked first and violations are reported
     instead of silently projecting.
     """
-    return _project(J, sp, {})
+    if any(a.lie.names != sp.ambient.names for a in J.slots):
+        raise ProjectionError("input slots are not over the ambient sl(2)")
+    if not check_h_invariance(J):
+        raise ProjectionError(
+            "input twist is not Cartan-invariant; projection refused")
+    return ProjectedTwist(J.map_orders(lambda t: _project_slots(t, sp)), sp)
 
 
 def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
@@ -253,11 +253,10 @@ def check_projected_equation(J: TwistSeries, sp: SplittingData,
     """
     if N is not None and N < J.truncation:
         J = TwistSeries.graded(J.slots, J.grades[:N + 1])
-    images: dict = {}
-    Jv = _project(J, sp, images)
+    Jv = project_twist(J, sp)
     lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
-    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp, images))
-    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp, images))
+    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
+    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp))
 
     V = Jv.series
     lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))

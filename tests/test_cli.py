@@ -282,3 +282,14 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: KeyError: 'boom'\n"
+
+
+def test_one_context_algebra_and_splitting_per_process(capsys):
+    assert cli._context() is cli._context(4)
+    U = cli._sl2_pbw()
+    assert U is cli._sl2_pbw() and U.ctx is cli._context()
+    assert run(["project-twist", "--order", "3", "--canonical"]) == 0
+    capsys.readouterr()
+    spl = cli._splitting("standard")
+    assert spl is cli._splitting("standard") is not cli._splitting("chevalley")
+    assert spl.images and spl.pbw.ctx is U.ctx

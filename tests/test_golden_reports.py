@@ -69,6 +69,16 @@ GOLDEN = [
 ]
 
 
+def _cold(argv, *flags):
+    """The canonical run of ``argv`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(dynstar.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *flags, "-m", "dynstar", *argv,
+                           "--canonical"],
+                          capture_output=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
                          ids=["_".join(a.lstrip("-") for a in g[0]) for g in GOLDEN])
 def test_canonical_report_digest(capsys, argv, code, digest):
@@ -82,16 +92,61 @@ def test_recover_report_survives_optimize_flag():
     # twist series' entry check and the star sweep's invariance checks
     # rely on are explicit raises, so the verdicts and reports must not
     # change
-    src = os.path.dirname(os.path.dirname(dynstar.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
     cases = [B3_RECOVER] + [g for g in GOLDEN if g[0][:3] in (
         ["abrr-check", "--order", "5"], ["project-twist", "--order", "6"],
         ["star", "--order", "3"])]
     assert len(cases) == 5
     for argv, code, digest in cases:
-        proc = subprocess.run([sys.executable, "-O", "-m", "dynstar", *argv,
-                               "--canonical"],
-                              capture_output=True, env=env, timeout=300)
+        proc = _cold(argv, "-O")
         assert proc.returncode == code, argv
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
+
+# A process builds U sl(2), its splittings and its parameter contexts once
+# and shares them with every later verdict; none of them may carry state
+# from one verdict into the next.
+
+def _report(capsys, argv):
+    code = run(argv + ["--canonical"])
+    return code, capsys.readouterr().out
+
+
+def test_warm_process_replays_every_golden_report(capsys):
+    for argv, code, digest in GOLDEN + GOLDEN[::-1]:
+        got, out = _report(capsys, argv)
+        assert got == code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_warm_mutated_shift_fails_and_leaves_no_trace(capsys, monkeypatch):
+    import dynstar.twist as twist
+    argv = ["abrr-check", "--order", "4"]
+    code, first = _report(capsys, argv)
+    assert code == 0
+    real = twist._h_powers
+    with monkeypatch.context() as m:
+        m.setattr(twist, "_h_powers",
+                  lambda alg, shift, kmax: real(alg, 2 * shift, kmax))
+        assert _report(capsys, argv)[0] == 1
+    assert _report(capsys, argv) == (0, first)
+
+
+def test_degree_cap_leaves_a_warm_process_as_cold(capsys):
+    argv = ["abrr-check", "--order", "4"]
+    cold = _cold(argv)
+    assert cold.returncode == 0
+    assert run(["abrr-check", "--order", "16", "--canonical"]) == 2
+    capsys.readouterr()
+    assert _report(capsys, argv) == (0, cold.stdout.decode())
+
+
+def test_corrupt_cached_splitting_fails_its_verdict(capsys, monkeypatch):
+    from dynstar import cli
+    argv = ["project-twist", "--order", "3"]
+    code, first = _report(capsys, argv)
+    assert code == 0
+    monkeypatch.setitem(cli._splitting("standard").from_split, "c", {"h": 1})
+    assert run(argv + ["--canonical"]) == 3
+    assert "splitting self-check failed" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert _report(capsys, argv) == (0, first)

@@ -1,7 +1,8 @@
 """Static hygiene of the package source, read with ``ast``: no ``assert``
 statement (they vanish under ``python -O``), no unused import, no keyed
-sum of field terms formed outside ``scalars.FieldAccumulator``, and no
-rational type other than QQ outside ``scalars``."""
+sum of field terms formed outside ``scalars.FieldAccumulator``, no
+rational type other than QQ outside ``scalars``, and no string literal
+parsed by a context."""
 
 import ast
 import pathlib
@@ -154,3 +155,35 @@ def test_scanner_sees_rational_constructors():
         "e = isinstance(x, Fraction)\n"
         "f = sp.Integer(1)\n")
     assert rational_constructor_sites(tree) == [1, 2, 3, 6]
+
+
+def context_string_sites(tree: ast.Module) -> list[int]:
+    """Lines of every call of a context (``ctx(...)``, ``self.ctx(...)``,
+    ``x.context(...)``) with a string literal argument: a value parsed
+    through sympy on every call instead of built from the field."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) in ("ctx", "context")
+        and any(isinstance(a, ast.JoinedStr)
+                or (isinstance(a, ast.Constant) and isinstance(a.value, str))
+                for a in node.args))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_string_parsed_by_a_context(path):
+    sites = context_string_sites(_tree(path))
+    assert not sites, f"{path.name}: string literals parsed by a context at lines {sites}"
+
+
+def test_scanner_sees_context_strings():
+    tree = ast.parse(
+        "a = ctx('1/lam')\n"
+        "b = self.ctx(\"-1/lam\")\n"
+        "c = sp.pbw.context(f'{n}/lam')\n"
+        "d = ctx(val)\n"
+        "e = ctx(1)\n"
+        "f = Context(['lam', 'hbar'])\n"
+        "g = _context()\n")
+    assert context_string_sites(tree) == [1, 2, 3]

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from sympy.polys.domains import QQ
 
 from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      TwistSeries, abrr_twist, change_generators,
@@ -7,6 +10,7 @@ from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      closed_form_jv, project_twist, rising_factorial,
                      rising_factorial_projection, shift_twist, sl2,
                      split_basis_sl2)
+from dynstar.scalars import LAM
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +123,10 @@ class TestOrdinaryAxioms:
 
 
 @pytest.mark.parametrize("route", ["project", "equation"])
-def test_each_slot_monomial_changes_generators_once(monkeypatch, spl, J5,
+def test_each_slot_monomial_changes_generators_once(monkeypatch, ctx, J5,
                                                     route):
+    # a fresh splitting: the images of the module's one are already formed
+    spl = split_basis_sl2(ctx)
     import dynstar.projection as projection
     seen = []
     inner = projection.change_generators
@@ -132,11 +138,16 @@ def test_each_slot_monomial_changes_generators_once(monkeypatch, spl, J5,
 
     monkeypatch.setattr(projection, "change_generators", counted)
     if route == "project":
-        project_twist(J5, spl)
+        first = project_twist(J5, spl).series
     else:
         assert check_projected_equation(J5, spl, N=3)["ok"]
     assert seen
     assert len(seen) == len(set(seen))
+    if route == "project":
+        # the splitting keeps its images: a second projection converts none
+        seen.clear()
+        assert not project_twist(J5, spl).series.differing_orders(first)
+        assert not seen
 
 
 def test_slots_in_different_orders(ctx, spl, U, J5):
@@ -173,3 +184,50 @@ def test_series_serialization(spl):
     assert js["deformation"] == "hbar"
     assert js["truncation"] == 3
     assert len(js["orders"]) == 4
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // math.factorial(k)
+
+
+def test_stirling2_table():
+    assert [stirling2(4, k) for k in range(5)] == [0, 1, 7, 6, 1]
+    assert stirling2(0, 0) == 1
+
+
+# the v-generator that y maps into, then the other one
+LEADING = {"standard": ("b", "a"), "chevalley": ("a", "b")}
+
+
+@pytest.mark.parametrize("scale", [None, {1: 2}, {2: 2}],
+                         ids=["plain", "scale1", "scale2"])
+@pytest.mark.parametrize("variant", ["standard", "chevalley"])
+@pytest.mark.parametrize("N", range(8))
+def test_closed_form_matches_stirling_oracle(ctx, variant, scale, N):
+    """Order r of the closed form sits at lam^-r and equals
+    sum_n (-1)^n / n! S(r-1, n-1) v_n: expanding
+    1 / (lam (lam - hbar) ... (lam - (n-1) hbar)) in hbar gives the
+    complete homogeneous sums of 0..n-1, and those are Stirling numbers
+    of the second kind. No field series expansion is involved."""
+    sp_ = split_basis_sl2(ctx, variant)
+    slots = (sp_.pbw, sp_.pbw)
+    rf = {(g, n): rising_factorial(sp_.pbw, g, n).terms
+          for g in LEADING[variant] for n in range(1, N + 1)}
+    first, second = LEADING[variant]
+    orders = [TensorUEA.unit(slots)]
+    for r in range(1, N + 1):
+        terms = {}
+        for n in range(1, r + 1):
+            q = QQ((-1) ** n * stirling2(r - 1, n - 1) * (scale or {}).get(n, 1),
+                   math.factorial(n))
+            for e1, c1 in rf[first, n].items():
+                for e2, c2 in rf[second, n].items():
+                    k = (e1, e2)
+                    terms[k] = terms.get(k, 0) + q * c1.as_rational() * c2.as_rational()
+        orders.append(TensorUEA(slots, {k: ctx.laurent(LAM, {-r: q})
+                                        for k, q in terms.items() if q}))
+    got = closed_form_jv(sp_, N, term_scale=scale).series
+    assert all(set(g) <= {-r} for r, g in enumerate(got.grades))
+    assert not got.differing_orders(TwistSeries(slots, orders))
