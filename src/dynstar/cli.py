@@ -36,23 +36,19 @@ STAR_MAX_ORDER = 3
 # per rank, U sl(2) with its normal-form memos (bounded by its degree cap)
 # and one splitting per variant with its projected monomial images.
 @functools.cache
-def _contexts(rank: int) -> Context:
+def _context(rank: int) -> Context:
     return Context([LAM, HBAR] + [f"t{i}" for i in range(1, rank + 1)])
-
-
-def _context(rank: int = 4) -> Context:
-    return _contexts(rank)
 
 
 @functools.cache
 def _sl2_pbw() -> PBWAlgebra:
-    return PBWAlgebra(sl2(_context()), order=("y", "h", "x"))
+    return PBWAlgebra(sl2(_context(4)), order=("y", "h", "x"))
 
 
 @functools.cache
 def _splitting(variant: str):
     from .projection import split_basis_sl2
-    return split_basis_sl2(_context(), variant)
+    return split_basis_sl2(_context(4), variant)
 
 
 def _parse_simple_token(tok: str, rank: int) -> tuple[int, ...]:
@@ -218,7 +214,7 @@ def cmd_star(args) -> dict:
     if not 0 <= args.order <= STAR_MAX_ORDER:
         raise SchemaError(f"star --order must lie in 0..{STAR_MAX_ORDER}, "
                           f"got {args.order}")
-    ctx = _context()
+    ctx = _context(4)
     rep = verify_orbit_identities(ctx, twist_order=args.order)
     rep = _jsonable(rep)
     if args.identity != "all":
@@ -232,7 +228,7 @@ def cmd_star(args) -> dict:
 
 def cmd_verma_oracle(args) -> dict:
     from .verma import FiniteModule, compose_and_extract
-    ctx = _context()
+    ctx = _context(4)
     for name in ("v", "w"):
         _at_least(args, name, 0)
     if args.v % 2 or args.w % 2:

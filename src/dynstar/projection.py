@@ -36,7 +36,10 @@ class SplittingData:
     h = span{c}; ``order`` puts the v-generators first so that dropping
     trailing c-exponents is a projection along the left ideal Ug h.
     ``images`` holds the projected image over QQ of every slot monomial
-    projected so far, keyed by (slot algebra, exponents).
+    that :func:`project_twist` has met, keyed by (PBW order of the slot
+    algebra, exponents). The image depends on nothing else, so twists over
+    separately built algebras share one table, which the six orders of
+    (y, h, x) and the degree cap bound.
     """
     ambient: LieAlgebraData
     algebra: LieAlgebraData
@@ -136,7 +139,7 @@ def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
     its image in ``sp.images``."""
     def image(u: UEAElement) -> UEAElement:
         (e,) = u.terms
-        key = (u.algebra, e)
+        key = (u.algebra.order, e)
         if key not in sp.images:
             v = project_drop_right(
                 change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
@@ -152,7 +155,8 @@ def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
 
     The projection only produces a twist when the input commutes with the
     Cartan line, so that is checked first and violations are reported
-    instead of silently projecting.
+    instead of silently projecting. The image of each slot monomial stays
+    in ``sp.images`` for later projections.
     """
     if any(a.lie.names != sp.ambient.names for a in J.slots):
         raise ProjectionError("input slots are not over the ambient sl(2)")

@@ -285,9 +285,9 @@ class TestPlumbing:
 
 
 def test_one_context_algebra_and_splitting_per_process(capsys):
-    assert cli._context() is cli._context(4)
+    assert cli._context(4) is cli._context(4) is not cli._context(3)
     U = cli._sl2_pbw()
-    assert U is cli._sl2_pbw() and U.ctx is cli._context()
+    assert U is cli._sl2_pbw() and U.ctx is cli._context(4)
     assert run(["project-twist", "--order", "3", "--canonical"]) == 0
     capsys.readouterr()
     spl = cli._splitting("standard")

@@ -169,6 +169,18 @@ def test_slots_in_different_orders(ctx, spl, U, J5):
     assert (got - project_twist(J5, spl).series).is_zero()
 
 
+def test_one_splitting_over_separately_built_algebras(ctx, J5):
+    # the images are keyed by the slots' PBW order, not by their algebra
+    # object, so a table shared by many twists stops growing
+    spl = split_basis_sl2(ctx)
+    first = project_twist(J5, spl).series
+    formed = len(spl.images)
+    for _ in range(2):
+        J = abrr_twist(PBWAlgebra(sl2(ctx), order=("y", "h", "x")), 5)
+        assert not project_twist(J, spl).series.differing_orders(first)
+        assert len(spl.images) == formed
+
+
 def test_built_series_hold_no_zero_coefficient(ctx, U):
     J7 = abrr_twist(U, 7)
     built = [J7, shift_twist(J7)] + [
