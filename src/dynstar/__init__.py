@@ -16,10 +16,9 @@ from .classify import (CoefficientFamily, DynrSpec, LagrangianData,
                        build_lagrangian, check_coefficient_conditions,
                        check_in_M_Omega, check_shift_form,
                        coefficients_to_tensor, make_spec,
-                       recover_b_from_initial, recover_classification)
+                       recover_classification)
 from .enveloping import (EnvelopingError, PBWAlgebra, TensorUEA, UEAElement,
-                         change_generators, project_drop_right,
-                         project_zero_part)
+                         change_generators, project_drop_right)
 from .twist import (TwistError, TwistSeries, abrr_twist, check_cdybe,
                     check_dynamical_twist, check_h_invariance,
                     classical_limit_r, shift_twist)
@@ -32,8 +31,7 @@ from .verma import (FiniteModule, Intertwiner, VermaData, VermaError,
                     twist_action_on_pair)
 from .projection import (ProjectedTwist, ProjectionError, SplittingData,
                          check_cb_identity, check_nondynamical_twist,
-                         check_projected_equation, closed_form_jv,
-                         project_twist, rising_factorial,
+                         closed_form_jv, project_twist, rising_factorial,
                          rising_factorial_projection, split_basis_sl2)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

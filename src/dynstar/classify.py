@@ -6,6 +6,8 @@ Coefficient families x_alpha are built from (Pi, Delta, U, t-parameters),
 with the hyperbolic cotangent encoded rationally: the parameter t_alpha
 stands for exp(2 alpha(h)), so x_alpha = (t_alpha + 1) / (2 (t_alpha - 1))
 on the Levi part. Every verification below is an exact rational identity.
+Root systems, tables, coordinate maps and U-free realizations are shared
+per process; each spec, its t table, its u and every check are per verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from sympy.polys.domains import QQ
 
 from . import rootsystems as rsys
-from .rootsystems import Root, RootSystem, _add, _neg
+from .rootsystems import Root, RootSystem, _add, _neg, _sub
 from .lie import (
     LieAlgebraData, Tensor2, build_casimir_tensor, check_invariance, cyb,
     reduce_mod_u,
@@ -44,8 +46,10 @@ class DynrSpec:
     U: frozenset[Root]
     t: dict[Root, FieldElement]        # per delta in Delta
     ctx: Context
-    # every root's coordinates in ``simple``
-    coords: dict[Root, Root] = field(init=False, repr=False)
+    # every root's coordinates in ``simple`` (shared, read-only)
+    coords: Mapping[Root, Root] = field(init=False, repr=False)
+    # t_alpha for every root alpha of N, filled once from the simple t's
+    t_table: dict[Root, FieldElement] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rs = self.system
@@ -55,7 +59,8 @@ class DynrSpec:
         self.coords = rsys.coordinates(self.simple, rs.roots)
         if not rsys.check_reductive_subset(rs, self.U):
             raise SpecError("U is not reductive")
-        if not self.U <= self.levi_roots():
+        N = self.levi_roots()
+        if not self.U <= N:
             raise SpecError("U not contained in the Levi set N")
         one = self.ctx.one()
         for d in self.delta:
@@ -64,8 +69,20 @@ class DynrSpec:
                 raise SpecError(f"missing t-parameter for {d}")
             if d in self.U and not (td - one).is_zero():
                 raise SpecError(f"t must be 1 on U (violated at {d})")
-        for a in sorted(self.levi_roots()):
-            ta = self.t_of(a)
+        # t_alpha multiplicative over N: up the positive roots of N by
+        # height, t_a = t_{a-d} t_d for a root a - d, and t_{-a} = 1/t_a
+        pos = sorted((a for a in N if min(self.coords[a]) >= 0),
+                     key=lambda a: sum(self.coords[a]))
+        table = self.t_table = {}
+        for a in pos:
+            if a in self.delta:
+                table[a] = self.t[a]
+            else:
+                d = next(d for d in self.delta if _sub(a, d) in table)
+                table[a] = table[_sub(a, d)] * self.t[d]
+            table[_neg(a)] = table[a] ** -1
+        for a in sorted(N):
+            ta = table[a]
             if a in self.U:
                 if not (ta - one).is_zero():
                     raise SpecError(f"t_alpha must be 1 on U (violated at {a})")
@@ -77,17 +94,11 @@ class DynrSpec:
         return _levi_of(self.coords, self.simple, self.delta)
 
     def t_of(self, a: Root) -> FieldElement:
-        """t_alpha extended multiplicatively over the Delta-expansion;
-        SpecError for a root outside N."""
-        coords = self.coords.get(tuple(a))
-        if coords is None or any(c and s not in self.delta
-                                 for c, s in zip(coords, self.simple)):
+        """t_alpha from the table over N; SpecError for a root outside N."""
+        ta = self.t_table.get(tuple(a))
+        if ta is None:
             raise SpecError(f"{a} is not a root of the Levi set N")
-        out = self.ctx.one()
-        for c, s in zip(coords, self.simple):
-            if c != 0:
-                out = out * self.t[s] ** c
-        return out
+        return ta
 
 
 def make_spec(
@@ -268,23 +279,6 @@ def _levi_of(coords: Mapping[Root, Root], simple: Sequence[Root],
     outside = [i for i, s in enumerate(simple) if s not in delta]
     return frozenset(r for r, c in coords.items()
                      if all(c[i] == 0 for i in outside))
-
-
-def recover_b_from_initial(pi_e: Tensor2, rho: Tensor2) -> Tensor2:
-    """b = Omega/2 + pi_e + (m-projection of Lambda = rho - Omega/2)."""
-    g = pi_e.algebra
-    omega = build_casimir_tensor(g)
-    if not (rho + rho.transpose() - omega).is_zero():
-        raise QuasiUnitarityError("rho + rho^21 != Omega")
-    if not pi_e.is_antisymmetric():
-        raise QuasiUnitarityError("initial bivector not antisymmetric")
-    mset = set(g.m_indices)
-    if any(not (i in mset and j in mset) for (i, j) in pi_e.support()):
-        raise QuasiUnitarityError("initial bivector not supported on m (x) m")
-    lam = rho - omega.scale(QQ(1, 2))
-    proj = Tensor2(g, {k: v for k, v in lam.coeffs.items()
-                       if all(i in mset for i in k)})
-    return omega.scale(QQ(1, 2)) + pi_e + proj
 
 
 # ---------------------------------------------------------------------------

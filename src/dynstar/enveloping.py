@@ -330,22 +330,6 @@ def project_drop_right(u: UEAElement, ideal_gens: Sequence[str]) -> UEAElement:
                             if all(x == 0 for x in e[cut:])})
 
 
-def project_zero_part(u: UEAElement, lowering: Sequence[str],
-                      raising: Sequence[str]) -> UEAElement:
-    """The Cartan-middle projection: keep monomials with zero exponents on
-    the lowering and raising generators. Requires order (lowering, cartan,
-    raising)."""
-    alg = u.algebra
-    nl, nr = len(lowering), len(raising)
-    if tuple(alg.order[:nl]) != tuple(lowering) or \
-            tuple(alg.order[alg.ngens - nr:]) != tuple(raising):
-        raise EnvelopingError(
-            "order must place lowering generators first and raising last")
-    drop = set(range(nl)) | set(range(alg.ngens - nr, alg.ngens))
-    return UEAElement(alg, {e: c for e, c in u.terms.items()
-                            if all(e[i] == 0 for i in drop)})
-
-
 class TensorUEA(LinearCombination):
     """A tensor power of enveloping algebras: maps from tuples of exponent
     vectors (one per slot) to field coefficients."""

@@ -3,16 +3,24 @@ calculus on top of them: CYB, Alt, the split Casimir, invariance checks,
 and reduction modulo a marked subalgebra. Brackets and the form are over
 QQ and tensor coefficients in the field: a tensor sum takes each bracket
 constant as a :class:`~dynstar.scalars.FieldAccumulator`'s rational multiplier.
+
+The U-free realization of a shared structure table holds no Context; it
+is checked once per (family, rank) and shared read-only. Each realization
+adds its own Context and u, and checks u.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
+from . import rootsystems as rsys
 from .rootsystems import Root, StructureTable, root_name, _neg
 from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination
 
@@ -29,8 +37,11 @@ class LieAlgebraData:
     Structure constants and form entries are converted to QQ here, once:
     ints and QQ elements directly, anything else through ``ctx``; a
     non-rational entry raises LieAlgebraError naming it. Tensor coefficients
-    over the algebra are FieldElements of ``ctx``.
+    over the algebra are FieldElements of ``ctx``. The bracket rows and the
+    name index are read-only, so algebras may share them.
     """
+
+    _EMPTY = MappingProxyType({})
 
     def __init__(
         self,
@@ -43,7 +54,7 @@ class LieAlgebraData:
         self.ctx = ctx
         self.names = tuple(names)
         self.dim = len(self.names)
-        self.index = {n: i for i, n in enumerate(self.names)}
+        self.index = MappingProxyType({n: i for i, n in enumerate(self.names)})
         n = self.names
         # store the full antisymmetric table; a pair given in both orders
         # must hold opposite rows, and [e_i, e_i] = 0 takes no entry
@@ -58,18 +69,31 @@ class LieAlgebraData:
                 raise LieAlgebraError(
                     f"[{n[i]}, {n[j]}] and [{n[j]}, {n[i]}] are not opposite")
             tbl[(j, i)] = {k: -q for k, q in row.items()}
-        self._brackets = tbl
+        self._brackets = MappingProxyType(
+            {key: MappingProxyType(row) for key, row in tbl.items()})
         self.form = tuple(
             tuple(self._rational(x, f"form entry <{n[i]}, {n[j]}>")
                   for j, x in enumerate(row))
             for i, row in enumerate(form))
-        self.u_indices = tuple(u_indices) if u_indices is not None else None
-        self.m_indices = (
-            tuple(i for i in range(self.dim) if i not in set(self.u_indices))
-            if u_indices is not None
-            else None
-        )
-        self._validate()
+        self._validate_structure()
+        self._mark_u(u_indices)
+
+    def _mark_u(self, u_indices: Optional[Sequence[int]]) -> None:
+        """Mark u and its complement m (or neither), and check them."""
+        self.u_indices = self.m_indices = None
+        if u_indices is None:
+            return
+        uset = set(u_indices)
+        self.u_indices = tuple(u_indices)
+        self.m_indices = tuple(i for i in range(self.dim) if i not in uset)
+        mset = set(self.m_indices)
+        for i in uset:
+            for j in uset:
+                if set(self.bracket(i, j)) - uset:
+                    raise LieAlgebraError("u not a subalgebra")
+            for j in mset:
+                if set(self.bracket(i, j)) - mset:
+                    raise LieAlgebraError("[u, m] not contained in m")
 
     def _rational(self, value, what: str):
         if isinstance(value, int) or QQ.of_type(value):
@@ -81,11 +105,9 @@ class LieAlgebraData:
 
     # -- bracket -----------------------------------------------------------
 
-    def bracket(self, i: int, j: int) -> dict[int, object]:
-        """[e_i, e_j] as a sparse coordinate vector over QQ."""
-        if i == j:
-            return {}
-        return self._brackets.get((i, j), {})
+    def bracket(self, i: int, j: int) -> Mapping[int, object]:
+        """[e_i, e_j] as a read-only sparse coordinate vector over QQ."""
+        return self._brackets.get((i, j), self._EMPTY)
 
     def bracket_vectors(self, v: Mapping[int, FieldElement],
                         w: Mapping[int, FieldElement]) -> dict[int, FieldElement]:
@@ -101,7 +123,7 @@ class LieAlgebraData:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate_structure(self) -> None:
         d, form = self.dim, self.form
         if any(form[i][j] != form[j][i] for i in range(d) for j in range(i)):
             raise LieAlgebraError("form not symmetric")
@@ -135,16 +157,6 @@ class LieAlgebraData:
                         out[b, a] = out.get((b, a), 0) + q * f
             if any(out.values()):
                 raise LieAlgebraError("form not ad-invariant")
-        if self.u_indices is not None:
-            uset = set(self.u_indices)
-            mset = set(self.m_indices)
-            for i in uset:
-                for j in uset:
-                    if set(self.bracket(i, j)) - uset:
-                        raise LieAlgebraError("u not a subalgebra")
-                for j in mset:
-                    if set(self.bracket(i, j)) - mset:
-                        raise LieAlgebraError("[u, m] not contained in m")
 
 
 def realize_lie_algebra(
@@ -153,7 +165,36 @@ def realize_lie_algebra(
     U: Optional[Iterable[Root]] = None,
 ) -> LieAlgebraData:
     """Realize the algebra of a root-system structure table, optionally
-    marking u = h + sum of root spaces over U."""
+    marking u = h + sum of root spaces over U.
+
+    The U-free algebra of a shared table (the one ``chevalley_constants``
+    returns) is built and checked once per (family, rank); any other table
+    is built and checked on every call. Either way the caller gets a new
+    algebra with its own ``ctx`` and u, and u is checked on every call.
+    """
+    rs = table.system
+    if table is rsys.structure_table(rs.family, rs.rank):
+        g = copy.copy(_shared_algebra(rs.family, rs.rank))
+    else:
+        g = _table_algebra(table, ctx)
+    g.ctx = ctx
+    u_indices = None
+    if U is not None:
+        uroots = {tuple(a) for a in U}
+        u_indices = [*g.cartan_indices,
+                     *(i for a, i in g.root_index.items() if a in uroots)]
+    g._mark_u(u_indices)
+    return g
+
+
+@functools.cache
+def _shared_algebra(family: str, rank: int) -> LieAlgebraData:
+    # ctx-free: a shared table holds only ints and QQ elements
+    return _table_algebra(rsys.structure_table(family, rank), None)
+
+
+def _table_algebra(table: StructureTable, ctx: Optional[Context]) -> LieAlgebraData:
+    """The U-free algebra of ``table``, checked."""
     rs = table.system
     n = rs.rank
     cartan_names = [f"H{i+1}" for i in range(n)]
@@ -186,14 +227,10 @@ def realize_lie_algebra(
     for a in ordered_roots:
         form[ridx[a]][ridx[_neg(a)]] = 1
 
-    u_indices = None
-    if U is not None:
-        uroots = {tuple(a) for a in U}
-        u_indices = list(range(n)) + [ridx[a] for a in ordered_roots if a in uroots]
-    g = LieAlgebraData(ctx, names, brackets, form, u_indices=u_indices)
+    g = LieAlgebraData(ctx, names, brackets, form)
     g.root_system = rs
     g.structure = table
-    g.root_index = ridx
+    g.root_index = MappingProxyType(ridx)
     g.cartan_indices = tuple(range(n))
     return g
 

@@ -79,13 +79,6 @@ class OrbitFunction(LinearCombination):
     def constant(cls, ctx: Context, value) -> "OrbitFunction":
         return cls(ctx, {(0, 0, 0, 0): ctx(value)})
 
-    @classmethod
-    def coordinate(cls, ctx: Context, name: str) -> "OrbitFunction":
-        i = MATRIX_VARS.index(name)
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return cls(ctx, {tuple(e): ctx.one()})
-
     def __mul__(self, other) -> "OrbitFunction":
         if not isinstance(other, OrbitFunction):
             return self.scale(other)

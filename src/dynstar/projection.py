@@ -21,7 +21,7 @@ from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
 from .lie import LieAlgebraData, sl2
 from .scalars import HBAR, LAM, Context, FieldAccumulator
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
-                    cocycle_sides, counit_ok, shift_twist)
+                    counit_ok)
 
 
 class ProjectionError(ValueError):
@@ -244,32 +244,3 @@ def check_nondynamical_twist(Jv: ProjectedTwist) -> dict:
     return {**rep, "cocycle_ok": rep["ok"], "counit_ok": counit,
             "ok": rep["ok"] and counit}
 
-
-def check_projected_equation(J: TwistSeries, sp: SplittingData,
-                             N: Optional[int] = None) -> dict:
-    """The route through the dynamical equation: project both sides of the
-    shifted cocycle identity of the ambient twist slotwise and compare with
-    the ordinary-axiom sides of the projected twist.
-
-    The slotwise projection of a product is not a priori the product of
-    projections; equality here is exactly the cross-term vanishing that the
-    Cartan-invariance of the input guarantees.
-    """
-    if N is not None and N < J.truncation:
-        J = TwistSeries.graded(J.slots, J.grades[:N + 1])
-    Jv = project_twist(J, sp)
-    lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
-    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
-    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp))
-
-    V = Jv.series
-    lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
-
-    bad_l = lhs_proj.differing_orders(lhs_v)
-    bad_r = rhs_proj.differing_orders(rhs_v)
-    return {
-        "checked_through": min(lhs_proj.truncation, lhs_v.truncation),
-        "lhs_ok": not bad_l, "rhs_ok": not bad_r,
-        "ok": not (bad_l or bad_r),
-        "failing_orders": sorted(set(bad_l) | set(bad_r)),
-    }

@@ -1,6 +1,10 @@
 """Root systems of classical type with a concrete matrix-realized Chevalley
 basis, computed in Python ints and QQ.
 
+Everything here depends only on (family, rank) or on the integer tuples
+passed in, never on a Context: root systems, structure tables and
+coordinate maps are built once per process and shared read-only.
+
 Roots are stored as integer coordinate tuples in the simple-root basis, and
 the Euclidean roots as integer tuples in orthogonal coordinates.
 ``coordinates`` is the one change of basis, with one exact inverse per
@@ -16,10 +20,12 @@ formed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -54,8 +60,7 @@ class RootSystem:
     roots: tuple[Root, ...]            # simple-root-basis coordinates
     simple: tuple[Root, ...]           # the unit vectors, in order
     positive: frozenset[Root]
-    euclid: dict[Root, tuple[int, ...]] = field(compare=False, repr=False)
-    ip_scale: QQ.dtype = field(compare=False, repr=False)
+    euclid: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
     rootset: frozenset[Root] = field(compare=False, repr=False)
 
     @property
@@ -64,11 +69,6 @@ class RootSystem:
 
     def is_root(self, a: Root) -> bool:
         return tuple(a) in self.rootset
-
-    def inner(self, a: Root, b: Root) -> QQ.dtype:
-        """<a,b> normalized so long roots have squared length 2."""
-        ea, eb = self.euclid[tuple(a)], self.euclid[tuple(b)]
-        return self.ip_scale * sum(x * y for x, y in zip(ea, eb))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank} ({len(self.roots)} roots)"
@@ -108,29 +108,34 @@ def _euclid_roots(family: str, rank: int) -> tuple[list, list]:
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of the given classical type and rank."""
+    """The root system of the given classical type and rank, built once per
+    process and shared."""
     family = family.upper()
     if family not in SUPPORTED_FAMILIES:
         raise RootSystemError(f"unsupported family {family!r}; supported: A, B, C, D")
     lo = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
     if not (lo <= rank <= MAX_RANK):
         raise RootSystemError(f"rank {rank} out of range [{lo}, {MAX_RANK}] for {family}")
+    return _root_system(family, rank)
+
+
+@functools.cache
+def _root_system(family: str, rank: int) -> RootSystem:
     eroots, esimple = _euclid_roots(family, rank)
     coords = coordinates(esimple, eroots)
     roots = tuple(sorted(coords.values()))
-    euclid = {c: r for r, c in coords.items()}
+    euclid = MappingProxyType({c: r for r, c in coords.items()})
     positive = frozenset(c for c in roots if _is_positive(c))
-    maxlen = max(sum(x * x for x in euclid[r]) for r in roots)
     simple = tuple(coords[s] for s in esimple)
-    rs = RootSystem(family, rank, roots, simple, positive, euclid,
-                    QQ(2, maxlen), frozenset(roots))
+    rs = RootSystem(family, rank, roots, simple, positive, euclid, frozenset(roots))
     _validate(rs)
     return rs
 
 
-def coordinates(basis: Sequence[Sequence], vectors: Iterable[Sequence]) -> dict[tuple, Root]:
+def coordinates(basis: Sequence[Sequence],
+                vectors: Iterable[Sequence]) -> Mapping[tuple, Root]:
     """Integer coordinates of each integer vector in ``basis``, keyed by the
-    vector.
+    vector, as a shared read-only mapping.
 
     One exact inverse per basis, of the Gram matrix B B^T (basis vectors as
     rows), kept as an integer matrix over a common denominator, so the
@@ -138,7 +143,12 @@ def coordinates(basis: Sequence[Sequence], vectors: Iterable[Sequence]) -> dict[
     Euclidean roots lie in rank + 1 dimensions). Raises RootSystemError if
     the basis is dependent or a vector is not an integral combination of it.
     """
-    vectors = [tuple(v) for v in vectors]
+    return _coordinates(tuple(map(tuple, basis)), tuple(map(tuple, vectors)))
+
+
+@functools.lru_cache(maxsize=512)      # above the 384 simple systems of B4, C4
+def _coordinates(basis: tuple[tuple, ...],
+                 vectors: tuple[tuple, ...]) -> Mapping[tuple, Root]:
     B, V = (DomainMatrix([[ZZ.convert(x) for x in v] for v in vs],
                          (len(vs), len(basis[0])), ZZ) for vs in (basis, vectors))
     try:
@@ -154,7 +164,7 @@ def coordinates(basis: Sequence[Sequence], vectors: Iterable[Sequence]) -> dict[
         if any(x % den for x in c):
             raise RootSystemError(f"{v} is not an integral combination of the basis")
         out[v] = tuple(int(x // den) for x in c)
-    return out
+    return MappingProxyType(out)
 
 
 def _is_positive(c: Root) -> bool:
@@ -239,9 +249,10 @@ def simple_roots_of(rs: RootSystem, pos: frozenset[Root]) -> tuple[Root, ...]:
 Sparse = dict[tuple[int, int], QQ.dtype]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureTable:
-    """Exact structure data of the matrix-realized algebra, in ints and QQ.
+    """Exact structure data of the matrix-realized algebra, in ints and QQ,
+    shared read-only: every mapping is a ``MappingProxyType``.
 
     c[(a, b)] is the constant in [E_a, E_b] = c E_{a+b};
     cartan[a] gives the H-basis coordinates of [E_a, E_{-a}];
@@ -252,12 +263,12 @@ class StructureTable:
     """
 
     system: RootSystem
-    c: dict[tuple[Root, Root], QQ.dtype]
-    cartan: dict[Root, tuple[QQ.dtype, ...]]
-    alpha_h: dict[Root, tuple[int, ...]]
+    c: Mapping[tuple[Root, Root], QQ.dtype]
+    cartan: Mapping[Root, tuple[QQ.dtype, ...]]
+    alpha_h: Mapping[Root, tuple[int, ...]]
     gram_h: tuple[tuple[int, ...], ...]
-    vectors: dict[Root, Sparse]
-    diagonals: list[list[int]]
+    vectors: Mapping[Root, Mapping[tuple[int, int], QQ.dtype]]
+    diagonals: tuple[tuple[int, ...], ...]
 
 
 def _matrix_model(rs: RootSystem):
@@ -312,11 +323,19 @@ def _commutator(x: Sparse, y: Sparse) -> Sparse:
 
 
 def chevalley_constants(rs: RootSystem) -> StructureTable:
-    """Root vectors and structure constants from the matrix model.
+    """Root vectors and structure constants from the matrix model: the
+    shared read-only table of the (family, rank) of ``rs``.
 
     Each root vector is kept as the sparse entries over QQ (one or two) of
     its matrix; the Cartan elements are integer diagonals.
     """
+    return structure_table(rs.family, rs.rank)
+
+
+@functools.cache
+def structure_table(family: str, rank: int) -> StructureTable:
+    """The shared table of :func:`chevalley_constants`, by (family, rank)."""
+    rs = build_root_system(family, rank)
     n = rs.rank
     m, form, cartan, weight = _matrix_model(rs)
     alpha_h = {a: tuple(weight(rs.euclid[a], i) for i in range(n)) for a in rs.roots}
@@ -374,7 +393,11 @@ def chevalley_constants(rs: RootSystem) -> StructureTable:
 
     gram = tuple(tuple(sum(x * y for x, y in zip(Hi, Hj)) for Hj in cartan)
                  for Hi in cartan)
-    return StructureTable(rs, c, cartan_coords, alpha_h, gram, evec, cartan)
+    frozen = MappingProxyType
+    return StructureTable(
+        rs, frozen(c), frozen(cartan_coords), frozen(alpha_h), gram,
+        frozen({a: frozen(v) for a, v in evec.items()}),
+        tuple(map(tuple, cartan)))
 
 
 def _ratio(comm: Sparse, target: Sparse, a, b) -> QQ.dtype:

@@ -6,16 +6,33 @@ import sympy as sp
 from sympy.polys.domains import QQ
 
 from dynstar import (DynrSpec, QuasiUnitarityError, SpecError,
-                     build_coefficients,
+                     build_casimir_tensor, build_coefficients,
                      build_lagrangian, build_root_system,
                      check_coefficient_conditions, check_in_M_Omega,
                      check_shift_form, chevalley_constants,
                      coefficients_to_tensor, make_spec, positive_systems,
-                     realize_lie_algebra, recover_b_from_initial,
-                     recover_classification, simple_roots_of)
+                     realize_lie_algebra, recover_classification,
+                     simple_roots_of)
 from dynstar.classify import _levi_of
 from dynstar.lie import Tensor2
 from dynstar.rootsystems import check_parabolic, coordinates
+
+
+def recover_b_from_initial(pi_e, rho):
+    """b = Omega/2 + pi_e + (m-projection of Lambda = rho - Omega/2)."""
+    g = pi_e.algebra
+    omega = build_casimir_tensor(g)
+    if not (rho + rho.transpose() - omega).is_zero():
+        raise QuasiUnitarityError("rho + rho^21 != Omega")
+    if not pi_e.is_antisymmetric():
+        raise QuasiUnitarityError("initial bivector not antisymmetric")
+    mset = set(g.m_indices)
+    if any(not (i in mset and j in mset) for (i, j) in pi_e.support()):
+        raise QuasiUnitarityError("initial bivector not supported on m (x) m")
+    lam = rho - omega.scale(QQ(1, 2))
+    proj = Tensor2(g, {k: v for k, v in lam.coeffs.items()
+                       if all(i in mset for i in k)})
+    return omega.scale(QQ(1, 2)) + pi_e + proj
 
 
 def _fixture(ctx, family, rank, delta, U, t=None):

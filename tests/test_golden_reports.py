@@ -102,9 +102,10 @@ def test_recover_report_survives_optimize_flag():
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
 
 
-# A process builds U sl(2), its splittings and its parameter contexts once
-# and shares them with every later verdict; none of them may carry state
-# from one verdict into the next.
+# A process builds U sl(2), its splittings and its parameter contexts once,
+# and each root system, structure table and checked U-free realization
+# once per (family, rank), and shares them with every later verdict; none
+# of them may carry state from one verdict into the next.
 
 def _report(capsys, argv):
     code = run(argv + ["--canonical"])
@@ -150,3 +151,32 @@ def test_corrupt_cached_splitting_fails_its_verdict(capsys, monkeypatch):
     assert "splitting self-check failed" in capsys.readouterr().err
     monkeypatch.undo()
     assert _report(capsys, argv) == (0, first)
+
+
+B3 = ["--type", "B", "--rank", "3"]
+B3_SEQUENCE = [
+    (B3_RECOVER[0], 0),
+    (["verify-rmatrix", *B3, "--delta", "a2", "--recover"], 0),
+    (["lagrangian", *B3, "--delta", "a2,a3", "--u", "pm-a2"], 0),
+    (["verify-rmatrix", *B3, "--delta", "a1,a2", "--u", "pm-a1",
+      "--recover"], 0),
+    (["verify-rmatrix", *B3, "--delta", "a1,a2", "--u", "pm-a1,pm-a2"], 2),
+    (["classify", *B3, "--delta", "a3", "--u", "pm-a3"], 0),
+    (["lagrangian", *B3, "--delta", "a2", "--t", "a2=1"], 2),
+    (["verify-rmatrix", *B3, "--delta", "a1,a3", "--u", "pm-a2"], 2),
+    (["verify-rmatrix", *B3, "--delta", "a1,a2,a3", "--u", "pm-a3",
+      "--recover"], 0),
+    (["lagrangian", *B3, "--delta", "none"], 0),
+]
+
+
+def test_warm_root_recovery_sequence_matches_cold_runs(capsys):
+    # one type under different U and Delta: every verdict after the first
+    # finds its root system, table and U-free algebra already built
+    cold = {}
+    for argv, code in B3_SEQUENCE:
+        proc = _cold(argv)
+        assert proc.returncode == code, argv
+        cold[tuple(argv)] = proc.stdout.decode()
+    for argv, code in B3_SEQUENCE + B3_SEQUENCE[::-1]:
+        assert _report(capsys, argv) == (code, cold[tuple(argv)]), argv

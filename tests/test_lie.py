@@ -1,15 +1,18 @@
+import dataclasses
 import itertools
 import re
+from types import MappingProxyType
 
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
 
-from dynstar import (LieAlgebraData, LieAlgebraError, Tensor2,
+from dynstar import (Context, LieAlgebraData, LieAlgebraError, Tensor2,
                      Tensor3, alt, build_casimir_tensor, build_root_system,
                      check_invariance, chevalley_constants, cyb,
                      realize_lie_algebra, reduce_mod_u, sl2,
                      tensor2_from_names, tensor_to_json)
+from dynstar import lie, rootsystems
 
 # every (family, rank) the root-system layer builds
 CLASSICAL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -180,6 +183,104 @@ class TestAlgebraData:
         assert len(a2.cartan_indices) == 2
         assert set(a2.u_indices) == {0, 1, a2.root_index[(1, 0)],
                                      a2.root_index[(-1, 0)]}
+
+
+def _fresh_table(rs):
+    """A copy of the shared table of ``rs``: equal data, another object, so
+    ``realize_lie_algebra`` builds and checks its algebra without the
+    per-process memo."""
+    return dataclasses.replace(chevalley_constants(rs))
+
+
+def _layout(g):
+    """Everything a realization exposes, as plain data."""
+    return (g.names, g.dim, g.form, g.cartan_indices, dict(g.root_index),
+            g.u_indices, g.m_indices,
+            {(i, j): dict(g.bracket(i, j))
+             for i in range(g.dim) for j in range(g.dim) if g.bracket(i, j)})
+
+
+def _memo_sizes():
+    return [f.cache_info().currsize for f in (
+        lie._shared_algebra, rootsystems.structure_table,
+        rootsystems._root_system, rootsystems._coordinates)]
+
+
+class TestSharedRealization:
+    """One checked U-free algebra per (family, rank) is shared by every
+    realization of the process; each call gets its own ctx and u."""
+
+    @pytest.mark.parametrize("with_u", [False, True], ids=["plain", "U"])
+    @pytest.mark.parametrize("family,rank", CLASSICAL_TYPES,
+                             ids=[f"{f}{r}" for f, r in CLASSICAL_TYPES])
+    def test_memo_matches_a_fresh_build(self, ctx, family, rank, with_u):
+        rs = build_root_system(family, rank)
+        U = [rs.simple[-1], tuple(-c for c in rs.simple[-1])] if with_u else None
+        shared = realize_lie_algebra(chevalley_constants(rs), ctx, U=U)
+        again = realize_lie_algebra(chevalley_constants(rs), ctx, U=U)
+        fresh = realize_lie_algebra(_fresh_table(rs), ctx, U=U)
+        assert shared is not again and shared.structure is again.structure
+        assert _layout(shared) == _layout(again) == _layout(fresh)
+        assert (shared.u_indices is None) == (not with_u)
+
+    def test_u_is_marked_and_checked_on_every_call(self, ctx):
+        table = chevalley_constants(build_root_system("A", 3))
+        g1 = realize_lie_algebra(table, ctx, U=[(1, 0, 0), (-1, 0, 0)])
+        g2 = realize_lie_algebra(table, ctx, U=[(0, 1, 1), (0, -1, -1)])
+        before = _memo_sizes()
+        with pytest.raises(LieAlgebraError, match="u not a subalgebra"):
+            # h + g_{a1} + g_{a2}: [E_a1, E_a2] = E_{a1+a2} leaves u
+            realize_lie_algebra(table, ctx, U=[(1, 0, 0), (0, 1, 0)])
+        assert _memo_sizes() == before
+        assert g1.u_indices == (0, 1, 2, g1.root_index[(1, 0, 0)],
+                                g1.root_index[(-1, 0, 0)])
+        assert g2.u_indices == (0, 1, 2, g2.root_index[(0, 1, 1)],
+                                g2.root_index[(0, -1, -1)])
+        for g in (g1, g2):
+            assert set(g.m_indices) == set(range(g.dim)) - set(g.u_indices)
+        assert realize_lie_algebra(table, ctx).u_indices is None
+
+    def test_each_context_keeps_its_own_and_no_memo_grows(self):
+        table = chevalley_constants(build_root_system("B", 2))
+        U = [(1, 0), (-1, 0)]
+        realize_lie_algebra(table, Context(["lam"]), U=U)
+        before = _memo_sizes()
+        contexts = [Context(["lam", f"s{i}"]) for i in range(4)]
+        algebras = [realize_lie_algebra(table, c, U=U) for c in contexts]
+        assert _memo_sizes() == before
+        for c, g in zip(contexts, algebras):
+            assert g.ctx is c
+            assert build_casimir_tensor(g).ctx is c
+        # the shared algebra holds no Context at all
+        assert lie._shared_algebra("B", 2).ctx is None
+
+    def test_corrupted_table_fails_after_the_memo_is_warm(self, ctx):
+        rs = build_root_system("B", 3)
+        table = chevalley_constants(rs)
+        realize_lie_algebra(table, ctx)
+        key = ((1, 2, 2), (0, -1, -1))
+        bad = dataclasses.replace(table, c=MappingProxyType(
+            {**table.c, key: 2 * table.c[key]}))
+        for _ in range(2):
+            with pytest.raises(LieAlgebraError, match="Jacobi fails"):
+                realize_lie_algebra(bad, ctx)
+        assert realize_lie_algebra(table, ctx).dim == 21
+
+    def test_shared_data_is_read_only(self, ctx):
+        rs = build_root_system("A", 2)
+        g = realize_lie_algebra(chevalley_constants(rs), ctx, U=[(1, 0), (-1, 0)])
+        i, j = g.root_index[(1, 0)], g.root_index[(0, 1)]
+        for mapping, key in ((g.bracket(i, j), 0), (g.bracket(0, 1), 0),
+                             (g.index, "H9"), (g.root_index, (9, 9))):
+            with pytest.raises(TypeError):
+                mapping[key] = 1
+        with pytest.raises(TypeError):
+            g.form[0][0] = 5
+        # rebinding an attribute of one algebra does not reach the next
+        g.u_indices, g.m_indices = (), tuple(range(g.dim))
+        g.names = ()
+        h = realize_lie_algebra(chevalley_constants(rs), ctx, U=[(1, 0), (-1, 0)])
+        assert len(h.u_indices) == 4 and len(h.names) == 8
 
 
 class TestCasimir:

@@ -5,12 +5,42 @@ from sympy.polys.domains import QQ
 
 from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      TwistSeries, abrr_twist, change_generators,
-                     check_cb_identity,
-                     check_nondynamical_twist, check_projected_equation,
+                     check_cb_identity, check_nondynamical_twist,
                      closed_form_jv, project_twist, rising_factorial,
                      rising_factorial_projection, shift_twist, sl2,
                      split_basis_sl2)
+from dynstar.projection import _project_slots
 from dynstar.scalars import LAM
+from dynstar.twist import cocycle_sides
+
+
+def check_projected_equation(J, sp, N=None):
+    """The route through the dynamical equation: project both sides of the
+    shifted cocycle identity of the ambient twist slotwise and compare with
+    the ordinary-axiom sides of the projected twist.
+
+    The slotwise projection of a product is not a priori the product of
+    projections; equality here is exactly the cross-term vanishing that the
+    Cartan-invariance of the input guarantees.
+    """
+    if N is not None and N < J.truncation:
+        J = TwistSeries.graded(J.slots, J.grades[:N + 1])
+    Jv = project_twist(J, sp)
+    lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
+    lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
+    rhs_proj = rhs_full.map_orders(lambda t: _project_slots(t, sp))
+
+    V = Jv.series
+    lhs_v, rhs_v = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
+
+    bad_l = lhs_proj.differing_orders(lhs_v)
+    bad_r = rhs_proj.differing_orders(rhs_v)
+    return {
+        "checked_through": min(lhs_proj.truncation, lhs_v.truncation),
+        "lhs_ok": not bad_l, "rhs_ok": not bad_r,
+        "ok": not (bad_l or bad_r),
+        "failing_orders": sorted(set(bad_l) | set(bad_r)),
+    }
 
 
 @pytest.fixture(scope="module")

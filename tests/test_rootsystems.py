@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import operator
 
 import pytest
 import sympy as sp
@@ -38,18 +40,24 @@ def test_unsupported_systems_rejected():
         build_root_system("D", 2)
 
 
+def inner(rs, a, b):
+    """<a,b> normalized so long roots have squared length 2."""
+    maxlen = max(sum(x * x for x in e) for e in rs.euclid.values())
+    return QQ(2, maxlen) * sum(x * y for x, y in zip(rs.euclid[a], rs.euclid[b]))
+
+
 def test_inner_product_normalization():
     # long roots have squared length 2 in every family
     for family, rank in (("A", 2), ("B", 2), ("C", 2), ("D", 3)):
         rs = build_root_system(family, rank)
-        lengths = {rs.inner(a, a) for a in rs.roots}
+        lengths = {inner(rs, a, a) for a in rs.roots}
         assert 2 in lengths
         assert max(lengths) == 2
 
 
 def test_b2_lengths():
     rs = build_root_system("B", 2)
-    lengths = sorted({rs.inner(a, a) for a in rs.roots})
+    lengths = sorted({inner(rs, a, a) for a in rs.roots})
     assert lengths == [1, 2]
 
 
@@ -78,6 +86,46 @@ class TestCoordinates:
     def test_dependent_basis_rejected(self):
         with pytest.raises(RootSystemError, match="dependent"):
             coordinates([(1, 1), (2, 2)], [(1, 1)])
+        # a failure is not memoized: it raises again
+        with pytest.raises(RootSystemError, match="dependent"):
+            coordinates([(1, 1), (2, 2)], [(1, 1)])
+
+    def test_shared_map_is_read_only(self):
+        rs = build_root_system("B", 2)
+        coords = coordinates(rs.simple, rs.roots)
+        # lists and tuples of the same vectors share one map
+        assert coordinates([list(s) for s in rs.simple], list(rs.roots)) is coords
+        with pytest.raises(TypeError):
+            coords[(1, 0)] = (5, 5)
+        assert coordinates(rs.simple, rs.roots)[(1, 0)] == (1, 0)
+
+
+class TestBuiltOncePerProcess:
+    """Root systems and structure tables are shared by every caller of the
+    process, so none of them may be written into."""
+
+    def test_one_object_per_family_and_rank(self):
+        assert build_root_system("c", 3) is build_root_system("C", 3)
+        rs = build_root_system("D", 4)
+        assert chevalley_constants(rs) is chevalley_constants(build_root_system("D", 4))
+        assert chevalley_constants(rs).system is rs
+
+    def test_shared_data_is_read_only(self):
+        rs = build_root_system("A", 2)
+        table = chevalley_constants(rs)
+        a, b = (1, 0), (0, 1)
+        writes = [(rs.euclid, a, (0, 0, 0)), (table.c, (a, b), QQ(5)),
+                  (table.cartan, a, (QQ(0), QQ(0))), (table.alpha_h, a, (0, 0)),
+                  (table.vectors[a], (0, 1), QQ(5)), (table.vectors, a, {}),
+                  (table.diagonals[0], 0, 5), (table.gram_h[0], 0, 5)]
+        for target, key, value in writes:
+            with pytest.raises(TypeError):
+                operator.setitem(target, key, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.c = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rs.roots = ()
+        assert chevalley_constants(build_root_system("A", 2)).c[(a, b)] == table.c[(a, b)]
 
 
 def y_set_properties(rs, P):

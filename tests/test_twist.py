@@ -7,11 +7,12 @@ import pytest
 from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
                      abrr_twist, change_generators, check_cdybe,
                      check_dynamical_twist, check_h_invariance,
-                     check_projected_equation, classical_limit_r,
+                     classical_limit_r,
                      closed_form_jv, project_drop_right, project_twist,
                      shift_twist, sl2, split_basis_sl2, tensor2_from_names)
 from dynstar import twist
 from dynstar.twist import cocycle_residual, cocycle_sides
+from test_projection import check_projected_equation
 
 
 @pytest.fixture(scope="module")
