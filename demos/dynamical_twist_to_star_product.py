@@ -52,6 +52,6 @@ assert (cas.terms[(0, 0, 0, 0)] - lam * (lam + 2) / 2).is_zero()
 # The full identity sweep: commutators, associativity, equivariance under
 # left translations, the reduction of the twist operator to scalar
 # coefficients, and the (d+1)^2 filtration dimensions.
-report = verify_orbit_identities(ctx)
+report = verify_orbit_identities(U)
 print("all orbit identities hold:", report["all_ok"])
 print("filtration dimensions:", report["filtration_dims"]["dims"])

@@ -214,8 +214,7 @@ def cmd_star(args) -> dict:
     if not 0 <= args.order <= STAR_MAX_ORDER:
         raise SchemaError(f"star --order must lie in 0..{STAR_MAX_ORDER}, "
                           f"got {args.order}")
-    ctx = _context(4)
-    rep = verify_orbit_identities(ctx, twist_order=args.order)
+    rep = verify_orbit_identities(_sl2_pbw(), twist_order=args.order)
     rep = _jsonable(rep)
     if args.identity != "all":
         if args.identity not in rep:

@@ -5,13 +5,18 @@ Functions are polynomials in the matrix entries g11, g12, g21, g22 kept in
 normal form modulo the determinant relation: any monomial divisible by
 g11*g22 is rewritten through g11*g22 -> g12*g21 + 1, which is confluent
 because the relation is principal and the substitution lowers the g11
-exponent. Products, that rewriting and the vector fields sum their terms in
-a :class:`~dynstar.scalars.FieldAccumulator`, with the binomial
-multiplicities and the integer vector-field entries as rational multipliers.
+exponent. Products, vector fields and the public constructor each sum their
+terms in one :class:`~dynstar.scalars.FieldAccumulator`, and every monomial
+enters it through that one rewrite rule, with the binomial multiplicities
+and the integer vector-field entries as rational multipliers. Sums and
+scalings of normal forms are normal and are not rewritten again. The
+vector-field tables are constant, read-only data, and a twist's PBW words
+act on an operand through shared prefixes, each word once.
 
 A star-product sums c_n (y^n . f1)(x^n . f2) from the y-tower of f1 and the
 x-tower of f2 (f, D f, D^2 f, ... up to the last nonzero term). The
-identity sweep forms the towers of its operands and the coefficient lists
+identity sweep runs over the context of a given U sl(2) and builds its
+twist there; it forms the towers of its operands and the coefficient lists
 c_n once. Its filtration ranks are taken over products of basis functions
 indexed by multisets, evaluated at lam = 1, over QQ.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from sympy.polys.domains import QQ
@@ -42,25 +48,27 @@ class OrbitError(ValueError):
     pass
 
 
-def _normalize(ctx: Context, terms: Mapping[MExp, FieldElement]) -> dict[MExp, FieldElement]:
-    acc = FieldAccumulator(ctx)
-    for (a, b, c, d), v in terms.items():
-        # g11^a g22^d = g11^(a-k) g22^(d-k) (g12 g21 + 1)^k
-        k = min(a, d)
-        acc.add(v, [((a - k, b + i, c + i, d - k), math.comb(k, i))
-                    for i in range(k + 1)])
-    return {k: v for k, v in acc.sums().items() if v}
+def _det_rewrite(e: MExp) -> Sequence[tuple[MExp, int]]:
+    """The normal form of the monomial ``e`` as (monomial, multiplicity)
+    pairs: g11^a g22^d = g11^(a-k) g22^(d-k) (g12 g21 + 1)^k, k = min(a, d).
+    Every normal form is built through this one rule."""
+    a, b, c, d = e
+    k = min(a, d)
+    return [((a - k, b + i, c + i, d - k), math.comb(k, i))
+            for i in range(k + 1)]
 
 
 def _sum_of_products(ctx: Context, triples) -> "OrbitFunction":
-    """sum c f g over the (c, f, g) of ``triples``, normalized once."""
+    """sum c f g over the (c, f, g) of ``triples``, each product monomial
+    entering the sum in normal form."""
     acc = FieldAccumulator(ctx)
     for c, f, g in triples:
         for e1, c1 in f.terms.items():
             c1 = c * c1
             for e2, c2 in g.terms.items():
-                acc.add(c1 * c2, ((tuple(a + b for a, b in zip(e1, e2)), 1),))
-    return OrbitFunction(ctx, acc.sums())
+                acc.add(c1 * c2, _det_rewrite(
+                    (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])))
+    return OrbitFunction._normal(ctx, acc.sums())
 
 
 class OrbitFunction(LinearCombination):
@@ -69,11 +77,24 @@ class OrbitFunction(LinearCombination):
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: Mapping[MExp, FieldElement]):
+        acc = FieldAccumulator(ctx)
+        for e, v in terms.items():
+            acc.add(v, _det_rewrite(e))
         self.ctx = ctx
-        self.terms = _normalize(ctx, terms)
+        self.terms = {e: v for e, v in acc.sums().items() if v}
+
+    @classmethod
+    def _normal(cls, ctx: Context, terms: Mapping[MExp, FieldElement]
+                ) -> "OrbitFunction":
+        """Terms already in normal form; zero coefficients are dropped."""
+        f = cls.__new__(cls)
+        f.ctx = ctx
+        f.terms = {e: v for e, v in terms.items() if v}
+        return f
 
     def _like(self, terms) -> "OrbitFunction":
-        return OrbitFunction(self.ctx, terms)
+        # sums, scalings and coefficient maps of normal forms stay normal
+        return OrbitFunction._normal(self.ctx, terms)
 
     @classmethod
     def constant(cls, ctx: Context, value) -> "OrbitFunction":
@@ -143,47 +164,77 @@ _GEN_MATRICES: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 
 
-def _vector_field(f: OrbitFunction, coeff_of_dkl) -> OrbitFunction:
-    """Apply sum_{kl} coeff(k,l) d/dg_{kl} where each coefficient maps
-    monomials to integers."""
+def _vector_field(f: OrbitFunction, field) -> OrbitFunction:
+    """Apply sum_pos field[pos] d/dg_pos, where field[pos] lists the
+    (position j, integer c) of the terms c g_j of its coefficient."""
     acc = FieldAccumulator(f.ctx)
     for e, c in f.terms.items():
-        for pos in range(4):
-            if e[pos] == 0:
+        terms = []
+        for pos, entry in enumerate(field):
+            p = e[pos]
+            if not p:
                 continue
-            de = list(e)
-            de[pos] -= 1
-            acc.add(c, [(tuple(a + b for a, b in zip(de, me)), e[pos] * mc)
-                        for me, mc in coeff_of_dkl[pos].items()])
-    return OrbitFunction(f.ctx, acc.sums())
+            for j, q in entry:
+                de = list(e)
+                de[pos] -= 1
+                de[j] += 1
+                terms.extend((m, p * q * r) for m, r in _det_rewrite(tuple(de)))
+        if terms:
+            acc.add(c, terms)
+    return OrbitFunction._normal(f.ctx, acc.sums())
 
 
 def _product_coeffs(name: str, invariant: bool):
     """The entries of g v (the left-invariant field, ``invariant``) or of
     v g (the infinitesimal left translation, which commutes with every
-    left-invariant operator) for the generator v, indexed by the flattened
-    position 2k+l of g_{kl} in MATRIX_VARS."""
+    left-invariant operator) for the generator v: entry 2k+l, the
+    coefficient of d/dg_{kl}, lists the (position, integer) of its terms."""
     v = _GEN_MATRICES[name]
     coeffs = []
     for k in range(2):
         for l in range(2):
-            poly: dict[MExp, int] = {}
+            entry = []
             for m in range(2):
                 pos, c = (2 * k + m, v[m][l]) if invariant else (2 * m + l, v[k][m])
                 if c:
-                    poly[tuple(int(i == pos) for i in range(4))] = c
-            coeffs.append(poly)
-    return coeffs
+                    entry.append((pos, c))
+            coeffs.append(tuple(entry))
+    return tuple(coeffs)
+
+
+# The vector-field tables by (generator, invariant), read-only: every
+# derivative shares them.
+_PRODUCT_COEFFS = MappingProxyType({
+    (name, invariant): _product_coeffs(name, invariant)
+    for name in _GEN_MATRICES for invariant in (True, False)})
 
 
 def generator_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The left-invariant vector field of one sl(2) generator."""
-    return _vector_field(f, _product_coeffs(name, True))
+    return _vector_field(f, _PRODUCT_COEFFS[name, True])
 
 
 def group_action_derivative(f: OrbitFunction, name: str) -> OrbitFunction:
     """The generator of the left G-translation action on functions."""
-    return _vector_field(f, _product_coeffs(name, False))
+    return _vector_field(f, _PRODUCT_COEFFS[name, False])
+
+
+def _word_derivatives(order: Sequence[str], f: OrbitFunction):
+    """The map from a PBW word (exponents over ``order``) to its action on
+    f as a left-invariant differential operator, in which the rightmost
+    generator acts first. Each word's derivative is formed once, from the
+    word with its leftmost letter removed."""
+    memo = {(0,) * len(order): f}
+
+    def of(word: tuple[int, ...]) -> OrbitFunction:
+        g = memo.get(word)
+        if g is None:
+            i = next(i for i, k in enumerate(word) if k)
+            rest = word[:i] + (word[i] - 1,) + word[i + 1:]
+            g = memo[word] = generator_derivative(of(rest), order[i])
+        return g
+
+    return of
 
 
 def invariant_derivative(u: UEAElement, f: OrbitFunction) -> OrbitFunction:
@@ -191,15 +242,9 @@ def invariant_derivative(u: UEAElement, f: OrbitFunction) -> OrbitFunction:
     operator: in each PBW word the rightmost generator acts first."""
     if not isinstance(u, UEAElement):
         raise OrbitError("expected a UEAElement")
-    order = u.algebra.order
-    out = OrbitFunction(f.ctx, {})
-    for exp, c in u.terms.items():
-        g = f
-        for i in range(len(order) - 1, -1, -1):
-            for _ in range(exp[i]):
-                g = generator_derivative(g, order[i])
-        out = out + g.scale(c)
-    return out
+    of = _word_derivatives(u.algebra.order, f)
+    return sum((of(w).scale(c) for w, c in u.terms.items()),
+               OrbitFunction._normal(f.ctx, {}))
 
 
 def is_h_invariant(f: OrbitFunction) -> bool:
@@ -262,12 +307,13 @@ def star_product(f1: OrbitFunction, f2: OrbitFunction,
 def apply_twist_orders(J, f1: OrbitFunction, f2: OrbitFunction) -> list[OrbitFunction]:
     """Apply a TwistSeries as a bidifferential operator, order by order in
     the deformation parameter. No invariance assumption: the full expanded
-    h-dependence acts."""
-    one = f1.ctx.one()
-    return [_sum_of_products(f1.ctx, [
-        (c, invariant_derivative(UEAElement(J.slots[0], {e1: one}), f1),
-         invariant_derivative(UEAElement(J.slots[1], {e2: one}), f2))
-        for (e1, e2), c in t.terms.items()]) for t in J.orders]
+    h-dependence acts. Each slot word acts on its operand once, however
+    many terms and orders carry it."""
+    d1 = _word_derivatives(J.slots[0].order, f1)
+    d2 = _word_derivatives(J.slots[1].order, f2)
+    return [_sum_of_products(f1.ctx, [(c, d1(e1), d2(e2))
+                                      for (e1, e2), c in t.terms.items()])
+            for t in J.orders]
 
 
 def _span_rank(rows: Sequence[Mapping[MExp, object]]) -> int:
@@ -277,8 +323,9 @@ def _span_rank(rows: Sequence[Mapping[MExp, object]]) -> int:
                         (len(rows), len(cols)), QQ).rank()
 
 
-def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
-    """Exact verification of the orbit-algebra identities.
+def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
+    """Exact verification of the orbit-algebra identities, over the context
+    of U sl(2), whose twist drives scalar_reduction.
 
     Checks, all in Q(lam):
       commutator      f_a * f_b - f_b * f_a = f_[a,b] on all basis pairs
@@ -293,7 +340,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
       filtration_dims products of basis functions of degree <= d span a
                       space of dimension (d+1)^2
     """
-    from .lie import sl2
+    ctx = U.ctx
     names = ("x", "y", "h")
     fb = {n: orbit_function(ctx, n) for n in names}
     lam = ctx.var(LAM)
@@ -324,7 +371,8 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     comm_fail = []
     for (a, b), br in brackets.items():
         lhs = star[a, b] - star[b, a]
-        rhs = sum((fb[n].scale(c) for n, c in br.items()), OrbitFunction(ctx, {}))
+        rhs = sum((fb[n].scale(c) for n, c in br.items()),
+                  OrbitFunction._normal(ctx, {}))
         if not (lhs - rhs).is_zero():
             comm_fail.append((a, b))
     report["commutator"] = {"ok": not comm_fail, "failures": comm_fail}
@@ -349,7 +397,7 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     for (a, b), br in brackets.items():
         comm = formal[a, b] - formal[b, a]
         # first order in the deformation parameter
-        first = OrbitFunction(ctx, {
+        first = OrbitFunction._normal(ctx, {
             e: v.series_expand(HBAR, 1)[1] for e, v in comm.terms.items()})
         biv = (generator_derivative(fb[a], "x") * generator_derivative(fb[b], "y")
                - generator_derivative(fb[a], "y") * generator_derivative(fb[b], "x")
@@ -371,16 +419,14 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
 
     # full expanded twist operator vs scalar coefficients, per order
     from .twist import abrr_twist
-    U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
     J = abrr_twist(U, twist_order)
     red_fail = []
     for (a, b) in pairs:
         full = apply_twist_orders(J, fb[a], fb[b])
-        scalar = formal[a, b]
+        series = {e: v.series_expand(HBAR, twist_order)
+                  for e, v in formal[a, b].terms.items()}
         for k, fk in enumerate(full):
-            want = OrbitFunction(ctx, {
-                e: v.series_expand(HBAR, twist_order)[k]
-                for e, v in scalar.terms.items()})
+            want = OrbitFunction._normal(ctx, {e: s[k] for e, s in series.items()})
             if not (fk - want).is_zero():
                 red_fail.append((a, b, k))
     report["scalar_reduction"] = {"ok": not red_fail, "failures": red_fail,
@@ -391,8 +437,8 @@ def verify_orbit_identities(ctx: Context, twist_order: int = 3) -> dict:
     # The product is commutative, so products over multisets of basis
     # functions span the filtration. Each is lam-homogeneous, and lam -> 1
     # is a ring homomorphism on their coefficients: it keeps the ranks.
-    at_one = [OrbitFunction(ctx, {e: c.evaluate({LAM: 1})
-                                  for e, c in fb[n].terms.items()})
+    at_one = [OrbitFunction._normal(ctx, {e: c.evaluate({LAM: 1})
+                                          for e, c in fb[n].terms.items()})
               for n in names]
     layer = [(0, OrbitFunction.constant(ctx, 1))]   # (last factor, product)
     rows: list[dict] = []

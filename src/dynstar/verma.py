@@ -7,7 +7,9 @@ highest-weight systems) and compares it with the closed-form twist series,
 giving a check that shares no code path with the series construction.
 Vectors are plain dicts; every sum of them goes through one
 :class:`~dynstar.scalars.FieldAccumulator`, with signs, binomials and
-(-1)^n/n! as rational multipliers.
+(-1)^n/n! as rational multipliers. The Verma module and the finite modules
+form their h and x action tables once, at construction, and the oracle
+checks the sl(2) relations on all three tables before it uses them.
 """
 
 from __future__ import annotations
@@ -36,54 +38,65 @@ def _signed_sum(ctx: Context, parts) -> dict:
     return {k: c for k, c in acc.sums().items() if c}
 
 
-def _sl2_act(gen: str, v: Vec, hw: FieldElement | int, top: int) -> Vec:
+class _HighestWeightModule:
     """sl(2) on a highest-weight module of weight ``hw`` with basis
-    u_0..u_top, u_k = y^k u_0:
-    h u_k = (hw - 2k) u_k, x u_k = k(hw - k + 1) u_{k-1}, y u_k = u_{k+1},
-    with y u_top dropped."""
-    if gen == "h":
-        out = {k: c * (hw - 2 * k) for k, c in v.items()}
-    elif gen == "x":
-        out = {k - 1: c * (k * (hw - k + 1)) for k, c in v.items() if k > 0}
-    elif gen == "y":
-        out = {k + 1: c for k, c in v.items() if k < top}
-    else:
-        raise VermaError(f"unknown generator {gen!r}")
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    u_0..u_top, u_k = y^k u_0, through action tables formed once:
+    h u_k = h[k] u_k with h[k] = hw - 2k, x u_k = x[k-1] u_{k-1} with
+    x[k-1] = k(hw - k + 1), and y u_k = u_{k+1} with y u_top dropped. The
+    relations hold exactly on u_0..u_{exact-1}."""
+
+    def __init__(self, ctx: Context, hw: FieldElement | int, top: int,
+                 exact: int):
+        self.ctx = ctx
+        self.top = top
+        self.exact = exact
+        self.h = tuple(ctx(hw - 2 * k) for k in range(top + 1))
+        self.x = tuple(ctx(k * (hw - k + 1)) for k in range(1, top + 1))
+
+    def act(self, gen: str, v: Vec) -> Vec:
+        if gen == "h":
+            out = {k: c * self.h[k] for k, c in v.items()}
+        elif gen == "x":
+            out = {k - 1: c * self.x[k - 1] for k, c in v.items() if k > 0}
+        elif gen == "y":
+            out = {k + 1: c for k, c in v.items() if k < self.top}
+        else:
+            raise VermaError(f"unknown generator {gen!r}")
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    def check_relations(self) -> bool:
+        """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every u_k with k < exact;
+        each generator acts on u_k once for all three relations."""
+        ctx = self.ctx
+        for k in range(self.exact):
+            m: Vec = {k: ctx.one()}
+            acted = {g: self.act(g, m) for g in ("h", "x", "y")}
+            for a, b, s, c in (("h", "x", 2, "x"), ("h", "y", -2, "y"),
+                               ("x", "y", 1, "h")):
+                # [a, b] m - s c m
+                if _signed_sum(ctx, ((1, self.act(a, acted[b])),
+                                     (-1, self.act(b, acted[a])),
+                                     (-s, acted[c]))):
+                    return False
+        return True
 
 
-class VermaData:
-    """Truncated Verma module: basis m_0..m_K with m_k = y^k applied to the
-    highest-weight vector, highest weight lam.
-
-    h m_k = (lam - 2k) m_k, x m_k = k(lam - k + 1) m_{k-1}, y m_k = m_{k+1}.
-    """
+class VermaData(_HighestWeightModule):
+    """Truncated Verma module of highest weight lam: basis m_0..m_K with
+    m_k = y^k applied to the highest-weight vector."""
 
     def __init__(self, ctx: Context, K: int):
         if K < 0:
             raise VermaError("depth cutoff must be >= 0")
-        self.ctx = ctx
         self.K = K
         self.lam = ctx.var(LAM)
+        # y m_K is cut off, so the relations hold on m_0..m_{K-1}
+        super().__init__(ctx, self.lam, K, K)
 
     def act(self, gen: str, v: Vec) -> Vec:
         if gen == "y" and any(k >= self.K for k in v):
             raise VermaError("depth cutoff exceeded; increase K")
-        return _sl2_act(gen, v, self.lam, self.K)
-
-    def check_relations(self) -> bool:
-        """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every m_k with k <= K-1."""
-        ctx = self.ctx
-        for k in range(self.K):
-            m: Vec = {k: ctx.one()}
-            for a, b, s, c in (("h", "x", 2, "x"), ("h", "y", -2, "y"),
-                               ("x", "y", 1, "h")):
-                # [a, b] m - s c m
-                if _signed_sum(ctx, ((1, self.act(a, self.act(b, m))),
-                                     (-1, self.act(b, self.act(a, m))),
-                                     (-s, self.act(c, m)))):
-                    return False
-        return True
+        return super().act(gen, v)
 
     def casimir_scalar(self) -> FieldElement:
         """The value by which c = xy + yx + h^2/2 acts, verified on every
@@ -100,24 +113,20 @@ class VermaData:
         return target
 
 
-class FiniteModule:
-    """The (m+1)-dimensional irreducible sl(2)-module with basis v_0..v_m.
-
-    h v_j = (m - 2j) v_j, x v_j = j(m - j + 1) v_{j-1}, y v_j = v_{j+1}.
-    """
+class FiniteModule(_HighestWeightModule):
+    """The (m+1)-dimensional irreducible sl(2)-module of highest weight m,
+    with basis v_0..v_m, v_j = y^j v_0."""
 
     def __init__(self, ctx: Context, m: int):
         if m < 0:
             raise VermaError("highest weight must be >= 0")
-        self.ctx = ctx
         self.m = m
         self.dim = m + 1
+        # y v_m = 0 holds in the module, so the relations hold on every v_j
+        super().__init__(ctx, m, m, m + 1)
 
     def weight(self, j: int) -> int:
         return self.m - 2 * j
-
-    def act(self, gen: str, v: Vec) -> Vec:
-        return _sl2_act(gen, v, self.m, self.m)
 
     def resolvent(self, v: Vec, lam: FieldElement, shift: int) -> Vec:
         """(lam - (h + shift))^(-1) applied spectrally, weight by weight."""
@@ -246,6 +255,10 @@ def compose_and_extract(ctx: Context, V: FiniteModule, W: FiniteModule,
     slot is read off. Twist side: the closed-form series acts in V (x) W.
     Returns the exact difference in Q(lam).
     """
+    for M in (V, W):
+        if not M.check_relations():
+            raise VermaError(f"the action tables of V({M.m}) violate the "
+                             "sl(2) relations")
     depth = V.dim + W.dim
     verma = build_verma(ctx, depth)
     phi = solve_intertwiner(verma, V, v0)

@@ -180,3 +180,24 @@ def test_warm_root_recovery_sequence_matches_cold_runs(capsys):
         cold[tuple(argv)] = proc.stdout.decode()
     for argv, code in B3_SEQUENCE + B3_SEQUENCE[::-1]:
         assert _report(capsys, argv) == (code, cold[tuple(argv)]), argv
+
+
+STAR_SEQUENCE = [
+    (["star", "--order", "1", "--identity", "scalar_reduction"], 0),
+    (["abrr-check", "--order", "4"], 0),
+    (["star", "--order", "3", "--identity", "equivariance"], 0),
+    (["star", "--order", "2"], 0),
+    (["star", "--order", "0", "--identity", "scalar_reduction"], 0),
+]
+
+
+def test_warm_star_sequence_matches_cold_runs(capsys):
+    # every star sweep builds its twist on the process's U sl(2), whose
+    # memos the other sweeps and the twist verdicts have filled
+    cold = {}
+    for argv, code in STAR_SEQUENCE:
+        proc = _cold(argv)
+        assert proc.returncode == code, argv
+        cold[tuple(argv)] = proc.stdout.decode()
+    for argv, code in STAR_SEQUENCE + STAR_SEQUENCE[::-1]:
+        assert _report(capsys, argv) == (code, cold[tuple(argv)]), argv

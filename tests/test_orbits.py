@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from dynstar import (OrbitError, OrbitFunction, PBWAlgebra, abrr_twist,
                      generator_derivative, group_action_derivative,
@@ -15,6 +17,11 @@ def coordinate(ctx, name):
     e = [0, 0, 0, 0]
     e[MATRIX_VARS.index(name)] = 1
     return OrbitFunction(ctx, {tuple(e): ctx.one()})
+
+
+@pytest.fixture(scope="module")
+def U(ctx):
+    return PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +121,7 @@ class TestDerivativeOperators:
             generator_derivative(generator_derivative(f, "x"), "y")
         assert lhs == generator_derivative(f, "h")
 
-    def test_enveloping_word_order(self, ctx, fb):
-        U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
+    def test_enveloping_word_order(self, U, fb):
         f = fb["x"] * fb["y"]
         via_word = invariant_derivative(U.gen("x") * U.gen("y"), f)
         by_hand = generator_derivative(generator_derivative(f, "y"), "x")
@@ -178,8 +184,7 @@ class TestStarProduct:
             e: v.evaluate({"hbar": 1}) for e, v in formal.terms.items()})
         assert special == plain
 
-    def test_twist_operator_matches_scalar_product(self, ctx, fb):
-        U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
+    def test_twist_operator_matches_scalar_product(self, ctx, U, fb):
         J = abrr_twist(U, 2)
         full = apply_twist_orders(J, fb["x"], fb["y"])
         scalar = star_product(fb["x"], fb["y"], mode="formal")
@@ -225,11 +230,116 @@ class TestTowerProduct:
             star_product(P, star_product(Q, R))
 
 
+# -- the normal-form invariant, against an unfused sympy reference ---------
+
+G = sp.symbols("g11 g12 g21 g22")
+GEN = {"x": [[0, 1], [0, 0]], "y": [[0, 0], [1, 0]], "h": [[1, 0], [0, -1]]}
+
+
+def to_expr(f):
+    return sp.Add(*[c.expr * sp.Mul(*[g ** p for g, p in zip(G, e)])
+                    for e, c in f.terms.items()])
+
+
+def from_expr(ctx, expr):
+    """The public constructor applied to the raw terms of a polynomial in
+    the matrix entries."""
+    expr = sp.expand(expr)
+    if expr == 0:
+        return OrbitFunction(ctx, {})
+    return OrbitFunction(ctx, {e: ctx(c) for e, c in sp.Poly(expr, *G).terms()})
+
+
+def reference_field(f, name, invariant):
+    """sum_kl M_kl d/dg_kl with M = g v (left-invariant) or v g (left
+    translation), applied to the raw polynomial."""
+    g, v = sp.Matrix(2, 2, G), sp.Matrix(GEN[name])
+    m = g * v if invariant else v * g
+    F = to_expr(f)
+    return from_expr(f.ctx, sum(m[k, l] * sp.diff(F, g[k, l])
+                                for k in range(2) for l in range(2)))
+
+
+def reference_star(f1, f2):
+    """sum_n c_n (y^n f1)(x^n f2) at hbar = 1, with raw products."""
+    lam = f1.ctx.symbol("lam")
+    out, coeff, left, right = 0, 1, f1, f2
+    for n in range(1, STAR_MAX_TERMS):
+        if left.is_zero() or right.is_zero():
+            return from_expr(f1.ctx, out)
+        out += coeff * to_expr(left) * to_expr(right)
+        coeff = -coeff / (n * (lam - (n - 1)))
+        left = reference_field(left, "y", True)
+        right = reference_field(right, "x", True)
+    raise OrbitError("reference series did not terminate")
+
+
+def normal_forms(ctx):
+    """Orbit functions with up to four terms in normal form."""
+    lam = ctx.var("lam")
+    coeffs = st.sampled_from([ctx(1), ctx(-3), ctx(Fraction(2, 5)), lam,
+                              1 / lam, ctx.var("hbar"), lam / (lam + 1)])
+    exps = st.tuples(*[st.integers(0, 2)] * 4).map(
+        lambda e: e if not (e[0] and e[3]) else (0,) + e[1:])
+    return st.dictionaries(exps, coeffs, max_size=4).map(
+        lambda t: OrbitFunction(ctx, t))
+
+
+def invariant_operands(ctx):
+    """Right-H-invariant functions: combinations of products of at most two
+    moment functions."""
+    fb = {n: to_expr(orbit_function(ctx, n)) for n in ("x", "y", "h")}
+    words = st.lists(st.sampled_from(sorted(fb)), max_size=2)
+    terms = st.lists(st.tuples(st.integers(-2, 2), words), min_size=1,
+                     max_size=3)
+    return terms.map(lambda ts: from_expr(ctx, sum(
+        q * sp.Mul(*[fb[n] for n in w]) for q, w in ts)))
+
+
+class TestNormalFormInvariant:
+    @staticmethod
+    def check(got, want):
+        assert all(not (e[0] and e[3]) for e in got.terms)
+        assert got.terms == want.terms
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_operations_match_unfused_reference(self, ctx, data):
+        f = data.draw(normal_forms(ctx))
+        g = data.draw(normal_forms(ctx))
+        s = ctx.var("lam") - 2
+        F, Gx = to_expr(f), to_expr(g)
+        self.check(f * g, from_expr(ctx, F * Gx))
+        self.check(f + g, from_expr(ctx, F + Gx))
+        self.check(f - g, from_expr(ctx, F - Gx))
+        self.check(f.scale(s), from_expr(ctx, s.expr * F))
+        for name in ("x", "y", "h"):
+            self.check(generator_derivative(f, name),
+                       reference_field(f, name, True))
+            self.check(group_action_derivative(f, name),
+                       reference_field(f, name, False))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_star_product_matches_unfused_reference(self, ctx, data):
+        f1 = data.draw(invariant_operands(ctx))
+        f2 = data.draw(invariant_operands(ctx))
+        self.check(star_product(f1, f2), reference_star(f1, f2))
+
+    def test_derivative_tables_are_read_only(self):
+        table = orbits._PRODUCT_COEFFS
+        with pytest.raises(TypeError):
+            table["x", True] = table["y", True]
+        with pytest.raises(TypeError):
+            table["x", True][0] = ()
+        with pytest.raises(TypeError):
+            table["x", True][1][0] = (0, 1)
+
+
 class TestMutationControls:
-    def test_dropped_determinant_rewrite_fails_sweep(self, ctx, monkeypatch):
-        monkeypatch.setattr(orbits, "_normalize", lambda ctx, terms: {
-            k: v for k, v in terms.items() if v})
-        rep = verify_orbit_identities(ctx)
+    def test_dropped_determinant_rewrite_fails_sweep(self, U, monkeypatch):
+        monkeypatch.setattr(orbits, "_det_rewrite", lambda e: ((e, 1),))
+        rep = verify_orbit_identities(U)
         failed = sorted(k for k, v in rep.items()
                         if isinstance(v, dict) and not v["ok"])
         assert failed == ["casimir", "commutator", "filtration_dims"]
@@ -252,8 +362,8 @@ class TestMutationControls:
             star_product(P, star_product(Q, R))
 
 
-def test_verify_orbit_identities(ctx):
-    rep = verify_orbit_identities(ctx)
+def test_verify_orbit_identities(U):
+    rep = verify_orbit_identities(U)
     assert rep["all_ok"], {k: v for k, v in rep.items()
                            if isinstance(v, dict) and not v["ok"]}
     assert rep["filtration_dims"]["dims"] == [1, 4, 9, 16, 25]

@@ -4,6 +4,7 @@ import sympy as sp
 from dynstar import (FiniteModule, Intertwiner, VermaData, VermaError,
                      build_verma, compose_and_extract, solve_intertwiner,
                      twist_action_on_pair)
+from dynstar import verma as verma_mod
 from dynstar.scalars import LAM
 
 
@@ -64,7 +65,44 @@ class TestVermaModule:
             VermaData(ctx, -1)
 
 
+def corrupt(module, table, i):
+    """Add 1 to entry i of the module's h or x table."""
+    t = getattr(module, table)
+    setattr(module, table, t[:i] + (t[i] + 1,) + t[i + 1:])
+
+
+class TestActionTableControls:
+    # K = 6: h holds h m_0..h m_6 and x holds the coefficients of x m_1..x m_6
+    @pytest.mark.parametrize("table,i", [("h", i) for i in range(7)]
+                             + [("x", i) for i in range(6)])
+    def test_corrupted_verma_entry_fails_build(self, ctx, monkeypatch,
+                                               table, i):
+        class Corrupted(VermaData):
+            def __init__(self, ctx, K):
+                super().__init__(ctx, K)
+                corrupt(self, table, i)
+
+        monkeypatch.setattr(verma_mod, "VermaData", Corrupted)
+        with pytest.raises(VermaError, match="relations"):
+            build_verma(ctx, 6)
+
+    # v = w = 4: the x table holds the coefficients of x v_1..x v_4
+    @pytest.mark.parametrize("side", ["V", "W"])
+    @pytest.mark.parametrize("i", range(4))
+    def test_corrupted_module_entry_fails_oracle(self, ctx, side, i):
+        V, W = FiniteModule(ctx, 4), FiniteModule(ctx, 4)
+        corrupt(V if side == "V" else W, "x", i)
+        try:
+            rep = compose_and_extract(ctx, V, W, {2: 1}, {2: 1})
+        except VermaError:
+            return
+        assert rep["status"] == "mismatch"
+
+
 class TestFiniteModule:
+    def test_check_relations(self, V4):
+        assert V4.check_relations()
+
     def test_relations_on_basis(self, V4, ctx):
         for j in range(V4.dim):
             v = {j: ctx.one()}
