@@ -244,7 +244,7 @@ def invariant_derivative(u: UEAElement, f: OrbitFunction) -> OrbitFunction:
         raise OrbitError("expected a UEAElement")
     of = _word_derivatives(u.algebra.order, f)
     return sum((of(w).scale(c) for w, c in u.terms.items()),
-               OrbitFunction._normal(f.ctx, {}))
+               OrbitFunction(f.ctx, {}))
 
 
 def is_h_invariant(f: OrbitFunction) -> bool:
@@ -371,8 +371,7 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     comm_fail = []
     for (a, b), br in brackets.items():
         lhs = star[a, b] - star[b, a]
-        rhs = sum((fb[n].scale(c) for n, c in br.items()),
-                  OrbitFunction._normal(ctx, {}))
+        rhs = sum((fb[n].scale(c) for n, c in br.items()), OrbitFunction(ctx, {}))
         if not (lhs - rhs).is_zero():
             comm_fail.append((a, b))
     report["commutator"] = {"ok": not comm_fail, "failures": comm_fail}
