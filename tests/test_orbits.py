@@ -121,7 +121,8 @@ class TestDerivativeOperators:
             generator_derivative(generator_derivative(f, "x"), "y")
         assert lhs == generator_derivative(f, "h")
 
-    def test_enveloping_word_order(self, U, fb):
+    def test_enveloping_word_order(self, ctx, fb):
+        U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
         f = fb["x"] * fb["y"]
         via_word = invariant_derivative(U.gen("x") * U.gen("y"), f)
         by_hand = generator_derivative(generator_derivative(f, "y"), "x")
@@ -184,7 +185,8 @@ class TestStarProduct:
             e: v.evaluate({"hbar": 1}) for e, v in formal.terms.items()})
         assert special == plain
 
-    def test_twist_operator_matches_scalar_product(self, ctx, U, fb):
+    def test_twist_operator_matches_scalar_product(self, ctx, fb):
+        U = PBWAlgebra(sl2(ctx), order=("y", "h", "x"))
         J = abrr_twist(U, 2)
         full = apply_twist_orders(J, fb["x"], fb["y"])
         scalar = star_product(fb["x"], fb["y"], mode="formal")
