@@ -6,12 +6,13 @@ for the twist tower and changes of basis. Multiplication straightens words
 by recursive adjacent swaps against the bracket table, with memoized word
 normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
 keeps it, and so is every normal form; a product of elements touches the
-coefficients once per pair of terms and sums the rational expansions in a
-:class:`~dynstar.scalars.FieldAccumulator`, or for rational coefficients in
-a :class:`RationalAccumulator` of ints. :meth:`TensorUEA.add_product` adds
-into an accumulator its caller owns, so a series product sums each order
-in one accumulator, and coproducts add binomial splits with integer
-multiplicities.
+coefficients once per pair of terms (:func:`_product`) and sums the
+rational expansions in a :class:`~dynstar.scalars.FieldAccumulator`, or
+for rational coefficients in a :class:`RationalAccumulator`, whose one
+``add`` takes an integer numerator and denominator and keeps the sums over
+one common denominator. :func:`multiply_keys` multiplies out one pair of
+tensor keys, so a series product can expand each key pair once, and
+coproducts add binomial splits with integer multiplicities.
 """
 
 from __future__ import annotations
@@ -49,37 +50,47 @@ def lean(q):
 
 
 class RationalAccumulator:
-    """Keyed sums of products c * q with c and q rational: the plain-dict
-    counterpart of :class:`~dynstar.scalars.FieldAccumulator` for elements
-    with rational coefficients. Each key holds an integer numerator over
-    the lcm of the denominators added there, so every addition is of ints
-    and :meth:`sums` reduces one fraction per key."""
+    """Keyed sums of products (num / den) * q with num, den ints and q
+    rational: the plain-dict counterpart of
+    :class:`~dynstar.scalars.FieldAccumulator` for elements with rational
+    coefficients. Every key holds an integer numerator over one common
+    denominator, the lcm of the denominators added so far, so adding a term
+    is one int product and one int addition; a new denominator rescales the
+    numerators once, and :meth:`sums` reduces one fraction per key."""
 
-    __slots__ = ("_sums",)
+    __slots__ = ("_sums", "_den")
 
     def __init__(self):
         self._sums: dict = {}
+        self._den = 1
 
-    def add(self, c, terms: Iterable[tuple[object, object]]) -> None:
-        """Add c * q at key for every (key, q) of ``terms``."""
-        num, den = c.numerator, c.denominator
+    def _cover(self, den: int) -> None:
+        """Make the common denominator a multiple of den."""
+        if self._den % den:
+            factor = den // math.gcd(self._den, den)
+            self._den *= factor
+            for key in self._sums:
+                self._sums[key] *= factor
+
+    def add(self, num: int, den: int, terms: Iterable[tuple[object, object]]) -> None:
+        """Add (num / den) * q at key for every (key, q) of ``terms``."""
+        self._cover(den)
+        c = num * (self._den // den)
         sums = self._sums
         for key, q in terms:
-            n, d = num * q.numerator, den * q.denominator
-            s = sums.get(key)
-            if s is None:
-                sums[key] = [n, d]
-            elif s[1] == d:
-                s[0] += n
+            if q.denominator != 1:
+                self._cover(den * q.denominator)
+                c = num * (self._den // den)
+                n = c // q.denominator * q.numerator
             else:
-                common = math.lcm(s[1], d)
-                s[0] = s[0] * (common // s[1]) + n * (common // d)
-                s[1] = common
+                n = c * q.numerator
+            sums[key] = sums.get(key, 0) + n
 
     def sums(self) -> dict:
         """The nonzero sums by key, ints when integral."""
+        d = self._den
         return {key: n // d if n % d == 0 else QQ.dtype(n, d)
-                for key, (n, d) in self._sums.items() if n}
+                for key, n in self._sums.items() if n}
 
 
 def _accumulator(ctx: Context, *term_maps: Mapping):
@@ -88,6 +99,13 @@ def _accumulator(ctx: Context, *term_maps: Mapping):
     if any(map(holds_field, term_maps)):
         return FieldAccumulator(ctx)
     return RationalAccumulator()
+
+
+def _add(acc, c, terms: Iterable[tuple[object, object]]) -> None:
+    """``acc.add`` of c * q for every (key, q) of ``terms``, c of acc's kind."""
+    if type(acc) is RationalAccumulator:
+        return acc.add(c.numerator, c.denominator, terms)
+    acc.add(c, terms)
 
 
 def _terms_repr(slots: Sequence["PBWAlgebra"], terms: Mapping) -> str:
@@ -105,12 +123,12 @@ def _terms_repr(slots: Sequence["PBWAlgebra"], terms: Mapping) -> str:
 
 def _product(terms1: Mapping, terms2: Mapping,
              expand: Callable[[object, object], Iterable],
-             acc: FieldAccumulator) -> None:
+             acc) -> None:
     """Add sum c1 c2 expand(k1, k2) over the term pairs into ``acc``, where
     ``expand`` gives the product of two basis keys as (key, rational) pairs."""
     for k1, c1 in terms1.items():
         for k2, c2 in terms2.items():
-            acc.add(c1 * c2, expand(k1, k2))
+            _add(acc, c1 * c2, expand(k1, k2))
 
 
 def _binomial_splits(exp: Exp) -> list[tuple[Exp, Exp, int]]:
@@ -330,6 +348,16 @@ def project_drop_right(u: UEAElement, ideal_gens: Sequence[str]) -> UEAElement:
                             if all(x == 0 for x in e[cut:])})
 
 
+def multiply_keys(slots: Sequence[PBWAlgebra], k1: tuple, k2: tuple) -> list:
+    """The slot-wise product of two tensor keys as (key, rational) pairs:
+    the slot normal forms multiplied out over QQ."""
+    partial = [((), 1)]
+    for alg, e1, e2 in zip(slots, k1, k2):
+        nf = alg.multiply_monomials(e1, e2).items()
+        partial = [(key + (e,), q * r) for key, q in partial for e, r in nf]
+    return partial
+
+
 class TensorUEA(LinearCombination):
     """A tensor power of enveloping algebras: maps from tuples of exponent
     vectors (one per slot) to field coefficients."""
@@ -361,26 +389,12 @@ class TensorUEA(LinearCombination):
         """Slot-wise product."""
         if not isinstance(other, TensorUEA):
             return self.scale(other)
-        acc = _accumulator(self.ctx, self.terms, other.terms)
-        self.add_product(other, acc)
-        return TensorUEA(self.slots, acc.sums())
-
-    def add_product(self, other: "TensorUEA", acc: FieldAccumulator) -> None:
-        """Add the slot-wise product self * other into ``acc``, keyed by
-        tensor keys."""
         self._check(other)
         slots = self.slots
-
-        def expand(k1, k2):
-            # the slot normal forms multiplied out over QQ
-            partial = [((), 1)]
-            for alg, e1, e2 in zip(slots, k1, k2):
-                nf = alg.multiply_monomials(e1, e2).items()
-                partial = [(key + (e,), q * r)
-                           for key, q in partial for e, r in nf]
-            return partial
-
-        _product(self.terms, other.terms, expand, acc)
+        acc = _accumulator(self.ctx, self.terms, other.terms)
+        _product(self.terms, other.terms,
+                 lambda k1, k2: multiply_keys(slots, k1, k2), acc)
+        return TensorUEA(slots, acc.sums())
 
     def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
         """Apply the counit in one slot (drop it). The kept keys all hold
@@ -404,7 +418,7 @@ class TensorUEA(LinearCombination):
             if e not in splits:
                 splits[e] = _binomial_splits(e)
             head, tail = k[:slot], k[slot + 1:]
-            acc.add(v, [(head + (l, r) + tail, m) for l, r, m in splits[e]])
+            _add(acc, v, [(head + (l, r) + tail, m) for l, r, m in splits[e]])
         return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:],
                          acc.sums())
 
@@ -438,7 +452,7 @@ class TensorUEA(LinearCombination):
                     for e, cf in m.terms.items()
                 ]
             for key, cc in partial:
-                acc.add(cc, ((key, 1),))
+                _add(acc, cc, ((key, 1),))
         return TensorUEA(tuple(u.algebra for u in units), acc.sums())
 
     def to_json(self) -> list[dict]:

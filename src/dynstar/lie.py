@@ -77,6 +77,8 @@ class LieAlgebraData:
             for i, row in enumerate(form))
         self._validate_structure()
         self._mark_u(u_indices)
+        # [form, its QQ inverse] once formed; copies share the list
+        self._form_inverse: list = []
 
     def _mark_u(self, u_indices: Optional[Sequence[int]]) -> None:
         """Mark u and its complement m (or neither), and check them."""
@@ -120,6 +122,20 @@ class LieAlgebraData:
 
     def pairing(self, i: int, j: int):
         return self.form[i][j]
+
+    def form_inverse(self) -> tuple[tuple, ...]:
+        """The inverse of the form over QQ, formed once and shared by the
+        copies of this algebra that keep its form (every realization of a
+        shared table). A degenerate form raises."""
+        box = self._form_inverse
+        if not box or box[0] is not self.form:
+            d = self.dim
+            try:
+                inv = DomainMatrix([list(row) for row in self.form], (d, d), QQ).inv()
+            except DMNonInvertibleMatrixError:
+                raise LieAlgebraError("invariant form is degenerate") from None
+            box[:] = [self.form, tuple(map(tuple, inv.to_list()))]
+        return box[1]
 
     # -- validation --------------------------------------------------------
 
@@ -305,14 +321,10 @@ class Tensor3(_Tensor):
 
 def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
     """The symmetric invariant tensor dual to the form (split Casimir),
-    from the inverse of the form over QQ."""
-    d = g.dim
-    try:
-        inv = DomainMatrix([list(row) for row in g.form], (d, d), QQ).inv()
-    except DMNonInvertibleMatrixError:
-        raise LieAlgebraError("invariant form is degenerate") from None
+    from the inverse of the form over QQ; only its field constants are
+    built per call."""
     return Tensor2(g, {(i, j): g.ctx.constant(q)
-                       for i, row in enumerate(inv.to_list())
+                       for i, row in enumerate(g.form_inverse())
                        for j, q in enumerate(row) if q})
 
 

@@ -4,24 +4,26 @@ When the Cartan line has a complementary subalgebra v, rewriting a dynamical
 twist in adapted coordinates and discarding every monomial that touches the
 Cartan generator produces a twist for Uv with no dynamical variable shift.
 This module builds the adapted sl(2) splittings, performs the projection,
-states the closed form of the projected series, and verifies the ordinary
-twist axioms order by order.
+states the closed form of the projected series (its scalar denominators
+expanded in hbar over the field, its grades summed over QQ), and verifies
+the ordinary twist axioms order by order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from sympy.polys.domains import QQ
 
-from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
-                         lean, project_drop_right)
+from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
+                         change_generators, lean, project_drop_right)
 from .lie import LieAlgebraData, sl2
-from .scalars import HBAR, LAM, Context, FieldAccumulator
+from .scalars import HBAR, LAM, Context
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
-                    counit_ok)
+                    counit_ok, laurent_grades, summed_series)
 
 
 class ProjectionError(ValueError):
@@ -167,11 +169,11 @@ def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
 
 
 def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
-    """g (g+1) ... (g+n-1) for a generator g."""
-    out = alg.one()
-    g = alg.gen(name)
+    """g (g+1) ... (g+n-1) for a generator g, over QQ."""
+    one, e = (0,) * alg.ngens, next(iter(alg.gen(name).terms))
+    out = UEAElement(alg, {one: 1})
     for i in range(n):
-        out = out * (g + alg.one().scale(i))
+        out = out * UEAElement(alg, {e: 1, one: i})
     return out
 
 
@@ -204,7 +206,10 @@ def closed_form_jv(sp: SplittingData, N: int,
     with v_n the pair of rising factorials in the two v-generators: first
     the one the ambient lowering generator y maps into (the first slot of
     the twist holds powers of y), then the other. The scalar denominators
-    are expanded as hbar-power series to the truncation order.
+    are expanded as hbar-power series to the truncation order, and each
+    series coefficient enters the QQ grades through its Laurent
+    coefficients in lam, read once (one that is not a Laurent polynomial
+    over QQ raises).
     """
     first = next(v for v in sp.v_names if v in sp.to_split["y"])
     second = next(v for v in sp.v_names if v != first)
@@ -212,7 +217,9 @@ def closed_form_jv(sp: SplittingData, N: int,
     lam = ctx.var(LAM)
     q = ctx.var(HBAR)
     slots = (sp.pbw, sp.pbw)
-    orders = [FieldAccumulator(ctx) for _ in range(N + 1)]
+    # one accumulator per (order, lam power); order 0 is the unit
+    sums = defaultdict(RationalAccumulator)
+    sums[0, 0].add(1, 1, [(((0,) * sp.pbw.ngens,) * 2, 1)])
     for n in range(1, N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
         if term_scale and n in term_scale:
@@ -222,15 +229,11 @@ def closed_form_jv(sp: SplittingData, N: int,
             denom = denom * (lam - j * q)
         coeffs = (pref / denom * q ** n).series_expand(HBAR, N)
         v1, v2 = (rising_factorial(sp.pbw, g, n).terms for g in (first, second))
-        # the rising factorials have rational coefficients
-        pairs = [((e1, e2), c1.as_rational() * c2.as_rational())
-                 for e1, c1 in v1.items() for e2, c2 in v2.items()]
+        pairs = [((e1, e2), c1 * c2) for e1, c1 in v1.items() for e2, c2 in v2.items()]
         for r in range(n, N + 1):
-            if not coeffs[r].is_zero():
-                orders[r].add(coeffs[r], pairs)
-    series = TwistSeries(slots, [TensorUEA.unit(slots)] +
-                         [TensorUEA(slots, t.sums()) for t in orders[1:]])
-    return ProjectedTwist(series, sp)
+            for d, c in laurent_grades(coeffs[r], r).items():
+                sums[r, d].add(c.numerator, c.denominator, pairs)
+    return ProjectedTwist(summed_series(slots, sums, N), sp)
 
 
 def check_nondynamical_twist(Jv: ProjectedTwist) -> dict:

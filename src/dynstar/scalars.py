@@ -574,17 +574,26 @@ class LinearCombination:
     def _check(self, other: "LinearCombination") -> None:
         pass
 
-    def __add__(self, other):
+    def _operands(self, other) -> tuple[dict, Mapping]:
+        """A copy of self's terms and other's terms, both of one kind."""
         self._check(other)
         out, more = dict(self.terms), other.terms
         if out and more and holds_field(out) != holds_field(more):
             out, more = ({k: self.ctx(v) for k, v in t.items()} for t in (out, more))
+        return out, more
+
+    def __add__(self, other):
+        out, more = self._operands(other)
         for k, v in more.items():
             out[k] = out[k] + v if k in out else v
         return self._like(out)
 
     def __sub__(self, other):
-        return self + -other
+        # one pass: only the terms of other that self lacks are negated
+        out, more = self._operands(other)
+        for k, v in more.items():
+            out[k] = out[k] - v if k in out else -v
+        return self._like(out)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.terms.items()})

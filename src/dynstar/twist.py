@@ -6,7 +6,9 @@ n maps every exponent d that occurs to a tensor-square (or tensor-cube)
 enveloping-algebra element over QQ, so the order is sum_d lam^d T_{n,d}.
 The sl(2) twists are homogeneous (order n sits at d = -n), products,
 coproducts, the dynamical shift and every zero test run on the QQ tensors,
-and field coefficients are formed only where one is read. The closed-form
+and field coefficients are formed only where one is read. A product goes
+key pair by key pair over integer numerators and denominators, and the
+resolvent factors are built as QQ grades. The closed-form
 twist for sl(2) in the generators y, h, x, the dynamical-shift operation,
 the defining cocycle identity and the classical limit all live here.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 from sympy.polys.domains import QQ
 
 from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
-                         lean)
+                         lean, multiply_keys)
 from .lie import Tensor2, Tensor3, alt, cyb
 from .scalars import HBAR, LAM, Context, FieldAccumulator, FieldElement
 
@@ -34,17 +36,23 @@ def _unit(slots: Sequence[PBWAlgebra]) -> TensorUEA:
     return TensorUEA(slots, {tuple((0,) * a.ngens for a in slots): 1})
 
 
-def _grades(t: TensorUEA, n: int) -> dict[int, TensorUEA]:
-    """The entry check: a field tensor t as {d: T_d} over QQ with
-    t = sum_d lam^d T_d. A coefficient that is not a Laurent polynomial in
+def laurent_grades(c: FieldElement, n: int) -> dict[int, object]:
+    """The entry check of one order-n coefficient: the q_d in QQ with
+    c = sum_d q_d lam^d. A coefficient that is not a Laurent polynomial in
     lam over QQ (one with hbar, a t or another denominator) raises."""
+    coeffs = c.laurent_coefficients(LAM)
+    if coeffs is None:
+        raise TwistError(f"order {n} coefficient {c.to_string()} is not "
+                         f"a Laurent polynomial in {LAM} over QQ")
+    return coeffs
+
+
+def _grades(t: TensorUEA, n: int) -> dict[int, TensorUEA]:
+    """A field tensor t of order n as {d: T_d} over QQ with
+    t = sum_d lam^d T_d, every coefficient through :func:`laurent_grades`."""
     split: dict[int, dict] = {}
     for k, c in t.terms.items():
-        coeffs = c.laurent_coefficients(LAM)
-        if coeffs is None:
-            raise TwistError(f"order {n} coefficient {c.to_string()} is not "
-                             f"a Laurent polynomial in {LAM} over QQ")
-        for d, q in coeffs.items():
+        for d, q in laurent_grades(c, n).items():
             split.setdefault(d, {})[k] = lean(q)
     return {d: TensorUEA(t.slots, terms) for d, terms in split.items()}
 
@@ -97,18 +105,47 @@ class TwistSeries:
     def orders(self) -> list[TensorUEA]:
         return [self.order(n) for n in range(len(self.grades))]
 
+    def _by_key(self, N: int) -> dict[tuple, list]:
+        """Every tensor key of orders 0..N with its (order, lam power,
+        numerator, denominator) entries, sorted by order."""
+        rows: dict[tuple, list] = {}
+        for n, g in enumerate(self.grades[:N + 1]):
+            for d, t in g.items():
+                for k, q in t.terms.items():
+                    rows.setdefault(k, []).append((n, d, q.numerator, q.denominator))
+        return rows
+
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
+        """The product through the lower truncation N, key pair by key
+        pair: each pair of tensor keys is multiplied out once, and its
+        coefficients that land at one (order, lam power) are summed as int
+        pairs before one accumulator add."""
         if self.slots != other.slots:
             raise TwistError("series signature mismatch")
         N = min(self.truncation, other.truncation)
+        right = list(other._by_key(N).items())
         # one accumulator per (order, lam power)
         sums = defaultdict(RationalAccumulator)
-        for r in range(N + 1):
-            for p in range(r + 1):
-                for d1, a in self.grades[p].items():
-                    for d2, b in other.grades[r - p].items():
-                        a.add_product(b, sums[r, d1 + d2])
-        return _summed(self.slots, sums, N)
+        for k1, row1 in self._by_key(N).items():
+            for k2, row2 in right:
+                if row1[0][0] + row2[0][0] > N:
+                    continue
+                pair: dict[tuple, list] = {}
+                for p, d1, n1, m1 in row1:
+                    for q, d2, n2, m2 in row2:
+                        if p + q > N:
+                            break
+                        n, m = n1 * n2, m1 * m2
+                        s = pair.setdefault((p + q, d1 + d2), [0, m])
+                        if s[1] == m:
+                            s[0] += n
+                        else:
+                            s[0], s[1] = s[0] * m + n * s[1], s[1] * m
+                terms = multiply_keys(self.slots, k1, k2)
+                for rd, (n, m) in pair.items():
+                    if n:
+                        sums[rd].add(n, m, terms)
+        return summed_series(self.slots, sums, N)
 
     def __sub__(self, other: "TwistSeries") -> "TwistSeries":
         if self.slots != other.slots:
@@ -150,7 +187,7 @@ def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
     return TwistSeries.graded(slots, [{0: _unit(slots)}] + [{}] * N)
 
 
-def _summed(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
+def summed_series(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
     """The series whose order n holds sums[n, d].sums() at lam^d."""
     grades: list[dict] = [{} for _ in range(N + 1)]
     for (n, d), acc in sums.items():
@@ -158,16 +195,18 @@ def _summed(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
     return TwistSeries.graded(slots, grades)
 
 
-def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> list[UEAElement]:
-    """(h + shift)^k / lam^(k+1) for k = 0..kmax, as slot elements."""
-    lam = alg.ctx.var(LAM)
-    base = alg.gen("h") + alg.one().scale(shift)
-    out = []
-    acc = alg.one()
+def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> TwistSeries:
+    """The one-slot series sum_k hbar^k (h + shift)^k / lam^(k+1) for
+    k = 0..kmax, as QQ grades."""
+    one, e_h = (0,) * alg.ngens, next(iter(alg.gen("h").terms))
+    base = UEAElement(alg, {e_h: 1, one: shift})
+    power = UEAElement(alg, {one: 1})
+    grades = []
     for k in range(kmax + 1):
-        out.append(acc.scale(lam ** (-(k + 1))))
-        acc = acc * base
-    return out
+        grades.append({-(k + 1): TensorUEA((alg,), {
+            (e,): q for e, q in power.terms.items()})})
+        power = power * base
+    return TwistSeries.graded((alg,), grades)
 
 
 def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
@@ -191,14 +230,13 @@ def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
             for d, fm in grades.items():
                 right = (xn * fm).terms.items()
                 for (e1,), c1 in yn.terms.items():
-                    sums[n + m, d].add(c1 * pref, [((e1, e2), c2)
-                                                   for (e2,), c2 in right])
+                    c = c1 * pref
+                    sums[n + m, d].add(c.numerator, c.denominator,
+                                       [((e1, e2), c2) for (e2,), c2 in right])
         if n < N:
-            factor = [TensorUEA(slot, {(e,): c for e, c in f.terms.items()})
-                      for f in _h_powers(alg, n, N - n - 1)]
-            resolvent = resolvent * TwistSeries(slot, factor)
+            resolvent = resolvent * _h_powers(alg, n, N - n - 1)
             yn, xn = yn * y, xn * x
-    return _summed((alg, alg), sums, N)
+    return summed_series((alg, alg), sums, N)
 
 
 def check_h_invariance(J: TwistSeries) -> bool:
@@ -209,7 +247,7 @@ def check_h_invariance(J: TwistSeries) -> bool:
         tuple(next(iter(a.gen("h").terms)) if i == s else (0,) * a.ngens
               for i, a in enumerate(algs)): 1
         for s in range(len(algs))})
-    return all((total * t - t * total).is_zero()
+    return all((total * t).terms == (t * total).terms
                for g in J.grades for t in g.values())
 
 
@@ -235,9 +273,9 @@ def shift_twist(J: TwistSeries) -> TwistSeries:
                 if not m:
                     break
                 e3 = tuple(l if j == h_i else 0 for j in range(alg.ngens))
-                sums[p + l, d - l].add(m, [((e1, e2, e3), c)
+                sums[p + l, d - l].add(m, 1, [((e1, e2, e3), c)
                                            for (e1, e2), c in t.terms.items()])
-    return _summed(slots3, sums, N)
+    return summed_series(slots3, sums, N)
 
 
 def cocycle_sides(J: TwistSeries, right12: TwistSeries

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
 
 from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
                      abrr_twist, change_generators, check_cdybe,
@@ -11,6 +13,7 @@ from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
                      closed_form_jv, project_drop_right, project_twist,
                      shift_twist, sl2, split_basis_sl2, tensor2_from_names)
 from dynstar import twist
+from dynstar.enveloping import lean
 from dynstar.twist import cocycle_residual, cocycle_sides
 from test_projection import check_projected_equation
 
@@ -109,8 +112,12 @@ class TestClosedForm:
         lam = ctx.var("lam")
         h = U.gen("h")
         fs = twist._h_powers(U, 0, 3)
-        for k, fk in enumerate(fs):
-            assert (fk - (h ** k).scale(lam ** (-(k + 1)))).is_zero()
+        assert fs.slots == (U,) and fs.truncation == 3
+        assert [list(g) for g in fs.grades] == [[-1], [-2], [-3], [-4]]
+        for k in range(4):
+            want = (h ** k).scale(lam ** (-(k + 1))).terms
+            assert (fs.order(k) - TensorUEA((U,), {
+                (e,): c for e, c in want.items()})).is_zero()
 
     def test_h_invariance(self, J5):
         assert check_h_invariance(J5)
@@ -344,7 +351,9 @@ class TestAgainstReferences:
 def reference_abrr_orders(U, N):
     """The closed-form twist's orders: term n is ((-1)^n / n!) y^n (x) x^n
     times the resolvent product, whose hbar^m coefficients are multiplied
-    out over the field one factor _h_powers(U, j, .) at a time."""
+    out over the field one factor sum_k hbar^k (h + j)^k / lam^(k+1) at a
+    time."""
+    lam, h = U.ctx.var("lam"), U.gen("h")
     orders = [TensorUEA((U, U), {}) for _ in range(N + 1)]
     resolvent = [U.one()] + [U.zero()] * N
     for n in range(N + 1):
@@ -353,7 +362,8 @@ def reference_abrr_orders(U, N):
             orders[n + m] = orders[n + m] + tensor2(
                 U, U.gen("y") ** n, U.gen("x") ** n * fm).scale(pref)
         if n < N:
-            factor = twist._h_powers(U, n, N - n - 1)
+            factor = [((h + U.one().scale(n)) ** k).scale(lam ** (-(k + 1)))
+                      for k in range(N - n)]
             resolvent = [sum((resolvent[m - k] * factor[k] for k in range(m + 1)),
                              U.zero()) for m in range(N - n)]
     return orders
@@ -464,3 +474,84 @@ class TestGradedAgainstField:
         got_l, got_r = cocycle_sides(V, V.map_orders(lambda t: t.insert_unit(2)))
         assert orders_equal(got_l.orders, lhs_v)
         assert orders_equal(got_r.orders, rhs_v)
+
+
+# -- the key-major series product against the order-major loop it replaced,
+# on random rational series ----------------------------------------------
+
+def order_major_mul(A, B):
+    """A * B order by order: every grade pair at orders p + q = r through
+    the lower truncation, every term pair, the slot normal forms multiplied
+    out over QQ and summed in a plain dict. Returns each order's nonzero
+    grades as {lam power: term map}."""
+    N = min(A.truncation, B.truncation)
+    out = [{} for _ in range(N + 1)]
+    for r in range(N + 1):
+        for p in range(r + 1):
+            for d1, a in A.grades[p].items():
+                for d2, b in B.grades[r - p].items():
+                    acc = out[r].setdefault(d1 + d2, {})
+                    for k1, c1 in a.terms.items():
+                        for k2, c2 in b.terms.items():
+                            partial = [((), QQ(c1) * QQ(c2))]
+                            for alg, e1, e2 in zip(A.slots, k1, k2):
+                                nf = alg.multiply_monomials(e1, e2).items()
+                                partial = [(key + (e,), c * q)
+                                           for key, c in partial for e, q in nf]
+                            for key, c in partial:
+                                acc[key] = acc.get(key, 0) + c
+    return [{d: terms for d, t in g.items()
+             if (terms := {k: lean(c) for k, c in t.items() if c})}
+            for g in out]
+
+
+COEFFS = st.tuples(st.integers(-3, 3).filter(bool),
+                   st.sampled_from([1, 2, 3, 4, 5, 6])).map(lambda nd: QQ(*nd))
+
+
+@st.composite
+def rational_series(draw, slots, pool, N, forced):
+    """A series over ``slots`` of truncation N whose grades sit at lam
+    powers -2..2 and hold keys of ``pool``. pool[0] is forced in at order 0
+    (lam^0) and order 2 (lam^1) with the two ``forced`` coefficients, so a
+    key recurs at orders that are not adjacent, at a positive power."""
+    grades = []
+    for n in range(N + 1):
+        g = {}
+        for d in draw(st.sets(st.integers(-2, 2), max_size=3)):
+            g[d] = draw(st.dictionaries(st.sampled_from(pool), COEFFS,
+                                        min_size=1, max_size=3))
+        grades.append(g)
+    for (n, d), q in zip(((0, 0), (2, 1)), forced):
+        terms = grades[n].setdefault(d, {})
+        terms[pool[0]] = terms.get(pool[0], 0) + q
+    return TwistSeries.graded(slots, [
+        {d: TensorUEA(slots, {k: lean(q) for k, q in t.items()})
+         for d, t in g.items()} for g in grades])
+
+
+class TestKeyMajorProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_order_major_loop(self, U, data):
+        slots = (U,) * data.draw(st.integers(1, 3), label="slots")
+        key = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * len(slots))
+        pool = data.draw(st.lists(key, min_size=2, max_size=4, unique=True),
+                         label="pool")
+        NA = data.draw(st.integers(2, 4), label="NA")
+        NB = data.draw(st.integers(2, 4).filter(lambda n: n != NA), label="NB")
+        # coprime denominators in one factor, a shared factor 2 in the other
+        A = data.draw(rational_series(slots, pool, NA,
+                                      (QQ(1, 2), QQ(-1, 3))), label="A")
+        B = data.draw(rational_series(slots, pool, NB,
+                                      (QQ(3, 4), QQ(5, 6))), label="B")
+        for X, Y in ((A, B), (B, A), (A, A)):
+            got = X * Y
+            assert got.slots == slots
+            assert got.truncation == min(X.truncation, Y.truncation)
+            assert [{d: t.terms for d, t in g.items()} for g in got.grades] \
+                == order_major_mul(X, Y)
+            # rationals in lowest terms, ints when integral
+            assert all(type(c) is int or c.denominator != 1
+                       for g in got.grades for t in g.values()
+                       for c in t.terms.values())
