@@ -5,14 +5,16 @@ order) to coefficients: field elements, or rationals (ints when integral)
 for the twist tower and changes of basis. Multiplication straightens words
 by recursive adjacent swaps against the bracket table, with memoized word
 normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
-keeps it, and so is every normal form; a product of elements touches the
-coefficients once per pair of terms (:func:`_product`) and sums the
-rational expansions in a :class:`~dynstar.scalars.FieldAccumulator`, or
-for rational coefficients in a :class:`RationalAccumulator`, whose one
-``add`` takes an integer numerator and denominator and keeps the sums over
-one common denominator. :func:`multiply_keys` multiplies out one pair of
-tensor keys, so a series product can expand each key pair once, and
-coproducts add binomial splits with integer multiplicities.
+keeps it, and so is every normal form. Elements and tensors share one
+product, :func:`_product`, which touches the coefficients once per pair of
+terms and sums the rational expansions in a
+:class:`~dynstar.scalars.FieldAccumulator`, or for rational coefficients
+in a :class:`RationalAccumulator`, whose one ``add`` takes an integer
+numerator and denominator and keeps the sums over one common denominator.
+:func:`multiply_keys` multiplies out one pair of tensor keys, so a series
+product can expand each key pair once. Coproducts (an element's is the
+one-slot tensor coproduct) add binomial splits with integer
+multiplicities, and both coefficient kinds print through the field.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .lie import LieAlgebraData
-from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination, holds_field
+from .scalars import (Context, FieldAccumulator, FieldElement, LinearCombination,
+                      holds_field, terms_repr)
 
 Exp = tuple[int, ...]
 
@@ -108,27 +111,17 @@ def _add(acc, c, terms: Iterable[tuple[object, object]]) -> None:
     acc.add(c, terms)
 
 
-def _terms_repr(slots: Sequence["PBWAlgebra"], terms: Mapping) -> str:
-    """(coefficient)*monomial(x)monomial... for every term, keys holding one
-    exponent vector per slot."""
-    parts = []
-    for k, c in sorted(terms.items()):
-        monos = ("*".join(f"{g}^{x}" if x > 1 else g
-                          for g, x in zip(alg.order, e) if x > 0) or "1"
-                 for alg, e in zip(slots, k))
-        coeff = c.to_string() if isinstance(c, FieldElement) else str(c)
-        parts.append(f"({coeff})*" + "(x)".join(monos))
-    return " + ".join(parts) or "0"
-
-
-def _product(terms1: Mapping, terms2: Mapping,
-             expand: Callable[[object, object], Iterable],
-             acc) -> None:
-    """Add sum c1 c2 expand(k1, k2) over the term pairs into ``acc``, where
-    ``expand`` gives the product of two basis keys as (key, rational) pairs."""
-    for k1, c1 in terms1.items():
-        for k2, c2 in terms2.items():
+def _product(a: LinearCombination, b: LinearCombination,
+             expand: Callable[[object, object], Iterable]) -> LinearCombination:
+    """a * b for two elements of one space: sum c1 c2 expand(k1, k2) over
+    the term pairs, where ``expand`` gives the product of two basis keys as
+    (key, rational) pairs, summed in the accumulator of the operands' kind."""
+    a._check(b)
+    acc = _accumulator(a.ctx, a.terms, b.terms)
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
             _add(acc, c1 * c2, expand(k1, k2))
+    return a._like(acc.sums())
 
 
 def _binomial_splits(exp: Exp) -> list[tuple[Exp, Exp, int]]:
@@ -153,8 +146,7 @@ class PBWAlgebra:
         self.order = tuple(order) if order is not None else lie.names
         if sorted(self.order) != sorted(lie.names):
             raise EnvelopingError("order must be a permutation of the basis")
-        self.gens = self.order
-        self.ngens = len(self.gens)
+        self.ngens = len(self.order)
         # generator index (in PBW order) -> underlying Lie basis index
         self._lie_index = tuple(lie.index[n] for n in self.order)
         self.degree_cap = degree_cap
@@ -252,17 +244,9 @@ class UEAElement(LinearCombination):
     def __mul__(self, other) -> "UEAElement":
         if not isinstance(other, UEAElement):
             return self.scale(other)
-        self._check(other)
         alg = self.algebra
-        acc = _accumulator(alg.ctx, self.terms, other.terms)
-        _product(self.terms, other.terms,
-                 lambda e1, e2: alg.multiply_monomials(e1, e2).items(), acc)
-        return UEAElement(alg, acc.sums())
-
-    def __rmul__(self, other) -> "UEAElement":
-        if isinstance(other, UEAElement):
-            return NotImplemented
-        return self.scale(other)
+        return _product(self, other,
+                        lambda e1, e2: alg.multiply_monomials(e1, e2).items())
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
@@ -272,37 +256,26 @@ class UEAElement(LinearCombination):
             out = out * self
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("UEAElement is unhashable")
-
     def counit(self) -> FieldElement:
         """Coefficient of the empty monomial."""
         return self.terms.get((0,) * self.algebra.ngens, self.algebra.ctx.zero())
 
     def coproduct(self) -> "TensorUEA":
         """Standard coproduct: generators primitive, extended
-        multiplicatively. Exact on PBW monomials via binomial splits."""
-        alg = self.algebra
-        acc = FieldAccumulator(alg.ctx)
-        for exp, c in self.terms.items():
-            acc.add(c, [((l, r), m) for l, r, m in _binomial_splits(exp)])
-        return TensorUEA((alg, alg), acc.sums())
+        multiplicatively; the one-slot :meth:`TensorUEA.slot_coproduct`."""
+        return TensorUEA((self.algebra,), {
+            (e,): c for e, c in self.terms.items()}).slot_coproduct(0)
 
     def to_json(self) -> dict:
         return {
             "gens": list(self.algebra.order),
-            "terms": [{"exp": list(k), "coeff": v.to_string()}
+            "terms": [{"exp": list(k), "coeff": self.ctx(v).to_string()}
                       for k, v in sorted(self.terms.items())],
         }
 
     def __repr__(self) -> str:
-        return _terms_repr((self.algebra,),
-                           {(k,): v for k, v in self.terms.items()})
+        return terms_repr(self.ctx, (self.algebra.order,),
+                          {(k,): v for k, v in self.terms.items()})
 
 
 def change_generators(u: UEAElement, target: PBWAlgebra,
@@ -389,12 +362,8 @@ class TensorUEA(LinearCombination):
         """Slot-wise product."""
         if not isinstance(other, TensorUEA):
             return self.scale(other)
-        self._check(other)
         slots = self.slots
-        acc = _accumulator(self.ctx, self.terms, other.terms)
-        _product(self.terms, other.terms,
-                 lambda k1, k2: multiply_keys(slots, k1, k2), acc)
-        return TensorUEA(slots, acc.sums())
+        return _product(self, other, lambda k1, k2: multiply_keys(slots, k1, k2))
 
     def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
         """Apply the counit in one slot (drop it). The kept keys all hold
@@ -438,11 +407,10 @@ class TensorUEA(LinearCombination):
         another algebra) independently in every slot. The images take the
         coefficients of the result: rational images of a rational tensor
         give a rational tensor."""
-        one = self.ctx.one()
-        units = [f(UEAElement(alg, {(0,) * alg.ngens: one})) for alg in self.slots]
+        units = [f(UEAElement(alg, {(0,) * alg.ngens: 1})) for alg in self.slots]
         acc = _accumulator(self.ctx, self.terms, *(u.terms for u in units))
         for k, v in self.terms.items():
-            mapped = [f(UEAElement(alg, {e: one}))
+            mapped = [f(UEAElement(alg, {e: 1}))
                       for alg, e in zip(self.slots, k)]
             partial: list[tuple[tuple, FieldElement]] = [((), v)]
             for m in mapped:
@@ -457,9 +425,9 @@ class TensorUEA(LinearCombination):
 
     def to_json(self) -> list[dict]:
         return [
-            {"slots": [list(e) for e in k], "coeff": v.to_string()}
+            {"slots": [list(e) for e in k], "coeff": self.ctx(v).to_string()}
             for k, v in sorted(self.terms.items())
         ]
 
     def __repr__(self) -> str:
-        return _terms_repr(self.slots, self.terms)
+        return terms_repr(self.ctx, [a.order for a in self.slots], self.terms)

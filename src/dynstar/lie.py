@@ -118,7 +118,7 @@ class LieAlgebraData:
             for j, b in w.items():
                 if row := self.bracket(i, j):
                     acc.add(a * b, row.items())
-        return {k: x for k, x in acc.sums().items() if x}
+        return acc.sums()
 
     def pairing(self, i: int, j: int):
         return self.form[i][j]
@@ -371,7 +371,7 @@ def check_invariance(t: _Tensor, generators: Iterable[int]) -> bool:
             acc.add(v, [(key[:slot] + (k,) + key[slot + 1:], q)
                         for slot in range(t.rank)
                         for k, q in g.bracket(zi, key[slot]).items()])
-        if any(acc.sums().values()):
+        if acc.sums():
             return False
     return True
 

@@ -33,7 +33,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .enveloping import PBWAlgebra, UEAElement
 from .scalars import (HBAR, LAM, Context, FieldAccumulator, FieldElement,
-                      LinearCombination)
+                      LinearCombination, terms_repr)
 
 MATRIX_VARS = ("g11", "g12", "g21", "g22")
 MExp = tuple[int, int, int, int]
@@ -81,20 +81,20 @@ class OrbitFunction(LinearCombination):
         for e, v in terms.items():
             acc.add(v, _det_rewrite(e))
         self.ctx = ctx
-        self.terms = {e: v for e, v in acc.sums().items() if v}
+        self.terms = acc.sums()
 
     @classmethod
     def _normal(cls, ctx: Context, terms: Mapping[MExp, FieldElement]
                 ) -> "OrbitFunction":
-        """Terms already in normal form; zero coefficients are dropped."""
+        """Nonzero terms already in normal form (an accumulator's sums)."""
         f = cls.__new__(cls)
         f.ctx = ctx
-        f.terms = {e: v for e, v in terms.items() if v}
+        f.terms = terms
         return f
 
     def _like(self, terms) -> "OrbitFunction":
         # sums, scalings and coefficient maps of normal forms stay normal
-        return OrbitFunction._normal(self.ctx, terms)
+        return OrbitFunction._normal(self.ctx, {e: v for e, v in terms.items() if v})
 
     @classmethod
     def constant(cls, ctx: Context, value) -> "OrbitFunction":
@@ -105,19 +105,6 @@ class OrbitFunction(LinearCombination):
             return self.scale(other)
         return _sum_of_products(self.ctx, [(self.ctx.one(), self, other)])
 
-    def __rmul__(self, other) -> "OrbitFunction":
-        if isinstance(other, OrbitFunction):
-            return NotImplemented
-        return self.scale(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrbitFunction):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("OrbitFunction is unhashable")
-
     def to_json(self) -> list[dict]:
         return [
             {"exp": list(e), "coeff": v.to_string()}
@@ -125,14 +112,8 @@ class OrbitFunction(LinearCombination):
         ]
 
     def __repr__(self) -> str:
-        parts = []
-        for e, v in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{n}^{p}" if p > 1 else n
-                for n, p in zip(MATRIX_VARS, e) if p > 0
-            ) or "1"
-            parts.append(f"({v.to_string()})*{mono}")
-        return " + ".join(parts) or "0"
+        return terms_repr(self.ctx, (MATRIX_VARS,),
+                          {(e,): v for e, v in self.terms.items()})
 
 
 def orbit_function(ctx: Context, a: Union[str, Mapping[str, object]]
@@ -396,7 +377,7 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     for (a, b), br in brackets.items():
         comm = formal[a, b] - formal[b, a]
         # first order in the deformation parameter
-        first = OrbitFunction._normal(ctx, {
+        first = comm._like({
             e: v.series_expand(HBAR, 1)[1] for e, v in comm.terms.items()})
         biv = (generator_derivative(fb[a], "x") * generator_derivative(fb[b], "y")
                - generator_derivative(fb[a], "y") * generator_derivative(fb[b], "x")
@@ -425,7 +406,7 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
         series = {e: v.series_expand(HBAR, twist_order)
                   for e, v in formal[a, b].terms.items()}
         for k, fk in enumerate(full):
-            want = OrbitFunction._normal(ctx, {e: s[k] for e, s in series.items()})
+            want = fk._like({e: s[k] for e, s in series.items()})
             if not (fk - want).is_zero():
                 red_fail.append((a, b, k))
     report["scalar_reduction"] = {"ok": not red_fail, "failures": red_fail,
@@ -436,8 +417,8 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     # The product is commutative, so products over multisets of basis
     # functions span the filtration. Each is lam-homogeneous, and lam -> 1
     # is a ring homomorphism on their coefficients: it keeps the ranks.
-    at_one = [OrbitFunction._normal(ctx, {e: c.evaluate({LAM: 1})
-                                          for e, c in fb[n].terms.items()})
+    at_one = [fb[n]._like({e: c.evaluate({LAM: 1})
+                           for e, c in fb[n].terms.items()})
               for n in names]
     layer = [(0, OrbitFunction.constant(ctx, 1))]   # (last factor, product)
     rows: list[dict] = []

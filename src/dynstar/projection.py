@@ -3,10 +3,11 @@
 When the Cartan line has a complementary subalgebra v, rewriting a dynamical
 twist in adapted coordinates and discarding every monomial that touches the
 Cartan generator produces a twist for Uv with no dynamical variable shift.
-This module builds the adapted sl(2) splittings, performs the projection,
-states the closed form of the projected series (its scalar denominators
-expanded in hbar over the field, its grades summed over QQ), and verifies
-the ordinary twist axioms order by order.
+This module builds the adapted sl(2) splittings, performs the projection
+over QQ (each slot monomial's image as :func:`change_generators` returns
+it), states the closed form of the projected series (its scalar
+denominators expanded in hbar over the field, its grades summed over QQ),
+and verifies the ordinary twist axioms order by order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 from sympy.polys.domains import QQ
 
 from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
-                         change_generators, lean, project_drop_right)
+                         change_generators, project_drop_right)
 from .lie import LieAlgebraData, sl2
 from .scalars import HBAR, LAM, Context
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
@@ -37,11 +38,12 @@ class SplittingData:
     ``algebra`` carries the (b, a, c) basis with v = span{b, a} and
     h = span{c}; ``order`` puts the v-generators first so that dropping
     trailing c-exponents is a projection along the left ideal Ug h.
-    ``images`` holds the projected image over QQ of every slot monomial
-    that :func:`project_twist` has met, keyed by (PBW order of the slot
-    algebra, exponents). The image depends on nothing else, so twists over
-    separately built algebras share one table, which the six orders of
-    (y, h, x) and the degree cap bound.
+    ``images`` holds the projected image of every slot monomial that
+    :func:`project_twist` has met, kept over QQ as :func:`change_generators`
+    returns it, keyed by (PBW order of the slot algebra, exponents). The
+    image depends on nothing else, so twists over separately built
+    algebras share one table, which the six orders of (y, h, x) and the
+    degree cap bound.
     """
     ambient: LieAlgebraData
     algebra: LieAlgebraData
@@ -143,10 +145,8 @@ def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
         (e,) = u.terms
         key = (u.algebra.order, e)
         if key not in sp.images:
-            v = project_drop_right(
+            sp.images[key] = project_drop_right(
                 change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
-            sp.images[key] = UEAElement(sp.pbw, {
-                k: lean(c.as_rational()) for k, c in v.terms.items()})
         return sp.images[key]
     return t.map_slots(image)
 

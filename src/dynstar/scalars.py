@@ -18,7 +18,8 @@ expression is built, and sympy printing survives only as a test oracle.
 All higher layers (tensors, enveloping algebras, twists) keep their
 coefficients in a single shared :class:`Context`, so every identity in the
 library reduces to a zero test in this field. Every keyed sum of field
-terms outside this module is formed by :class:`FieldAccumulator`.
+terms outside this module is formed by :class:`FieldAccumulator` (its sums
+are nonzero); every sparse container is a :class:`LinearCombination`.
 """
 
 from __future__ import annotations
@@ -544,16 +545,32 @@ class FieldAccumulator:
                     acc[m] = acc.get(m, zero) + a * q
 
     def sums(self) -> dict:
-        """The sums by key; a key whose terms cancel over different
-        denominators holds zero."""
+        """The nonzero sums by key."""
         ctx = self.context
         out = {}
         for (key, dkey), acc in self._groups.items():
             acc = {m: a for m, a in acc.items() if a}
             if acc:
                 f = FieldElement(ctx, ctx.ring.dtype(acc), self._dens[dkey])
-                out[key] = out[key] + f if key in out else f
+                if key not in out:
+                    out[key] = f
+                elif s := out[key] + f:     # only here can terms cancel
+                    out[key] = s
+                else:
+                    del out[key]
         return out
+
+
+def terms_repr(ctx: Context, names: Sequence[Sequence[str]], terms: Mapping) -> str:
+    """(coefficient)*monomial(x)monomial... for every term, keys holding one
+    exponent vector per slot over that slot's generator ``names``."""
+    parts = []
+    for k, c in sorted(terms.items()):
+        monos = ("*".join(f"{g}^{x}" if x > 1 else g
+                          for g, x in zip(gens, e) if x > 0) or "1"
+                 for gens, e in zip(names, k))
+        parts.append(f"({ctx(c).to_string()})*" + "(x)".join(monos))
+    return " + ".join(parts) or "0"
 
 
 def holds_field(terms: Mapping) -> bool:
@@ -567,9 +584,11 @@ class LinearCombination:
     QQ); a sum of the two kinds lifts the rational side into the field.
     Subclass constructors drop zero coefficients and nothing writes into
     ``terms`` afterwards. Subclasses give ``ctx``, ``_like(terms)`` (an
-    element of the same space) and may check operands in ``_check``."""
+    element of the same space) and may check operands in ``_check``; they
+    inherit the protocol: equality by value, no hash, ``s * c == c.scale(s)``."""
 
     __slots__ = ()
+    __hash__ = None
 
     def _check(self, other: "LinearCombination") -> None:
         pass
@@ -599,8 +618,18 @@ class LinearCombination:
         return self._like({k: -v for k, v in self.terms.items()})
 
     def scale(self, s):
-        s = self.ctx(s)
+        """s times self. An int or QQ factor keeps rational coefficients
+        rational; any other factor is coerced into the field."""
+        if holds_field(self.terms) or not isinstance(s, (int, QQ.dtype)):
+            s = self.ctx(s)
         return self._like({k: s * v for k, v in self.terms.items()})
+
+    __rmul__ = scale
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self - other).is_zero()

@@ -35,7 +35,7 @@ def _signed_sum(ctx: Context, parts) -> dict:
     for q, v in parts:
         for k, c in v.items():
             acc.add(c, ((k, q),))
-    return {k: c for k, c in acc.sums().items() if c}
+    return acc.sums()
 
 
 class _HighestWeightModule:

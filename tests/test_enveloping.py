@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from dynstar import (Context, EnvelopingError, FieldElement, LieAlgebraData,
                      LieAlgebraError, PBWAlgebra, TensorUEA, UEAElement,
-                     change_generators, project_drop_right, sl2,
-                     split_basis_sl2)
+                     abrr_twist, change_generators, project_drop_right,
+                     rising_factorial, sl2, split_basis_sl2)
 
 
 def project_zero_part(u, lowering, raising):
@@ -360,6 +360,36 @@ class TestMixedKinds:
         want = UEAElement(U, {ey: ctx.one(), ex: lam})
         assert all(isinstance(v, FieldElement) for v in mixed.terms.values())
         assert mixed * mixed == want * want
+
+
+def _lifted(c):
+    """The same element with its coefficients in the field."""
+    return c._like({k: c.ctx(v) for k, v in c.terms.items()})
+
+
+class TestRationalElements:
+    """Elements and tensors over QQ serialize and take coproducts exactly as
+    their field lifts do."""
+
+    def test_twist_grade_json(self, U):
+        J = abrr_twist(U, 3)
+        grades = [t for g in J.grades for t in g.values()]
+        assert not any(isinstance(v, FieldElement)
+                       for t in grades for v in t.terms.values())
+        for t in grades:
+            assert t.to_json() == _lifted(t).to_json()
+            assert repr(t) == repr(_lifted(t))
+
+    def test_rising_factorial_json(self, U):
+        r = rising_factorial(U, "h", 2)
+        assert not any(isinstance(v, FieldElement) for v in r.terms.values())
+        assert r.to_json() == _lifted(r).to_json()
+
+    def test_rising_factorial_coproduct(self, U):
+        r = rising_factorial(U, "h", 2)
+        d, want = r.coproduct(), _lifted(r).coproduct()
+        assert not any(isinstance(v, FieldElement) for v in d.terms.values())
+        assert d == want and d.terms == want.terms
 
 
 def test_irrational_structure_constant_rejected(ctx):

@@ -1,8 +1,9 @@
 """Static hygiene of the package source, read with ``ast``: no ``assert``
 statement (they vanish under ``python -O``), no unused import, no keyed
 sum of field terms formed outside ``scalars.FieldAccumulator``, no
-rational type other than QQ outside ``scalars``, and no string literal
-parsed by a context."""
+rational type other than QQ outside ``scalars``, no string literal
+parsed by a context, and no sparse container that redefines the protocol
+of ``LinearCombination``."""
 
 import ast
 import pathlib
@@ -187,3 +188,53 @@ def test_scanner_sees_context_strings():
         "f = Context(['lam', 'hbar'])\n"
         "g = _context()\n")
     assert context_string_sites(tree) == [1, 2, 3]
+
+
+PROTOCOL = ("__eq__", "__hash__", "__rmul__")
+
+
+def protocol_overrides(trees: list[ast.Module]) -> list[tuple[str, str]]:
+    """(class, name) of every ``__eq__``, ``__hash__`` or ``__rmul__`` that
+    a class deriving from ``LinearCombination`` (directly or through other
+    classes of the package) defines, as a method or by assignment."""
+    classes = [n for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)]
+    bases = {c.name: {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)
+                      for b in c.bases} for c in classes}
+    derived = {"LinearCombination"}
+    while True:
+        more = {name for name, bs in bases.items() if bs & derived} - derived
+        if not more:
+            break
+        derived |= more
+    out = []
+    for c in classes:
+        if c.name == "LinearCombination" or c.name not in derived:
+            continue
+        for node in c.body:
+            names = [node.name] if isinstance(node, ast.FunctionDef) else \
+                [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            out += [(c.name, n) for n in names if n in PROTOCOL]
+    return out
+
+
+def test_containers_share_one_protocol():
+    found = protocol_overrides([_tree(p) for p in MODULES])
+    assert not found, f"containers redefining the LinearCombination protocol: {found}"
+
+
+def test_scanner_sees_protocol_overrides():
+    tree = ast.parse(
+        "class LinearCombination:\n"
+        "    __hash__ = None\n"
+        "    def __eq__(self, other): ...\n"
+        "class _Tensor(LinearCombination):\n"
+        "    def __rmul__(self, other): ...\n"
+        "class Tensor2(_Tensor):\n"
+        "    __hash__ = None\n"
+        "    def __mul__(self, other): ...\n"
+        "class Element(scalars.LinearCombination):\n"
+        "    def __eq__(self, other): ...\n"
+        "class Other:\n"
+        "    def __eq__(self, other): ...\n")
+    assert sorted(protocol_overrides([tree])) == [
+        ("Element", "__eq__"), ("Tensor2", "__hash__"), ("_Tensor", "__rmul__")]
