@@ -180,7 +180,6 @@ def cmd_lagrangian(args) -> dict:
 
 def cmd_abrr_check(args) -> dict:
     J = abrr_twist(_sl2_pbw(), _at_least(args, "order", 0))
-    # first: its words are the longest (N + 1), so it meets the degree cap
     h_invariant = check_h_invariance(J)
     rep = check_dynamical_twist(J)
     counit = counit_ok(J)

@@ -328,8 +328,12 @@ def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
                        for j, q in enumerate(row) if q})
 
 
-def cyb(r: Tensor2) -> Tensor3:
-    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23]."""
+def cyb(r: Tensor2, within: Optional[set[int]] = None) -> Tensor3:
+    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23].
+
+    With ``within`` (a set of basis indices, such as m), only the terms
+    whose three slots all lie in it are added. Each key is summed on its
+    own, so that is CYB(r) restricted to within (x) within (x) within."""
     g = r.algebra
     acc = FieldAccumulator(g.ctx)
     items = list(r.coeffs.items())
@@ -338,6 +342,8 @@ def cyb(r: Tensor2) -> Tensor3:
             terms = [((k, b, d), q) for k, q in g.bracket(a, c).items()]  # [r12, r13]
             terms += [((a, k, d), q) for k, q in g.bracket(b, c).items()]  # [r12, r23]
             terms += [((a, c, k), q) for k, q in g.bracket(b, d).items()]  # [r13, r23]
+            if within is not None:
+                terms = [(key, q) for key, q in terms if within.issuperset(key)]
             if terms:
                 acc.add(v1 * v2, terms)
     return Tensor3(g, acc.sums())

@@ -28,6 +28,7 @@ import fractions
 import functools
 import math
 import operator
+import re
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
@@ -41,6 +42,9 @@ Scalarish = Union["FieldElement", int, QQ.dtype, fractions.Fraction, str, sp.Exp
 # the named symbols of the base field: the dynamical variable and the
 # deformation parameter
 LAM, HBAR = "lam", "hbar"
+
+# a plain ASCII integer or fraction, turned into a constant without the parser
+_RATIONAL_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 
 
 class ContextMismatchError(ValueError):
@@ -122,6 +126,11 @@ class Context:
         if isinstance(value, sp.Expr):
             expr = value
         elif isinstance(value, str):
+            if _RATIONAL_LITERAL.fullmatch(value):
+                try:
+                    return self.constant(QQ(*map(int, value.split("/"))))
+                except ValueError:  # past int()'s digit limit: the parser decides
+                    pass
             try:
                 expr = sp.sympify(value.replace("^", "**"),
                                   locals=dict(self._by_name))

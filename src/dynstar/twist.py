@@ -16,6 +16,7 @@ the defining cocycle identity and the classical limit all live here.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from typing import Callable, Sequence
 
@@ -240,15 +241,20 @@ def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
 
 
 def check_h_invariance(J: TwistSeries) -> bool:
-    """[h (x) 1 + 1 (x) h, J] = 0 at every order."""
-    algs = J.slots
-    # the exponent vectors of h in slot s and of 1 elsewhere
-    total = TensorUEA(algs, {
-        tuple(next(iter(a.gen("h").terms)) if i == s else (0,) * a.ngens
-              for i, a in enumerate(algs)): 1
-        for s in range(len(algs))})
-    return all((total * t).terms == (t * total).terms
-               for g in J.grades for t in g.values())
+    """[h (x) 1 + 1 (x) h, J] = 0 at every order. Each generator g is an
+    ad-h eigenvector, [h, g] = w g, so a PBW key has the total weight of
+    its generators and the commutator vanishes exactly when every key of
+    every grade has weight zero (TwistError if some g is not one)."""
+    weights = []
+    for alg in J.slots:
+        lie = alg.lie
+        for i in map(lie.index.get, alg.order):
+            row = lie.bracket(lie.index["h"], i)
+            if set(row) - {i}:
+                raise TwistError(f"{lie.names[i]} is not an ad-h eigenvector")
+            weights.append(lean(row.get(i, 0)))
+    return all(sum(map(operator.mul, sum(key, ()), weights)) == 0
+               for grades in J.grades for t in grades.values() for key in t.terms)
 
 
 def shift_twist(J: TwistSeries) -> TwistSeries:

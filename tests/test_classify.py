@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 
@@ -5,8 +6,8 @@ import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
 
-from dynstar import (DynrSpec, QuasiUnitarityError, SpecError,
-                     build_casimir_tensor, build_coefficients,
+from dynstar import (CoefficientFamily, Context, DynrSpec,
+                     QuasiUnitarityError, SpecError, build_casimir_tensor, build_coefficients,
                      build_lagrangian, build_root_system,
                      check_coefficient_conditions, check_in_M_Omega,
                      check_shift_form, chevalley_constants,
@@ -14,7 +15,7 @@ from dynstar import (DynrSpec, QuasiUnitarityError, SpecError,
                      realize_lie_algebra, recover_classification,
                      simple_roots_of)
 from dynstar.classify import _levi_of
-from dynstar.lie import Tensor2
+from dynstar.lie import Tensor2, cyb, reduce_mod_u
 from dynstar.rootsystems import check_parabolic, coordinates
 
 
@@ -374,3 +375,140 @@ class TestLagrangian:
             assert lag.contains(v)
         i = g.root_index[(1, 1)]
         assert not lag.contains(({i: ctx.one()}, {}))
+
+
+# Each check below skips work whose answer is known: CYB is formed on
+# m (x) m (x) m only, the symmetric conditions visit each root set once, and
+# membership compares only the n-indices that occur. The references here
+# do the full work.
+
+CTX4 = Context(["t1", "t2", "t3", "t4"])
+
+# (family, rank, Delta and its part in U as simple-root indices)
+SPECS = [("A", 3, (0, 1), (0,)), ("B", 3, (1, 2), (1,)),
+         ("C", 3, (0, 2), (2,)), ("D", 4, (0, 2, 3), (2,))]
+
+
+def _indexed_spec(family, rank, delta, in_u):
+    rs = build_root_system(family, rank)
+    U = [r for i in in_u for r in (rs.simple[i], tuple(-c for c in rs.simple[i]))]
+    spec = make_spec(rs, CTX4, [rs.simple[i] for i in delta], U)
+    return spec, chevalley_constants(rs)
+
+
+def reference_conditions(fam):
+    """The four conditions by a full scan over ordered pairs of roots."""
+    rs, Uset = fam.system, fam.U
+    rest = sorted(rs.rootset - Uset)
+    neg = lambda a: tuple(-c for c in a)
+    bad = {"vanishes_on_u": [a for a in sorted(Uset) if not fam[a].is_zero()],
+           "odd": [a for a in rs.roots if not (fam[neg(a)] + fam[a]).is_zero()],
+           "pair_sum_on_u": [], "triple_product": []}
+    for a in rest:
+        for b in rest:
+            c = neg(tuple(x + y for x, y in zip(a, b)))
+            if c in Uset and not (fam[a] + fam[b]).is_zero():
+                bad["pair_sum_on_u"].append((a, b, c))
+            if c in rest and not (fam[a] * fam[b] + fam[b] * fam[c]
+                                  + fam[c] * fam[a] + QQ(1, 4)).is_zero():
+                bad["triple_product"].append((a, b, c))
+    report = {k: {"ok": not v, "witness": v[:1]} for k, v in bad.items()}
+    report["all_ok"] = not any(bad.values())
+    return report, bad
+
+
+def reference_contains(lag, v):
+    """Membership, comparing theta v0[i] with v1[i] at every n-index."""
+    z = lag.algebra.ctx.zero()
+    nset = set(lag.n_indices)
+    if any(i not in nset | set(lag.minus_free) and not a.is_zero()
+           for i, a in v[0].items()):
+        return False
+    if any(i not in nset | set(lag.plus_free) and not a.is_zero()
+           for i, a in v[1].items()):
+        return False
+    return all((lag.theta[i] * v[0].get(i, z) - v[1].get(i, z)).is_zero()
+               for i in nset)
+
+
+def _with_theta_changed(spec, a):
+    """The spec with t_a doubled in its table, and t_{-a} kept."""
+    mutated = copy.copy(spec)
+    mutated.t_table = {**spec.t_table, a: spec.t_table[a] * 2}
+    return mutated
+
+
+class TestShortcutsAgainstReferences:
+    @pytest.mark.parametrize("family,rank,delta,in_u", SPECS,
+                             ids=[f"{f}{r}" for f, r, *_ in SPECS])
+    def test_cyb_on_m_equals_reduction(self, family, rank, delta, in_u):
+        spec, table = _indexed_spec(family, rank, delta, in_u)
+        g = realize_lie_algebra(table, CTX4, U=spec.U)
+        b = coefficients_to_tensor(build_coefficients(spec), g)
+        a = min(spec.levi_roots() - spec.U)
+        key = (g.root_index[a], g.root_index[tuple(-c for c in a)])
+        changed = Tensor2(g, {**b.coeffs, key: b.coeffs[key] + 1})
+        mset = set(g.m_indices)
+        for r in (b, changed):
+            full = cyb(r)
+            assert cyb(r, within=mset).terms.keys() == \
+                reduce_mod_u(full).terms.keys()
+            assert cyb(r, within=mset) == reduce_mod_u(full)
+            assert cyb(r, within=set(range(g.dim))) == full
+        assert cyb(b, within=mset).is_zero()
+        assert not cyb(changed, within=mset).is_zero()
+
+    def test_conditions_match_the_ordered_pair_scan(self, ctx):
+        checked = multiple = 0
+        for family, rank in (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3)):
+            rs = build_root_system(family, rank)
+            s0 = rs.simple[0]
+            for U in ([], [s0, tuple(-c for c in s0)]):
+                fam = build_coefficients(make_spec(rs, ctx, [s0], U))
+                pos = sorted(rs.positive)
+                changes = [{}] + [{a: 1} for a in rs.roots] + \
+                    [{a: 1, tuple(-c for c in a): -1} for a in pos] + \
+                    [{a: 1, b: 1} for a, b in zip(pos, pos[1:])]
+                for change in changes:
+                    x = dict(fam.x)
+                    for a, d in change.items():
+                        x[a] = x[a] + d
+                    mutated = CoefficientFamily(rs, fam.U, x)
+                    want, bad = reference_conditions(mutated)
+                    assert check_coefficient_conditions(mutated) == want, \
+                        (family, rank, U, change)
+                    checked += not want["all_ok"]
+                    multiple += any(len(v) > 2 for v in bad.values())
+        assert checked > 200 and multiple > 100
+
+    @pytest.mark.parametrize("family,rank,delta,in_u", SPECS[:2],
+                             ids=[f"{f}{r}" for f, r, *_ in SPECS[:2]])
+    def test_contains_matches_the_full_n_scan(self, family, rank, delta, in_u):
+        spec, table = _indexed_spec(family, rank, delta, in_u)
+        g = realize_lie_algebra(table, CTX4, U=spec.U)
+        seen = set()
+        for s in (spec, _with_theta_changed(spec, min(spec.levi_roots()))):
+            lag, _ = build_lagrangian(s, g)
+            for i, v in enumerate(lag.basis):
+                for w in lag.basis[i + 1:]:
+                    br = (g.bracket_vectors(v[0], w[0]),
+                          g.bracket_vectors(v[1], w[1]))
+                    seen.add(lag.contains(br))
+                    assert lag.contains(br) == reference_contains(lag, br)
+            one = CTX4.one()
+            for i in lag.n_indices:
+                for v in (({i: one}, {}), ({}, {i: one})):
+                    assert not lag.contains(v)
+                    assert not reference_contains(lag, v)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("family,rank,delta,in_u", SPECS[:3],
+                             ids=[f"{f}{r}" for f, r, *_ in SPECS[:3]])
+    def test_changed_theta_eigenvalue_fails(self, family, rank, delta, in_u):
+        spec, table = _indexed_spec(family, rank, delta, in_u)
+        g = realize_lie_algebra(table, CTX4, U=spec.U)
+        assert build_lagrangian(spec, g)[1]["all_ok"]
+        for a in sorted(spec.levi_roots()):
+            rep = build_lagrangian(_with_theta_changed(spec, a), g)[1]
+            assert not rep["bracket_closed"] and not rep["isotropic"], a
+            assert not rep["all_ok"]

@@ -180,8 +180,8 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ["cdybe-check", "--order", "17"],
-        ["project-twist", "--order", "16"],
-        ["abrr-check", "--order", "16"],
+        ["project-twist", "--order", "17"],
+        ["abrr-check", "--order", "17"],
     ])
     def test_degree_cap_is_bad_input(self, capsys, argv):
         assert run(argv) == 2
@@ -293,3 +293,74 @@ def test_one_context_algebra_and_splitting_per_process(capsys):
     spl = cli._splitting("standard")
     assert spl is cli._splitting("standard") is not cli._splitting("chevalley")
     assert spl.images and spl.pbw.ctx is U.ctx
+
+
+class TestTValues:
+    """A plain rational literal t-value becomes a constant without sympy's
+    parser; every other string still goes through it, with the same value
+    or error."""
+
+    @pytest.mark.parametrize("value,code,coeff", [
+        ("6", 0, "(7)/(10)"),
+        (" 6", 0, "(7)/(10)"),
+        ("+6", 0, "(7)/(10)"),
+        ("1.5", 0, "(5)/(2)"),
+        ("6/4", 0, "(5)/(2)"),
+        ("-2", 0, "(1)/(6)"),
+        ("t1", 0, "(t1+1)/(2*t1-2)"),
+        ("2*t1", 0, "(2*t1+1)/(4*t1-2)"),
+        ("0", 2, "error: negative power of zero"),
+        ("3/0", 2, "error: bad t value in 'a1=3/0': '3/0' is not a rational function"),
+        ("007", 2, "error: bad t value in 'a1=007': cannot parse '007'"),
+        ("٣", 2, "error: bad t value in 'a1=٣': cannot parse '٣'"),
+    ])
+    def test_classify_t_value(self, capsys, value, code, coeff):
+        argv = ["classify", "--type", "A", "--rank", "2", "--delta", "a1",
+                "--t", f"a1={value}", "--canonical"]
+        if code:
+            assert run(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == coeff + "\n"
+        else:
+            got, head, rep = _capture(capsys, argv)
+            assert (got, head) == (0, "classify: PASS")
+            assert rep["coefficients"]["(1,0)"] == coeff
+
+    # sha256 of the canonical output, recorded while every t-value went
+    # through sympy's parser
+    LITERAL_REPORTS = [
+        (["classify", "--type", "C", "--rank", "3", "--delta", "a2,a3",
+          "--t", "a2=5/3,a3=3"],
+         "e1b5ca56b7472c611c3a4acdc142086b45e0ffac67c1ae3bb70d11cf7b5dd06f"),
+        (["classify", "--type", "A", "--rank", "2", "--delta", "a1",
+          "--t", "a1=-2"],
+         "e668cb769d549ff089b4bcc5dc7892955e4655ad2382630de1dd41dd4542474c"),
+        (["verify-rmatrix", "--type", "B", "--rank", "3", "--delta", "a1,a3",
+          "--u", "pm-a3", "--t", "a1=-7/2", "--recover"],
+         "fad10e1b792afe06d492b9b8549bf5879cac75064b3101fe7c9fec4f32c3e4a4"),
+        (["verify-rmatrix", "--type", "D", "--rank", "4", "--delta", "a1,a3",
+          "--t", "a1=4,a3=2/5"],
+         "d3f686a24c6f476b1d56b69254a1c3d8df7c10b91f746b57058f9f083041f63e"),
+        (["lagrangian", "--type", "A", "--rank", "3", "--delta", "a1,a2",
+          "--t", "a1=2,a2=-1/3"],
+         "8989733600f062274dbe8d0bac2b43c4da32cc3a11d3e7af33f0d98dd029456f"),
+        (["lagrangian", "--type", "B", "--rank", "3", "--delta", "a2",
+          "--t", "a2=3"],
+         "3eeeda36b2f2c5713c1a28933777553b7306fb78ef6bf68b2c6bfc4b93d7ee64"),
+    ]
+
+    def test_literal_t_values_need_no_parser(self, capsys, monkeypatch):
+        import hashlib
+
+        import dynstar.scalars
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sympy parser called")
+
+        monkeypatch.setattr(dynstar.scalars.sp, "sympify", refuse)
+        with pytest.raises(RuntimeError):
+            cli._context(2)("t1")
+        for argv, digest in self.LITERAL_REPORTS:
+            assert run(argv + ["--canonical"]) == 0, argv
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

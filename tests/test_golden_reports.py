@@ -136,7 +136,7 @@ def test_degree_cap_leaves_a_warm_process_as_cold(capsys):
     argv = ["abrr-check", "--order", "4"]
     cold = _cold(argv)
     assert cold.returncode == 0
-    assert run(["abrr-check", "--order", "16", "--canonical"]) == 2
+    assert run(["abrr-check", "--order", "17", "--canonical"]) == 2
     capsys.readouterr()
     assert _report(capsys, argv) == (0, cold.stdout.decode())
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 
-from dynstar import (PBWAlgebra, TensorUEA, TwistError, TwistSeries,
-                     abrr_twist, change_generators, check_cdybe,
+from dynstar import (LieAlgebraData, PBWAlgebra, TensorUEA, TwistError,
+                     TwistSeries, abrr_twist, change_generators, check_cdybe,
                      check_dynamical_twist, check_h_invariance,
                      classical_limit_r,
                      closed_form_jv, project_drop_right, project_twist,
@@ -127,6 +127,38 @@ class TestClosedForm:
             (U, U),
             [J5.order(0), J5.order(1) + tensor2(U, U.gen("y"), U.one())])
         assert not check_h_invariance(broken)
+
+    @staticmethod
+    def commutes_with_h(J):
+        """The reference: [h (x) 1 + 1 (x) h, J] = 0, by PBW products."""
+        h = next(iter(J.slots[0].gen("h").terms))
+        one = (0,) * J.slots[0].ngens
+        total = TensorUEA(J.slots, {(h, one): 1, (one, h): 1})
+        return all((total * t).terms == (t * total).terms
+                   for g in J.grades for t in g.values())
+
+    def test_h_invariance_against_commutator(self, J5, U, ctx):
+        y, h, x, one = U.gen("y"), U.gen("h"), U.gen("x"), U.one()
+        cases = [abrr_twist(U, n) for n in range(7)]
+        for extra, order in ((tensor2(U, y, one), 1), (tensor2(U, y, one), 0),
+                             (tensor2(U, one, x * x), 2),
+                             (tensor2(U, y, x).scale(ctx("1/lam")), 1),
+                             (tensor2(U, h * y, x * h), 2)):
+            orders = J5.orders
+            orders[order] = orders[order] + extra
+            cases.append(TwistSeries((U, U), orders))
+        verdicts = [check_h_invariance(J) for J in cases]
+        assert verdicts == [self.commutes_with_h(J) for J in cases]
+        assert verdicts == [True] * 7 + [False, False, False, True, True]
+
+    def test_h_invariance_needs_ad_h_eigenvectors(self, ctx):
+        # basis (y, h, u) with u = x + y: [h, u] = 2u - 4y
+        g = LieAlgebraData(ctx, ("y", "h", "u"),
+                           {(0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2, 0: -4}},
+                           [[0, 0, 1], [0, 2, 0], [1, 0, 2]])
+        V = PBWAlgebra(g)
+        with pytest.raises(TwistError, match="u is not an ad-h eigenvector"):
+            check_h_invariance(TwistSeries((V, V), [TensorUEA.unit((V, V))]))
 
     def test_counit_axiom_per_order(self, J5):
         for slot in (0, 1):
