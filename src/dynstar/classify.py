@@ -183,8 +183,10 @@ def check_coefficient_conditions(fam: CoefficientFamily) -> dict:
     report = {}
     report["vanishes_on_u"] = _first_violation(
         a for a in sorted(Uset) if not fam[a].is_zero())
+    # once per pair {a, -a}, at the member first in the sorted rs.roots
     report["odd"] = _first_violation(
-        a for a in rs.roots if not (fam[_neg(a)] + fam[a]).is_zero())
+        a for a in rs.roots
+        if a < _neg(a) and not (fam[_neg(a)] + fam[a]).is_zero())
     report["pair_sum_on_u"] = _first_violation(
         (a, b, c) for a, b, c in pairs
         if c in Uset and not (fam[a] + fam[b]).is_zero())

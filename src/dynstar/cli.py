@@ -188,7 +188,7 @@ def cmd_abrr_check(args) -> dict:
         "cocycle": rep,
         "counit_ok": counit,
         "h_invariant": h_invariant,
-        "ok": rep["ok"] and counit,
+        "ok": rep["ok"] and counit and h_invariant,
     }
 
 

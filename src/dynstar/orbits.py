@@ -17,8 +17,10 @@ A star-product sums c_n (y^n . f1)(x^n . f2) from the y-tower of f1 and the
 x-tower of f2 (f, D f, D^2 f, ... up to the last nonzero term). The
 identity sweep runs over the context of a given U sl(2) and builds its
 twist there; it forms the towers of its operands and the coefficient lists
-c_n once. Its filtration ranks are taken over products of basis functions
-indexed by multisets, evaluated at lam = 1, over QQ.
+c_n once, and decides each associativity triple from the one sum
+(f_a*f_b)*f_c - f_a*(f_b*f_c) of both sides' tower products. Its
+filtration ranks are taken over products of basis functions indexed by
+multisets, evaluated at lam = 1, over QQ.
 """
 
 from __future__ import annotations
@@ -258,13 +260,14 @@ def _star_coefficients(ctx: Context, mode: str, count: int) -> list[FieldElement
     return coeffs
 
 
-def _tower_product(left: Sequence[OrbitFunction], right: Sequence[OrbitFunction],
-                   coeffs: Sequence[FieldElement]) -> OrbitFunction:
-    """sum_n c_n L_n R_n over the n where both towers are nonzero."""
+def _tower_terms(left: Sequence[OrbitFunction], right: Sequence[OrbitFunction],
+                 coeffs: Sequence[FieldElement]) -> list:
+    """The triples (c_n, L_n, R_n) over the n where both towers are
+    nonzero: the star-product sums c_n L_n R_n."""
     n = min(len(left), len(right))
     if len(coeffs) < n:
         raise OrbitError(f"star-product series needs {n} coefficients")
-    return _sum_of_products(left[0].ctx, zip(coeffs, left[:n], right[:n]))
+    return list(zip(coeffs, left[:n], right[:n]))
 
 
 def star_product(f1: OrbitFunction, f2: OrbitFunction,
@@ -281,8 +284,8 @@ def star_product(f1: OrbitFunction, f2: OrbitFunction,
     if not (is_h_invariant(f1) and is_h_invariant(f2)):
         raise OrbitError("star-product inputs must be right-H-invariant")
     left, right = _tower(f1, "y"), _tower(f2, "x")
-    return _tower_product(left, right, _star_coefficients(
-        f1.ctx, mode, min(len(left), len(right))))
+    coeffs = _star_coefficients(f1.ctx, mode, min(len(left), len(right)))
+    return _sum_of_products(f1.ctx, _tower_terms(left, right, coeffs))
 
 
 def apply_twist_orders(J, f1: OrbitFunction, f2: OrbitFunction) -> list[OrbitFunction]:
@@ -338,7 +341,8 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     tb = {a: towers(fb[a]) for a in names}
     coeffs = {mode: _star_coefficients(ctx, mode, 3)
               for mode in ("hbar_one", "formal")}
-    star, formal = ({(a, b): _tower_product(tb[a][0], tb[b][1], coeffs[mode])
+    star, formal = ({(a, b): _sum_of_products(
+                         ctx, _tower_terms(tb[a][0], tb[b][1], coeffs[mode]))
                      for a in names for b in names}
                     for mode in ("hbar_one", "formal"))
     ts = {k: towers(f) for k, f in star.items()}
@@ -364,11 +368,15 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
         "value": cas.to_json(),
     }
 
+    # (f_a * f_b) * f_c - f_a * (f_b * f_c) as one sum of tower products,
+    # the right side's with negated coefficients
+    plus = coeffs["hbar_one"]
+    minus = [-c for c in plus]
     assoc_fail = []
     for a, b, c in itertools.product(names, repeat=3):
-        l = _tower_product(ts[a, b][0], tb[c][1], coeffs["hbar_one"])
-        r = _tower_product(tb[a][0], ts[b, c][1], coeffs["hbar_one"])
-        if not (l - r).is_zero():
+        if not _sum_of_products(ctx, _tower_terms(ts[a, b][0], tb[c][1], plus)
+                                + _tower_terms(tb[a][0], ts[b, c][1], minus)
+                                ).is_zero():
             assoc_fail.append((a, b, c))
     report["associativity"] = {"ok": not assoc_fail, "failures": assoc_fail,
                                "test_set": "all basis triples"}

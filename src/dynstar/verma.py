@@ -9,7 +9,8 @@ Vectors are plain dicts; every sum of them goes through one
 :class:`~dynstar.scalars.FieldAccumulator`, with signs, binomials and
 (-1)^n/n! as rational multipliers. The Verma module and the finite modules
 form their h and x action tables once, at construction, and the oracle
-checks the sl(2) relations on all three tables before it uses them.
+checks the sl(2) relations on all three tables, entry by entry, before it
+uses them; a solved intertwiner is checked depth by depth.
 """
 
 from __future__ import annotations
@@ -65,20 +66,15 @@ class _HighestWeightModule:
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def check_relations(self) -> bool:
-        """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every u_k with k < exact;
-        each generator acts on u_k once for all three relations."""
-        ctx = self.ctx
-        for k in range(self.exact):
-            m: Vec = {k: ctx.one()}
-            acted = {g: self.act(g, m) for g in ("h", "x", "y")}
-            for a, b, s, c in (("h", "x", 2, "x"), ("h", "y", -2, "y"),
-                               ("x", "y", 1, "h")):
-                # [a, b] m - s c m
-                if _signed_sum(ctx, ((1, self.act(a, acted[b])),
-                                     (-1, self.act(b, acted[a])),
-                                     (-s, acted[c]))):
-                    return False
-        return True
+        """[h,x] = 2x, [h,y] = -2y, [x,y] = h on every u_k with k < exact,
+        read off the tables: on u_k they leave x[k-1](h[k-1] - h[k] - 2),
+        h[k+1] - h[k] + 2 (for k < top) and x[k] - x[k-1] - h[k], with
+        entries past either end of a table equal to 0."""
+        h, zero = self.h, self.ctx.zero()
+        x = (zero, *self.x, zero)       # x[k-1] is x[k] here
+        return not any((k and x[k] * (h[k - 1] - h[k] - 2))
+                       or (k < self.top and h[k + 1] - h[k] + 2)
+                       or x[k + 1] - x[k] - h[k] for k in range(self.exact))
 
 
 class VermaData(_HighestWeightModule):
@@ -99,16 +95,12 @@ class VermaData(_HighestWeightModule):
         return super().act(gen, v)
 
     def casimir_scalar(self) -> FieldElement:
-        """The value by which c = xy + yx + h^2/2 acts, verified on every
-        basis vector of the truncation."""
-        ctx = self.ctx
+        """The value by which c = xy + yx + h^2/2 acts: x[k] + x[k-1] +
+        h[k]^2/2 on m_k, verified on every m_k of the truncation."""
         target = self.lam * (self.lam + 2) / 2
+        x = (self.ctx.zero(), *self.x)      # x[k-1] is x[k] here
         for k in range(self.K):
-            m: Vec = {k: ctx.one()}
-            if _signed_sum(ctx, ((1, self.act("x", self.act("y", m))),
-                                 (1, self.act("y", self.act("x", m))),
-                                 (QQ(1, 2), self.act("h", self.act("h", m))),
-                                 (-1, {k: target}))):
+            if x[k + 1] + x[k] + self.h[k] ** 2 * QQ(1, 2) - target:
                 raise VermaError(f"Casimir not scalar on m_{k}")
         return target
 
@@ -151,21 +143,19 @@ class Intertwiner:
         return dict(self.components.get(0, {}))
 
     def is_highest_weight(self) -> bool:
-        """x annihilates the image of the highest-weight vector, and h acts
-        on it by lam."""
-        ctx = self.verma.ctx
-        lam = self.verma.lam
-        parts: dict[str, list] = {"x": [], "h": []}
-        for k, v in self.components.items():
-            mk: Vec = {k: ctx.one()}
-            # g (m_k (x) v) = (g m_k) (x) v + m_k (x) g v
-            for gen, terms in parts.items():
-                for kk, mc in self.verma.act(gen, mk).items():
-                    terms.append((1, {(kk, j): mc * c for j, c in v.items()}))
-                terms.append((1, {(k, j): c for j, c in
-                                  self.module.act(gen, v).items()}))
-            parts["h"].append((-1, {(k, j): lam * c for j, c in v.items()}))
-        return not any(_signed_sum(ctx, terms) for terms in parts.values())
+        """x annihilates the image sum_k m_k (x) w_k of the highest-weight
+        vector, and h acts on it by lam: at each depth k the m_k-components
+        x_M[k] w_{k+1} + x w_k and (h_M[k] - lam) w_k + h w_k vanish."""
+        verma, module, w = self.verma, self.module, self.components
+        for k in set(w) | {k - 1 for k in w if k}:
+            wk, hk = w.get(k, {}), verma.h[k] - verma.lam
+            if _signed_sum(verma.ctx, (
+                    (1, {j: verma.x[k] * c for j, c in w.get(k + 1, {}).items()}),
+                    (1, module.act("x", wk)))) or _signed_sum(verma.ctx, (
+                    (1, {j: hk * c for j, c in wk.items()}),
+                    (1, module.act("h", wk)))):
+                return False
+        return True
 
 
 def build_verma(ctx: Context, K: int) -> VermaData:

@@ -102,6 +102,16 @@ class TestConditions:
         rep = check_coefficient_conditions(fam)
         assert not rep["odd"]["ok"]
 
+    def test_oddness_witness_is_first_member_of_the_pair(self, ctx):
+        # only the pair {(1, 1), (-1, -1)} breaks oddness; the changed root
+        # (1, 1) comes after (-1, -1) in rs.roots, which is the witness
+        spec, table = _fixture(ctx, "B", 2, [(1, 0)], [])
+        fam = build_coefficients(spec)
+        fam.x[(1, 1)] = fam.x[(1, 1)] + 1
+        assert fam.system.roots.index((-1, -1)) < fam.system.roots.index((1, 1))
+        rep = check_coefficient_conditions(fam)
+        assert rep["odd"] == {"ok": False, "witness": [(-1, -1)]}
+
     def test_t_equal_one_outside_u_rejected(self, ctx):
         with pytest.raises(SpecError):
             _fixture(ctx, "A", 2, [(1, 0)], [], t={(1, 0): 1})

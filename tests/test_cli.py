@@ -109,6 +109,15 @@ class TestTwistCommands:
         assert code == 0
         assert rep["cocycle"]["ok"] and rep["counit_ok"] and rep["h_invariant"]
 
+    def test_abrr_check_fails_without_h_invariance(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_h_invariance", lambda J: False)
+        code, head, rep = _capture(capsys, ["abrr-check", "--order", "2",
+                                            "--canonical"])
+        assert code == 1
+        assert head == "abrr-check: FAIL"
+        assert rep["cocycle"]["ok"] and rep["counit_ok"]
+        assert rep["h_invariant"] is False and rep["ok"] is False
+
     def test_cdybe_check(self, capsys):
         code, _, rep = _capture(capsys, ["cdybe-check", "--canonical"])
         assert code == 0

@@ -4,6 +4,7 @@ import sympy as sp
 from dynstar import (FiniteModule, Intertwiner, VermaData, VermaError,
                      build_verma, compose_and_extract, solve_intertwiner,
                      twist_action_on_pair)
+from dynstar import cli
 from dynstar import verma as verma_mod
 from dynstar.scalars import LAM
 
@@ -97,6 +98,48 @@ class TestActionTableControls:
         except VermaError:
             return
         assert rep["status"] == "mismatch"
+
+    # v = 4: h holds h v_0..h v_4 and x the coefficients of x v_1..x v_4
+    @pytest.mark.parametrize("table,i", [("h", i) for i in range(5)]
+                             + [("x", i) for i in range(4)])
+    def test_corrupted_module_entry_fails_relations(self, ctx, table, i):
+        V = FiniteModule(ctx, 4)
+        corrupt(V, table, i)
+        assert not V.check_relations()
+
+    # V4 from v_2 has components at depths 0, 1 and 2
+    @pytest.mark.parametrize("depth", range(3))
+    def test_corrupted_component_fails_highest_weight(self, verma, V4, ctx,
+                                                      depth):
+        phi = solve_intertwiner(verma, V4, {2: 1})
+        assert set(phi.components) == {0, 1, 2}
+        bad = dict(phi.components)
+        bad[depth] = {j: c + 1 for j, c in bad[depth].items()}
+        assert not Intertwiner(verma, V4, bad).is_highest_weight()
+
+    # m_0 (x) v_0: x kills v_0, so only the h - lam component (weight 2)
+    # sees it. m_1 (x) v_0: it passes at depth 1 and fails only at the
+    # empty depth 0 below it, through x m_1 = lam m_0.
+    @pytest.mark.parametrize("components", [{0: {0: 1}}, {1: {0: 1}}])
+    def test_misplaced_component_fails_highest_weight(self, verma, V2, ctx,
+                                                      components):
+        comps = {k: {j: ctx(c) for j, c in v.items()}
+                 for k, v in components.items()}
+        assert not Intertwiner(verma, V2, comps).is_highest_weight()
+
+    def test_checks_run_on_every_verdict(self, monkeypatch):
+        calls = {"check_relations": 0, "is_highest_weight": 0}
+        for cls, name in ((verma_mod._HighestWeightModule, "check_relations"),
+                          (Intertwiner, "is_highest_weight")):
+            def counted(self, real=getattr(cls, name), name=name):
+                calls[name] += 1
+                return real(self)
+            monkeypatch.setattr(cls, name, counted)
+        for _ in range(2):
+            assert cli.run(["verma-oracle", "--v", "4", "--w", "4",
+                            "--canonical"]) == 0
+        # the Verma module, V and W, and phi and psi, on each verdict
+        assert calls == {"check_relations": 6, "is_highest_weight": 4}
 
 
 class TestFiniteModule:
