@@ -22,7 +22,7 @@ def pole_locations(phi):
     predicts poles only at nonnegative integer shifts of lam."""
     lam = ctx.symbol("lam")
     return {int(r) for comp in phi.components.values() for c in comp.values()
-            for r in sp.roots(sp.Poly(sp.factor(c.denominator), lam), filter="Z")}
+            for r in sp.roots(sp.Poly(sp.factor(sp.fraction(c.expr)[1]), lam), filter="Z")}
 
 
 # %%

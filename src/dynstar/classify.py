@@ -7,8 +7,10 @@ with the hyperbolic cotangent encoded rationally: the parameter t_alpha
 stands for exp(2 alpha(h)), so x_alpha = (t_alpha + 1) / (2 (t_alpha - 1))
 on the Levi part. Every verification below is an exact rational identity,
 checked once and on its support: each symmetric condition once per root
-set, CYB mod u formed only on m (x) m (x) m, and Lagrangian membership at
-the n-indices that occur.
+set, CYB mod u formed only on m (x) m (x) m, and the Lagrangian subalgebra
+on basis indices, each basis vector one index of g with a coefficient per
+slot: isotropy where the form pairs two indices, closure entry by entry
+of the QQ bracket rows.
 Root systems, tables, coordinate maps and U-free realizations are shared
 per process; each spec, its t table, its u and every check are per verdict.
 """
@@ -25,7 +27,7 @@ from .rootsystems import Root, RootSystem, _add, _neg, _sub
 from .lie import (
     LieAlgebraData, Tensor2, build_casimir_tensor, check_invariance, cyb,
 )
-from .scalars import Context, FieldAccumulator, FieldElement
+from .scalars import Context, FieldElement
 
 
 class SpecError(ValueError):
@@ -113,15 +115,20 @@ def make_spec(
     """Convenience constructor in the standard simple system.
 
     Missing t-parameters default to 1 on U and to the context symbols
-    t1, t2, ... (by simple-root index) elsewhere.
+    t1, t2, ... (by simple-root index) elsewhere. A t-parameter for a root
+    outside Delta raises SpecError.
     """
     delta = tuple(tuple(d) for d in delta)
     Uset = frozenset(tuple(a) for a in U)
+    t = t or {}
+    for r in t:
+        if r not in delta:
+            raise SpecError(f"t-parameter given for {r}, which is not in Delta")
     tmap: dict[Root, FieldElement] = {}
     for d in delta:
         if d not in rs.simple:
             raise SpecError(f"{d} not in the standard simple system")
-        if t is not None and d in t:
+        if d in t:
             tmap[d] = ctx(t[d])
         elif d in Uset:
             tmap[d] = ctx.one()
@@ -288,96 +295,78 @@ def _levi_of(coords: Mapping[Root, Root], simple: Sequence[Root],
 # the Lagrangian subalgebra of g x g
 # ---------------------------------------------------------------------------
 
-Vec = dict[int, FieldElement]
-
-
 @dataclass
 class LagrangianData:
+    """l = {(x, y) in p_- x p_+ : theta(x_n) = y_n} in g x g, n = h + the
+    root spaces of N. Each basis vector (a e_i, b e_i) sits at one basis
+    index i of g in both slots and is kept as the triple (i, a, b):
+    (i, 1, theta_i) on n, (i, 1, 0) at E_{-gamma} and (i, 0, 1) at E_gamma,
+    gamma in R+ \\ N."""
+
     algebra: LieAlgebraData
-    basis: list[tuple[Vec, Vec]]
-    n_indices: tuple[int, ...]
+    basis: list[tuple[int, FieldElement, FieldElement]]
     theta: dict[int, FieldElement]    # eigenvalue of theta on each n-basis index
     minus_free: tuple[int, ...]       # E_{-gamma}, gamma in R+ \ N
     plus_free: tuple[int, ...]        # E_{gamma}, gamma in R+ \ N
 
-    def quad_form(self, v: tuple[Vec, Vec], w: tuple[Vec, Vec]) -> FieldElement:
-        g = self.algebra
-        acc = FieldAccumulator(g.ctx)
-        for sign, x, y in ((1, v[0], w[0]), (-1, v[1], w[1])):
-            for i, a in x.items():
-                for j, b in y.items():
-                    if q := g.pairing(i, j):
-                        acc.add(a * b, ((0, sign * q),))
-        return acc.sums().get(0, g.ctx.zero())
+    def is_isotropic(self) -> bool:
+        """<(x, y), (x', y')> = <x, x'> - <y, y'> vanishes on every basis
+        pair; on (i, a, b), (j, c, d) it is <e_i, e_j>(ac - bd), read only
+        where the form pairs i with j."""
+        form = self.algebra.form
+        return all(_times(a, c) == _times(b, d)
+                   for k, (i, a, b) in enumerate(self.basis)
+                   for j, c, d in self.basis[k:] if form[i][j])
 
-    def contains(self, v: tuple[Vec, Vec]) -> bool:
-        """Membership via the defining criterion: components in p_-, p_+,
-        with theta of the n-part of the left slot equal to the n-part of
-        the right slot. That is checked at the n-indices of either slot:
-        both sides vanish at any other."""
-        g = self.algebra
-        nset = set(self.n_indices)
-        left_ok = set(self.minus_free) | nset
-        right_ok = set(self.plus_free) | nset
-        for i, a in v[0].items():
-            if i not in left_ok and not a.is_zero():
-                return False
-        for i, a in v[1].items():
-            if i not in right_ok and not a.is_zero():
-                return False
-        z = g.ctx.zero()
-        for i in nset & (v[0].keys() | v[1].keys()):
-            lhs = self.theta[i] * v[0].get(i, z)
-            if not (lhs - v[1].get(i, z)).is_zero():
-                return False
+    def is_bracket_closed(self) -> bool:
+        """The bracket of (i, a, b) and (j, c, d) is (ac r, bd r) for the QQ
+        row r = [e_i, e_j]. It lies in l when, at each index s of r,
+        theta_s ac = bd if s is in n, and otherwise ac = 0 unless s is in
+        minus_free and bd = 0 unless s is in plus_free."""
+        g, theta = self.algebra, self.theta
+        for k, (i, a, b) in enumerate(self.basis):
+            for j, c, d in self.basis[k + 1:]:
+                if not (row := g.bracket(i, j)):
+                    continue
+                ac, bd = _times(a, c), _times(b, d)
+                for s in row:
+                    if s in theta:
+                        if _times(theta[s], ac) != bd:
+                            return False
+                    elif ((ac and s not in self.minus_free)
+                          or (bd and s not in self.plus_free)):
+                        return False
         return True
+
+
+def _times(x: FieldElement, y: FieldElement) -> FieldElement:
+    """x y; a zero factor is returned as it is, with no field operation."""
+    return x and y and x * y
 
 
 def build_lagrangian(spec: DynrSpec, g: LieAlgebraData) -> tuple[LagrangianData, dict]:
     """Basis and verification report for the Lagrangian subalgebra of g x g
     attached to the classification data."""
-    rs = spec.system
-    ctx = spec.ctx
+    one, zero = spec.ctx.one(), spec.ctx.zero()
     N = spec.levi_roots()
-    cartan = list(g.cartan_indices)
-    n_indices = cartan + [g.root_index[a] for a in sorted(N)]
-    theta: dict[int, FieldElement] = {i: ctx.one() for i in cartan}
-    for a in sorted(N):
-        theta[g.root_index[a]] = spec.t_of(a)
+    theta = {i: one for i in g.cartan_indices} | {
+        g.root_index[a]: spec.t_of(a) for a in sorted(N)}
     y_pos = sorted(spec.positive - N)
     minus_free = tuple(g.root_index[_neg(a)] for a in y_pos)
     plus_free = tuple(g.root_index[a] for a in y_pos)
+    basis = ([(i, one, th) for i, th in theta.items()]
+             + [(i, one, zero) for i in minus_free]
+             + [(i, zero, one) for i in plus_free])
+    lag = LagrangianData(g, basis, theta, minus_free, plus_free)
 
-    one = ctx.one()
-    basis: list[tuple[Vec, Vec]] = []
-    for i in n_indices:
-        basis.append(({i: one}, {i: theta[i]}))
-    for i in minus_free:
-        basis.append(({i: one}, {}))
-    for i in plus_free:
-        basis.append(({}, {i: one}))
-
-    lag = LagrangianData(g, basis, tuple(n_indices), theta, minus_free, plus_free)
-
-    report: dict = {"dim": len(basis), "dim_g": g.dim,
-                    "dim_ok": len(basis) == g.dim}
-    iso = all(
-        lag.quad_form(v, w).is_zero()
-        for i, v in enumerate(basis) for w in basis[i:]
-    )
-    report["isotropic"] = iso
-    closed = True
-    for i, v in enumerate(basis):
-        for w in basis[i + 1:]:
-            br = (g.bracket_vectors(v[0], w[0]), g.bracket_vectors(v[1], w[1]))
-            if not lag.contains(br):
-                closed = False
-    report["bracket_closed"] = closed
     # intersection with the diagonal: fixed vectors of theta inside n
-    fixed = sum(1 for i in n_indices if (theta[i] - one).is_zero())
-    report["diag_intersection_dim"] = fixed
-    report["dim_u"] = len(cartan) + len(spec.U)
-    report["diag_is_u"] = fixed == report["dim_u"]
-    report["all_ok"] = (report["dim_ok"] and iso and closed
-                        and report["diag_is_u"])
+    fixed = sum(1 for th in theta.values() if (th - one).is_zero())
+    dim_u = len(g.cartan_indices) + len(spec.U)
+    report = {"dim": len(basis), "dim_g": g.dim, "dim_ok": len(basis) == g.dim,
+              "isotropic": lag.is_isotropic(),
+              "bracket_closed": lag.is_bracket_closed(),
+              "diag_intersection_dim": fixed, "dim_u": dim_u,
+              "diag_is_u": fixed == dim_u}
+    report["all_ok"] = all(report[k] for k in (
+        "dim_ok", "isotropic", "bracket_closed", "diag_is_u"))
     return lag, report

@@ -111,18 +111,6 @@ class LieAlgebraData:
         """[e_i, e_j] as a read-only sparse coordinate vector over QQ."""
         return self._brackets.get((i, j), self._EMPTY)
 
-    def bracket_vectors(self, v: Mapping[int, FieldElement],
-                        w: Mapping[int, FieldElement]) -> dict[int, FieldElement]:
-        acc = FieldAccumulator(self.ctx)
-        for i, a in v.items():
-            for j, b in w.items():
-                if row := self.bracket(i, j):
-                    acc.add(a * b, row.items())
-        return acc.sums()
-
-    def pairing(self, i: int, j: int):
-        return self.form[i][j]
-
     def form_inverse(self) -> tuple[tuple, ...]:
         """The inverse of the form over QQ, formed once and shared by the
         copies of this algebra that keep its form (every realization of a

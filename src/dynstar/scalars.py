@@ -202,14 +202,6 @@ class FieldElement:
             self._reduced = True
 
     @property
-    def numerator(self) -> sp.Expr:
-        return sp.fraction(self.expr)[0]
-
-    @property
-    def denominator(self) -> sp.Expr:
-        return sp.fraction(self.expr)[1]
-
-    @property
     def expr(self) -> sp.Expr:
         self._reduce()
         if self._const is not None:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 
@@ -111,6 +112,12 @@ class TestConditions:
         assert fam.system.roots.index((-1, -1)) < fam.system.roots.index((1, 1))
         rep = check_coefficient_conditions(fam)
         assert rep["odd"] == {"ok": False, "witness": [(-1, -1)]}
+
+    def test_t_outside_delta_rejected(self, ctx):
+        rs = build_root_system("A", 2)
+        with pytest.raises(SpecError, match=r"\(0, 1\).*not in Delta"):
+            make_spec(rs, ctx, [(1, 0)], [], t={(1, 0): 3, (0, 1): 3})
+        assert make_spec(rs, ctx, [(1, 0)], [], t={(1, 0): 3}).t_of((1, 0)) == 3
 
     def test_t_equal_one_outside_u_rejected(self, ctx):
         with pytest.raises(SpecError):
@@ -381,10 +388,20 @@ class TestLagrangian:
         spec, table = _fixture(ctx, "A", 2, [(1, 0)], [(1, 0), (-1, 0)])
         g = realize_lie_algebra(table, ctx, U=spec.U)
         lag, rep = build_lagrangian(spec, g)
-        for v in lag.basis:
-            assert lag.contains(v)
+        one, zero = ctx.one(), ctx.zero()
+        assert sorted(i for i, _, _ in lag.basis) == list(range(g.dim))
+        for i, a, b in lag.basis:
+            assert reference_contains(lag, ({i: a}, {i: b}))
+            if i in lag.theta:
+                assert (a, b) == (one, lag.theta[i])
+            else:
+                assert (a, b) == ((one, zero) if i in lag.minus_free
+                                  else (zero, one))
+        # (E_{(1,1)}, 0) lies outside l, and l with it is not isotropic
         i = g.root_index[(1, 1)]
-        assert not lag.contains(({i: ctx.one()}, {}))
+        assert not reference_contains(lag, ({i: one}, {}))
+        bigger = dataclasses.replace(lag, basis=lag.basis + [(i, one, zero)])
+        assert not bigger.is_isotropic()
 
 
 # Each check below skips work whose answer is known: CYB is formed on
@@ -428,23 +445,59 @@ def reference_conditions(fam):
 
 
 def reference_contains(lag, v):
-    """Membership, comparing theta v0[i] with v1[i] at every n-index."""
+    """Membership of the vector pair v = (v0, v1): v0 in p_-, v1 in p_+, and
+    theta v0[i] = v1[i] at every n-index."""
     z = lag.algebra.ctx.zero()
-    nset = set(lag.n_indices)
-    if any(i not in nset | set(lag.minus_free) and not a.is_zero()
+    if any(i not in lag.theta and i not in lag.minus_free and not a.is_zero()
            for i, a in v[0].items()):
         return False
-    if any(i not in nset | set(lag.plus_free) and not a.is_zero()
+    if any(i not in lag.theta and i not in lag.plus_free and not a.is_zero()
            for i, a in v[1].items()):
         return False
     return all((lag.theta[i] * v[0].get(i, z) - v[1].get(i, z)).is_zero()
-               for i in nset)
+               for i in lag.theta)
+
+
+def reference_lagrangian(lag):
+    """(isotropic, bracket_closed) by the full scan over pairs of basis
+    vectors, each a pair of coordinate vectors, with the form and the
+    brackets formed from ``g.form`` and ``g.bracket``."""
+    g = lag.algebra
+    z = g.ctx.zero()
+
+    def form(x, y):
+        return sum((a * b * g.form[i][j] for i, a in x.items()
+                    for j, b in y.items()), z)
+
+    def bracket(x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for s, q in g.bracket(i, j).items():
+                    out[s] = out.get(s, z) + a * b * q
+        return out
+
+    vecs = [({i: a}, {i: b}) for i, a, b in lag.basis]
+    pairs = [(v, w) for k, v in enumerate(vecs) for w in vecs[k:]]
+    isotropic = all((form(v[0], w[0]) - form(v[1], w[1])).is_zero()
+                    for v, w in pairs)
+    closed = all(reference_contains(lag, (bracket(v[0], w[0]),
+                                          bracket(v[1], w[1])))
+                 for v, w in pairs)
+    return isotropic, closed
 
 
 def _with_theta_changed(spec, a):
     """The spec with t_a doubled in its table, and t_{-a} kept."""
     mutated = copy.copy(spec)
     mutated.t_table = {**spec.t_table, a: spec.t_table[a] * 2}
+    return mutated
+
+
+def _with_gamma_flipped(spec, c):
+    """The spec with c, a root of R+ \\ N, replaced by -c in R+."""
+    mutated = copy.copy(spec)
+    mutated.positive = (spec.positive - {c}) | {tuple(-x for x in c)}
     return mutated
 
 
@@ -491,26 +544,23 @@ class TestShortcutsAgainstReferences:
                     multiple += any(len(v) > 2 for v in bad.values())
         assert checked > 200 and multiple > 100
 
-    @pytest.mark.parametrize("family,rank,delta,in_u", SPECS[:2],
-                             ids=[f"{f}{r}" for f, r, *_ in SPECS[:2]])
-    def test_contains_matches_the_full_n_scan(self, family, rank, delta, in_u):
+    @pytest.mark.parametrize("family,rank,delta,in_u", SPECS,
+                             ids=[f"{f}{r}" for f, r, *_ in SPECS])
+    def test_report_matches_the_vector_scan(self, family, rank, delta, in_u):
         spec, table = _indexed_spec(family, rank, delta, in_u)
         g = realize_lie_algebra(table, CTX4, U=spec.U)
+        N = spec.levi_roots()
+        cases = [spec] + \
+            [_with_theta_changed(spec, a) for a in sorted(N - spec.U)] + \
+            [_with_gamma_flipped(spec, c) for c in sorted(spec.positive - N)]
         seen = set()
-        for s in (spec, _with_theta_changed(spec, min(spec.levi_roots()))):
-            lag, _ = build_lagrangian(s, g)
-            for i, v in enumerate(lag.basis):
-                for w in lag.basis[i + 1:]:
-                    br = (g.bracket_vectors(v[0], w[0]),
-                          g.bracket_vectors(v[1], w[1]))
-                    seen.add(lag.contains(br))
-                    assert lag.contains(br) == reference_contains(lag, br)
-            one = CTX4.one()
-            for i in lag.n_indices:
-                for v in (({i: one}, {}), ({}, {i: one})):
-                    assert not lag.contains(v)
-                    assert not reference_contains(lag, v)
-        assert seen == {True, False}
+        for s in cases:
+            lag, rep = build_lagrangian(s, g)
+            got = (rep["isotropic"], rep["bracket_closed"])
+            assert got == reference_lagrangian(lag)
+            seen.add(got)
+        assert {True, False} == {iso for iso, _ in seen} \
+            == {closed for _, closed in seen}
 
     @pytest.mark.parametrize("family,rank,delta,in_u", SPECS[:3],
                              ids=[f"{f}{r}" for f, r, *_ in SPECS[:3]])

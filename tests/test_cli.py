@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dynstar import cli
+from dynstar import classify, cli, rootsystems
 from dynstar.cli import run
 
 
@@ -40,6 +40,14 @@ class TestClassify:
     def test_bad_token(self, capsys):
         code = run(["classify", "--type", "A", "--rank", "2", "--delta", "b1"])
         assert code == 2
+
+    def test_t_outside_delta_rejected(self, capsys):
+        # a binding that the spec would never read is bad input
+        code = run(["classify", "--type", "A", "--rank", "2",
+                    "--delta", "a1", "--t", "a2=3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "(0, 1)" in captured.err and "not in Delta" in captured.err
 
     def test_t_one_outside_u(self, capsys):
         code = run(["classify", "--type", "A", "--rank", "2",
@@ -82,6 +90,53 @@ class TestVerifyAndLagrangian:
         assert code == 0
         assert rep["dim"] == 8
         assert rep["diag_intersection_dim"] == 4
+
+
+def _double_theta(monkeypatch):
+    """theta doubled at the first root a of N \\ U (t_a only, t_{-a} kept)."""
+    real = classify.DynrSpec.t_of
+
+    def t_of(spec, b):
+        a = min(spec.levi_roots() - spec.U)
+        return real(spec, b) * 2 if tuple(b) == a else real(spec, b)
+
+    monkeypatch.setattr(classify.DynrSpec, "t_of", t_of)
+
+
+def _flip_gamma(monkeypatch):
+    """The first root of R+ \\ N that is not simple swapped for its
+    negative in R+, which leaves a set that is no positive system."""
+    real = classify.make_spec
+
+    def make_spec(*args, **kwargs):
+        spec = real(*args, **kwargs)
+        c = min(spec.positive - spec.levi_roots() - set(spec.simple))
+        spec.positive = (spec.positive - {c}) | {tuple(-x for x in c)}
+        assert spec.positive not in rootsystems.positive_systems(spec.system)
+        return spec
+
+    monkeypatch.setattr(classify, "make_spec", make_spec)
+
+
+class TestLagrangianMutations:
+    B3 = ["--type", "B", "--rank", "3", "--delta", "a2,a3", "--u", "pm-a2"]
+
+    def test_unmutated_passes(self, capsys):
+        code, head, rep = _capture(capsys, ["lagrangian", *self.B3,
+                                            "--canonical"])
+        assert (code, head) == (0, "lagrangian: PASS")
+        assert rep["isotropic"] and rep["bracket_closed"] and rep["ok"]
+
+    @pytest.mark.parametrize("mutate,isotropic", [
+        (_double_theta, False), (_flip_gamma, True)], ids=["theta", "gamma"])
+    def test_mutation_fails_with_exit_1(self, capsys, monkeypatch, mutate,
+                                        isotropic):
+        mutate(monkeypatch)
+        code, head, rep = _capture(capsys, ["lagrangian", *self.B3,
+                                            "--canonical"])
+        assert (code, head) == (1, "lagrangian: FAIL")
+        assert rep["isotropic"] is isotropic
+        assert rep["bracket_closed"] is False and rep["ok"] is False
 
 
 class TestTableOnlyWhereRead:

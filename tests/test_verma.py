@@ -16,7 +16,7 @@ def pole_locations(phi: Intertwiner) -> set[int]:
     roots: set[int] = set()
     for v in phi.components.values():
         for c in v.values():
-            den = sp.factor(c.denominator)
+            den = sp.factor(sp.fraction(c.expr)[1])
             poly = sp.Poly(den, lam)
             for r in sp.roots(poly, filter="Z"):
                 roots.add(int(r))
