@@ -30,7 +30,11 @@ def pole_locations(phi):
 # (adjoint) module. The intertwiner with a given zero-weight expectation
 # value is solved from a triangular recursion.
 verma = build_verma(ctx, 8)
-print("Casimir acts by", verma.casimir_scalar().to_string())
+# The Casimir c = xy + yx + h^2/2 acts on m_k by x[k] + x[k-1] + h[k]^2/2,
+# read off the action tables: one value on every m_k of the truncation.
+x = (ctx.zero(), *verma.x)      # x[k-1] is x[k] here
+print("Casimir acts by", *{(x[k + 1] + x[k] + verma.h[k] ** 2 / 2).to_string()
+                           for k in range(verma.K)})
 
 V = FiniteModule(ctx, 2)
 phi = solve_intertwiner(verma, V, {1: 1})

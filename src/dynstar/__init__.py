@@ -1,16 +1,14 @@
 """Exact symbolic tools for dynamical r-matrices, quantum dynamical twists,
 star-products on SL(2) orbits and twist projection."""
 
-from .scalars import (Context, ContextMismatchError, FieldElement, PoleError,
-                      SeriesCoefficients)
+from .scalars import Context, ContextMismatchError, FieldElement, PoleError
 from .rootsystems import (RootSystem, RootSystemError, StructureTable,
                           build_root_system, check_parabolic,
                           check_reductive_subset, chevalley_constants,
                           positive_systems, simple_roots_of)
 from .lie import (LieAlgebraData, LieAlgebraError, Tensor2, Tensor3, alt,
                   build_casimir_tensor, check_invariance, cyb,
-                  realize_lie_algebra, reduce_mod_u, sl2, tensor2_from_names,
-                  tensor_to_json)
+                  realize_lie_algebra, sl2, tensor2_from_names, tensor_to_json)
 from .classify import (CoefficientFamily, DynrSpec, LagrangianData,
                        QuasiUnitarityError, SpecError, build_coefficients,
                        build_lagrangian, check_coefficient_conditions,
@@ -30,9 +28,8 @@ from .verma import (FiniteModule, Intertwiner, VermaData, VermaError,
                     build_verma, compose_and_extract, solve_intertwiner,
                     twist_action_on_pair)
 from .projection import (ProjectedTwist, ProjectionError, SplittingData,
-                         check_cb_identity, check_nondynamical_twist,
-                         closed_form_jv, project_twist, rising_factorial,
-                         rising_factorial_projection, split_basis_sl2)
+                         check_nondynamical_twist, closed_form_jv,
+                         project_twist, rising_factorial, split_basis_sl2)
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "1.0.0"

@@ -73,6 +73,9 @@ class DynrSpec:
                 raise SpecError(f"missing t-parameter for {d}")
             if d in self.U and not (td - one).is_zero():
                 raise SpecError(f"t must be 1 on U (violated at {d})")
+            if td.is_zero():
+                # t_d stands for exp(2 d(h)), so t_{-d} = 1/t_d must exist
+                raise SpecError(f"t-parameter is zero at {d}")
         # t_alpha multiplicative over N: up the positive roots of N by
         # height, t_a = t_{a-d} t_d for a root a - d, and t_{-a} = 1/t_a
         pos = sorted((a for a in N if min(self.coords[a]) >= 0),

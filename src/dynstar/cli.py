@@ -370,6 +370,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if merged[0] is None:
             print("error: job file missing command", file=sys.stderr)
             return 2
+        if not isinstance(merged[0], str):
+            print("error: job file command must be a string", file=sys.stderr)
+            return 2
         for k, v in job.items():
             flag = "--" + k.replace("_", "-")
             if isinstance(v, bool):

@@ -1,9 +1,11 @@
 """Poincare-Birkhoff-Witt normal forms for universal enveloping algebras.
 
 Elements are stored as maps from exponent vectors (in a fixed generator
-order) to coefficients: field elements, or rationals (ints when integral)
-for the twist tower and changes of basis. Multiplication straightens words
-by recursive adjacent swaps against the bracket table, with memoized word
+order) to coefficients, all rationals (ints when integral) or all field
+elements. The constructors (the unit, the generators, the tensor unit)
+give rational elements, and field coefficients enter only through a field
+scale or a twist's field view. Multiplication straightens words by
+recursive adjacent swaps against the bracket table, with memoized word
 normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
 keeps it, and so is every normal form. Elements and tensors share one
 product, :func:`_product`, which touches the coefficients once per pair of
@@ -167,16 +169,13 @@ class PBWAlgebra:
         return UEAElement(self, {})
 
     def one(self) -> "UEAElement":
-        return UEAElement(self, {(0,) * self.ngens: self.ctx.one()})
+        return UEAElement(self, {(0,) * self.ngens: 1})
 
     def gen(self, name: str) -> "UEAElement":
         i = self.order.index(name)
         e = [0] * self.ngens
         e[i] = 1
-        return UEAElement(self, {tuple(e): self.ctx.one()})
-
-    def monomial(self, exp: Exp, coeff=1) -> "UEAElement":
-        return UEAElement(self, {tuple(exp): self.ctx(coeff)})
+        return UEAElement(self, {tuple(e): 1})
 
     # -- straightening -----------------------------------------------------
 
@@ -256,22 +255,11 @@ class UEAElement(LinearCombination):
             out = out * self
         return out
 
-    def counit(self) -> FieldElement:
-        """Coefficient of the empty monomial."""
-        return self.terms.get((0,) * self.algebra.ngens, self.algebra.ctx.zero())
-
     def coproduct(self) -> "TensorUEA":
         """Standard coproduct: generators primitive, extended
         multiplicatively; the one-slot :meth:`TensorUEA.slot_coproduct`."""
         return TensorUEA((self.algebra,), {
             (e,): c for e, c in self.terms.items()}).slot_coproduct(0)
-
-    def to_json(self) -> dict:
-        return {
-            "gens": list(self.algebra.order),
-            "terms": [{"exp": list(k), "coeff": self.ctx(v).to_string()}
-                      for k, v in sorted(self.terms.items())],
-        }
 
     def __repr__(self) -> str:
         return terms_repr(self.ctx, (self.algebra.order,),
@@ -299,7 +287,7 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
         for j, q in enumerate(row) if q}) for name, row in zip(old.order, rows)}
     out = target.zero()
     for exp, c in u.terms.items():
-        acc = UEAElement(target, {(0,) * target.ngens: 1})
+        acc = target.one()
         for i, e in enumerate(exp):
             for _ in range(e):
                 acc = acc * images[old.order[i]]
@@ -333,7 +321,7 @@ def multiply_keys(slots: Sequence[PBWAlgebra], k1: tuple, k2: tuple) -> list:
 
 class TensorUEA(LinearCombination):
     """A tensor power of enveloping algebras: maps from tuples of exponent
-    vectors (one per slot) to field coefficients."""
+    vectors (one per slot) to coefficients, rational or in the field."""
 
     __slots__ = ("slots", "terms")
 
@@ -348,8 +336,8 @@ class TensorUEA(LinearCombination):
 
     @classmethod
     def unit(cls, slots: Sequence[PBWAlgebra]) -> "TensorUEA":
-        key = tuple((0,) * a.ngens for a in slots)
-        return cls(slots, {key: slots[0].ctx.one()})
+        """1 (x) ... (x) 1 over QQ."""
+        return cls(slots, {tuple((0,) * a.ngens for a in slots): 1})
 
     def _like(self, terms) -> "TensorUEA":
         return TensorUEA(self.slots, terms)
@@ -407,7 +395,7 @@ class TensorUEA(LinearCombination):
         another algebra) independently in every slot. The images take the
         coefficients of the result: rational images of a rational tensor
         give a rational tensor."""
-        units = [f(UEAElement(alg, {(0,) * alg.ngens: 1})) for alg in self.slots]
+        units = [f(alg.one()) for alg in self.slots]
         acc = _accumulator(self.ctx, self.terms, *(u.terms for u in units))
         for k, v in self.terms.items():
             mapped = [f(UEAElement(alg, {e: 1}))

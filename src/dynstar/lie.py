@@ -1,8 +1,9 @@
 """Realized Lie algebras with an invariant form, and the rank-2/3 tensor
-calculus on top of them: CYB, Alt, the split Casimir, invariance checks,
-and reduction modulo a marked subalgebra. Brackets and the form are over
-QQ and tensor coefficients in the field: a tensor sum takes each bracket
-constant as a :class:`~dynstar.scalars.FieldAccumulator`'s rational multiplier.
+calculus on top of them: CYB (whole, or restricted to a marked
+complement), Alt, the split Casimir and invariance checks. Brackets and
+the form are over QQ and tensor coefficients in the field: a tensor sum
+takes each bracket constant as a
+:class:`~dynstar.scalars.FieldAccumulator`'s rational multiplier.
 
 The U-free realization of a shared structure table holds no Context; it
 is checked once per (family, rank) and shared read-only. Each realization
@@ -271,10 +272,6 @@ class _Tensor(LinearCombination):
     def ctx(self) -> Context:
         return self.algebra.ctx
 
-    @property
-    def coeffs(self) -> dict[tuple, FieldElement]:
-        return self.terms
-
     def __getitem__(self, key: tuple) -> FieldElement:
         return self.terms.get(tuple(key), self.algebra.ctx.zero())
 
@@ -282,12 +279,12 @@ class _Tensor(LinearCombination):
         return type(self)(self.algebra, coeffs)
 
     def support(self) -> list[tuple]:
-        return sorted(self.coeffs)
+        return sorted(self.terms)
 
     def __repr__(self):
         entries = ", ".join(
             "(" + ",".join(self.algebra.names[i] for i in k) + f"): {v.to_string()}"
-            for k, v in sorted(self.coeffs.items())
+            for k, v in sorted(self.terms.items())
         )
         return f"{type(self).__name__}{{{entries}}}"
 
@@ -297,7 +294,7 @@ class Tensor2(_Tensor):
 
     def transpose(self) -> "Tensor2":
         """The 21-flip."""
-        return Tensor2(self.algebra, {(j, i): v for (i, j), v in self.coeffs.items()})
+        return Tensor2(self.algebra, {(j, i): v for (i, j), v in self.terms.items()})
 
     def is_antisymmetric(self) -> bool:
         return (self + self.transpose()).is_zero()
@@ -324,7 +321,7 @@ def cyb(r: Tensor2, within: Optional[set[int]] = None) -> Tensor3:
     own, so that is CYB(r) restricted to within (x) within (x) within."""
     g = r.algebra
     acc = FieldAccumulator(g.ctx)
-    items = list(r.coeffs.items())
+    items = list(r.terms.items())
     for (a, b), v1 in items:
         for (c, d), v2 in items:
             terms = [((k, b, d), q) for k, q in g.bracket(a, c).items()]  # [r12, r13]
@@ -340,20 +337,9 @@ def cyb(r: Tensor2, within: Optional[set[int]] = None) -> Tensor3:
 def alt(t: Tensor3) -> Tensor3:
     """Alt(t) = t^123 + t^231 + t^312 (sum of cyclic slot rotations)."""
     acc = FieldAccumulator(t.ctx)
-    for (a, b, c), v in t.coeffs.items():
+    for (a, b, c), v in t.terms.items():
         acc.add(v, (((a, b, c), 1), ((c, a, b), 1), ((b, c, a), 1)))
     return Tensor3(t.algebra, acc.sums())
-
-
-def reduce_mod_u(t: Tensor3) -> Tensor3:
-    """Project each slot onto m along u (the image in the quotient of g by u,
-    slot-wise). Requires a marked subalgebra."""
-    g = t.algebra
-    if g.m_indices is None:
-        raise LieAlgebraError("algebra has no marked subalgebra u")
-    mset = set(g.m_indices)
-    return Tensor3(g, {k: v for k, v in t.coeffs.items()
-                       if all(i in mset for i in k)})
 
 
 def check_invariance(t: _Tensor, generators: Iterable[int]) -> bool:
@@ -361,7 +347,7 @@ def check_invariance(t: _Tensor, generators: Iterable[int]) -> bool:
     g = t.algebra
     for zi in generators:
         acc = FieldAccumulator(g.ctx)
-        for key, v in t.coeffs.items():
+        for key, v in t.terms.items():
             acc.add(v, [(key[:slot] + (k,) + key[slot + 1:], q)
                         for slot in range(t.rank)
                         for k, q in g.bracket(zi, key[slot]).items()])
@@ -378,5 +364,5 @@ def tensor2_from_names(g: LieAlgebraData, entries: Mapping[tuple[str, str], obje
 def tensor_to_json(t: _Tensor) -> list[dict]:
     return [
         {"slots": [t.algebra.names[i] for i in k], "coeff": v.to_string()}
-        for k, v in sorted(t.coeffs.items())
+        for k, v in sorted(t.terms.items())
     ]

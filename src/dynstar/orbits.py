@@ -20,7 +20,7 @@ twist there; it forms the towers of its operands and the coefficient lists
 c_n once, and decides each associativity triple from the one sum
 (f_a*f_b)*f_c - f_a*(f_b*f_c) of both sides' tower products. Its
 filtration ranks are taken over products of basis functions indexed by
-multisets, evaluated at lam = 1, over QQ.
+multisets, evaluated at lam = 1, over QQ, all from one echelon form.
 """
 
 from __future__ import annotations
@@ -300,13 +300,6 @@ def apply_twist_orders(J, f1: OrbitFunction, f2: OrbitFunction) -> list[OrbitFun
             for t in J.orders]
 
 
-def _span_rank(rows: Sequence[Mapping[MExp, object]]) -> int:
-    """Rank of the span of rows of rationals keyed by monomial."""
-    cols = list(dict.fromkeys(e for row in rows for e in row))
-    return DomainMatrix([[row.get(e, QQ.zero) for e in cols] for row in rows],
-                        (len(rows), len(cols)), QQ).rank()
-
-
 def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     """Exact verification of the orbit-algebra identities, over the context
     of U sl(2), whose twist drives scalar_reduction.
@@ -430,14 +423,22 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
               for n in names]
     layer = [(0, OrbitFunction.constant(ctx, 1))]   # (last factor, product)
     rows: list[dict] = []
-    dims = []
+    sizes = []      # the number of products of degree <= d
     for d in range(FILTRATION_DEGREE + 1):
         if d:
             layer = [(j, p * at_one[j]) for i, p in layer
                      for j in range(i, len(names))]
         rows.extend({e: c.as_rational() for e, c in p.terms.items()}
                     for _, p in layer)
-        dims.append(_span_rank(rows))
+        sizes.append(len(rows))
+    # One echelon form of the transposed matrix: its pivot columns are the
+    # rows independent of the rows before them, so the rank of a prefix is
+    # the number of pivots inside it.
+    cols = list(dict.fromkeys(e for row in rows for e in row))
+    _, pivots = DomainMatrix(
+        [[row.get(e, QQ.zero) for row in rows] for e in cols],
+        (len(cols), len(rows)), QQ).rref()
+    dims = [sum(p < n for p in pivots) for n in sizes]
     expected = [(d + 1) ** 2 for d in range(FILTRATION_DEGREE + 1)]
     report["filtration_dims"] = {"ok": dims == expected, "dims": dims,
                                  "expected": expected}

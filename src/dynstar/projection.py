@@ -171,32 +171,10 @@ def project_twist(J: TwistSeries, sp: SplittingData) -> ProjectedTwist:
 def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
     """g (g+1) ... (g+n-1) for a generator g, over QQ."""
     one, e = (0,) * alg.ngens, next(iter(alg.gen(name).terms))
-    out = UEAElement(alg, {one: 1})
+    out = alg.one()
     for i in range(n):
         out = out * UEAElement(alg, {e: 1, one: i})
     return out
-
-
-def rising_factorial_projection(sp: SplittingData, n: int) -> dict:
-    """pi_v(y^n) two ways: brute-force straightening of (b+c)^n with the
-    Cartan monomials dropped, against the closed rising factorial."""
-    pbw = sp.pbw
-    # b + c is the ambient lowering generator in the standard splitting
-    brute = project_drop_right((pbw.gen("b") + pbw.gen("c")) ** n, (sp.h_name,))
-    closed = rising_factorial(pbw, "b", n)
-    return {"n": n, "brute": brute, "closed": closed,
-            "equal": (brute - closed).is_zero()}
-
-
-def check_cb_identity(sp: SplittingData, n: int) -> bool:
-    """c b^n = b ((b+1)^n - b^n) + (b+1)^n c in the split enveloping
-    algebra."""
-    pbw = sp.pbw
-    b, c = pbw.gen("b"), pbw.gen("c")
-    b1 = b + pbw.one()
-    lhs = c * b ** n
-    rhs = b * (b1 ** n - b ** n) + b1 ** n * c
-    return (lhs - rhs).is_zero()
 
 
 def closed_form_jv(sp: SplittingData, N: int,

@@ -211,14 +211,6 @@ class FieldElement:
         _, num, den = sp.cancel((self.num.as_expr(), self.den.as_expr()))
         return num / den
 
-    def depends_on(self, name: str) -> bool:
-        """Whether the reduced function involves the named parameter."""
-        x = self.context.index(name)
-        if self.num.degree(x) <= 0 and self.den.degree(x) <= 0:
-            return False
-        self._reduce()
-        return self.num.degree(x) > 0 or self.den.degree(x) > 0
-
     def as_rational(self):
         """The value in QQ of a constant, else None."""
         if self._const is None and not self._reduced:
@@ -367,13 +359,14 @@ class FieldElement:
             return _frac(self.context, num.diff(x), den)
         return _frac(self.context, num.diff(x) * den - num * dden, den * den)
 
-    def series_expand(self, var: str, order: int) -> "SeriesCoefficients":
-        """Truncated power-series expansion around var = 0.
+    def series_expand(self, var: str, order: int) -> list["FieldElement"]:
+        """Truncated power-series expansion around var = 0: the list of
+        c_0..c_order with self = sum c_k var^k mod var^(order+1).
 
-        Requires no pole at var = 0. Coefficients c_k are free of var and
-        satisfy self = sum c_k var^k mod var^(order+1). With num = sum n_k
-        var^k and den = sum d_k var^k, c_k = p_k / d_0^(k+1) where
-        p_k = n_k d_0^k - sum_{j=1..k} d_j p_{k-j} d_0^(j-1).
+        Requires no pole at var = 0. With num = sum n_k var^k and
+        den = sum d_k var^k, c_k = p_k / d_0^(k+1) where
+        p_k = n_k d_0^k - sum_{j=1..k} d_j p_{k-j} d_0^(j-1). The c_k are
+        free of var: the n_k and d_k are coefficients in var.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -386,8 +379,7 @@ class FieldElement:
         if not d0:
             raise PoleError(f"pole at {var} = 0; cannot expand")
         if len(d) == 1:
-            return SeriesCoefficients(
-                var, [_frac(ctx, n.get(k, zero), d0) for k in range(order + 1)])
+            return [_frac(ctx, n.get(k, zero), d0) for k in range(order + 1)]
         powers, p = [ctx._one_poly], []
         for k in range(order + 1):
             powers.append(powers[-1] * d0)
@@ -396,8 +388,7 @@ class FieldElement:
                 if j in d and p[k - j]:
                     acc = acc - d[j] * p[k - j] * powers[j - 1]
             p.append(acc)
-        return SeriesCoefficients(
-            var, [_frac(ctx, pk, powers[k + 1]) for k, pk in enumerate(p)])
+        return [_frac(ctx, pk, powers[k + 1]) for k, pk in enumerate(p)]
 
     def evaluate(self, bindings: Mapping[str, Scalarish]) -> "FieldElement":
         """Exact simultaneous substitution of parameters.
@@ -481,29 +472,6 @@ def _terms_string(ctx: Context, terms: list[tuple[tuple, int]]) -> str:
             factors.insert(0, str(abs(c)))
         out.append(("-" if c < 0 else "+") + "*".join(factors))
     return "".join(out).removeprefix("+")
-
-
-class SeriesCoefficients:
-    """Coefficients c_0..c_N of a truncated expansion in one parameter."""
-
-    def __init__(self, var: str, coefficients: Sequence[FieldElement]):
-        self.var = var
-        self.coefficients: list[FieldElement] = list(coefficients)
-        for c in self.coefficients:
-            if c.depends_on(var):
-                raise ValueError("series coefficient not free of expansion variable")
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, k: int) -> FieldElement:
-        return self.coefficients[k]
-
-    def __iter__(self) -> Iterable[FieldElement]:
-        return iter(self.coefficients)
-
-    def __repr__(self) -> str:
-        return f"SeriesCoefficients({self.var}, {[c.to_string() for c in self]})"
 
 
 class FieldAccumulator:

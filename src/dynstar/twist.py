@@ -32,11 +32,6 @@ class TwistError(ValueError):
     pass
 
 
-def _unit(slots: Sequence[PBWAlgebra]) -> TensorUEA:
-    """1 (x) ... (x) 1 over QQ."""
-    return TensorUEA(slots, {tuple((0,) * a.ngens for a in slots): 1})
-
-
 def laurent_grades(c: FieldElement, n: int) -> dict[int, object]:
     """The entry check of one order-n coefficient: the q_d in QQ with
     c = sum_d q_d lam^d. A coefficient that is not a Laurent polynomial in
@@ -49,11 +44,12 @@ def laurent_grades(c: FieldElement, n: int) -> dict[int, object]:
 
 
 def _grades(t: TensorUEA, n: int) -> dict[int, TensorUEA]:
-    """A field tensor t of order n as {d: T_d} over QQ with
-    t = sum_d lam^d T_d, every coefficient through :func:`laurent_grades`."""
+    """A tensor t of order n as {d: T_d} over QQ with t = sum_d lam^d T_d,
+    every coefficient coerced into the field and through
+    :func:`laurent_grades`."""
     split: dict[int, dict] = {}
     for k, c in t.terms.items():
-        for d, q in laurent_grades(c, n).items():
+        for d, q in laurent_grades(t.ctx(c), n).items():
             split.setdefault(d, {})[k] = lean(q)
     return {d: TensorUEA(t.slots, terms) for d, terms in split.items()}
 
@@ -155,9 +151,6 @@ class TwistSeries:
             {**a, **{d: a[d] - t if d in a else -t for d, t in b.items()}}
             for a, b in zip(self.grades, other.grades)])
 
-    def is_zero(self) -> bool:
-        return not any(self.grades)
-
     def differing_orders(self, other: "TwistSeries") -> list[int]:
         """The orders, through the lower truncation, at which the two series
         differ. Coefficients are nonzero and compared exactly, so equal
@@ -185,7 +178,7 @@ class TwistSeries:
 
 
 def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
-    return TwistSeries.graded(slots, [{0: _unit(slots)}] + [{}] * N)
+    return TwistSeries.graded(slots, [{0: TensorUEA.unit(slots)}] + [{}] * N)
 
 
 def summed_series(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
@@ -201,7 +194,7 @@ def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> TwistSeries:
     k = 0..kmax, as QQ grades."""
     one, e_h = (0,) * alg.ngens, next(iter(alg.gen("h").terms))
     base = UEAElement(alg, {e_h: 1, one: shift})
-    power = UEAElement(alg, {one: 1})
+    power = alg.one()
     grades = []
     for k in range(kmax + 1):
         grades.append({-(k + 1): TensorUEA((alg,), {
@@ -222,7 +215,7 @@ def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:
     """
     slot = (alg,)
     y, x = (TensorUEA(slot, {(next(iter(alg.gen(g).terms)),): 1}) for g in "yx")
-    yn = xn = _unit(slot)
+    yn = xn = TensorUEA.unit(slot)
     resolvent = _unit_series(slot, N)
     sums = defaultdict(RationalAccumulator)
     for n in range(N + 1):
@@ -355,7 +348,7 @@ def check_cdybe(r: Tensor2, couplings: Sequence[tuple[str, str]]) -> dict:
     acc = FieldAccumulator(g.ctx)
     for cartan, var in couplings:
         hi = g.index[cartan]
-        for (a, b), v in r.coeffs.items():
+        for (a, b), v in r.terms.items():
             acc.add(v.differentiate(var), (((hi, a, b), 1),))
     residual = alt(Tensor3(g, acc.sums())) + cyb(r)
     ok = residual.is_zero()

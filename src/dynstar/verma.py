@@ -89,21 +89,6 @@ class VermaData(_HighestWeightModule):
         # y m_K is cut off, so the relations hold on m_0..m_{K-1}
         super().__init__(ctx, self.lam, K, K)
 
-    def act(self, gen: str, v: Vec) -> Vec:
-        if gen == "y" and any(k >= self.K for k in v):
-            raise VermaError("depth cutoff exceeded; increase K")
-        return super().act(gen, v)
-
-    def casimir_scalar(self) -> FieldElement:
-        """The value by which c = xy + yx + h^2/2 acts: x[k] + x[k-1] +
-        h[k]^2/2 on m_k, verified on every m_k of the truncation."""
-        target = self.lam * (self.lam + 2) / 2
-        x = (self.ctx.zero(), *self.x)      # x[k-1] is x[k] here
-        for k in range(self.K):
-            if x[k + 1] + x[k] + self.h[k] ** 2 * QQ(1, 2) - target:
-                raise VermaError(f"Casimir not scalar on m_{k}")
-        return target
-
 
 class FiniteModule(_HighestWeightModule):
     """The (m+1)-dimensional irreducible sl(2)-module of highest weight m,

@@ -11,15 +11,16 @@ import pytest
 
 from dynstar import (Context, FiniteModule, OrbitFunction, PBWAlgebra,
                      abrr_twist, build_coefficients, build_lagrangian,
-                     build_root_system, check_cb_identity, check_cdybe,
+                     build_root_system, check_cdybe,
                      check_coefficient_conditions, check_dynamical_twist,
                      check_in_M_Omega, check_nondynamical_twist,
                      chevalley_constants, classical_limit_r, closed_form_jv,
                      coefficients_to_tensor, compose_and_extract, make_spec,
                      orbit_function, project_twist, realize_lie_algebra,
-                     recover_classification, rising_factorial_projection,
-                     split_basis_sl2, star_product, tensor2_from_names)
+                     recover_classification, split_basis_sl2, star_product,
+                     tensor2_from_names)
 from dynstar.twist import counit_ok as _counit_ok
+from test_projection import check_cb_identity, rising_factorial_projection
 
 FIXTURES = [
     ("A2 levi a1, U = pm a1, t = 1", "A", 2, [(1, 0)], [(1, 0), (-1, 0)]),
@@ -191,7 +192,7 @@ def test_criterion_8_twist_projection(actx, J5):
     ok = ok and all(check_cb_identity(spl, n) for n in range(7))
     Jv = project_twist(J5, spl)
     cf = closed_form_jv(spl, 5)
-    ok = ok and (Jv.series - cf.series).is_zero()
+    ok = ok and not Jv.series.differing_orders(cf.series)
     rep = check_nondynamical_twist(Jv)
     ok = ok and rep["ok"] and rep["checked_through"] == 5
     _report(8, ok, "rising factorials, cb^n, closed form, axioms to order 5")

@@ -16,7 +16,7 @@ from dynstar import (CoefficientFamily, Context, DynrSpec,
                      realize_lie_algebra, recover_classification,
                      simple_roots_of)
 from dynstar.classify import _levi_of
-from dynstar.lie import Tensor2, cyb, reduce_mod_u
+from dynstar.lie import Tensor2, Tensor3, cyb
 from dynstar.rootsystems import check_parabolic, coordinates
 
 
@@ -32,7 +32,7 @@ def recover_b_from_initial(pi_e, rho):
     if any(not (i in mset and j in mset) for (i, j) in pi_e.support()):
         raise QuasiUnitarityError("initial bivector not supported on m (x) m")
     lam = rho - omega.scale(QQ(1, 2))
-    proj = Tensor2(g, {k: v for k, v in lam.coeffs.items()
+    proj = Tensor2(g, {k: v for k, v in lam.terms.items()
                        if all(i in mset for i in k)})
     return omega.scale(QQ(1, 2)) + pi_e + proj
 
@@ -123,6 +123,13 @@ class TestConditions:
         with pytest.raises(SpecError):
             _fixture(ctx, "A", 2, [(1, 0)], [], t={(1, 0): 1})
 
+    def test_zero_t_rejected(self, ctx):
+        # t_alpha = exp(2 alpha(h)) is invertible; the error names the root
+        rs = build_root_system("A", 3)
+        with pytest.raises(SpecError, match=r"zero at \(0, 0, 1\)"):
+            make_spec(rs, ctx, [(1, 0, 0), (0, 0, 1)], [],
+                      t={(1, 0, 0): 2, (0, 0, 1): 0})
+
 
 class TestTensorOracle:
     def test_membership(self, fixture):
@@ -137,10 +144,10 @@ class TestTensorOracle:
         fam = build_coefficients(spec)
         g = realize_lie_algebra(table, ctx, U=spec.U)
         b = coefficients_to_tensor(fam, g)
-        broken = Tensor2(g, dict(b.coeffs))
+        broken = Tensor2(g, dict(b.terms))
         i = g.root_index[(0, 1)]
         j = g.root_index[(0, -1)]
-        broken.coeffs[(i, j)] = broken.coeffs[(i, j)] + 1
+        broken.terms[(i, j)] = broken.terms[(i, j)] + 1
         with pytest.raises(QuasiUnitarityError):
             check_in_M_Omega(broken, g)
 
@@ -510,13 +517,15 @@ class TestShortcutsAgainstReferences:
         b = coefficients_to_tensor(build_coefficients(spec), g)
         a = min(spec.levi_roots() - spec.U)
         key = (g.root_index[a], g.root_index[tuple(-c for c in a)])
-        changed = Tensor2(g, {**b.coeffs, key: b.coeffs[key] + 1})
+        changed = Tensor2(g, {**b.terms, key: b.terms[key] + 1})
         mset = set(g.m_indices)
         for r in (b, changed):
             full = cyb(r)
-            assert cyb(r, within=mset).terms.keys() == \
-                reduce_mod_u(full).terms.keys()
-            assert cyb(r, within=mset) == reduce_mod_u(full)
+            # the image of CYB(r) in the quotient by u, slot-wise
+            reduced = Tensor3(g, {k: v for k, v in full.terms.items()
+                                  if mset.issuperset(k)})
+            assert cyb(r, within=mset).terms.keys() == reduced.terms.keys()
+            assert cyb(r, within=mset) == reduced
             assert cyb(r, within=set(range(g.dim))) == full
         assert cyb(b, within=mset).is_zero()
         assert not cyb(changed, within=mset).is_zero()

@@ -313,6 +313,14 @@ class TestPlumbing:
         assert run(["--job", str(job)]) == 2
         assert "missing command" in capsys.readouterr().err
 
+    def test_job_file_command_not_a_string(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": 5}))
+        assert run(["--job", str(job)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: job file command must be a string\n"
+
     def test_job_file_unreadable(self, capsys, tmp_path):
         assert run(["--job", str(tmp_path / "absent.json")]) == 2
 
@@ -373,7 +381,7 @@ class TestTValues:
         ("-2", 0, "(1)/(6)"),
         ("t1", 0, "(t1+1)/(2*t1-2)"),
         ("2*t1", 0, "(2*t1+1)/(4*t1-2)"),
-        ("0", 2, "error: negative power of zero"),
+        ("0", 2, "error: t-parameter is zero at (1, 0)"),
         ("3/0", 2, "error: bad t value in 'a1=3/0': '3/0' is not a rational function"),
         ("007", 2, "error: bad t value in 'a1=007': cannot parse '007'"),
         ("٣", 2, "error: bad t value in 'a1=٣': cannot parse '٣'"),

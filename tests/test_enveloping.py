@@ -65,7 +65,8 @@ class TestStraightening:
                           st.integers(0, 2), st.integers(-3, 3)),
                 min_size=1, max_size=3,
             ).map(lambda ts: sum(
-                (U.monomial((a, b, c), k) for a, b, c, k in ts), U.zero()))
+                (UEAElement(U, {(a, b, c): ctx(k)}) for a, b, c, k in ts),
+                U.zero()))
         a = data.draw(element())
         b = data.draw(element())
         c = data.draw(element())
@@ -93,8 +94,7 @@ class TestHopfStructure:
         got = {k: v for k, v in d.terms.items()}
         # y^2 (x) 1 + 2 y (x) y + 1 (x) y^2
         keys = sorted(got)
-        vals = [int(str(got[k].to_string())) for k in keys]
-        assert vals == [1, 2, 1]
+        assert [got[k] for k in keys] == [1, 2, 1]
 
     def test_coassociativity(self, U):
         y, h, x = _gens(U)
@@ -111,7 +111,9 @@ class TestHopfStructure:
     def test_counit(self, U, ctx):
         y, h, x = _gens(U)
         el = U.one().scale(5) + y * x
-        assert el.counit() == 5
+        # the counit is the one-slot tensor's slot counit
+        one_slot = TensorUEA((U,), {(e,): c for e, c in el.terms.items()})
+        assert one_slot.slot_counit(0) == 5
         d = el.coproduct()
         for slot in (0, 1):
             collapsed = d.slot_counit(slot)
@@ -383,7 +385,8 @@ class TestRationalElements:
     def test_rising_factorial_json(self, U):
         r = rising_factorial(U, "h", 2)
         assert not any(isinstance(v, FieldElement) for v in r.terms.values())
-        assert r.to_json() == _lifted(r).to_json()
+        one_slot = TensorUEA((U,), {(e,): c for e, c in r.terms.items()})
+        assert one_slot.to_json() == _lifted(one_slot).to_json()
 
     def test_rising_factorial_coproduct(self, U):
         r = rising_factorial(U, "h", 2)

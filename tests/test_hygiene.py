@@ -1,12 +1,17 @@
-"""Static hygiene of the package source, read with ``ast``: no ``assert``
+"""Hygiene of the package source. Read with ``ast``: no ``assert``
 statement (they vanish under ``python -O``), no unused import, no keyed
 sum of field terms formed outside ``scalars.FieldAccumulator``, no
 rational type other than QQ outside ``scalars``, no string literal
 parsed by a context, and no sparse container that redefines the protocol
-of ``LinearCombination``."""
+of ``LinearCombination``. Run under a profiler: no function that no
+verdict calls."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -238,3 +243,108 @@ def test_scanner_sees_protocol_overrides():
         "    def __eq__(self, other): ...\n")
     assert sorted(protocol_overrides([tree])) == [
         ("Element", "__eq__"), ("Tensor2", "__hash__"), ("_Tensor", "__rmul__")]
+
+
+# One PASS case and one FAIL or bad-input case of every command, at
+# orders <= 3: together they run every verdict path of the package.
+REACH_ARGVS = [
+    ["classify", "--type", "A", "--rank", "2", "--delta", "a1", "--u", "pm-a1"],
+    ["classify", "--type", "A", "--rank", "2", "--delta", "a1", "--t", "a1=0"],
+    ["verify-rmatrix", "--type", "A", "--rank", "2", "--delta", "a1", "--recover"],
+    ["verify-rmatrix", "--type", "A", "--rank", "2", "--delta", "a1",
+     "--t", "a1=1"],
+    ["lagrangian", "--type", "B", "--rank", "3", "--delta", "a2,a3",
+     "--u", "pm-a2"],
+    ["lagrangian", "--type", "A", "--rank", "2", "--delta", "a1", "--u", "pm-a2"],
+    ["abrr-check", "--order", "3"],
+    ["abrr-check", "--order", "-1"],
+    ["cdybe-check", "--order", "3"],
+    ["cdybe-check", "--order", "0"],
+    ["star", "--order", "3"],
+    ["star", "--order", "4"],
+    ["verma-oracle", "--v", "2", "--w", "4"],
+    ["verma-oracle", "--v", "2", "--w", "2", "--mutate"],
+    ["project-twist", "--order", "3"],
+    ["project-twist", "--order", "3", "--variant", "chevalley"],
+    ["project-twist", "--order", "-1"],
+]
+
+# The child process imports sympy first, so that only the package's own
+# import runs under the profiler, then records the code object of every
+# Python call that any of the argument vectors makes.
+_REACH_SCRIPT = """
+import contextlib, io, json, sys
+import sympy
+reached = set()
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from dynstar import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+"""
+
+# Functions no argument vector reaches, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "enveloping.UEAElement.coproduct": "perfbench/tracer.py wraps it by name",
+    "scalars.FieldElement.is_one": "perfbench/tracer.py wraps it by name",
+    "orbits.invariant_derivative": "perfbench/tracer.py wraps it by name",
+    "scalars.FieldElement.expr": "the sympy bridge of the tests' oracles",
+    "twist.TwistSeries.__init__": "the field-order constructor of the "
+                                  "mutation controls",
+    "twist._grades": "the entry check of that constructor",
+    "scalars.terms_repr": "the repr of every sparse container",
+    "cli.main": "the process entry point: it only calls run() and exits",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line of the code object) -> dotted name of every
+    function and method of the package, dunders other than ``__init__``
+    left out. A decorated function's code starts at its first decorator."""
+    out = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder or child.name == "__init__":
+                    line = min([d.lineno for d in child.decorator_list]
+                               + [child.lineno])
+                    out[str(path), line] = name
+                visit(child, name, path)
+            else:
+                visit(child, prefix, path)
+
+    for path in MODULES:
+        visit(_tree(path), path.stem, path.resolve())
+    return out
+
+
+def test_every_function_is_reached():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = subprocess.run(
+        [sys.executable, "-c", _REACH_SCRIPT, json.dumps(REACH_ARGVS)],
+        capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr[-2000:]
+    result = json.loads(child.stdout)
+    # a PASS and a FAIL or bad input of every command
+    commands = {argv[0]: set() for argv in REACH_ARGVS}
+    for argv, code in zip(REACH_ARGVS, result["codes"]):
+        commands[argv[0]].add(code)
+    assert all(0 in codes and codes - {0} for codes in commands.values()), commands
+    reached = {(str(pathlib.Path(f).resolve()), line)
+               for f, line in result["reached"]}
+    defined = defined_functions()
+    assert set(UNREACHED_ALLOWED) <= set(defined.values())
+    unreached = sorted(name for key, name in defined.items()
+                       if key not in reached and name not in UNREACHED_ALLOWED)
+    assert not unreached, f"functions no verdict reaches: {unreached}"

@@ -311,10 +311,11 @@ class TestAgainstSympyOracle:
                 f.series_expand("hbar", order)
             return
         got = f.series_expand("hbar", order)
+        assert type(got) is list and len(got) == order + 1
         for k in range(order + 1):
             c = sp.cancel(g.subs(HBAR, 0))
             assert oracle_zero(got[k].expr - c)
-            assert not got[k].depends_on("hbar")
+            assert HBAR not in got[k].expr.free_symbols
             g = sp.cancel((g - c) / HBAR)
 
     @settings(max_examples=40, deadline=None)
@@ -445,7 +446,7 @@ class TestExactPruning:
         assert TensorUEA((U, U), {((1, 0, 0), (0, 0, 1)): z}).terms == {}
 
     def test_lie_tensor(self, ctx, z):
-        assert Tensor2(sl2(ctx), {(0, 2): z}).coeffs == {}
+        assert Tensor2(sl2(ctx), {(0, 2): z}).terms == {}
 
     def test_orbit_function(self, ctx, z):
         assert OrbitFunction(ctx, {(0, 1, 0, 0): z}).terms == {}

@@ -411,7 +411,7 @@ def reference_shift(orders):
     out = [TensorUEA(slots3, {}) for _ in orders]
     for p, t in enumerate(orders):
         for (e1, e2), c in t.terms.items():
-            d = c
+            d = U.ctx(c)
             for l in range(len(orders) - p):
                 e3 = tuple(l * x for x in e_h)
                 out[p + l] = out[p + l] + TensorUEA(slots3, {

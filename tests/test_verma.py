@@ -55,13 +55,17 @@ class TestVermaModule:
         assert (hv[3] - (lam - 6)).is_zero()
 
     def test_casimir_scalar(self, verma, ctx):
+        # c = xy + yx + h^2/2 acts on m_k by x[k] + x[k-1] + h[k]^2/2
         lam = ctx.var("lam")
-        assert verma.casimir_scalar() == lam * (lam + 2) / 2
+        x = (ctx.zero(), *verma.x)      # x[k-1] is x[k] here
+        for k in range(verma.K):
+            assert x[k + 1] + x[k] + verma.h[k] ** 2 / 2 == lam * (lam + 2) / 2
 
     def test_depth_cutoff(self, ctx):
+        # y m_K lies past the truncation and is dropped
         v = VermaData(ctx, 1)
-        with pytest.raises(VermaError):
-            v.act("y", {1: ctx.one()})
+        assert v.act("y", {0: ctx.one()}) == {1: ctx.one()}
+        assert v.act("y", {1: ctx.one()}) == {}
         with pytest.raises(VermaError):
             VermaData(ctx, -1)
 
