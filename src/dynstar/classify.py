@@ -88,7 +88,8 @@ class DynrSpec:
                 d = next(d for d in self.delta if _sub(a, d) in table)
                 table[a] = table[_sub(a, d)] * self.t[d]
             table[_neg(a)] = table[a] ** -1
-        for a in sorted(N):
+        # t_{-a} = 1/t_a and U = -U: the positive roots decide both signs
+        for a in pos:
             ta = table[a]
             if a in self.U:
                 if not (ta - one).is_zero():

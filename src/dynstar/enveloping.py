@@ -15,7 +15,7 @@ in a :class:`RationalAccumulator`, whose one ``add`` takes an integer
 numerator and denominator and keeps the sums over one common denominator.
 :func:`multiply_keys` multiplies out one pair of tensor keys, so a series
 product can expand each key pair once. Coproducts (an element's is the
-one-slot tensor coproduct) add binomial splits with integer
+one-slot tensor coproduct) write binomial splits with integer
 multiplicities, and both coefficient kinds print through the field.
 """
 
@@ -90,6 +90,10 @@ class RationalAccumulator:
             else:
                 n = c * q.numerator
             sums[key] = sums.get(key, 0) + n
+
+    def is_zero(self) -> bool:
+        """Whether every sum is zero, read off the numerators."""
+        return not any(self._sums.values())
 
     def sums(self) -> dict:
         """The nonzero sums by key, ints when integral."""
@@ -365,19 +369,22 @@ class TensorUEA(LinearCombination):
 
     def slot_coproduct(self, slot: int) -> "TensorUEA":
         """Apply the coproduct in one slot (split it into two). The splits
-        of each distinct slot monomial are computed once per call and enter
-        the sum with integer multiplicities."""
+        of each distinct slot monomial are computed once per call. A split
+        key gives back its term's key (the two halves add up to the slot
+        exponent), so every split is written straight into the result as
+        the coefficient times its integer multiplicity."""
         alg = self.slots[slot]
+        field = holds_field(self.terms)
         splits: dict[Exp, list] = {}
-        acc = _accumulator(self.ctx, self.terms)
+        out = {}
         for k, v in self.terms.items():
             e = k[slot]
             if e not in splits:
                 splits[e] = _binomial_splits(e)
             head, tail = k[:slot], k[slot + 1:]
-            _add(acc, v, [(head + (l, r) + tail, m) for l, r, m in splits[e]])
-        return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:],
-                         acc.sums())
+            for l, r, m in splits[e]:
+                out[head + (l, r) + tail] = v * m if field else lean(v * m)
+        return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:], out)
 
     def insert_unit(self, position: int) -> "TensorUEA":
         """Insert a unit slot of the first slot's algebra at the given

@@ -272,9 +272,6 @@ class _Tensor(LinearCombination):
     def ctx(self) -> Context:
         return self.algebra.ctx
 
-    def __getitem__(self, key: tuple) -> FieldElement:
-        return self.terms.get(tuple(key), self.algebra.ctx.zero())
-
     def _like(self, coeffs) -> "_Tensor":
         return type(self)(self.algebra, coeffs)
 

@@ -583,9 +583,6 @@ class LinearCombination:
             out[k] = out[k] - v if k in out else -v
         return self._like(out)
 
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
-
     def scale(self, s):
         """s times self. An int or QQ factor keeps rational coefficients
         rational; any other factor is coerced into the field."""

@@ -7,8 +7,12 @@ enveloping-algebra element over QQ, so the order is sum_d lam^d T_{n,d}.
 The sl(2) twists are homogeneous (order n sits at d = -n), products,
 coproducts, the dynamical shift and every zero test run on the QQ tensors,
 and field coefficients are formed only where one is read. A product goes
-key pair by key pair over integer numerators and denominators, and the
-resolvent factors are built as QQ grades. The closed-form
+key pair by key pair over integer numerators and denominators, visiting
+only the pairs that land inside the truncation, and the resolvent factors
+are built as QQ grades. A cocycle identity is checked as one exact
+difference: both sides' products are summed, with opposite signs, into
+one accumulator per (order, lam power), and a PASS forms no fraction of
+either side. The closed-form
 twist for sl(2) in the generators y, h, x, the dynamical-shift operation,
 the defining cocycle identity and the classical limit all live here.
 """
@@ -113,43 +117,11 @@ class TwistSeries:
         return rows
 
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
-        """The product through the lower truncation N, key pair by key
-        pair: each pair of tensor keys is multiplied out once, and its
-        coefficients that land at one (order, lam power) are summed as int
-        pairs before one accumulator add."""
-        if self.slots != other.slots:
-            raise TwistError("series signature mismatch")
+        """The product through the lower truncation (see :func:`_add_product`)."""
         N = min(self.truncation, other.truncation)
-        right = list(other._by_key(N).items())
-        # one accumulator per (order, lam power)
         sums = defaultdict(RationalAccumulator)
-        for k1, row1 in self._by_key(N).items():
-            for k2, row2 in right:
-                if row1[0][0] + row2[0][0] > N:
-                    continue
-                pair: dict[tuple, list] = {}
-                for p, d1, n1, m1 in row1:
-                    for q, d2, n2, m2 in row2:
-                        if p + q > N:
-                            break
-                        n, m = n1 * n2, m1 * m2
-                        s = pair.setdefault((p + q, d1 + d2), [0, m])
-                        if s[1] == m:
-                            s[0] += n
-                        else:
-                            s[0], s[1] = s[0] * m + n * s[1], s[1] * m
-                terms = multiply_keys(self.slots, k1, k2)
-                for rd, (n, m) in pair.items():
-                    if n:
-                        sums[rd].add(n, m, terms)
+        _add_product(sums, self, other, N, 1)
         return summed_series(self.slots, sums, N)
-
-    def __sub__(self, other: "TwistSeries") -> "TwistSeries":
-        if self.slots != other.slots:
-            raise TwistError("series signature mismatch")
-        return TwistSeries.graded(self.slots, [
-            {**a, **{d: a[d] - t if d in a else -t for d, t in b.items()}}
-            for a, b in zip(self.grades, other.grades)])
 
     def differing_orders(self, other: "TwistSeries") -> list[int]:
         """The orders, through the lower truncation, at which the two series
@@ -179,6 +151,39 @@ class TwistSeries:
 
 def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
     return TwistSeries.graded(slots, [{0: TensorUEA.unit(slots)}] + [{}] * N)
+
+
+def _add_product(sums: dict, a: TwistSeries, b: TwistSeries, N: int,
+                 sign: int) -> None:
+    """Add sign * (a * b) through order N into sums[order, lam power], key
+    pair by key pair: each pair of tensor keys is multiplied out once, and
+    its coefficients that land at one (order, lam power) are summed as int
+    pairs before one accumulator add. The right keys are bucketed by their
+    lowest order, so a left key from order p visits only the buckets that
+    can land at order N or below."""
+    if a.slots != b.slots:
+        raise TwistError("series signature mismatch")
+    buckets: list[list] = [[] for _ in range(N + 1)]
+    for k2, row2 in b._by_key(N).items():
+        buckets[row2[0][0]].append((k2, row2))
+    for k1, row1 in a._by_key(N).items():
+        for bucket in buckets[:N + 1 - row1[0][0]]:
+            for k2, row2 in bucket:
+                pair: dict[tuple, list] = {}
+                for p, d1, n1, m1 in row1:
+                    for q, d2, n2, m2 in row2:
+                        if p + q > N:
+                            break
+                        n, m = n1 * n2, m1 * m2
+                        s = pair.setdefault((p + q, d1 + d2), [0, m])
+                        if s[1] == m:
+                            s[0] += n
+                        else:
+                            s[0], s[1] = s[0] * m + n * s[1], s[1] * m
+                terms = multiply_keys(a.slots, k1, k2)
+                for rd, (n, m) in pair.items():
+                    if n:
+                        sums[rd].add(sign * n, m, terms)
 
 
 def summed_series(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
@@ -277,28 +282,24 @@ def shift_twist(J: TwistSeries) -> TwistSeries:
     return summed_series(slots3, sums, N)
 
 
-def cocycle_sides(J: TwistSeries, right12: TwistSeries
-                  ) -> tuple[TwistSeries, TwistSeries]:
-    """The two sides of a cocycle identity for a two-slot series J:
-    (Delta (x) id)(J) * right12 and (id (x) Delta)(J) * J^{23}."""
-    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * right12
-    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
-        J.map_orders(lambda t: t.insert_unit(0))
-    return lhs, rhs
-
-
 def cocycle_residual(J: TwistSeries, right12: TwistSeries) -> dict:
-    """Order-by-order comparison of the two :func:`cocycle_sides`: the
-    orders that fail and the residual at the first of them."""
-    lhs, rhs = cocycle_sides(J, right12)
-    failing = lhs.differing_orders(rhs)
-    return {
-        "checked_through": min(lhs.truncation, rhs.truncation),
-        "ok": not failing,
-        "failing_orders": failing,
-        "first_residual": ((lhs - rhs).order(failing[0]).to_json()
-                           if failing else None),
-    }
+    """A cocycle identity for a two-slot series J, through N, the lower
+    truncation, as one difference: (Delta (x) id)(J) * right12 added with
+    sign +1 and (id (x) Delta)(J) * J^{23} with sign -1 into one
+    accumulator per (order, lam power). The orders whose difference is not
+    zero fail, and the field view of the first of them is the residual."""
+    N = min(J.truncation, right12.truncation)
+    diff = defaultdict(RationalAccumulator)
+    _add_product(diff, J.map_orders(lambda t: t.slot_coproduct(0)), right12, N, 1)
+    _add_product(diff, J.map_orders(lambda t: t.slot_coproduct(1)),
+                 J.map_orders(lambda t: t.insert_unit(0)), N, -1)
+    failing = sorted({n for (n, _), acc in diff.items() if not acc.is_zero()})
+    first = None
+    if failing:
+        grades = {nd: acc for nd, acc in diff.items() if nd[0] == failing[0]}
+        first = summed_series(right12.slots, grades, N).order(failing[0]).to_json()
+    return {"checked_through": N, "ok": not failing,
+            "failing_orders": failing, "first_residual": first}
 
 
 def counit_ok(J: TwistSeries) -> bool:
@@ -309,12 +310,9 @@ def counit_ok(J: TwistSeries) -> bool:
 
 
 def check_dynamical_twist(J: TwistSeries) -> dict:
-    """Verify the shifted cocycle identity through the truncation order.
-
-    Left side: (Delta (x) id)(J) * J(lam - hbar h^(3))^{12}.
-    Right side: (id (x) Delta)(J) * J^{23}.
-    Returns per-order residual flags and the first failing order, if any.
-    """
+    """The shifted cocycle identity through the truncation order: the
+    :func:`cocycle_residual` with J(lam - hbar h^(3))^{12} on the right of
+    (Delta (x) id)(J)."""
     if len(J.slots) != 2:
         raise TwistError("cocycle identity applies to a two-slot twist")
     return cocycle_residual(J, shift_twist(J))

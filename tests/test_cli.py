@@ -54,6 +54,17 @@ class TestClassify:
                     "--delta", "a1", "--t", "a1=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("delta,t,root", [
+        ("a1", "a1=hbar/hbar", "(1, 0)"),
+        ("a1,a2", "a1=2,a2=1/2", "(1, 1)"),
+    ], ids=["simple", "sum"])
+    def test_coth_pole_names_the_positive_root(self, capsys, delta, t, root):
+        # t_{-a} = 1/t_a is 1 as well; the message names the positive root
+        code = run(["classify", "--type", "A", "--rank", "2",
+                    "--delta", delta, "--t", t])
+        assert code == 2
+        assert f"t_alpha = 1 at {root} outside U" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["sin(t1)", "(", "t9"])
     def test_malformed_t_value(self, capsys, value):
         code = run(["classify", "--type", "A", "--rank", "2",

@@ -347,7 +347,7 @@ class TestMixedKinds:
         rational = TensorUEA((U, U), {(ey, ex): 1})
         field = TensorUEA((U, U), {(ex, ey): lam})
         want = TensorUEA((U, U), {(ey, ex): ctx.one(), (ex, ey): lam})
-        for mixed in (rational + field, field + rational, field - (-rational)):
+        for mixed in (rational + field, field + rational, field - rational.scale(-1)):
             assert all(isinstance(v, FieldElement) for v in mixed.terms.values())
             assert (mixed - want).is_zero()
             assert (mixed * mixed - want * want).is_zero()

@@ -10,7 +10,16 @@ from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      shift_twist, sl2, split_basis_sl2)
 from dynstar.projection import _project_slots
 from dynstar.scalars import LAM
-from dynstar.twist import cocycle_sides
+
+
+def cocycle_sides(J, right12):
+    """The two sides of a cocycle identity for a two-slot series J, as
+    series products: (Delta (x) id)(J) * right12 and
+    (id (x) Delta)(J) * J^{23}."""
+    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * right12
+    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
+        J.map_orders(lambda t: t.insert_unit(0))
+    return lhs, rhs
 
 
 def check_projected_equation(J, sp, N=None):

@@ -14,8 +14,9 @@ from dynstar import (LieAlgebraData, PBWAlgebra, TensorUEA, TwistError,
                      shift_twist, sl2, split_basis_sl2, tensor2_from_names)
 from dynstar import twist
 from dynstar.enveloping import lean
-from dynstar.twist import cocycle_residual, cocycle_sides
-from test_projection import check_projected_equation
+from dynstar.scalars import FieldElement
+from dynstar.twist import cocycle_residual
+from test_projection import check_projected_equation, cocycle_sides
 
 
 @pytest.fixture(scope="module")
@@ -542,19 +543,23 @@ COEFFS = st.tuples(st.integers(-3, 3).filter(bool),
 
 
 @st.composite
-def rational_series(draw, slots, pool, N, forced):
+def rational_series(draw, slots, pool, N, forced, start=0):
     """A series over ``slots`` of truncation N whose grades sit at lam
-    powers -2..2 and hold keys of ``pool``. pool[0] is forced in at order 0
-    (lam^0) and order 2 (lam^1) with the two ``forced`` coefficients, so a
-    key recurs at orders that are not adjacent, at a positive power."""
-    grades = []
-    for n in range(N + 1):
+    powers -2..2, hold keys of ``pool`` and are empty below order
+    ``start``. pool[0] is forced in at order start (lam^0) and, where
+    that is at most N, at order start + 2 (lam^1) with the two ``forced``
+    coefficients, so a key recurs at orders that are not adjacent, at a
+    positive power, and the lowest order is start."""
+    grades = [{} for _ in range(start)]
+    for n in range(start, N + 1):
         g = {}
         for d in draw(st.sets(st.integers(-2, 2), max_size=3)):
             g[d] = draw(st.dictionaries(st.sampled_from(pool), COEFFS,
                                         min_size=1, max_size=3))
         grades.append(g)
-    for (n, d), q in zip(((0, 0), (2, 1)), forced):
+    for (n, d), q in zip(((start, 0), (start + 2, 1)), forced):
+        if n > N:
+            break
         terms = grades[n].setdefault(d, {})
         terms[pool[0]] = terms.get(pool[0], 0) + q
     return TwistSeries.graded(slots, [
@@ -587,3 +592,112 @@ class TestKeyMajorProduct:
             assert all(type(c) is int or c.denominator != 1
                        for g in got.grades for t in g.values()
                        for c in t.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_lowest_orders_across_the_truncation(self, U, data):
+        # the right keys are bucketed by their lowest order: every pair of
+        # lowest orders in 0..N, N = 0 included, against the order-major loop
+        slots = (U,) * data.draw(st.integers(1, 2), label="slots")
+        key = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * len(slots))
+        pool = data.draw(st.lists(key, min_size=2, max_size=4, unique=True),
+                         label="pool")
+        N = data.draw(st.integers(0, 4), label="N")
+        sa, sb = (data.draw(st.integers(0, N), label=f"start {x}") for x in "AB")
+        A = data.draw(rational_series(slots, pool, N, (QQ(1, 2), QQ(-1, 3)),
+                                      start=sa), label="A")
+        B = data.draw(rational_series(slots, pool, N, (QQ(3, 4), QQ(5, 6)),
+                                      start=sb), label="B")
+        for X, Y in ((A, B), (B, A)):
+            assert [{d: t.terms for d, t in g.items()} for g in (X * Y).grades] \
+                == order_major_mul(X, Y)
+
+    @pytest.mark.parametrize("N", [0, 1, 4])
+    def test_factor_only_at_order_N(self, U, N):
+        # a factor whose only grade is at order N meets only order 0
+        (ey,), (eh,), (ex,) = (U.gen(g).terms for g in "yhx")
+        slots = (U, U)
+        top = TwistSeries.graded(slots, [{}] * N + [{-1: TensorUEA(slots, {
+            (ey, ex): QQ(1, 2), (eh, ey): -3})}])
+        J = abrr_twist(U, N)
+        for X, Y in ((top, J), (J, top), (top, top)):
+            got = [{d: t.terms for d, t in g.items()} for g in (X * Y).grades]
+            assert got == order_major_mul(X, Y)
+            # top * top lands at order 2N, past the truncation unless N = 0
+            assert not any(got[:N]) and bool(got[N]) == (X is not Y or N == 0)
+
+
+# -- the fused cocycle difference against the two-sided comparison --------
+
+def two_sided_residual(J, right12):
+    """The cocycle residual from the two series products of
+    :func:`cocycle_sides`: the orders at which they differ, and the field
+    difference of the sides at the first of them."""
+    lhs, rhs = cocycle_sides(J, right12)
+    failing = lhs.differing_orders(rhs)
+    return {
+        "checked_through": min(lhs.truncation, rhs.truncation),
+        "ok": not failing,
+        "failing_orders": failing,
+        "first_residual": ((lhs.order(failing[0]) - rhs.order(failing[0])).to_json()
+                           if failing else None),
+    }
+
+
+def truncated(J, N):
+    return TwistSeries.graded(J.slots, J.grades[:N + 1])
+
+
+class TestFusedResidual:
+    @pytest.mark.parametrize("N", [0, 1, 2, 4, 6])
+    @pytest.mark.parametrize("kind", ["abrr", "doubled", "wrong_shift",
+                                      "nonhomogeneous"])
+    def test_matches_two_sided(self, U, monkeypatch, kind, N):
+        # each mutation sits at order 2: for N < 2 the twist is built at
+        # order 2 and truncated to N
+        M = max(N, 2)
+        J = truncated({"abrr": lambda: abrr_twist(U, M),
+                       "doubled": lambda: doubled_twist(U, M),
+                       "wrong_shift": lambda: wrong_shift_twist(U, M, monkeypatch),
+                       "nonhomogeneous": lambda: nonhomogeneous_twist(U, M),
+                       }[kind](), N)
+        got = cocycle_residual(J, shift_twist(J))
+        assert got == two_sided_residual(J, shift_twist(J))
+        assert got["ok"] == (kind == "abrr" or N < 3)
+
+    @pytest.mark.parametrize("variant", ["standard", "chevalley"])
+    @pytest.mark.parametrize("name,N", [("abrr", 0), ("abrr", 3), ("abrr", 6),
+                                        ("doubled", 4)])
+    def test_projected_twist(self, ctx, U, variant, name, N):
+        V = project_twist(TWISTS[name](U, N), split_basis_sl2(ctx, variant)).series
+        right12 = V.map_orders(lambda t: t.insert_unit(2))
+        got = cocycle_residual(V, right12)
+        assert got == two_sided_residual(V, right12)
+        assert got["ok"] == (name == "abrr")
+
+
+class TestSlotCoproductKinds:
+    def tensor(self, U, coeffs):
+        (ey,), (eh,), (ex,) = (U.gen(g).terms for g in "yhx")
+        sq = tuple(2 * a + b for a, b in zip(ey, eh))
+        keys = [(sq, ex), (ey, tuple(a + b for a, b in zip(eh, ex))), (sq, sq)]
+        return TensorUEA((U, U), dict(zip(keys, coeffs)))
+
+    def test_field_coefficients(self, U, ctx):
+        t = self.tensor(U, [ctx("t1/lam"), ctx("1/(lam - hbar)"), ctx("2")])
+        for slot in (0, 1):
+            got, want = t.slot_coproduct(slot), reference_slot_coproduct(t, slot)
+            assert got.slots == want.slots and (got - want).is_zero()
+            assert all(isinstance(c, FieldElement) for c in got.terms.values())
+
+    def test_integral_rational_coefficients_are_ints(self, U, ctx):
+        # multiplicities 2 and 4 make some of 1/2, 3/4 integral
+        t = self.tensor(U, [QQ(1, 2), QQ(3, 4), 5])
+        for slot in (0, 1):
+            got = t.slot_coproduct(slot)
+            want = reference_slot_coproduct(t, slot)
+            assert got.slots == want.slots and (got - want).is_zero()
+            kinds = {type(c) for c in got.terms.values()}
+            assert all(type(c) is int or c.denominator != 1
+                       for c in got.terms.values())
+            assert int in kinds and kinds != {int}
