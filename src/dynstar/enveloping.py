@@ -1,22 +1,20 @@
 """Poincare-Birkhoff-Witt normal forms for universal enveloping algebras.
 
 Elements are stored as maps from exponent vectors (in a fixed generator
-order) to coefficients, all rationals (ints when integral) or all field
-elements. The constructors (the unit, the generators, the tensor unit)
-give rational elements, and field coefficients enter only through a field
-scale or a twist's field view. Multiplication straightens words by
-recursive adjacent swaps against the bracket table, with memoized word
-normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
-keeps it, and so is every normal form. Elements and tensors share one
-product, :func:`_product`, which touches the coefficients once per pair of
-terms and sums the rational expansions in a
-:class:`~dynstar.scalars.FieldAccumulator`, or for rational coefficients
-in a :class:`RationalAccumulator`, whose one ``add`` takes an integer
-numerator and denominator and keeps the sums over one common denominator.
+order) to rational coefficients, ints when integral. Multiplication
+straightens words by recursive adjacent swaps against the bracket table,
+with memoized word normal forms. The bracket table is read over QQ, as
+``LieAlgebraData`` keeps it, and so is every normal form. Elements and
+tensors share one product, :func:`_product`, which touches the
+coefficients once per pair of terms and sums the rational expansions in a
+:class:`RationalAccumulator`, whose one ``add`` takes an integer numerator
+and denominator and keeps the sums over one common denominator.
 :func:`multiply_keys` multiplies out one pair of tensor keys, so a series
 product can expand each key pair once. Coproducts (an element's is the
 one-slot tensor coproduct) write binomial splits with integer
-multiplicities, and both coefficient kinds print through the field.
+multiplicities. Field coefficients appear only in a twist's field view
+(``TwistSeries.order``), which is read and printed through the field but
+never multiplied.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .lie import LieAlgebraData
-from .scalars import (Context, FieldAccumulator, FieldElement, LinearCombination,
-                      holds_field, terms_repr)
+from .scalars import Context, LinearCombination, terms_repr
 
 Exp = tuple[int, ...]
 
@@ -42,13 +39,6 @@ class DegreeCapError(EnvelopingError):
     """A word longer than the degree cap: a limit on the input, not a fault."""
 
 
-def _rational(c: FieldElement, what: str):
-    q = c.as_rational()
-    if q is None:
-        raise EnvelopingError(f"{what} {c.to_string()} is not rational")
-    return q
-
-
 def lean(q):
     """A rational as an int when it is integral (cheaper to multiply)."""
     return q.numerator if q.denominator == 1 else q
@@ -56,12 +46,11 @@ def lean(q):
 
 class RationalAccumulator:
     """Keyed sums of products (num / den) * q with num, den ints and q
-    rational: the plain-dict counterpart of
-    :class:`~dynstar.scalars.FieldAccumulator` for elements with rational
-    coefficients. Every key holds an integer numerator over one common
-    denominator, the lcm of the denominators added so far, so adding a term
-    is one int product and one int addition; a new denominator rescales the
-    numerators once, and :meth:`sums` reduces one fraction per key."""
+    rational: the one accumulator of enveloping products. Every key holds
+    an integer numerator over one common denominator, the lcm of the
+    denominators added so far, so adding a term is one int product and one
+    int addition; a new denominator rescales the numerators once, and
+    :meth:`sums` reduces one fraction per key."""
 
     __slots__ = ("_sums", "_den")
 
@@ -102,31 +91,17 @@ class RationalAccumulator:
                 for key, n in self._sums.items() if n}
 
 
-def _accumulator(ctx: Context, *term_maps: Mapping):
-    """The keyed sum for products of the given coefficient maps: a
-    FieldAccumulator once a FieldElement is among them, else rational."""
-    if any(map(holds_field, term_maps)):
-        return FieldAccumulator(ctx)
-    return RationalAccumulator()
-
-
-def _add(acc, c, terms: Iterable[tuple[object, object]]) -> None:
-    """``acc.add`` of c * q for every (key, q) of ``terms``, c of acc's kind."""
-    if type(acc) is RationalAccumulator:
-        return acc.add(c.numerator, c.denominator, terms)
-    acc.add(c, terms)
-
-
 def _product(a: LinearCombination, b: LinearCombination,
              expand: Callable[[object, object], Iterable]) -> LinearCombination:
     """a * b for two elements of one space: sum c1 c2 expand(k1, k2) over
     the term pairs, where ``expand`` gives the product of two basis keys as
-    (key, rational) pairs, summed in the accumulator of the operands' kind."""
+    (key, rational) pairs, summed in one :class:`RationalAccumulator`."""
     a._check(b)
-    acc = _accumulator(a.ctx, a.terms, b.terms)
+    acc = RationalAccumulator()
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
-            _add(acc, c1 * c2, expand(k1, k2))
+            c = c1 * c2
+            acc.add(c.numerator, c.denominator, expand(k1, k2))
     return a._like(acc.sums())
 
 
@@ -229,13 +204,9 @@ class UEAElement(LinearCombination):
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: PBWAlgebra, terms: Mapping[Exp, FieldElement]):
+    def __init__(self, algebra: PBWAlgebra, terms: Mapping[Exp, object]):
         self.algebra = algebra
         self.terms = {k: v for k, v in terms.items() if v}
-
-    @property
-    def ctx(self) -> Context:
-        return self.algebra.ctx
 
     def _like(self, terms) -> "UEAElement":
         return UEAElement(self.algebra, terms)
@@ -266,7 +237,7 @@ class UEAElement(LinearCombination):
             (e,): c for e, c in self.terms.items()}).slot_coproduct(0)
 
     def __repr__(self) -> str:
-        return terms_repr(self.ctx, (self.algebra.order,),
+        return terms_repr(self.algebra.ctx, (self.algebra.order,),
                           {(k,): v for k, v in self.terms.items()})
 
 
@@ -275,14 +246,19 @@ def change_generators(u: UEAElement, target: PBWAlgebra,
     """Rewrite u in a new generator order/basis.
 
     ``expansion`` maps each old generator name to its linear expansion in the
-    target generators. The change matrix must be invertible; the result is
-    the image under the induced algebra isomorphism. The generator images
-    are rational, so each monomial's image is multiplied out over QQ and
+    target generators, every entry an int or an element of QQ. The change
+    matrix must be invertible; the result is the image under the induced
+    algebra isomorphism, each monomial's image multiplied out over QQ and
     then scaled by its coefficient.
     """
     old = u.algebra
-    rows = [[_rational(old.ctx(expansion[name].get(g, 0)), "change-of-basis entry")
-             for g in target.order] for name in old.order]
+    rows = [[expansion[name].get(g, 0) for g in target.order] for name in old.order]
+    for name, row in zip(old.order, rows):
+        for g, q in zip(target.order, row):
+            if not isinstance(q, (int, QQ.dtype)):
+                raise EnvelopingError(
+                    f"change-of-basis entry {q!r} of {name} at {g} is not in QQ")
+    rows = [[QQ(q) for q in row] for row in rows]
     if len(rows) != len(target.order) or \
             not DomainMatrix(rows, (len(rows), len(rows)), QQ).det():
         raise EnvelopingError("singular change-of-basis matrix")
@@ -325,12 +301,13 @@ def multiply_keys(slots: Sequence[PBWAlgebra], k1: tuple, k2: tuple) -> list:
 
 class TensorUEA(LinearCombination):
     """A tensor power of enveloping algebras: maps from tuples of exponent
-    vectors (one per slot) to coefficients, rational or in the field."""
+    vectors (one per slot) to rational coefficients (field ones only in a
+    twist's field view)."""
 
     __slots__ = ("slots", "terms")
 
     def __init__(self, slots: Sequence[PBWAlgebra],
-                 terms: Mapping[tuple, FieldElement]):
+                 terms: Mapping[tuple, object]):
         self.slots = tuple(slots)
         self.terms = {k: v for k, v in terms.items() if v}
 
@@ -357,14 +334,14 @@ class TensorUEA(LinearCombination):
         slots = self.slots
         return _product(self, other, lambda k1, k2: multiply_keys(slots, k1, k2))
 
-    def slot_counit(self, slot: int) -> "TensorUEA | FieldElement":
+    def slot_counit(self, slot: int) -> "TensorUEA | object":
         """Apply the counit in one slot (drop it). The kept keys all hold
         the unit monomial in that slot, so dropping it merges no keys."""
         zero_exp = (0,) * self.slots[slot].ngens
         out = {k[:slot] + k[slot + 1:]: v for k, v in self.terms.items()
                if k[slot] == zero_exp}
         if len(self.slots) == 1:
-            return out.get((), self.ctx.zero())
+            return out.get((), 0)
         return TensorUEA(self.slots[:slot] + self.slots[slot + 1:], out)
 
     def slot_coproduct(self, slot: int) -> "TensorUEA":
@@ -374,7 +351,6 @@ class TensorUEA(LinearCombination):
         exponent), so every split is written straight into the result as
         the coefficient times its integer multiplicity."""
         alg = self.slots[slot]
-        field = holds_field(self.terms)
         splits: dict[Exp, list] = {}
         out = {}
         for k, v in self.terms.items():
@@ -383,7 +359,7 @@ class TensorUEA(LinearCombination):
                 splits[e] = _binomial_splits(e)
             head, tail = k[:slot], k[slot + 1:]
             for l, r, m in splits[e]:
-                out[head + (l, r) + tail] = v * m if field else lean(v * m)
+                out[head + (l, r) + tail] = lean(v * m)
         return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:], out)
 
     def insert_unit(self, position: int) -> "TensorUEA":
@@ -399,24 +375,17 @@ class TensorUEA(LinearCombination):
 
     def map_slots(self, f) -> "TensorUEA":
         """Apply an element-wise map (UEAElement -> UEAElement, possibly into
-        another algebra) independently in every slot. The images take the
-        coefficients of the result: rational images of a rational tensor
-        give a rational tensor."""
-        units = [f(alg.one()) for alg in self.slots]
-        acc = _accumulator(self.ctx, self.terms, *(u.terms for u in units))
+        another algebra) independently in every slot: each term's slot images
+        multiplied out over QQ and summed like a product's expansions."""
+        slots = tuple(f(alg.one()).algebra for alg in self.slots)
+        acc = RationalAccumulator()
         for k, v in self.terms.items():
-            mapped = [f(UEAElement(alg, {e: 1}))
-                      for alg, e in zip(self.slots, k)]
-            partial: list[tuple[tuple, FieldElement]] = [((), v)]
-            for m in mapped:
-                partial = [
-                    (key + (e,), cc * cf)
-                    for key, cc in partial
-                    for e, cf in m.terms.items()
-                ]
-            for key, cc in partial:
-                _add(acc, cc, ((key, 1),))
-        return TensorUEA(tuple(u.algebra for u in units), acc.sums())
+            partial = [((), 1)]
+            for alg, e in zip(self.slots, k):
+                image = f(UEAElement(alg, {e: 1})).terms.items()
+                partial = [(key + (e2,), q * r) for key, q in partial for e2, r in image]
+            acc.add(v.numerator, v.denominator, partial)
+        return TensorUEA(slots, acc.sums())
 
     def to_json(self) -> list[dict]:
         return [

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
 
 from sympy.polys.domains import QQ
 
@@ -177,8 +176,7 @@ def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
     return out
 
 
-def closed_form_jv(sp: SplittingData, N: int,
-                   term_scale: Optional[dict] = None) -> ProjectedTwist:
+def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
     """The projected series in closed form:
     1 + sum_n (-1)^n hbar^n v_n / (n! lam (lam-hbar) ... (lam-(n-1)hbar))
     with v_n the pair of rising factorials in the two v-generators: first
@@ -200,8 +198,6 @@ def closed_form_jv(sp: SplittingData, N: int,
     sums[0, 0].add(1, 1, [(((0,) * sp.pbw.ngens,) * 2, 1)])
     for n in range(1, N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
-        if term_scale and n in term_scale:
-            pref = pref * ctx(term_scale[n])
         denom = ctx.one()
         for j in range(n):
             denom = denom * (lam - j * q)

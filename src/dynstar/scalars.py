@@ -15,11 +15,14 @@ Reports are printed straight from the reduced pair, with the content,
 sign and term order that sympy's ``cancel`` and printer give; no sympy
 expression is built, and sympy printing survives only as a test oracle.
 
-All higher layers (tensors, enveloping algebras, twists) keep their
-coefficients in a single shared :class:`Context`, so every identity in the
-library reduces to a zero test in this field. Every keyed sum of field
-terms outside this module is formed by :class:`FieldAccumulator` (its sums
-are nonzero); every sparse container is a :class:`LinearCombination`.
+Every sparse container is a :class:`LinearCombination` with one coefficient
+kind. The field-valued ones (Lie tensors, orbit functions) and the Verma
+vectors keep their coefficients in a single shared :class:`Context`, so
+every identity on them reduces to a zero test in this field, and every
+keyed sum of their terms is formed by :class:`FieldAccumulator` (its sums
+are nonzero). Enveloping elements and twist grades hold rationals instead;
+a twist's field view is the one place their coefficients become field
+elements.
 """
 
 from __future__ import annotations
@@ -542,19 +545,14 @@ def terms_repr(ctx: Context, names: Sequence[Sequence[str]], terms: Mapping) -> 
     return " + ".join(parts) or "0"
 
 
-def holds_field(terms: Mapping) -> bool:
-    """Whether a coefficient map, all of one kind, holds FieldElements."""
-    return isinstance(next(iter(terms.values()), None), FieldElement)
-
-
 class LinearCombination:
     """A sparse linear combination: ``terms`` maps keys to nonzero
-    coefficients, all FieldElements or all rationals (ints or elements of
-    QQ); a sum of the two kinds lifts the rational side into the field.
-    Subclass constructors drop zero coefficients and nothing writes into
-    ``terms`` afterwards. Subclasses give ``ctx``, ``_like(terms)`` (an
-    element of the same space) and may check operands in ``_check``; they
-    inherit the protocol: equality by value, no hash, ``s * c == c.scale(s)``."""
+    coefficients of one kind, FieldElements or rationals (ints or elements
+    of QQ) as the subclass keeps them. Subclass constructors drop zero
+    coefficients and nothing writes into ``terms`` afterwards. Subclasses
+    give ``_like(terms)`` (an element of the same space) and may check
+    operands in ``_check``; they inherit the protocol: equality by value, no
+    hash, ``s * c == c.scale(s)``."""
 
     __slots__ = ()
     __hash__ = None
@@ -562,32 +560,23 @@ class LinearCombination:
     def _check(self, other: "LinearCombination") -> None:
         pass
 
-    def _operands(self, other) -> tuple[dict, Mapping]:
-        """A copy of self's terms and other's terms, both of one kind."""
-        self._check(other)
-        out, more = dict(self.terms), other.terms
-        if out and more and holds_field(out) != holds_field(more):
-            out, more = ({k: self.ctx(v) for k, v in t.items()} for t in (out, more))
-        return out, more
-
     def __add__(self, other):
-        out, more = self._operands(other)
-        for k, v in more.items():
+        self._check(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
         return self._like(out)
 
     def __sub__(self, other):
         # one pass: only the terms of other that self lacks are negated
-        out, more = self._operands(other)
-        for k, v in more.items():
+        self._check(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
             out[k] = out[k] - v if k in out else -v
         return self._like(out)
 
     def scale(self, s):
-        """s times self. An int or QQ factor keeps rational coefficients
-        rational; any other factor is coerced into the field."""
-        if holds_field(self.terms) or not isinstance(s, (int, QQ.dtype)):
-            s = self.ctx(s)
+        """s times self, coefficient by coefficient."""
         return self._like({k: s * v for k, v in self.terms.items()})
 
     __rmul__ = scale

@@ -5,8 +5,10 @@ and each order graded by the power of the dynamical variable ``lam``: order
 n maps every exponent d that occurs to a tensor-square (or tensor-cube)
 enveloping-algebra element over QQ, so the order is sum_d lam^d T_{n,d}.
 The sl(2) twists are homogeneous (order n sits at d = -n), products,
-coproducts, the dynamical shift and every zero test run on the QQ tensors,
-and field coefficients are formed only where one is read. A product goes
+coproducts, the dynamical shift and every zero test run on the QQ tensors.
+The field view (:meth:`TwistSeries.order`) is the one place a twist's
+coefficients become field elements; it is read (classical limit, orbit
+bidifferential operator) and printed, never multiplied. A product goes
 key pair by key pair over integer numerators and denominators, visiting
 only the pairs that land inside the truncation, and the resolvent factors
 are built as QQ grades. A cocycle identity is checked as one exact
@@ -47,43 +49,19 @@ def laurent_grades(c: FieldElement, n: int) -> dict[int, object]:
     return coeffs
 
 
-def _grades(t: TensorUEA, n: int) -> dict[int, TensorUEA]:
-    """A tensor t of order n as {d: T_d} over QQ with t = sum_d lam^d T_d,
-    every coefficient coerced into the field and through
-    :func:`laurent_grades`."""
-    split: dict[int, dict] = {}
-    for k, c in t.terms.items():
-        for d, q in laurent_grades(t.ctx(c), n).items():
-            split.setdefault(d, {})[k] = lean(q)
-    return {d: TensorUEA(t.slots, terms) for d, terms in split.items()}
-
-
 class TwistSeries:
     """A truncated series sum_n hbar^n T_n of tensor enveloping elements.
 
     ``grades[n]`` maps each power d of lam that occurs in order n to a
-    nonzero TensorUEA over QQ. The constructor takes field orders through
-    the entry check of :func:`_grades`; :meth:`order` and :attr:`orders`
-    give the field view back.
+    nonzero TensorUEA over QQ; the constructor drops zero grades. Every
+    product, coproduct and zero test runs on the grades, and :meth:`order`
+    and :attr:`orders` give the field view, which is only read and printed.
     """
 
-    def __init__(self, slots: Sequence[PBWAlgebra], orders: Sequence[TensorUEA]):
+    def __init__(self, slots: Sequence[PBWAlgebra],
+                 grades: Sequence[dict[int, TensorUEA]]):
         self.slots = tuple(slots)
-        if not orders:
-            raise TwistError("need at least the constant order")
-        if any(t.slots != self.slots for t in orders):
-            raise TwistError("order has wrong slot signature")
-        self.grades = [_grades(t, n) for n, t in enumerate(orders)]
-
-    @classmethod
-    def graded(cls, slots: Sequence[PBWAlgebra],
-               grades: Sequence[dict[int, TensorUEA]]) -> "TwistSeries":
-        """The series with the given QQ grades, zero ones dropped (no entry
-        check)."""
-        series = cls.__new__(cls)
-        series.slots = tuple(slots)
-        series.grades = [{d: t for d, t in g.items() if t.terms} for g in grades]
-        return series
+        self.grades = [{d: t for d, t in g.items() if t.terms} for g in grades]
 
     @property
     def ctx(self) -> Context:
@@ -134,7 +112,7 @@ class TwistSeries:
 
     def map_orders(self, f: Callable[[TensorUEA], TensorUEA]) -> "TwistSeries":
         """Apply a QQ-linear map of tensors to every grade of every order."""
-        return TwistSeries.graded(f(TensorUEA(self.slots, {})).slots,
+        return TwistSeries(f(TensorUEA(self.slots, {})).slots,
                                   [{d: f(t) for d, t in g.items()}
                                    for g in self.grades])
 
@@ -150,7 +128,7 @@ class TwistSeries:
 
 
 def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
-    return TwistSeries.graded(slots, [{0: TensorUEA.unit(slots)}] + [{}] * N)
+    return TwistSeries(slots, [{0: TensorUEA.unit(slots)}] + [{}] * N)
 
 
 def _add_product(sums: dict, a: TwistSeries, b: TwistSeries, N: int,
@@ -191,7 +169,7 @@ def summed_series(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSerie
     grades: list[dict] = [{} for _ in range(N + 1)]
     for (n, d), acc in sums.items():
         grades[n][d] = TensorUEA(slots, acc.sums())
-    return TwistSeries.graded(slots, grades)
+    return TwistSeries(slots, grades)
 
 
 def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> TwistSeries:
@@ -205,7 +183,7 @@ def _h_powers(alg: PBWAlgebra, shift: int, kmax: int) -> TwistSeries:
         grades.append({-(k + 1): TensorUEA((alg,), {
             (e,): q for e, q in power.terms.items()})})
         power = power * base
-    return TwistSeries.graded((alg,), grades)
+    return TwistSeries((alg,), grades)
 
 
 def abrr_twist(alg: PBWAlgebra, N: int) -> TwistSeries:

@@ -297,9 +297,6 @@ UNREACHED_ALLOWED = {
     "scalars.FieldElement.is_one": "perfbench/tracer.py wraps it by name",
     "orbits.invariant_derivative": "perfbench/tracer.py wraps it by name",
     "scalars.FieldElement.expr": "the sympy bridge of the tests' oracles",
-    "twist.TwistSeries.__init__": "the field-order constructor of the "
-                                  "mutation controls",
-    "twist._grades": "the entry check of that constructor",
     "scalars.terms_repr": "the repr of every sparse container",
     "cli.main": "the process entry point: it only calls run() and exits",
 }

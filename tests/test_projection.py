@@ -8,8 +8,9 @@ from dynstar import (PBWAlgebra, ProjectedTwist, ProjectionError, TensorUEA,
                      check_nondynamical_twist, closed_form_jv,
                      project_drop_right, project_twist, rising_factorial,
                      shift_twist, sl2, split_basis_sl2)
+from dynstar.enveloping import lean
 from dynstar.projection import _project_slots
-from dynstar.scalars import LAM
+from field_reference import doubled_order, field_series
 
 
 def cocycle_sides(J, right12):
@@ -32,7 +33,7 @@ def check_projected_equation(J, sp, N=None):
     Cartan-invariance of the input guarantees.
     """
     if N is not None and N < J.truncation:
-        J = TwistSeries.graded(J.slots, J.grades[:N + 1])
+        J = TwistSeries(J.slots, J.grades[:N + 1])
     Jv = project_twist(J, sp)
     lhs_full, rhs_full = cocycle_sides(J, shift_twist(J))
     lhs_proj = lhs_full.map_orders(lambda t: _project_slots(t, sp))
@@ -138,7 +139,7 @@ class TestProjection:
         y = U.gen("y")
         e_y = next(iter(y.terms))
         e_1 = (0, 0, 0)
-        bad = TwistSeries((U, U), [
+        bad = field_series((U, U), [
             TensorUEA.unit((U, U)),
             TensorUEA((U, U), {(e_y, e_1): ctx.one()}),
         ])
@@ -149,7 +150,7 @@ class TestProjection:
         P = spl.pbw
         c = P.gen("c")
         e_c = next(iter(c.terms))
-        leaky = TwistSeries((P, P), [
+        leaky = field_series((P, P), [
             TensorUEA.unit((P, P)),
             TensorUEA((P, P), {(e_c, (0, 0, 0)): ctx.one()}),
         ])
@@ -170,8 +171,8 @@ class TestOrdinaryAxioms:
         assert check_nondynamical_twist(closed_form_jv(spl2, 4))["ok"]
 
     def test_mutation_detected(self, spl):
-        rep = check_nondynamical_twist(
-            closed_form_jv(spl, 4, term_scale={1: 2}))
+        mutated = doubled_order(closed_form_jv(spl, 4).series, 1)
+        rep = check_nondynamical_twist(ProjectedTwist(mutated, spl))
         assert not rep["ok"]
         assert rep["failing_orders"]
         assert rep["first_residual"]
@@ -224,7 +225,7 @@ def test_slots_in_different_orders(ctx, spl, U, J5):
             acc = acc + TensorUEA(slots, {(e1, f): c * d
                                           for f, d in img.terms.items()})
         orders.append(acc)
-    mixed = TwistSeries(slots, orders)
+    mixed = field_series(slots, orders)
     got = project_twist(mixed, spl).series
     assert not got.differing_orders(project_twist(J5, spl).series)
 
@@ -282,13 +283,16 @@ def test_closed_form_matches_stirling_oracle(ctx, variant, scale, N):
     sum_n (-1)^n / n! S(r-1, n-1) v_n: expanding
     1 / (lam (lam - hbar) ... (lam - (n-1) hbar)) in hbar gives the
     complete homogeneous sums of 0..n-1, and those are Stirling numbers
-    of the second kind. No field series expansion is involved."""
+    of the second kind. No field series expansion is involved. With term
+    n of the oracle scaled, the two differ at exactly the orders r >= n
+    with S(r-1, n-1) nonzero: term 1 at order 1 alone, term 2 at every
+    order from 2 on."""
     sp_ = split_basis_sl2(ctx, variant)
     slots = (sp_.pbw, sp_.pbw)
     rf = {(g, n): rising_factorial(sp_.pbw, g, n).terms
           for g in LEADING[variant] for n in range(1, N + 1)}
     first, second = LEADING[variant]
-    orders = [TensorUEA.unit(slots)]
+    grades = [{0: TensorUEA.unit(slots)}]
     for r in range(1, N + 1):
         terms = {}
         for n in range(1, r + 1):
@@ -298,8 +302,9 @@ def test_closed_form_matches_stirling_oracle(ctx, variant, scale, N):
                 for e2, c2 in rf[second, n].items():
                     k = (e1, e2)
                     terms[k] = terms.get(k, 0) + q * c1 * c2
-        orders.append(TensorUEA(slots, {k: ctx.laurent(LAM, {-r: q})
-                                        for k, q in terms.items() if q}))
-    got = closed_form_jv(sp_, N, term_scale=scale).series
+        grades.append({-r: TensorUEA(slots, {k: lean(q) for k, q in terms.items()})})
+    got = closed_form_jv(sp_, N).series
     assert all(set(g) <= {-r} for r, g in enumerate(got.grades))
-    assert not got.differing_orders(TwistSeries(slots, orders))
+    scaled = [r for r in range(N + 1) for n in (scale or {})
+              if r >= n and stirling2(r - 1, n - 1)]
+    assert got.differing_orders(TwistSeries(slots, grades)) == scaled
