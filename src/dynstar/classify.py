@@ -227,7 +227,7 @@ def check_shift_form(fam: CoefficientFamily) -> bool:
 def coefficients_to_tensor(fam: CoefficientFamily, g: LieAlgebraData) -> Tensor2:
     """r = sum x_alpha E_alpha (x) E_{-alpha} + Omega/2 in the realized
     algebra; satisfies r + r^21 = Omega by construction."""
-    return build_casimir_tensor(g).scale(g.ctx.constant(QQ(1, 2))) + Tensor2(g, {
+    return build_casimir_tensor(g).scale(QQ(1, 2)) + Tensor2(g, {
         (g.root_index[a], g.root_index[_neg(a)]): xa for a, xa in fam.x.items()})
 
 
@@ -241,7 +241,7 @@ def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:
     omega = build_casimir_tensor(g)
     if not (b + b.transpose() - omega).is_zero():
         raise QuasiUnitarityError("b + b^21 != Omega")
-    B = b - omega.scale(g.ctx.constant(QQ(1, 2)))
+    B = b - omega.scale(QQ(1, 2))
     if not B.is_antisymmetric():
         return False
     mset = set(g.m_indices)

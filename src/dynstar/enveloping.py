@@ -1,20 +1,20 @@
 """Poincare-Birkhoff-Witt normal forms for universal enveloping algebras.
 
 Elements are stored as maps from exponent vectors (in a fixed generator
-order) to rational coefficients, ints when integral. Multiplication
-straightens words by recursive adjacent swaps against the bracket table,
-with memoized word normal forms. The bracket table is read over QQ, as
-``LieAlgebraData`` keeps it, and so is every normal form. Elements and
-tensors share one product, :func:`_product`, which touches the
-coefficients once per pair of terms and sums the rational expansions in a
-:class:`RationalAccumulator`, whose one ``add`` takes an integer numerator
-and denominator and keeps the sums over one common denominator.
-:func:`multiply_keys` multiplies out one pair of tensor keys, so a series
-product can expand each key pair once. Coproducts (an element's is the
-one-slot tensor coproduct) write binomial splits with integer
-multiplicities. Field coefficients appear only in a twist's field view
-(``TwistSeries.order``), which is read and printed through the field but
-never multiplied.
+order) to rational coefficients, ints when integral; building or scaling an
+element with any other coefficient raises. Multiplication straightens words
+by recursive adjacent swaps against the bracket table, with memoized word
+normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
+keeps it, and so is every normal form. Elements and tensors share one
+product, :func:`_product`, which touches the coefficients once per pair of
+terms and sums the rational expansions in a :class:`RationalAccumulator`,
+whose one ``add`` takes an integer numerator and denominator and keeps the
+sums over one common denominator. :func:`multiply_keys` multiplies out one
+pair of tensor keys, so a series product can expand each key pair once.
+Coproducts (an element's is the one-slot tensor coproduct) write binomial
+splits with integer multiplicities. Field coefficients appear only in a
+twist's field view (``TwistSeries.order``), which is read and printed
+through the field but never multiplied.
 """
 
 from __future__ import annotations
@@ -200,16 +200,25 @@ class PBWAlgebra:
 
 
 class UEAElement(LinearCombination):
-    """An enveloping-algebra element in PBW normal form."""
+    """An enveloping-algebra element in PBW normal form over QQ."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: PBWAlgebra, terms: Mapping[Exp, object]):
         self.algebra = algebra
         self.terms = {k: v for k, v in terms.items() if v}
+        for v in self.terms.values():
+            self._check_factor(v)
 
     def _like(self, terms) -> "UEAElement":
-        return UEAElement(self.algebra, terms)
+        # sums and products of checked elements hold rationals: no check
+        out = UEAElement.__new__(UEAElement)
+        out.algebra, out.terms = self.algebra, {k: v for k, v in terms.items() if v}
+        return out
+
+    def _check_factor(self, s) -> None:
+        if not isinstance(s, (int, QQ.dtype)):
+            raise EnvelopingError(f"coefficient {s!r} is not in QQ")
 
     def _check(self, other: "UEAElement") -> None:
         if other.algebra is not self.algebra:

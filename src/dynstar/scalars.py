@@ -1,19 +1,21 @@
 """Exact arithmetic in Q(p1, ..., pk): rational functions in named formal
 parameters over the rationals.
 
-A :class:`FieldElement` is a numerator/denominator pair of sparse
-polynomials (``sympy.polys.rings.PolyElement`` over QQ) in the one
-``PolyRing`` of its :class:`Context`. Addition, subtraction and
-multiplication take no gcd: they cross-multiply, with fast paths for
-rational constants, for equal denominators and for one-term denominators,
-which are kept as monic monomials (1 for a polynomial) and combine over
-their monomial lcm. A fraction is zero exactly when its numerator is, so
-the zero test needs no reduction, and equality cross-multiplies. The gcd
-(``PolyElement.cancel``) is taken only where a canonical pair is needed:
-printing, hashing, ``expr``, differentiation and series expansion.
-Reports are printed straight from the reduced pair, with the content,
-sign and term order that sympy's ``cancel`` and printer give; no sympy
-expression is built, and sympy printing survives only as a test oracle.
+A :class:`FieldElement` is a numerator/denominator pair of sparse integer
+polynomials (``sympy.polys.rings.PolyElement`` over ZZ) in the one
+``PolyRing`` of its :class:`Context`, so every coefficient operation is an
+int operation; a constant q is the pair (q.numerator, q.denominator).
+Addition, subtraction and multiplication take no gcd: they cross-multiply,
+with fast paths for constants, for equal denominators and for one-term
+denominators, which keep a positive integer coefficient and combine over
+the lcm of their monomials and of their integers. An int or QQ operand of
+``*`` is folded into the pair as integers. A fraction is zero exactly when
+its numerator is, and equality cross-multiplies. Content is removed only
+where a canonical pair is needed (printing, hashing, ``expr``,
+differentiation and series expansion), by the monomial and integer gcd for
+a one-term denominator and else by ``PolyElement.cancel`` over ZZ. Reports
+are printed straight from the reduced pair, with the content, sign and
+term order that sympy's ``cancel`` and printer give.
 
 Every sparse container is a :class:`LinearCombination` with one coefficient
 kind. The field-valued ones (Lie tensors, orbit functions) and the Verma
@@ -35,7 +37,7 @@ import re
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing
@@ -77,10 +79,11 @@ class Context:
         # cancel sorts them (t1 before hbar), and orders terms by name
         self._sign_gens = tuple(map(self.symbols.index, _sort_gens(self.symbols)))
         self._print_gens = tuple(sorted(range(len(names)), key=self.names.__getitem__))
-        self.ring = PolyRing(self.symbols, QQ, lex)
+        self.ring = PolyRing(self.symbols, ZZ, lex)
         self._one_poly = self.ring.one     # the denominator of every polynomial
         self._zero = FieldElement(self, self.ring.zero, self._one_poly)
         self._one = FieldElement(self, self.ring.one, self._one_poly)
+        self._constants = {(0, 1): self._zero, (1, 1): self._one}  # (n, d) -> n/d
 
     def symbol(self, name: str) -> sp.Symbol:
         if name not in self._by_name:
@@ -101,19 +104,23 @@ class Context:
         return self._one
 
     def constant(self, q) -> "FieldElement":
-        """The element ``q`` of QQ as a FieldElement."""
-        if not q:
-            return self._zero
-        return FieldElement(self, self.ring.dtype([(self.ring.zero_monom, q)]),
-                            self._one_poly)
+        """The pair (q.numerator, q.denominator) of an int or element q of QQ."""
+        n, d = q.numerator, q.denominator
+        f = self._constants.get((n, d))
+        if f is None:
+            zm = self.ring.zero_monom
+            f = self._constants[n, d] = _frac(self, self.ring.dtype([(zm, n)]),
+                                              self.ring.dtype([(zm, d)]))
+        return f
 
     def laurent(self, var: str, coefficients: Mapping[int, object]) -> "FieldElement":
         """sum_d q_d var^d for the q_d in QQ of ``coefficients``."""
         x = self.ring.gens[self.index(var)]
         low = min(min(coefficients, default=0), 0)
-        num = sum((x ** (d - low) * q for d, q in coefficients.items()),
-                  self.ring.zero)
-        return _frac(self, num, x ** -low)
+        scale = math.lcm(*(q.denominator for q in coefficients.values()))
+        num = sum((x ** (d - low) * (q.numerator * (scale // q.denominator))
+                   for d, q in coefficients.items()), self.ring.zero)
+        return _frac(self, num, x ** -low * scale)
 
     def __call__(self, value: Scalarish) -> "FieldElement":
         """Coerce ints, elements of QQ, Fractions, strings (with `^` powers)
@@ -122,9 +129,9 @@ class Context:
             if value.context is not self:
                 raise ContextMismatchError("element belongs to a different context")
             return value
-        if isinstance(value, (int, QQ.dtype, fractions.Fraction)):
-            return self.constant(QQ(value))
-        if isinstance(value, sp.Rational):
+        if isinstance(value, (int, QQ.dtype)):
+            return self.constant(value)
+        if isinstance(value, (fractions.Fraction, sp.Rational)):
             return self.constant(QQ(int(value.numerator), int(value.denominator)))
         if isinstance(value, sp.Expr):
             expr = value
@@ -144,37 +151,48 @@ class Context:
         bad = expr.free_symbols - set(self.symbols)
         if bad:
             raise KeyError(f"undeclared parameters {sorted(map(str, bad))}")
-        num, den = sp.fraction(sp.cancel(sp.together(expr)))
-        try:
-            return _frac(self, self.ring.from_expr(num), self.ring.from_expr(den))
+        try:    # through QQ, which also reads a float literal exactly
+            (cn, num), (cd, den) = (
+                self.ring.clone(domain=QQ).from_expr(x).clear_denoms()
+                for x in sp.fraction(sp.cancel(sp.together(expr))))
         except ValueError:
             raise TypeError(f"{value!r} is not a rational function") from None
+        return _frac(self, num.set_ring(self.ring) * cd, den.set_ring(self.ring) * cn)
 
     def __repr__(self) -> str:
         return f"Context({list(self.names)})"
 
 
 def _frac(ctx: Context, num: PolyElement, den: PolyElement) -> "FieldElement":
-    """A FieldElement from any pair with den != 0; a one-term denominator
-    is made monic, so a constant one becomes ``ctx._one_poly``."""
+    """A FieldElement from any pair with den != 0. A one-term denominator
+    shares only a monomial and an integer with num: the pair is divided by
+    both, signed so that its coefficient is positive, and so reduced."""
     if not num:
         return ctx._zero
-    if len(den) == 1:
-        (m, c), = den.items()
-        if m == ctx.ring.zero_monom:
-            return FieldElement(ctx, num.quo_ground(c), ctx._one_poly)
-        if c != QQ.one:
-            num, den = num.quo_ground(c), ctx.ring.dtype([(m, QQ.one)])
-    return FieldElement(ctx, num, den)
+    if len(den) > 1:
+        return FieldElement(ctx, num, den)
+    ring, ((m, c),) = ctx.ring, den.items()
+    k = math.gcd(c, *num.itercoeffs()) * (1 if c > 0 else -1)
+    g = functools.reduce(ring.monomial_gcd, num.itermonoms(), m) if any(m) else m
+    if k != 1 or any(g):
+        num = ring.dtype([(ring.monomial_ldiv(t, g), a // k) for t, a in num.items()])
+        m, c = ring.monomial_ldiv(m, g), c // k
+    f = FieldElement(ctx, num, ctx._one_poly if c == 1 and not any(m)
+                     else ring.dtype([(m, c)]))
+    if c != 1 and not any(m) and num.is_ground:
+        f._const = QQ(num.LC, c)
+    f._reduced = True
+    return f
 
 
 class FieldElement:
     """An exact rational function over Q in the context's parameters.
 
-    ``num`` and ``den`` are polynomials of the context's ring, in general
-    not coprime. :meth:`_reduce` cancels them in place to the canonical
-    pair (coprime, monic denominator), which leaves the value unchanged.
-    ``_const`` is the value in QQ of a constant in lowest terms, else None.
+    ``num`` and ``den`` are integer polynomials of the context's ring, not
+    always coprime; a one-term ``den`` has a positive coefficient.
+    :meth:`_reduce` cancels them in place to the canonical pair (coprime,
+    ``den`` leading positive). ``_const`` is the value of a constant, an
+    int when integral and else in QQ, or None.
     """
 
     __slots__ = ("context", "num", "den", "_const", "_reduced")
@@ -186,20 +204,15 @@ class FieldElement:
         self._reduced = den is context._one_poly
         self._const = None
         if self._reduced and len(num) <= 1:
-            self._const = num.get(context.ring.zero_monom) if num else QQ.zero
+            self._const = num.get(context.ring.zero_monom) if num else 0
 
     # -- canonical form ----------------------------------------------------
 
     def _reduce(self) -> None:
         if not self._reduced:
-            if len(self.den) == 1:
-                # a one-term denominator shares only a monomial with num
-                g = functools.reduce(self.context.ring.monomial_gcd,
-                                     self.num.itermonoms(), self.den.LM)
-                num, den = (p.quo_term((g, QQ.one)) for p in (self.num, self.den))
-            else:
-                num, den = self.num.cancel(self.den)
-                num, den = num.quo_ground(den.LC), den.monic()
+            num, den = self.num, self.den
+            if len(den) > 1:
+                num, den = num.cancel(den)
             red = _frac(self.context, num, den)
             self.num, self.den, self._const = red.num, red.den, red._const
             self._reduced = True
@@ -208,7 +221,7 @@ class FieldElement:
     def expr(self) -> sp.Expr:
         self._reduce()
         if self._const is not None:
-            return QQ.to_sympy(self._const)
+            return QQ.to_sympy(QQ(self._const))
         # on a coprime pair the tuple form gives the canonical P, Q of
         # cancel(P/Q) without its signsimp and factor_terms passes
         _, num, den = sp.cancel((self.num.as_expr(), self.den.as_expr()))
@@ -218,7 +231,7 @@ class FieldElement:
         """The value in QQ of a constant, else None."""
         if self._const is None and not self._reduced:
             self._reduce()
-        return self._const
+        return None if self._const is None else QQ(self._const)
 
     def laurent_coefficients(self, var: str) -> "dict[int, object] | None":
         """The q_d in QQ with self = sum_d q_d var^d when self is a Laurent
@@ -235,8 +248,7 @@ class FieldElement:
                                      for j, e in enumerate(m) if j != i):
             return None
         ((dm, dc),) = self.den.items()
-        return {m[i] - dm[i]: q if dc == 1 else q / dc
-                for m, q in self.num.items()}
+        return {m[i] - dm[i]: QQ(q, dc) for m, q in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
@@ -265,16 +277,16 @@ class FieldElement:
             return ctx.constant(op(self._const, o._const))
         n1, d1, n2, d2 = self.num, self.den, o.num, o.den
         if len(d1) == 1 and len(d2) == 1:
-            # monic monomials: bring both over their lcm
-            (m1,), (m2,) = d1, d2
-            if m1 != m2:
+            # c1*m1 and c2*m2: bring both over lcm(c1, c2)*lcm(m1, m2)
+            ((m1, c1),), ((m2, c2),) = d1.items(), d2.items()
+            if m1 != m2 or c1 != c2:
                 ring = ctx.ring
-                m = ring.monomial_lcm(m1, m2)
-                if m != m1:
-                    n1 = n1.mul_monom(ring.monomial_ldiv(m, m1))
-                    d1 = d2 if m == m2 else ring.dtype([(m, QQ.one)])
-                if m != m2:
-                    n2 = n2.mul_monom(ring.monomial_ldiv(m, m2))
+                m, c = ring.monomial_lcm(m1, m2), math.lcm(c1, c2)
+                if m != m1 or c != c1:
+                    n1 = n1.mul_term((ring.monomial_ldiv(m, m1), c // c1))
+                    d1 = d2 if m == m2 and c == c2 else ring.dtype([(m, c)])
+                if m != m2 or c != c2:
+                    n2 = n2.mul_term((ring.monomial_ldiv(m, m2), c // c2))
         elif d1 != d2:
             n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
         num = op(n1, n2)
@@ -291,23 +303,29 @@ class FieldElement:
     def __rsub__(self, other: Scalarish) -> "FieldElement":
         return self.context(other)._combine(self, operator.sub)
 
+    def _scaled(self, q) -> "FieldElement":
+        """self * q for q an int or in QQ, folded into the pair as integers."""
+        if self._const is not None:
+            return self.context.constant(self._const * q)
+        n, d = q.numerator, q.denominator
+        return FieldElement(self.context, self.num if n == 1 else self.num.mul_ground(n),
+                            self.den if d == 1 else self.den.mul_ground(d))
+
     def __mul__(self, other: Scalarish) -> "FieldElement":
+        if isinstance(other, (int, QQ.dtype)):
+            return self._scaled(other)
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        ctx = self.context
-        a, b = (self, o) if o._const is not None else (o, self)
-        if b._const is not None:    # a rational factor scales the other
-            if a._const is not None:
-                return ctx.constant(a._const * b._const)
-            if not b._const:
-                return ctx._zero
-            return FieldElement(ctx, a.num.mul_ground(b._const), a.den)
-        one = ctx._one_poly
-        # products of monic monomials stay monic monomials
+        if o._const is not None:    # a rational factor scales the other
+            return self._scaled(o._const)
+        if self._const is not None:
+            return o._scaled(self._const)
+        one = self.context._one_poly
+        # products of one-term denominators stay one-term and positive
         den = o.den if self.den is one else \
             self.den if o.den is one else self.den * o.den
-        return FieldElement(ctx, self.num * o.num, den)
+        return FieldElement(self.context, self.num * o.num, den)
 
     __rmul__ = __mul__
 
@@ -414,23 +432,18 @@ class FieldElement:
         """Serialize in the report grammar: integer coefficients, `^` powers,
         explicit `*`, parenthesized numerator/denominator.
 
-        Printed from the reduced pair: both parts are scaled to integer
-        coefficients with no common factor, signed so that the denominator
-        leads with a positive coefficient, and ordered as the context says.
+        Printed from the reduced pair, signed so that the denominator leads
+        with a positive coefficient in the generator order of sympy's
+        ``cancel``, and ordered as the context says.
         """
         if not self.num:
             return "0"
         self._reduce()
         ctx = self.context
         num, den = list(self.num.items()), list(self.den.items())
-        scale = math.lcm(*(c.denominator for _, c in num + den))
-        num = [(m, c.numerator * (scale // c.denominator)) for m, c in num]
-        den = [(m, c.numerator * (scale // c.denominator)) for m, c in den]
-        g = math.gcd(*(c for _, c in num + den))
         _, lead = max(den, key=lambda t: [t[0][i] for i in ctx._sign_gens])
-        g = -g if lead < 0 else g
-        num = [(m, c // g) for m, c in num]
-        den = [(m, c // g) for m, c in den]
+        if lead < 0:
+            num, den = [(m, -c) for m, c in num], [(m, -c) for m, c in den]
         if den == [(ctx.ring.zero_monom, 1)]:
             return _terms_string(ctx, num)
         return f"({_terms_string(ctx, num)})/({_terms_string(ctx, den)})"
@@ -481,49 +494,52 @@ class FieldAccumulator:
     """Keyed sums of products c * q, with c a FieldElement and q a rational
     (an int or an element of QQ).
 
-    The sum at each (key, denominator of c) is a numerator coefficient dict
-    updated in place, so adding c * q at a key takes no field operation.
-    :meth:`sums` builds one fraction per (key, denominator) and only then
-    adds up a key's fractions (one-term denominators over their monomial
-    lcm, as field addition does).
+    Each (key, denominator of c) group holds integer numerator coefficients
+    over one integer denominator, updated in place, so adding c * q takes no
+    field operation. A one-term denominator is grouped by its monomial, its
+    coefficient joining the integer one; a multiplier with a new
+    denominator rescales the group, as in ``RationalAccumulator``.
+    :meth:`sums` adds up a key's fractions only at the end.
     """
 
-    __slots__ = ("context", "_groups", "_dens")
+    __slots__ = ("context", "_groups")
 
     def __init__(self, context: Context):
         self.context = context
-        # (key, denominator key) -> numerator coefficients
+        # (key, denominator key) -> [integer denominator, numerator coefficients]
         self._groups: dict = {}
-        self._dens: dict = {}       # denominator key -> denominator
 
     def add(self, c: FieldElement, terms: Iterable[tuple[object, object]]) -> None:
         """Add c * q at key for every (key, q) of ``terms``."""
         den = c.den
-        # a monic monomial denominator is keyed by its monomial
-        dkey = next(iter(den)) if len(den) == 1 else den
-        self._dens.setdefault(dkey, den)
+        # a one-term denominator is keyed by its monomial
+        (dkey, unit), = den.items() if len(den) == 1 else ((den, 1),)
         num = list(c.num.items())
-        zero = QQ.zero
         groups = self._groups
         for key, q in terms:
-            acc = groups.get((key, dkey))
-            if acc is None:
-                acc = groups[(key, dkey)] = {}
-            if q == 1:
-                for m, a in num:
-                    acc[m] = acc.get(m, zero) + a
-            else:
-                for m, a in num:
-                    acc[m] = acc.get(m, zero) + a * q
+            d = unit * q.denominator
+            group = groups.get((key, dkey))
+            if group is None:
+                group = groups[(key, dkey)] = [d, {}]
+            elif group[0] % d:
+                f = d // math.gcd(group[0], d)
+                group[0] *= f
+                group[1] = {m: a * f for m, a in group[1].items()}
+            s = group[0] // d * q.numerator
+            acc = group[1]
+            for m, a in num:
+                acc[m] = acc.get(m, 0) + a * s
 
     def sums(self) -> dict:
         """The nonzero sums by key."""
         ctx = self.context
+        ring = ctx.ring
         out = {}
-        for (key, dkey), acc in self._groups.items():
+        for (key, dkey), (d, acc) in self._groups.items():
             acc = {m: a for m, a in acc.items() if a}
             if acc:
-                f = FieldElement(ctx, ctx.ring.dtype(acc), self._dens[dkey])
+                f = _frac(ctx, ring.dtype(acc), ring.dtype([(dkey, d)])
+                          if type(dkey) is tuple else dkey.mul_ground(d))
                 if key not in out:
                     out[key] = f
                 elif s := out[key] + f:     # only here can terms cancel
@@ -551,13 +567,17 @@ class LinearCombination:
     of QQ) as the subclass keeps them. Subclass constructors drop zero
     coefficients and nothing writes into ``terms`` afterwards. Subclasses
     give ``_like(terms)`` (an element of the same space) and may check
-    operands in ``_check``; they inherit the protocol: equality by value, no
-    hash, ``s * c == c.scale(s)``."""
+    operands in ``_check`` and factors of ``scale`` in ``_check_factor``;
+    they inherit the protocol: equality by value, no hash,
+    ``s * c == c.scale(s)``."""
 
     __slots__ = ()
     __hash__ = None
 
     def _check(self, other: "LinearCombination") -> None:
+        pass
+
+    def _check_factor(self, s) -> None:
         pass
 
     def __add__(self, other):
@@ -577,6 +597,7 @@ class LinearCombination:
 
     def scale(self, s):
         """s times self, coefficient by coefficient."""
+        self._check_factor(s)
         return self._like({k: s * v for k, v in self.terms.items()})
 
     __rmul__ = scale

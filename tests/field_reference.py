@@ -3,9 +3,10 @@
 The library multiplies enveloping elements over QQ only. The references
 here redo its products, coproducts and slot maps term by term with field
 arithmetic on every partial coefficient, so the tests call them on field
-lifts (:func:`lifted`) and check the QQ pipeline against code that shares
-none of its accumulators. :func:`field_series` builds a twist from field
-orders through the Laurent entry check, for the mutation controls.
+lifts (:func:`lifted`, :func:`field_scaled`) and check the QQ pipeline
+against code that shares none of its accumulators. :func:`field_series`
+builds a twist from field orders through the Laurent entry check, for the
+mutation controls.
 """
 
 import math
@@ -21,6 +22,13 @@ def lifted(c):
     the field."""
     ctx = c.algebra.ctx if isinstance(c, UEAElement) else c.ctx
     return c._like({k: ctx(v) for k, v in c.terms.items()})
+
+
+def field_scaled(u, s):
+    """u (a UEAElement or TensorUEA) with every coefficient multiplied by
+    the field element s. The library's enveloping elements hold rationals
+    and reject a field factor; the references build such elements here."""
+    return u._like({k: s * v for k, v in u.terms.items()})
 
 
 def reference_product(a, b):

@@ -146,6 +146,19 @@ class TestChangeOfGenerators:
             change_generators(U.gen("y"), U, bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda ctx, U: UEAElement(U, {(0, 0, 1): ctx("lam")}),
+    lambda ctx, U: U.gen("y").scale(ctx.var("lam")),
+    lambda ctx, U: U.gen("y").scale("lam"),
+    lambda ctx, U: ctx.var("lam") * U.gen("y"),
+], ids=["field-term", "field-factor", "string-factor", "field-left-factor"])
+def test_coefficient_outside_qq_rejected(ctx, U, build):
+    # an element holds rationals: a field or string coefficient is named
+    # where it enters, not met later by a product
+    with pytest.raises(EnvelopingError, match="lam.* is not in QQ"):
+        build(ctx, U)
+
+
 class TestProjections:
     def test_drop_right_requires_trailing(self, U):
         with pytest.raises(EnvelopingError):

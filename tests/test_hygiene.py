@@ -1,7 +1,8 @@
 """Hygiene of the package source. Read with ``ast``: no ``assert``
 statement (they vanish under ``python -O``), no unused import, no keyed
 sum of field terms formed outside ``scalars.FieldAccumulator``, no
-rational type other than QQ outside ``scalars``, no string literal
+rational type other than QQ outside ``scalars``, no read of a field
+element's integer pair or a context's ring outside ``scalars``, no string literal
 parsed by a context, and no sparse container that redefines the protocol
 of ``LinearCombination``. Run under a profiler: no function that no
 verdict calls."""
@@ -161,6 +162,37 @@ def test_scanner_sees_rational_constructors():
         "e = isinstance(x, Fraction)\n"
         "f = sp.Integer(1)\n")
     assert rational_constructor_sites(tree) == [1, 2, 3, 6]
+
+
+# the integer pair of a field element, its constant and a context's
+# polynomial ring
+FIELD_INTERNALS = ("num", "den", "_const", "ring")
+
+
+def field_internal_sites(tree: ast.Module) -> list[int]:
+    """Lines of every read of an attribute named ``num``, ``den``,
+    ``_const`` or ``ring``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS)
+
+
+# scalars.py alone knows how a field element is represented
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_field_representation_stays_in_scalars(path):
+    sites = field_internal_sites(_tree(path))
+    assert not sites, f"{path.name}: field element internals read at lines {sites}"
+
+
+def test_scanner_sees_field_internals():
+    tree = ast.parse(
+        "a = c.num\n"
+        "b = f(c).den * 2\n"
+        "c = x._const\n"
+        "d = ctx.ring.gens\n"
+        "e = q.numerator + q.denominator\n"
+        "f = num + den\n")
+    assert field_internal_sites(tree) == [1, 2, 3, 4]
 
 
 def context_string_sites(tree: ast.Module) -> list[int]:

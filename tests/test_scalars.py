@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import sympy as sp
 from sympy.polys.domains import QQ
 
-from dynstar import (Context, ContextMismatchError, FieldElement, OrbitFunction,
-                     PBWAlgebra, PoleError, Tensor2, TensorUEA, UEAElement, sl2)
+from dynstar import (Context, ContextMismatchError, EnvelopingError, FieldElement,
+                     OrbitFunction, PBWAlgebra, PoleError, Tensor2, TensorUEA,
+                     UEAElement, sl2)
 from dynstar.scalars import FieldAccumulator
 from dynstar.verma import FiniteModule
 
@@ -169,6 +170,48 @@ class TestPrinting:
         assert c2(f.to_string()) == f
 
 
+def _canonical_forms(ctx, case):
+    """One value built several ways: products with 1/den keep the pair
+    unreduced, division reduces a one-term denominator at once."""
+    lam, h = ctx.var("lam"), ctx.var("hbar")
+    if case == "integer content":
+        return [(2 * lam + 4 * h) * (1 / (6 * lam - 2 * h)),
+                (lam + 2 * h) / (3 * lam - h),
+                (lam * QQ(1, 2) + h) * (1 / (lam * QQ(3, 2) - h * QQ(1, 2)))]
+    if case == "negative one-term denominator":
+        return [lam / (-3 * h), -lam / (3 * h), (lam * QQ(-1, 3)) * (1 / h),
+                (2 * lam) * (1 / (6 * h)) * -1]
+    if case == "negative multi-term leading coefficient":
+        return [1 / (h - lam), -1 / (lam - h), (-2 * h) * (1 / (2 * h * lam - 2 * h * h))]
+    # a shared monomial factor
+    return [(lam * h + h * h) * (1 / (h * lam)), (lam + h) / lam,
+            (2 * lam * h * h + 2 * h ** 3) * (1 / (4 * lam * h * h)) * 2]
+
+
+class TestCanonicalForm:
+    """Equal values reduce to one integer pair: content and monomial gcd
+    divided out, the denominator leading with a positive coefficient."""
+
+    @pytest.mark.parametrize("case", [
+        "integer content", "negative one-term denominator",
+        "negative multi-term leading coefficient", "shared monomial factor"])
+    def test_equal_values_share_one_pair(self, c2, case):
+        forms = _canonical_forms(c2, case)
+        first = forms[0]
+        for f in forms[1:]:
+            assert f == first and hash(f) == hash(first)
+            assert f.to_string() == first.to_string()
+            assert (f.num, f.den) == (first.num, first.den)
+
+    def test_constants_are_rationals(self, c2):
+        # the filtration ranks put these into a DomainMatrix over QQ
+        for text, want in (("3", QQ(3)), ("3/2", QQ(3, 2)), ("-6/4", QQ(-3, 2))):
+            got = c2(text).as_rational()
+            assert QQ.of_type(got) and got == want
+        assert QQ.of_type((c2.var("lam") / c2.var("lam") * 3).as_rational())
+        assert c2.var("lam").as_rational() is None
+
+
 
 # -- exactness against a sympy oracle ---------------------------------------
 #
@@ -184,9 +227,18 @@ LAM, HBAR = sp.symbols("lam hbar")
 CLI_NAMES = ["lam", "hbar", "t1", "t2", "t3", "t4"]
 
 
+def scalar_operands():
+    """(q, sympy value) for q an int or an element of QQ, zero included: an
+    operand of * that is folded into the pair as integers."""
+    q = st.one_of(st.integers(-4, 4),
+                  rationals().map(lambda f: QQ(f.numerator, f.denominator)))
+    return q.map(lambda q: (q, sp.Rational(int(q.numerator), int(q.denominator))))
+
+
 def pairs(ctx):
     """(FieldElement, sympy expression) pairs of equal value, in all the
-    context's symbols."""
+    context's symbols. Products include int and QQ operands on either side
+    (a constant times a rational when the element is a constant)."""
     base = st.one_of(
         rationals().map(lambda q: (ctx(q), sp.Rational(q.numerator, q.denominator))),
         st.sampled_from(ctx.names).map(lambda n: (ctx.var(n), ctx.symbol(n))),
@@ -198,6 +250,10 @@ def pairs(ctx):
             two.map(lambda p: (p[0][0] + p[1][0], p[0][1] + p[1][1])),
             two.map(lambda p: (p[0][0] - p[1][0], p[0][1] - p[1][1])),
             two.map(lambda p: (p[0][0] * p[1][0], p[0][1] * p[1][1])),
+            st.tuples(children, scalar_operands()).map(
+                lambda p: (p[0][0] * p[1][0], p[0][1] * p[1][1])),
+            st.tuples(scalar_operands(), children).map(
+                lambda p: (p[0][0] * p[1][0], p[0][1] * p[1][1])),
             two.filter(lambda p: sp.cancel(p[1][1]) != 0).map(
                 lambda p: (p[0][0] / p[1][0], p[0][1] / p[1][1])),
         )
@@ -372,7 +428,8 @@ def accumulator_terms(ctx):
     denominator, so their sums cancel across groups."""
     lam, t1 = ctx.var("lam"), ctx.var("t1")
     dens = [ctx.one(), lam ** 2 * t1, lam - t1,
-            lam * ctx.var("hbar") - ctx.var("t2") + 1]
+            lam * ctx.var("hbar") - ctx.var("t2") + 1,
+            3 * lam ** 2, 2 * lam - 4 * t1, ctx(-6) * t1]
     monomial = st.lists(st.sampled_from(ctx.names), max_size=2).map(
         lambda ns: functools.reduce(operator.mul, map(ctx.var, ns), ctx.one()))
     poly = st.lists(st.tuples(rationals(), monomial), min_size=1, max_size=3).map(
@@ -487,8 +544,9 @@ class TestContainerProtocol:
         for c in (a, b):
             with pytest.raises(TypeError):
                 hash(c)
-        assert 2 * a == a.scale(2)
-        assert c2.var("lam") * a == a.scale(c2.var("lam"))
+        assert 2 * a == a.scale(2) and QQ(1, 2) * a == a.scale(QQ(1, 2))
+        if kind != "UEAElement":    # enveloping elements hold rationals only
+            assert c2.var("lam") * a == a.scale(c2.var("lam"))
 
     def _rational(self, c2):
         U = PBWAlgebra(sl2(c2), order=("y", "h", "x"))
@@ -505,9 +563,13 @@ class TestContainerProtocol:
 
     @pytest.mark.parametrize("s", ["1/lam", "lam", "lam + hbar"])
     def test_field_factor_lifts_into_the_field(self, c2, s):
-        # a FieldElement factor multiplies every coefficient in the field
+        # a FieldElement factor multiplies every coefficient of a tensor in
+        # the field; an enveloping element holds rationals and rejects it
         f = c2(s)
-        for c in self._rational(c2):
-            for scaled in (c.scale(f), f * c):
-                assert all(isinstance(v, FieldElement) for v in scaled.terms.values())
-                assert scaled.terms == {k: f * c2(v) for k, v in c.terms.items()}
+        u, c = self._rational(c2)
+        for scaled in (c.scale(f), f * c):
+            assert all(isinstance(v, FieldElement) for v in scaled.terms.values())
+            assert scaled.terms == {k: f * c2(v) for k, v in c.terms.items()}
+        for scale in (u.scale, lambda f: f * u):
+            with pytest.raises(EnvelopingError, match="is not in QQ"):
+                scale(f)
