@@ -20,7 +20,8 @@ twist there; it forms the towers of its operands and the coefficient lists
 c_n once, and decides each associativity triple from the one sum
 (f_a*f_b)*f_c - f_a*(f_b*f_c) of both sides' tower products. Its
 filtration ranks are taken over products of basis functions indexed by
-multisets, evaluated at lam = 1, over QQ, all from one echelon form.
+multisets, with the factor lam of each basis function divided out, over
+QQ, all from one echelon form.
 """
 
 from __future__ import annotations
@@ -416,17 +417,17 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     report["degree_bound"] = {"ok": len(_tower(fb["x"] * fb["y"], "y")) == 3}
 
     # The product is commutative, so products over multisets of basis
-    # functions span the filtration. Each is lam-homogeneous, and lam -> 1
-    # is a ring homomorphism on their coefficients: it keeps the ranks.
-    at_one = [fb[n]._like({e: c.evaluate({LAM: 1})
-                           for e, c in fb[n].terms.items()})
-              for n in names]
+    # functions span the filtration. Each basis function is lam times a
+    # polynomial over QQ, so a product of d of them is lam^d, a unit, times
+    # the product of those polynomials: the ranks are those of the
+    # polynomial products, whose coefficients are in QQ.
+    unscaled = [fb[n].scale(1 / lam) for n in names]
     layer = [(0, OrbitFunction.constant(ctx, 1))]   # (last factor, product)
     rows: list[dict] = []
     sizes = []      # the number of products of degree <= d
     for d in range(FILTRATION_DEGREE + 1):
         if d:
-            layer = [(j, p * at_one[j]) for i, p in layer
+            layer = [(j, p * unscaled[j]) for i, p in layer
                      for j in range(i, len(names))]
         rows.extend({e: c.as_rational() for e, c in p.terms.items()}
                     for _, p in layer)

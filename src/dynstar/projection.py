@@ -6,8 +6,9 @@ Cartan generator produces a twist for Uv with no dynamical variable shift.
 This module builds the adapted sl(2) splittings, performs the projection
 over QQ (each slot monomial's image as :func:`change_generators` returns
 it), states the closed form of the projected series (its scalar
-denominators expanded in hbar over the field, its grades summed over QQ),
-and verifies the ordinary twist axioms order by order.
+denominators expanded in hbar over the field, each order's rational
+multiple of lam^-n summed over QQ), and verifies the ordinary twist axioms
+order by order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
 from .lie import LieAlgebraData, sl2
 from .scalars import HBAR, LAM, Context
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
-                    counit_ok, laurent_grades, summed_series)
+                    counit_ok, homogeneous_coefficient, summed_series)
 
 
 class ProjectionError(ValueError):
@@ -130,11 +131,9 @@ class ProjectedTwist:
         hname = self.splitting.h_name
         alg = self.splitting.pbw
         hi = alg.order.index(hname)
-        for g in self.series.grades:
-            for key in (k for t in g.values() for k in t.terms):
-                if any(e[hi] != 0 for e in key):
-                    raise ProjectionError(
-                        "coefficient leaks outside Uv (x) Uv")
+        for key in (k for t in self.series.coeffs for k in t.terms):
+            if any(e[hi] != 0 for e in key):
+                raise ProjectionError("coefficient leaks outside Uv (x) Uv")
 
 
 def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
@@ -182,10 +181,9 @@ def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
     with v_n the pair of rising factorials in the two v-generators: first
     the one the ambient lowering generator y maps into (the first slot of
     the twist holds powers of y), then the other. The scalar denominators
-    are expanded as hbar-power series to the truncation order, and each
-    series coefficient enters the QQ grades through its Laurent
-    coefficients in lam, read once (one that is not a Laurent polynomial
-    over QQ raises).
+    are expanded as hbar-power series to the truncation order, and the
+    hbar^r coefficient enters order r as the rational multiple of lam^-r
+    that :func:`homogeneous_coefficient` reads off (anything else raises).
     """
     first = next(v for v in sp.v_names if v in sp.to_split["y"])
     second = next(v for v in sp.v_names if v != first)
@@ -193,9 +191,9 @@ def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
     lam = ctx.var(LAM)
     q = ctx.var(HBAR)
     slots = (sp.pbw, sp.pbw)
-    # one accumulator per (order, lam power); order 0 is the unit
+    # one accumulator per order; order 0 is the unit
     sums = defaultdict(RationalAccumulator)
-    sums[0, 0].add(1, 1, [(((0,) * sp.pbw.ngens,) * 2, 1)])
+    sums[0].add(1, 1, [(((0,) * sp.pbw.ngens,) * 2, 1)])
     for n in range(1, N + 1):
         pref = ctx((-1) ** n) / ctx(math.factorial(n))
         denom = ctx.one()
@@ -205,8 +203,8 @@ def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
         v1, v2 = (rising_factorial(sp.pbw, g, n).terms for g in (first, second))
         pairs = [((e1, e2), c1 * c2) for e1, c1 in v1.items() for e2, c2 in v2.items()]
         for r in range(n, N + 1):
-            for d, c in laurent_grades(coeffs[r], r).items():
-                sums[r, d].add(c.numerator, c.denominator, pairs)
+            c = homogeneous_coefficient(coeffs[r], r)
+            sums[r].add(c.numerator, c.denominator, pairs)
     return ProjectedTwist(summed_series(slots, sums, N), sp)
 
 

@@ -293,20 +293,12 @@ def _null_vector(rows: list[list[QQ.dtype]], k: int) -> Optional[list[QQ.dtype]]
     """The kernel of ``rows`` (k columns) scaled as sympy's nullspace scales
     it (free entry 1, pivot entries read off the reduced echelon form), or
     None unless the kernel is one-dimensional."""
-    reduced: list[tuple[int, list[QQ.dtype]]] = []     # (pivot column, row)
-    for row in rows:
-        for col, piv in reduced:
-            row = [x - row[col] * y for x, y in zip(row, piv)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            piv = [x / row[col] for x in row]
-            reduced = [(c, [x - r[col] * y for x, y in zip(r, piv)])
-                       for c, r in reduced] + [(col, piv)]
-    free = [c for c in range(k) if c not in dict(reduced)]
+    reduced, pivots = DomainMatrix(rows, (len(rows), k), QQ).rref()
+    free = [c for c in range(k) if c not in pivots]
     if len(free) != 1:
         return None
     out = [QQ(int(c == free[0])) for c in range(k)]
-    for c, r in reduced:
+    for c, r in zip(pivots, reduced.to_list()):
         out[c] = -r[free[0]]
     return out
 

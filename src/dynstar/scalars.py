@@ -22,9 +22,9 @@ kind. The field-valued ones (Lie tensors, orbit functions) and the Verma
 vectors keep their coefficients in a single shared :class:`Context`, so
 every identity on them reduces to a zero test in this field, and every
 keyed sum of their terms is formed by :class:`FieldAccumulator` (its sums
-are nonzero). Enveloping elements and twist grades hold rationals instead;
-a twist's field view is the one place their coefficients become field
-elements.
+are nonzero). Enveloping elements and twist orders hold rationals instead;
+a twist's field view, each order's rational tensor times a power of lam,
+is the one place their coefficients become field elements.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ class Context:
             f = self._constants[n, d] = _frac(self, self.ring.dtype([(zm, n)]),
                                               self.ring.dtype([(zm, d)]))
         return f
-
-    def laurent(self, var: str, coefficients: Mapping[int, object]) -> "FieldElement":
-        """sum_d q_d var^d for the q_d in QQ of ``coefficients``."""
-        x = self.ring.gens[self.index(var)]
-        low = min(min(coefficients, default=0), 0)
-        scale = math.lcm(*(q.denominator for q in coefficients.values()))
-        num = sum((x ** (d - low) * (q.numerator * (scale // q.denominator))
-                   for d, q in coefficients.items()), self.ring.zero)
-        return _frac(self, num, x ** -low * scale)
 
     def __call__(self, value: Scalarish) -> "FieldElement":
         """Coerce ints, elements of QQ, Fractions, strings (with `^` powers)
@@ -232,23 +223,6 @@ class FieldElement:
         if self._const is None and not self._reduced:
             self._reduce()
         return None if self._const is None else QQ(self._const)
-
-    def laurent_coefficients(self, var: str) -> "dict[int, object] | None":
-        """The q_d in QQ with self = sum_d q_d var^d when self is a Laurent
-        polynomial in ``var`` over QQ, else None."""
-        i = self.context.index(var)
-        out = self._laurent_in(i)
-        if out is None and not self._reduced:
-            self._reduce()      # a common factor may hide it
-            out = self._laurent_in(i)
-        return out
-
-    def _laurent_in(self, i: int) -> "dict[int, object] | None":
-        if len(self.den) != 1 or any(e for m in (*self.num, *self.den)
-                                     for j, e in enumerate(m) if j != i):
-            return None
-        ((dm, dc),) = self.den.items()
-        return {m[i] - dm[i]: QQ(q, dc) for m, q in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
@@ -411,21 +385,6 @@ class FieldElement:
             p.append(acc)
         return [_frac(ctx, pk, powers[k + 1]) for k, pk in enumerate(p)]
 
-    def evaluate(self, bindings: Mapping[str, Scalarish]) -> "FieldElement":
-        """Exact simultaneous substitution of parameters.
-
-        Raises PoleError if the substitution makes a denominator vanish.
-        """
-        ctx = self.context
-        values = {ctx.index(k): ctx(v) for k, v in bindings.items()}
-        den = _substitute(ctx, self.den, values)
-        if den.is_zero() and not self._reduced:
-            self._reduce()      # the pair may share a factor vanishing there
-            return self.evaluate(bindings)
-        if den.is_zero():
-            raise PoleError(f"denominator vanishes under {dict(bindings)!r}")
-        return _substitute(ctx, self.num, values) / den
-
     # -- printing ----------------------------------------------------------
 
     def to_string(self) -> str:
@@ -459,20 +418,6 @@ def _coefficients_in(p: PolyElement, i: int) -> dict[int, PolyElement]:
         terms.setdefault(monom[i], []).append(
             (monom[:i] + (0,) + monom[i + 1:], coeff))
     return {k: p.ring.dtype(t) for k, t in terms.items()}
-
-
-def _substitute(ctx: Context, p: PolyElement,
-                values: Mapping[int, FieldElement]) -> FieldElement:
-    """p with generator i set to values[i], simultaneously (Horner in the
-    first substituted generator, recursing into the coefficients)."""
-    if not values:
-        return _frac(ctx, p, ctx._one_poly)
-    (i, v), *rest = values.items()
-    coeffs = _coefficients_in(p, i)
-    acc = ctx.zero()
-    for k in range(max(coeffs, default=0), -1, -1):
-        acc = acc * v + _substitute(ctx, coeffs.get(k, ctx.ring.zero), dict(rest))
-    return acc
 
 
 def _terms_string(ctx: Context, terms: list[tuple[tuple, int]]) -> str:

@@ -5,7 +5,7 @@ here redo its products, coproducts and slot maps term by term with field
 arithmetic on every partial coefficient, so the tests call them on field
 lifts (:func:`lifted`, :func:`field_scaled`) and check the QQ pipeline
 against code that shares none of its accumulators. :func:`field_series`
-builds a twist from field orders through the Laurent entry check, for the
+builds a twist from field orders through the twist's entry check, for the
 mutation controls.
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from dynstar import TensorUEA, TwistError, TwistSeries, UEAElement
 from dynstar.enveloping import lean
-from dynstar.twist import laurent_grades
+from dynstar.twist import homogeneous_coefficient
 
 
 def lifted(c):
@@ -98,31 +98,28 @@ def reference_map_slots(t, f):
     return TensorUEA(slots, out)
 
 
-def grades(t, n):
-    """A tensor t of order n as {d: T_d} over QQ with t = sum_d lam^d T_d,
+def rational_order(t, n):
+    """The QQ tensor T with t = lam^-n T for a field tensor t of order n,
     every coefficient coerced into the field and through
-    :func:`~dynstar.twist.laurent_grades`."""
-    split = {}
-    for k, c in t.terms.items():
-        for d, q in laurent_grades(t.ctx(c), n).items():
-            split.setdefault(d, {})[k] = lean(q)
-    return {d: TensorUEA(t.slots, terms) for d, terms in split.items()}
+    :func:`~dynstar.twist.homogeneous_coefficient`."""
+    return TensorUEA(t.slots, {k: lean(homogeneous_coefficient(t.ctx(c), n))
+                               for k, c in t.terms.items()})
 
 
 def field_series(slots, orders):
     """The twist series with the given field orders, each through the
-    entry check of :func:`grades`."""
+    entry check of :func:`rational_order`."""
     slots = tuple(slots)
     if not orders:
         raise TwistError("need at least the constant order")
     if any(t.slots != slots for t in orders):
         raise TwistError("order has wrong slot signature")
-    return TwistSeries(slots, [grades(t, n) for n, t in enumerate(orders)])
+    return TwistSeries(slots, [rational_order(t, n) for n, t in enumerate(orders)])
 
 
 def doubled_order(J, n):
     """J with its order n doubled. Term n = 1 of the projected closed form,
     -hbar/lam v_1, lies wholly at order 1, so doubling order 1 doubles that
     term."""
-    return TwistSeries(J.slots, [{d: t.scale(2) for d, t in g.items()} if r == n
-                                 else g for r, g in enumerate(J.grades)])
+    return TwistSeries(J.slots, [t.scale(2) if r == n else t
+                                 for r, t in enumerate(J.coeffs)])

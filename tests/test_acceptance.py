@@ -217,7 +217,7 @@ def test_criterion_9_mutation_sensitivity(actx):
     x_exp = next(iter(U.gen("x").terms))
     orders = list(J.orders)
     orders[2] = orders[2] + TensorUEA(
-        (U, U), {(y_exp, x_exp): actx("1/lam")})
+        (U, U), {(y_exp, x_exp): actx("1/lam^2")})
     ok = ok and not check_dynamical_twist(
         field_series((U, U), orders))["ok"]
 

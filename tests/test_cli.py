@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dynstar import classify, cli, rootsystems
+from dynstar import classify, cli, orbits, projection, rootsystems, twist, verma
 from dynstar.cli import run
 
 
@@ -148,6 +148,102 @@ class TestLagrangianMutations:
         assert (code, head) == (1, "lagrangian: FAIL")
         assert rep["isotropic"] is isotropic
         assert rep["bracket_closed"] is False and rep["ok"] is False
+
+
+def _double_star_coefficient(n):
+    """c_n of the star series doubled, in both modes."""
+    def mutate(monkeypatch):
+        real = orbits._star_coefficients
+        monkeypatch.setattr(orbits, "_star_coefficients", lambda ctx, mode, count: [
+            c * 2 if i == n else c for i, c in enumerate(real(ctx, mode, count))])
+    return mutate
+
+
+def _double_resolvent_shift(monkeypatch):
+    """The resolvent factors of the closed-form twist at shift 2j, not j."""
+    real = twist._h_powers
+    monkeypatch.setattr(twist, "_h_powers",
+                        lambda alg, shift, kmax: real(alg, 2 * shift, kmax))
+
+
+def _double_first_coefficient(monkeypatch):
+    """x_a doubled at the first root a of the family."""
+    real = classify.build_coefficients
+
+    def build_coefficients(spec):
+        fam = real(spec)
+        a = min(fam.x)
+        fam.x[a] = fam.x[a] * 2
+        return fam
+
+    monkeypatch.setattr(classify, "build_coefficients", build_coefficients)
+
+
+def _double_theta_at_11(monkeypatch):
+    """t_a doubled at a = (1, 1) only, t_{-a} kept."""
+    real = classify.DynrSpec.t_of
+    monkeypatch.setattr(classify.DynrSpec, "t_of", lambda spec, b: (
+        real(spec, b) * 2 if tuple(b) == (1, 1) else real(spec, b)))
+
+
+def _swap_closed_form_slots(monkeypatch):
+    """The projected closed form with its two slots swapped: v_n built as
+    the rising factorial of the second v-generator, then of the first."""
+    real = projection.closed_form_jv
+
+    def closed_form_jv(sp, N):
+        swapped = real(sp, N).series.map_orders(lambda t: t._like(
+            {(e2, e1): c for (e1, e2), c in t.terms.items()}))
+        return projection.ProjectedTwist(swapped, sp)
+
+    monkeypatch.setattr(projection, "closed_form_jv", closed_form_jv)
+
+
+def _bump_module_x_entry(monkeypatch):
+    """x u_1 = x[0] u_0 in every finite module, with x[0] one too large."""
+    real = verma.FiniteModule.__init__
+
+    def init(module, ctx, m):
+        real(module, ctx, m)
+        module.x = (module.x[0] + 1, *module.x[1:])
+
+    monkeypatch.setattr(verma.FiniteModule, "__init__", init)
+
+
+A2 = ["--type", "A", "--rank", "2"]
+
+# One row per constructing helper: the command whose verdict reads what the
+# helper builds, and the exit code when the helper is corrupted (1: the
+# check fails; 3: the module's own relation check raises first).
+HELPER_MUTATIONS = [
+    pytest.param(_double_star_coefficient(1), ["star"], 1, id="star-c1"),
+    pytest.param(_double_star_coefficient(2), ["star"], 1, id="star-c2",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "the star sweep's associativity runs over basis "
+                     "triples only, whose towers never reach c_2"))),
+    pytest.param(_double_resolvent_shift, ["abrr-check", "--order", "4"], 1,
+                 id="resolvent-shift"),
+    pytest.param(_double_first_coefficient, ["classify", *A2, "--delta", "a1"], 1,
+                 id="coefficient-x"),
+    pytest.param(_double_theta_at_11, ["lagrangian", *A2, "--delta", "a1,a2"], 1,
+                 id="lagrangian-theta"),
+    pytest.param(_swap_closed_form_slots, ["project-twist", "--order", "4"], 1,
+                 id="closed-form-slots"),
+    pytest.param(_swap_closed_form_slots,
+                 ["project-twist", "--order", "4", "--variant", "chevalley"], 1,
+                 id="closed-form-slots-chevalley"),
+    pytest.param(_bump_module_x_entry, ["verma-oracle", "--v", "4", "--w", "4"], 3,
+                 id="module-x-table"),
+]
+
+
+@pytest.mark.parametrize("mutate,argv,code", HELPER_MUTATIONS)
+def test_corrupted_helper_changes_the_exit_code(capsys, monkeypatch, mutate,
+                                                argv, code):
+    assert run(argv + ["--canonical"]) == 0
+    mutate(monkeypatch)
+    assert run(argv + ["--canonical"]) == code
+    capsys.readouterr()
 
 
 class TestTableOnlyWhereRead:

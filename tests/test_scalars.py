@@ -151,12 +151,6 @@ class TestCalculus:
         with pytest.raises(PoleError):
             (1 / c2.var("hbar")).series_expand("hbar", 1)
 
-    def test_evaluate_and_pole(self, c2):
-        f = 1 / (c2.var("lam") - 1)
-        assert f.evaluate({"lam": 3}) == c2(fractions.Fraction(1, 2))
-        with pytest.raises(PoleError):
-            f.evaluate({"lam": 1})
-
 
 class TestPrinting:
     def test_integer_coefficient_grammar(self, c2):
