@@ -214,12 +214,8 @@ def cmd_star(args) -> dict:
         raise SchemaError(f"star --order must lie in 0..{STAR_MAX_ORDER}, "
                           f"got {args.order}")
     rep = verify_orbit_identities(_sl2_pbw(), twist_order=args.order)
-    rep = _jsonable(rep)
     if args.identity != "all":
-        if args.identity not in rep:
-            raise SchemaError(f"unknown identity {args.identity!r}")
-        sub = rep[args.identity]
-        return {"identity": args.identity, **sub}
+        return {"identity": args.identity, **rep[args.identity]}
     rep["ok"] = rep.pop("all_ok")
     return rep
 
@@ -268,10 +264,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_string"):
-        return obj.to_string()
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     return obj
 
 

@@ -7,9 +7,9 @@ by recursive adjacent swaps against the bracket table, with memoized word
 normal forms. The bracket table is read over QQ, as ``LieAlgebraData``
 keeps it, and so is every normal form. Elements and tensors share one
 product, :func:`_product`, which touches the coefficients once per pair of
-terms and sums the rational expansions in a :class:`RationalAccumulator`,
-whose one ``add`` takes an integer numerator and denominator and keeps the
-sums over one common denominator. :func:`multiply_keys` multiplies out one
+terms and sums the rational expansions in the keyed-sum kernel of
+``scalars``, :class:`~dynstar.scalars.RationalAccumulator`; a word's normal
+form is summed there too. :func:`multiply_keys` multiplies out one
 pair of tensor keys, so a series product can expand each key pair once.
 Coproducts (an element's is the one-slot tensor coproduct) write binomial
 splits with integer multiplicities. Field coefficients appear only in a
@@ -26,7 +26,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .lie import LieAlgebraData
-from .scalars import Context, LinearCombination, terms_repr
+from .scalars import Context, LinearCombination, RationalAccumulator, terms_repr
 
 Exp = tuple[int, ...]
 
@@ -42,53 +42,6 @@ class DegreeCapError(EnvelopingError):
 def lean(q):
     """A rational as an int when it is integral (cheaper to multiply)."""
     return q.numerator if q.denominator == 1 else q
-
-
-class RationalAccumulator:
-    """Keyed sums of products (num / den) * q with num, den ints and q
-    rational: the one accumulator of enveloping products. Every key holds
-    an integer numerator over one common denominator, the lcm of the
-    denominators added so far, so adding a term is one int product and one
-    int addition; a new denominator rescales the numerators once, and
-    :meth:`sums` reduces one fraction per key."""
-
-    __slots__ = ("_sums", "_den")
-
-    def __init__(self):
-        self._sums: dict = {}
-        self._den = 1
-
-    def _cover(self, den: int) -> None:
-        """Make the common denominator a multiple of den."""
-        if self._den % den:
-            factor = den // math.gcd(self._den, den)
-            self._den *= factor
-            for key in self._sums:
-                self._sums[key] *= factor
-
-    def add(self, num: int, den: int, terms: Iterable[tuple[object, object]]) -> None:
-        """Add (num / den) * q at key for every (key, q) of ``terms``."""
-        self._cover(den)
-        c = num * (self._den // den)
-        sums = self._sums
-        for key, q in terms:
-            if q.denominator != 1:
-                self._cover(den * q.denominator)
-                c = num * (self._den // den)
-                n = c // q.denominator * q.numerator
-            else:
-                n = c * q.numerator
-            sums[key] = sums.get(key, 0) + n
-
-    def is_zero(self) -> bool:
-        """Whether every sum is zero, read off the numerators."""
-        return not any(self._sums.values())
-
-    def sums(self) -> dict:
-        """The nonzero sums by key, ints when integral."""
-        d = self._den
-        return {key: n // d if n % d == 0 else QQ.dtype(n, d)
-                for key, n in self._sums.items() if n}
 
 
 def _product(a: LinearCombination, b: LinearCombination,
@@ -140,7 +93,7 @@ class PBWAlgebra:
         for p in range(self.ngens):
             for q in range(self.ngens):
                 row = lie.bracket(self._lie_index[p], self._lie_index[q])
-                self._bracket[(p, q)] = {back[k]: lean(c) for k, c in row.items()}
+                self._bracket[(p, q)] = {back[k]: c for k, c in row.items()}
 
     # -- element constructors ---------------------------------------------
 
@@ -176,14 +129,13 @@ class PBWAlgebra:
         for i in range(len(word) - 1):
             if word[i] > word[i + 1]:
                 p, q = word[i], word[i + 1]
-                out = dict(self.word_normal_form(word[:i] + (q, p) + word[i + 2:]))
+                acc = RationalAccumulator()
+                swapped = word[:i] + (q, p) + word[i + 2:]
+                acc.add(1, 1, self.word_normal_form(swapped).items())
                 for k, c in self._bracket[(p, q)].items():
                     sub = word[:i] + (k,) + word[i + 2:]
-                    for e, c2 in self.word_normal_form(sub).items():
-                        out[e] = out.get(e, 0) + c * c2
-                out = {e: lean(c) for e, c in out.items() if c}
-                memo[word] = out
-                return out
+                    acc.add(c.numerator, c.denominator, self.word_normal_form(sub).items())
+                return memo.setdefault(word, acc.sums())
         exp = tuple(word.count(g) for g in range(self.ngens))
         res = {exp: 1}
         memo[word] = res

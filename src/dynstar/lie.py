@@ -1,9 +1,10 @@
 """Realized Lie algebras with an invariant form, and the rank-2/3 tensor
 calculus on top of them: CYB (whole, or restricted to a marked
 complement), Alt, the split Casimir and invariance checks. Brackets and
-the form are over QQ and tensor coefficients in the field: a tensor sum
-takes each bracket constant as a
-:class:`~dynstar.scalars.FieldAccumulator`'s rational multiplier.
+the form are over QQ and tensor coefficients in the field: tensor sums
+take each bracket constant as the rational multiplier of a
+:class:`~dynstar.scalars.FieldAccumulator`, and the structure checks sum
+in a :class:`~dynstar.scalars.RationalAccumulator`.
 
 The U-free realization of a shared structure table holds no Context; it
 is checked once per (family, rank) and shared read-only. Each realization
@@ -23,7 +24,8 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from . import rootsystems as rsys
 from .rootsystems import Root, StructureTable, root_name, _neg
-from .scalars import Context, FieldAccumulator, FieldElement, LinearCombination
+from .scalars import (Context, FieldAccumulator, FieldElement, LinearCombination,
+                      RationalAccumulator)
 
 
 class LieAlgebraError(ValueError):
@@ -140,12 +142,11 @@ class LieAlgebraData:
                 ks = (range(j + 1, d) if j in partners[i] else
                       sorted(k for k in partners[i] | partners[j] if k > j))
                 for k in ks:
-                    out: dict[int, object] = {}
+                    acc = RationalAccumulator()
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for t, q in self.bracket(b, c).items():
-                            for s, q2 in self.bracket(a, t).items():
-                                out[s] = out.get(s, 0) + q * q2
-                    if any(out.values()):
+                            acc.add(q.numerator, q.denominator, self.bracket(a, t).items())
+                    if not acc.is_zero():
                         raise LieAlgebraError(
                             f"Jacobi fails on ({self.names[i]}, {self.names[j]}, "
                             f"{self.names[k]})")
@@ -154,13 +155,12 @@ class LieAlgebraData:
         # [z,a]_t <t,b> is the first term at (a,b) and the second at (b,a).
         nonzero = [{b: f for b, f in enumerate(row) if f} for row in form]
         for zi in range(d):
-            out = {}
+            acc = RationalAccumulator()
             for a in range(d):
                 for t, q in self.bracket(zi, a).items():
-                    for b, f in nonzero[t].items():
-                        out[a, b] = out.get((a, b), 0) + q * f
-                        out[b, a] = out.get((b, a), 0) + q * f
-            if any(out.values()):
+                    acc.add(q.numerator, q.denominator, [
+                        (k, f) for b, f in nonzero[t].items() for k in ((a, b), (b, a))])
+            if not acc.is_zero():
                 raise LieAlgebraError("form not ad-invariant")
 
 

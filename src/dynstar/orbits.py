@@ -248,7 +248,7 @@ def _tower(f: OrbitFunction, name: str) -> list[OrbitFunction]:
         tower.append(d)
 
 
-def _star_coefficients(ctx: Context, mode: str, count: int) -> list[FieldElement]:
+def star_coefficients(ctx: Context, mode: str, count: int) -> list[FieldElement]:
     """c_0, ..., c_{count-1} with c_n = (-1)^n q^n / (n! lam (lam-q) ...
     (lam-(n-1)q)); q = 1 in mode "hbar_one" and q = hbar in mode "formal"."""
     if mode not in ("hbar_one", "formal"):
@@ -274,7 +274,7 @@ def _tower_terms(left: Sequence[OrbitFunction], right: Sequence[OrbitFunction],
 def star_product(f1: OrbitFunction, f2: OrbitFunction,
                  mode: str = "hbar_one") -> OrbitFunction:
     """The orbit star-product sum_n c_n (y^n . f1)(x^n . f2) with the
-    scalar coefficients c_n of :func:`_star_coefficients`.
+    scalar coefficients c_n of :func:`star_coefficients`.
 
     On right-H-invariant inputs the h-dependent twist factors act by their
     value at h = 0, which collapses to these scalars; non-invariant inputs
@@ -285,7 +285,7 @@ def star_product(f1: OrbitFunction, f2: OrbitFunction,
     if not (is_h_invariant(f1) and is_h_invariant(f2)):
         raise OrbitError("star-product inputs must be right-H-invariant")
     left, right = _tower(f1, "y"), _tower(f2, "x")
-    coeffs = _star_coefficients(f1.ctx, mode, min(len(left), len(right)))
+    coeffs = star_coefficients(f1.ctx, mode, min(len(left), len(right)))
     return _sum_of_products(f1.ctx, _tower_terms(left, right, coeffs))
 
 
@@ -333,7 +333,7 @@ def verify_orbit_identities(U: PBWAlgebra, twist_order: int = 3) -> dict:
     # formed once. The operands have degree <= 2, so (degree_bound) their
     # towers have at most 3 terms.
     tb = {a: towers(fb[a]) for a in names}
-    coeffs = {mode: _star_coefficients(ctx, mode, 3)
+    coeffs = {mode: star_coefficients(ctx, mode, 3)
               for mode in ("hbar_one", "formal")}
     star, formal = ({(a, b): _sum_of_products(
                          ctx, _tower_terms(tb[a][0], tb[b][1], coeffs[mode]))

@@ -13,16 +13,16 @@ order by order.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 from sympy.polys.domains import QQ
 
-from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
-                         change_generators, project_drop_right)
+from .enveloping import (PBWAlgebra, TensorUEA, UEAElement, change_generators,
+                         project_drop_right)
 from .lie import LieAlgebraData, sl2
-from .scalars import HBAR, LAM, Context
+from .orbits import star_coefficients
+from .scalars import HBAR, Context, RationalAccumulator
 from .twist import (TwistSeries, check_h_invariance, cocycle_residual,
                     counit_ok, homogeneous_coefficient, summed_series)
 
@@ -176,30 +176,22 @@ def rising_factorial(alg: PBWAlgebra, name: str, n: int) -> UEAElement:
 
 
 def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
-    """The projected series in closed form:
-    1 + sum_n (-1)^n hbar^n v_n / (n! lam (lam-hbar) ... (lam-(n-1)hbar))
-    with v_n the pair of rising factorials in the two v-generators: first
-    the one the ambient lowering generator y maps into (the first slot of
-    the twist holds powers of y), then the other. The scalar denominators
-    are expanded as hbar-power series to the truncation order, and the
-    hbar^r coefficient enters order r as the rational multiple of lam^-r
-    that :func:`homogeneous_coefficient` reads off (anything else raises).
-    """
+    """The projected series in closed form, 1 + sum_n c_n v_n, with c_n the
+    formal coefficient (-1)^n hbar^n / (n! lam (lam-hbar) ... (lam-(n-1)hbar))
+    of :func:`~dynstar.orbits.star_coefficients` and v_n the pair of rising
+    factorials in the two v-generators: first the one the ambient lowering
+    generator y maps into (the first slot of the twist holds powers of y),
+    then the other. Each c_n is expanded in hbar to the truncation order,
+    and its hbar^r coefficient enters order r as the rational multiple of
+    lam^-r that :func:`homogeneous_coefficient` reads off (else it raises)."""
     first = next(v for v in sp.v_names if v in sp.to_split["y"])
     second = next(v for v in sp.v_names if v != first)
-    ctx = sp.pbw.ctx
-    lam = ctx.var(LAM)
-    q = ctx.var(HBAR)
     slots = (sp.pbw, sp.pbw)
     # one accumulator per order; order 0 is the unit
     sums = defaultdict(RationalAccumulator)
     sums[0].add(1, 1, [(((0,) * sp.pbw.ngens,) * 2, 1)])
-    for n in range(1, N + 1):
-        pref = ctx((-1) ** n) / ctx(math.factorial(n))
-        denom = ctx.one()
-        for j in range(n):
-            denom = denom * (lam - j * q)
-        coeffs = (pref / denom * q ** n).series_expand(HBAR, N)
+    for n, c_n in enumerate(star_coefficients(sp.pbw.ctx, "formal", N + 1)[1:], 1):
+        coeffs = c_n.series_expand(HBAR, N)
         v1, v2 = (rising_factorial(sp.pbw, g, n).terms for g in (first, second))
         pairs = [((e1, e2), c1 * c2) for e1, c1 in v1.items() for e2, c2 in v2.items()]
         for r in range(n, N + 1):

@@ -31,6 +31,8 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
+from .scalars import RationalAccumulator
+
 Root = tuple[int, ...]
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D")
@@ -304,14 +306,12 @@ def _null_vector(rows: list[list[QQ.dtype]], k: int) -> Optional[list[QQ.dtype]]
 
 
 def _commutator(x: Sparse, y: Sparse) -> Sparse:
-    out: Sparse = {}
+    acc = RationalAccumulator()
     for (i, j), u in x.items():
-        for (k, l), v in y.items():
-            if j == k:
-                out[i, l] = out.get((i, l), 0) + u * v
-            if l == i:
-                out[k, j] = out.get((k, j), 0) - v * u
-    return {p: v for p, v in out.items() if v}
+        n, d = u.numerator, u.denominator
+        acc.add(n, d, [((i, l), v) for (k, l), v in y.items() if k == j])
+        acc.add(-n, d, [((k, j), v) for (k, l), v in y.items() if l == i])
+    return acc.sums()
 
 
 def chevalley_constants(rs: RootSystem) -> StructureTable:

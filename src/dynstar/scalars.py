@@ -18,13 +18,14 @@ are printed straight from the reduced pair, with the content, sign and
 term order that sympy's ``cancel`` and printer give.
 
 Every sparse container is a :class:`LinearCombination` with one coefficient
-kind. The field-valued ones (Lie tensors, orbit functions) and the Verma
-vectors keep their coefficients in a single shared :class:`Context`, so
-every identity on them reduces to a zero test in this field, and every
-keyed sum of their terms is formed by :class:`FieldAccumulator` (its sums
-are nonzero). Enveloping elements and twist orders hold rationals instead;
-a twist's field view, each order's rational tensor times a power of lam,
-is the one place their coefficients become field elements.
+kind: field elements of one shared :class:`Context` (Lie tensors, orbit
+functions, Verma vectors), so that every identity on them is a zero test in
+this field, or rationals (enveloping elements, twist orders; a twist's field
+view is the one place theirs become field elements). Keyed sums go
+through :class:`RationalAccumulator`, the one keyed-sum kernel, or through
+:class:`FieldAccumulator`, a family of kernels; both give nonzero sums.
+Operators take only a FieldElement, an int or an element of QQ: calling a
+:class:`Context` is the one parser of outside input.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ import functools
 import math
 import operator
 import re
-from typing import Iterable, Mapping, Sequence, Union
+from collections import defaultdict
+from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing
-
-Scalarish = Union["FieldElement", int, QQ.dtype, fractions.Fraction, str, sp.Expr]
 
 # the named symbols of the base field: the dynamical variable and the
 # deformation parameter
@@ -113,7 +113,7 @@ class Context:
                                               self.ring.dtype([(zm, d)]))
         return f
 
-    def __call__(self, value: Scalarish) -> "FieldElement":
+    def __call__(self, value) -> "FieldElement":
         """Coerce ints, elements of QQ, Fractions, strings (with `^` powers)
         or sympy expressions into a FieldElement of this context."""
         if isinstance(value, FieldElement):
@@ -232,16 +232,16 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    _COERCIBLE = (int, QQ.dtype, fractions.Fraction, str, sp.Expr)
-
-    def _operand(self, other: Scalarish) -> "FieldElement | None":
+    def _operand(self, other) -> "FieldElement | None":
+        """An int, an element of QQ or a FieldElement as one of this
+        context (another context raises); None for any other type."""
         if type(other) is FieldElement and other.context is self.context:
             return other
-        if isinstance(other, (FieldElement, *self._COERCIBLE)):
+        if isinstance(other, (FieldElement, int, QQ.dtype)):
             return self.context(other)
         return None
 
-    def _combine(self, other: Scalarish, op) -> "FieldElement":
+    def _combine(self, other, op) -> "FieldElement":
         """op(self, other) for op one of the polynomial + and -."""
         o = self._operand(other)
         if o is None:
@@ -266,16 +266,17 @@ class FieldElement:
         num = op(n1, n2)
         return FieldElement(ctx, num, d1) if num else ctx._zero
 
-    def __add__(self, other: Scalarish) -> "FieldElement":
+    def __add__(self, other) -> "FieldElement":
         return self._combine(other, operator.add)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Scalarish) -> "FieldElement":
+    def __sub__(self, other) -> "FieldElement":
         return self._combine(other, operator.sub)
 
-    def __rsub__(self, other: Scalarish) -> "FieldElement":
-        return self.context(other)._combine(self, operator.sub)
+    def __rsub__(self, other) -> "FieldElement":
+        o = self._operand(other)
+        return NotImplemented if o is None else o._combine(self, operator.sub)
 
     def _scaled(self, q) -> "FieldElement":
         """self * q for q an int or in QQ, folded into the pair as integers."""
@@ -285,7 +286,7 @@ class FieldElement:
         return FieldElement(self.context, self.num if n == 1 else self.num.mul_ground(n),
                             self.den if d == 1 else self.den.mul_ground(d))
 
-    def __mul__(self, other: Scalarish) -> "FieldElement":
+    def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, QQ.dtype)):
             return self._scaled(other)
         o = self._operand(other)
@@ -303,14 +304,17 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Scalarish) -> "FieldElement":
-        o = self.context(other)
+    def __truediv__(self, other) -> "FieldElement":
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
         if not o.num:
             raise PoleError("division by zero field element")
         return _frac(self.context, self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other: Scalarish) -> "FieldElement":
-        return self.context(other) / self
+    def __rtruediv__(self, other) -> "FieldElement":
+        o = self._operand(other)
+        return NotImplemented if o is None else o / self
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.context, -self.num, self.den)
@@ -435,56 +439,88 @@ def _terms_string(ctx: Context, terms: list[tuple[tuple, int]]) -> str:
     return "".join(out).removeprefix("+")
 
 
+class RationalAccumulator:
+    """Keyed sums of products (num / den) * q with num, den ints and q
+    rational: the one keyed-sum kernel. Every key holds an integer
+    numerator over one common denominator, the lcm of the denominators
+    added so far, so adding a term is one int product and one int
+    addition; a new denominator rescales the numerators once, and
+    :meth:`sums` reduces one fraction per key."""
+
+    __slots__ = ("_sums", "_den")
+
+    def __init__(self):
+        self._sums: dict = {}
+        self._den = 1
+
+    def _cover(self, den: int) -> None:
+        """Make the common denominator a multiple of den, which it is not."""
+        factor = den // math.gcd(self._den, den)
+        self._den *= factor
+        for key in self._sums:
+            self._sums[key] *= factor
+
+    def add(self, num: int, den: int, terms: Iterable[tuple[object, object]]) -> None:
+        """Add (num / den) * q at key for every (key, q) of ``terms``."""
+        # the test before each call: most adds bring no new denominator
+        if self._den % den:
+            self._cover(den)
+        c = num * (self._den // den)
+        sums = self._sums
+        for key, q in terms:
+            if q.denominator != 1:
+                if self._den % (den * q.denominator):
+                    self._cover(den * q.denominator)
+                    c = num * (self._den // den)
+                n = c // q.denominator * q.numerator
+            else:
+                n = c * q.numerator
+            sums[key] = sums.get(key, 0) + n
+
+    def is_zero(self) -> bool:
+        """Whether every sum is zero, read off the numerators."""
+        return not any(self._sums.values())
+
+    def sums(self) -> dict:
+        """The nonzero sums by key, ints when integral."""
+        d = self._den
+        return {key: n // d if n % d == 0 else QQ.dtype(n, d)
+                for key, n in self._sums.items() if n}
+
+
 class FieldAccumulator:
     """Keyed sums of products c * q, with c a FieldElement and q a rational
-    (an int or an element of QQ).
-
-    Each (key, denominator of c) group holds integer numerator coefficients
-    over one integer denominator, updated in place, so adding c * q takes no
-    field operation. A one-term denominator is grouped by its monomial, its
-    coefficient joining the integer one; a multiplier with a new
-    denominator rescales the group, as in ``RationalAccumulator``.
-    :meth:`sums` adds up a key's fractions only at the end.
-    """
+    (an int or an element of QQ): one :class:`RationalAccumulator` per
+    (key, denominator of c), summing the integer coefficients of c's
+    numerator by monomial, so adding c * q takes no field operation. A
+    one-term denominator is grouped by its monomial, its coefficient
+    joining the denominator of q. :meth:`sums` adds up a key's fractions
+    only at the end."""
 
     __slots__ = ("context", "_groups")
 
     def __init__(self, context: Context):
         self.context = context
-        # (key, denominator key) -> [integer denominator, numerator coefficients]
-        self._groups: dict = {}
+        self._groups: dict = defaultdict(RationalAccumulator)
 
     def add(self, c: FieldElement, terms: Iterable[tuple[object, object]]) -> None:
         """Add c * q at key for every (key, q) of ``terms``."""
         den = c.den
-        # a one-term denominator is keyed by its monomial
         (dkey, unit), = den.items() if len(den) == 1 else ((den, 1),)
-        num = list(c.num.items())
+        num = c.num.items()
         groups = self._groups
         for key, q in terms:
-            d = unit * q.denominator
-            group = groups.get((key, dkey))
-            if group is None:
-                group = groups[(key, dkey)] = [d, {}]
-            elif group[0] % d:
-                f = d // math.gcd(group[0], d)
-                group[0] *= f
-                group[1] = {m: a * f for m, a in group[1].items()}
-            s = group[0] // d * q.numerator
-            acc = group[1]
-            for m, a in num:
-                acc[m] = acc.get(m, 0) + a * s
+            groups[key, dkey].add(q.numerator, unit * q.denominator, num)
 
     def sums(self) -> dict:
         """The nonzero sums by key."""
-        ctx = self.context
-        ring = ctx.ring
+        ring = self.context.ring
         out = {}
-        for (key, dkey), (d, acc) in self._groups.items():
-            acc = {m: a for m, a in acc.items() if a}
+        for (key, dkey), group in self._groups.items():
+            acc = {m: a for m, a in group._sums.items() if a}
             if acc:
-                f = _frac(ctx, ring.dtype(acc), ring.dtype([(dkey, d)])
-                          if type(dkey) is tuple else dkey.mul_ground(d))
+                f = _frac(self.context, ring.dtype(acc), ring.dtype([(dkey, group._den)])
+                          if type(dkey) is tuple else dkey.mul_ground(group._den))
                 if key not in out:
                     out[key] = f
                 elif s := out[key] + f:     # only here can terms cancel

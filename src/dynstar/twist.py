@@ -15,7 +15,7 @@ rational multiple of lam^-n at order n. A product goes key pair by key
 pair over integer numerators and denominators, visiting only the pairs that
 land inside the truncation. A cocycle identity is checked as one exact
 difference: both sides' products are summed, with opposite signs, into one
-accumulator per order, and a PASS forms no fraction of either side. The
+RationalAccumulator per order; a PASS forms no fraction of either side. The
 closed-form twist for sl(2) in the generators y, h, x, the dynamical-shift
 operation, the defining cocycle identity and the classical limit all live
 here.
@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 
 from sympy.polys.domains import QQ
 
-from .enveloping import (PBWAlgebra, RationalAccumulator, TensorUEA, UEAElement,
-                         lean, multiply_keys)
+from .enveloping import PBWAlgebra, TensorUEA, UEAElement, lean, multiply_keys
 from .lie import Tensor2, Tensor3, alt, cyb
-from .scalars import HBAR, LAM, Context, FieldAccumulator, FieldElement
+from .scalars import (HBAR, LAM, Context, FieldAccumulator, FieldElement,
+                      RationalAccumulator)
 
 
 class TwistError(ValueError):

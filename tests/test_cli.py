@@ -153,8 +153,8 @@ class TestLagrangianMutations:
 def _double_star_coefficient(n):
     """c_n of the star series doubled, in both modes."""
     def mutate(monkeypatch):
-        real = orbits._star_coefficients
-        monkeypatch.setattr(orbits, "_star_coefficients", lambda ctx, mode, count: [
+        real = orbits.star_coefficients
+        monkeypatch.setattr(orbits, "star_coefficients", lambda ctx, mode, count: [
             c * 2 if i == n else c for i, c in enumerate(real(ctx, mode, count))])
     return mutate
 

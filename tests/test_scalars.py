@@ -11,7 +11,7 @@ from sympy.polys.domains import QQ
 from dynstar import (Context, ContextMismatchError, EnvelopingError, FieldElement,
                      OrbitFunction, PBWAlgebra, PoleError, Tensor2, TensorUEA,
                      UEAElement, sl2)
-from dynstar.scalars import FieldAccumulator
+from dynstar.scalars import FieldAccumulator, RationalAccumulator
 from dynstar.verma import FiniteModule
 
 
@@ -101,6 +101,22 @@ class TestCoercion:
         other = Context(["lam", "hbar"])
         with pytest.raises(ContextMismatchError):
             c2(other.var("lam"))
+
+    def test_operators_take_no_outside_input(self, c2):
+        # only the context parses: an operand that is not a field element
+        # of the same context, an int or an element of QQ is no field element
+        lam, other = c2.var("lam"), Context(["lam", "hbar"]).var("lam")
+        for x in ("abc", "x+", "lam", "1/2", fractions.Fraction(1, 2)):
+            assert (lam == x) is False and (x == lam) is False and lam != x
+        assert (c2(QQ(1, 2)) == fractions.Fraction(1, 2)) is False
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((lam, "lam"), ("lam", lam)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+            with pytest.raises(ContextMismatchError):
+                op(lam, other)
+        with pytest.raises(ContextMismatchError):
+            lam == other
 
 
 class TestCalculus:
@@ -396,7 +412,7 @@ def test_fixed_elements_against_oracle(c2, text):
     e = sp.sympify(text.replace("^", "**"), locals={"lam": LAM, "hbar": HBAR})
     assert f.to_string() == (g / h).to_string() == oracle_string(e)
     assert f == g / h and f != f + 1 and (f != 0) == (not oracle_zero(e))
-    assert c2(1) != c2(2) and c2("1/2") == fractions.Fraction(1, 2)
+    assert c2(1) != c2(2) and c2("1/2") == QQ(1, 2)
 
 
 @pytest.mark.parametrize("text", [
@@ -439,6 +455,49 @@ def accumulator_terms(ctx):
 
     term = st.tuples(st.integers(0, 3), coeff, q, disguise).map(expand)
     return st.lists(term, max_size=8).map(lambda ts: [x for t in ts for x in t])
+
+
+def rational_adds():
+    """(num, den, terms) arguments of RationalAccumulator.add, terms being
+    (key, q) with q an int or an element of QQ. The denominators of the q
+    differ from den, so the common denominator grows inside the loop. Some
+    adds are followed by their negation over a multiple of den, so their
+    sums cancel."""
+    q = st.one_of(st.integers(-4, 4), st.builds(
+        QQ, st.integers(-9, 9), st.sampled_from([2, 3, 4, 6, 9, 10])))
+    terms = st.lists(st.tuples(st.integers(0, 3), q), max_size=4)
+    add = st.tuples(st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 6, 8]),
+                    terms, st.sampled_from([None, 1, 3, 7]))
+
+    def expand(t):
+        num, den, terms, k = t
+        return [(num, den, terms)] + ([] if k is None else [(-num * k, den * k, terms)])
+
+    return st.lists(add.map(expand), max_size=8).map(lambda ts: [x for t in ts for x in t])
+
+
+class TestRationalAccumulator:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_adds())
+    def test_sums_against_naive_keyed_sum(self, adds):
+        acc = RationalAccumulator()
+        naive = {}
+        for num, den, terms in adds:
+            acc.add(num, den, terms)
+            for key, q in terms:
+                naive[key] = naive.get(key, QQ(0)) + QQ(num, den) * q
+        want = {k: v for k, v in naive.items() if v}
+        got = acc.sums()
+        assert got == want
+        assert all((type(v) is int) == (v.denominator == 1) for v in got.values())
+        assert acc.is_zero() == (not want)
+
+    def test_rescale_inside_one_add(self):
+        acc = RationalAccumulator()
+        acc.add(1, 2, [("a", 1), ("b", QQ(1, 3)), ("a", QQ(-1, 5)), ("b", 3)])
+        assert acc.sums() == {"a": QQ(2, 5), "b": QQ(5, 3)}
+        acc.add(-2, 5, [("a", 1)])
+        assert acc.sums() == {"b": QQ(5, 3)} and not acc.is_zero()
 
 
 class TestFieldAccumulator:
