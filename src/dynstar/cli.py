@@ -42,13 +42,13 @@ def _context(rank: int) -> Context:
 
 @functools.cache
 def _sl2_pbw() -> PBWAlgebra:
-    return PBWAlgebra(sl2(_context(4)), order=("y", "h", "x"))
+    return PBWAlgebra(sl2(_context(0)), order=("y", "h", "x"))
 
 
 @functools.cache
 def _splitting(variant: str):
     from .projection import split_basis_sl2
-    return split_basis_sl2(_context(4), variant)
+    return split_basis_sl2(_context(0), variant)
 
 
 def _parse_simple_token(tok: str, rank: int) -> tuple[int, ...]:
@@ -222,7 +222,7 @@ def cmd_star(args) -> dict:
 
 def cmd_verma_oracle(args) -> dict:
     from .verma import FiniteModule, compose_and_extract
-    ctx = _context(4)
+    ctx = _context(0)
     for name in ("v", "w"):
         _at_least(args, name, 0)
     if args.v % 2 or args.w % 2:

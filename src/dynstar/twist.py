@@ -11,14 +11,16 @@ left to the order index) is the one place a twist's coefficients become
 field elements; it is read (classical limit, orbit bidifferential operator)
 and printed, never multiplied. A field coefficient enters a twist only
 through :func:`homogeneous_coefficient`, which rejects anything but a
-rational multiple of lam^-n at order n. A product goes key pair by key
-pair over integer numerators and denominators, visiting only the pairs that
-land inside the truncation. A cocycle identity is checked as one exact
-difference: both sides' products are summed, with opposite signs, into one
-RationalAccumulator per order; a PASS forms no fraction of either side. The
-closed-form twist for sl(2) in the generators y, h, x, the dynamical-shift
-operation, the defining cocycle identity and the classical limit all live
-here.
+rational multiple of lam^-n at order n. A product runs on the factors' key
+rows (key -> its orders' integer numerators and denominators): a unit key's
+row adds the other factor's keys as they are, and every other key pair is
+multiplied out once, visiting only the pairs that land inside the
+truncation. A cocycle identity is one exact difference: the rows of
+(Delta (x) id)(J), (id (x) Delta)(J) and 1 (x) J are read off J's, each
+slot monomial split once by its coproduct, and both sides' products are
+summed, with opposite signs, into one RationalAccumulator per order; a PASS
+forms no fraction of either side. The closed-form sl(2) twist in y, h, x,
+the dynamical shift, the cocycle identity and the classical limit live here.
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ class TwistSeries:
 
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
         """The product through the lower truncation (see :func:`_add_product`)."""
+        if self.slots != other.slots:
+            raise TwistError("series signature mismatch")
         N = min(self.truncation, other.truncation)
         sums = defaultdict(RationalAccumulator)
-        _add_product(sums, self, other, N, 1)
+        _add_product(sums, self.slots, self._by_key(N), other._by_key(N), N, 1)
         return summed_series(self.slots, sums, N)
 
     def differing_orders(self, other: "TwistSeries") -> list[int]:
@@ -128,20 +132,28 @@ def _unit_series(slots: Sequence[PBWAlgebra], N: int) -> TwistSeries:
                        + [TensorUEA(slots, {})] * N)
 
 
-def _add_product(sums: dict, a: TwistSeries, b: TwistSeries, N: int,
-                 sign: int) -> None:
-    """Add sign * (a * b) through order N into sums[order], key pair by key
-    pair: each pair of tensor keys is multiplied out once, and its
-    coefficients that land at one order are summed as int pairs before one
-    accumulator add. The right keys are bucketed by their lowest order, so
-    a left key from order p visits only the buckets that can land at order
-    N or below."""
-    if a.slots != b.slots:
-        raise TwistError("series signature mismatch")
+def _add_product(sums: dict, slots: Sequence[PBWAlgebra], rows1: dict,
+                 rows2: dict, N: int, sign: int) -> None:
+    """Add sign * (a * b) through order N into sums[order], from the key
+    rows (key -> [(order, num, den)], sorted by order) of a and b over
+    ``slots``, whose unit key rows it pops: a unit row adds the other
+    factor's keys as they are, the unit pair once. Every other key pair is
+    multiplied out once, its int pairs that land at one order summed before
+    one accumulator add; the right keys are bucketed by lowest order, so a
+    left key from order p visits only the buckets that land at N or below."""
+    unit = tuple((0,) * alg.ngens for alg in slots)
+    u1, u2 = rows1.pop(unit, ()), rows2.pop(unit, ())
+    for urow, rows in ((u1, rows2), (u2, rows1), (u1, {unit: u2})):
+        for k, row in rows.items() if urow else ():
+            for p, n1, m1 in urow:
+                for q, n2, m2 in row:
+                    if p + q > N:
+                        break
+                    sums[p + q].add(sign * n1 * n2, m1 * m2, ((k, 1),))
     buckets: list[list] = [[] for _ in range(N + 1)]
-    for k2, row2 in b._by_key(N).items():
+    for k2, row2 in rows2.items():
         buckets[row2[0][0]].append((k2, row2))
-    for k1, row1 in a._by_key(N).items():
+    for k1, row1 in rows1.items():
         for bucket in buckets[:N + 1 - row1[0][0]]:
             for k2, row2 in bucket:
                 pair: dict[int, list] = {}
@@ -155,7 +167,7 @@ def _add_product(sums: dict, a: TwistSeries, b: TwistSeries, N: int,
                             s[0] += n
                         else:
                             s[0], s[1] = s[0] * m + n * s[1], s[1] * m
-                terms = multiply_keys(a.slots, k1, k2)
+                terms = multiply_keys(slots, k1, k2)
                 for r, (n, m) in pair.items():
                     if n:
                         sums[r].add(sign * n, m, terms)
@@ -251,19 +263,31 @@ def shift_twist(J: TwistSeries) -> TwistSeries:
 def cocycle_residual(J: TwistSeries, right12: TwistSeries) -> dict:
     """A cocycle identity for a two-slot series J, through N, the lower
     truncation, as one difference: (Delta (x) id)(J) * right12 added with
-    sign +1 and (id (x) Delta)(J) * J^{23} with sign -1 into one
-    accumulator per order. The orders whose difference is not zero fail,
-    and the field view of the first of them is the residual."""
+    sign +1 and (id (x) Delta)(J) * J^{23} with sign -1 into one accumulator
+    per order, the three factors' key rows read off J's (each slot monomial
+    split once by its coproduct). The orders whose difference is not zero
+    fail; the first one's field view is the residual."""
+    slots = J.slots[:1] * 3
+    if J.slots != slots[:2] or right12.slots != slots:
+        raise TwistError("series signature mismatch")
     N = min(J.truncation, right12.truncation)
+    rows = J._by_key(N)
+    splits = {e: UEAElement(slots[0], {e: 1}).coproduct().terms.items()
+              for e in {e for key in rows for e in key}}
+    # a split key determines the key it came from: no two rows merge
+    left = {(l, r, e2): [(n, a * m, b) for n, a, b in row]
+            for (e1, e2), row in rows.items() for (l, r), m in splits[e1]}
+    right = {(e1, l, r): [(n, a * m, b) for n, a, b in row]
+             for (e1, e2), row in rows.items() for (l, r), m in splits[e2]}
+    j23 = {((0,) * slots[0].ngens,) + key: row for key, row in rows.items()}
     diff = defaultdict(RationalAccumulator)
-    _add_product(diff, J.map_orders(lambda t: t.slot_coproduct(0)), right12, N, 1)
-    _add_product(diff, J.map_orders(lambda t: t.slot_coproduct(1)),
-                 J.map_orders(lambda t: t.insert_unit(0)), N, -1)
+    _add_product(diff, slots, left, right12._by_key(N), N, 1)
+    _add_product(diff, slots, right, j23, N, -1)
     failing = sorted(n for n, acc in diff.items() if not acc.is_zero())
     first = None
     if failing:
         f = failing[0]
-        first = summed_series(right12.slots, {f: diff[f]}, N).order(f).to_json()
+        first = summed_series(slots, {f: diff[f]}, N).order(f).to_json()
     return {"checked_through": N, "ok": not failing,
             "failing_orders": failing, "first_residual": first}
 

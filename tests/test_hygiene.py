@@ -313,7 +313,6 @@ print(json.dumps({"codes": codes, "reached": sorted(reached)}))
 
 # Functions no argument vector reaches, each with the reason it stays.
 UNREACHED_ALLOWED = {
-    "enveloping.UEAElement.coproduct": "perfbench/tracer.py wraps it by name",
     "enveloping.UEAElement.__pow__": "the power notation of the demos and of "
                                      "the tests' oracles",
     "scalars.FieldElement.__rsub__": "perfbench/tracer.py wraps it by name",

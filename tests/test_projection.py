@@ -13,13 +13,37 @@ from dynstar.projection import _project_slots
 from field_reference import doubled_order, field_series
 
 
+def order_major_mul(A, B):
+    """A * B order by order: every order pair p + q = r through the lower
+    truncation, every term pair, the slot normal forms multiplied out over
+    QQ and summed in a plain dict. Returns each order's nonzero term map."""
+    N = min(A.truncation, B.truncation)
+    out = [{} for _ in range(N + 1)]
+    for r in range(N + 1):
+        for p in range(r + 1):
+            for k1, c1 in A.coeffs[p].terms.items():
+                for k2, c2 in B.coeffs[r - p].terms.items():
+                    partial = [((), QQ(c1) * QQ(c2))]
+                    for alg, e1, e2 in zip(A.slots, k1, k2):
+                        nf = alg.multiply_monomials(e1, e2).items()
+                        partial = [(key + (e,), c * q)
+                                   for key, c in partial for e, q in nf]
+                    for key, c in partial:
+                        out[r][key] = out[r].get(key, 0) + c
+    return [{k: lean(c) for k, c in t.items() if c} for t in out]
+
+
 def cocycle_sides(J, right12):
-    """The two sides of a cocycle identity for a two-slot series J, as
-    series products: (Delta (x) id)(J) * right12 and
+    """The two sides of a cocycle identity for a two-slot series J, each
+    multiplied out by :func:`order_major_mul`, which shares no code with
+    the library's series product: (Delta (x) id)(J) * right12 and
     (id (x) Delta)(J) * J^{23}."""
-    lhs = J.map_orders(lambda t: t.slot_coproduct(0)) * right12
-    rhs = J.map_orders(lambda t: t.slot_coproduct(1)) * \
-        J.map_orders(lambda t: t.insert_unit(0))
+    def mul(A, B):
+        return TwistSeries(A.slots, [TensorUEA(A.slots, t)
+                                     for t in order_major_mul(A, B)])
+    lhs = mul(J.map_orders(lambda t: t.slot_coproduct(0)), right12)
+    rhs = mul(J.map_orders(lambda t: t.slot_coproduct(1)),
+              J.map_orders(lambda t: t.insert_unit(0)))
     return lhs, rhs
 
 

@@ -18,7 +18,8 @@ from dynstar.twist import cocycle_residual
 from field_reference import (field_scaled, field_series, lifted,
                              reference_map_slots, reference_product,
                              reference_slot_coproduct)
-from test_projection import check_projected_equation, cocycle_sides
+from test_projection import (check_projected_equation, cocycle_sides,
+                             order_major_mul)
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +317,14 @@ def perturbed_twist(U, N, coeff="1/lam^2"):
     return field_series((U, U), orders)
 
 
+def unit_perturbed_twist(U, N):
+    """abrr_twist with (1/lam^2) 1 (x) 1 added at order 2, so the unit key
+    sits at orders 0 and 2."""
+    orders = abrr_twist(U, N).orders
+    orders[2] = orders[2] + TensorUEA.unit((U, U)).scale(U.ctx("1/lam^2"))
+    return field_series((U, U), orders)
+
+
 def nonhomogeneous_twist(U, N):
     """abrr_twist with (1/lam) y (x) x added at order 2, where the twist
     holds lam^-2 only: the entry check refuses it."""
@@ -550,28 +559,8 @@ class TestGradedAgainstField:
         assert orders_equal(got_r.orders, rhs_v)
 
 
-# -- the key-major series product against the order-major loop it replaced,
-# on random rational series ----------------------------------------------
-
-def order_major_mul(A, B):
-    """A * B order by order: every order pair p + q = r through the lower
-    truncation, every term pair, the slot normal forms multiplied out over
-    QQ and summed in a plain dict. Returns each order's nonzero term map."""
-    N = min(A.truncation, B.truncation)
-    out = [{} for _ in range(N + 1)]
-    for r in range(N + 1):
-        for p in range(r + 1):
-            for k1, c1 in A.coeffs[p].terms.items():
-                for k2, c2 in B.coeffs[r - p].terms.items():
-                    partial = [((), QQ(c1) * QQ(c2))]
-                    for alg, e1, e2 in zip(A.slots, k1, k2):
-                        nf = alg.multiply_monomials(e1, e2).items()
-                        partial = [(key + (e,), c * q)
-                                   for key, c in partial for e, q in nf]
-                    for key, c in partial:
-                        out[r][key] = out[r].get(key, 0) + c
-    return [{k: lean(c) for k, c in t.items() if c} for t in out]
-
+# -- the key-major series product against the order-major loop it replaced
+# (test_projection.order_major_mul), on random rational series ------------
 
 COEFFS = st.tuples(st.integers(-3, 3).filter(bool),
                    st.sampled_from([1, 2, 3, 4, 5, 6])).map(lambda nd: QQ(*nd))
@@ -604,6 +593,11 @@ class TestKeyMajorProduct:
         key = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * len(slots))
         pool = data.draw(st.lists(key, min_size=2, max_size=4, unique=True),
                          label="pool")
+        # pool[0] is in both factors at orders 0 and 2 with non-integral
+        # coefficients; in half the draws it is the unit key 1 (x) ... (x) 1
+        unit = ((0, 0, 0),) * len(slots)
+        if data.draw(st.booleans(), label="unit first"):
+            pool = [unit] + [k for k in pool if k != unit]
         NA = data.draw(st.integers(2, 4), label="NA")
         NB = data.draw(st.integers(2, 4).filter(lambda n: n != NA), label="NB")
         # coprime denominators in one factor, a shared factor 2 in the other
@@ -652,6 +646,26 @@ class TestKeyMajorProduct:
             # top * top lands at order 2N, past the truncation unless N = 0
             assert not any(got[:N]) and bool(got[N]) == (X is not Y or N == 0)
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_unit_rows_at_orders_zero_and_two(self, U, N):
+        # unit coefficients a0 + a2 u^2 and b0 + b2 u^2 multiply to
+        # a0 b0 + (a0 b2 + a2 b0) u^2 + a2 b2 u^4 through N: each pair of
+        # unit entries is counted once, up to the truncation and no further
+        slots = (U, U)
+        unit = ((0, 0, 0),) * 2
+        (ey,), (ex,) = (U.gen(g).terms for g in "yx")
+
+        def series(c0, c1, c2):
+            orders = [{unit: c0}, {(ey, ex): c1}, {unit: c2}] + [{}] * (N - 2)
+            return TwistSeries(slots, [TensorUEA(slots, t) for t in orders])
+
+        A = series(QQ(1, 2), QQ(2, 5), QQ(-1, 3))
+        B = series(QQ(3, 4), -1, QQ(5, 6))
+        got = [t.terms for t in (A * B).coeffs]
+        assert got == order_major_mul(A, B)
+        want = [QQ(3, 8), 0, QQ(1, 6), 0, QQ(-5, 18)][:N + 1]
+        assert [t.get(unit, 0) for t in got] == want
+
 
 # -- the fused cocycle difference against the two-sided comparison --------
 
@@ -677,7 +691,7 @@ def truncated(J, N):
 class TestFusedResidual:
     @pytest.mark.parametrize("N", [0, 1, 2, 4, 6])
     @pytest.mark.parametrize("kind", ["abrr", "doubled", "wrong_shift",
-                                      "perturbed", "nonhomogeneous"])
+                                      "perturbed", "unit", "nonhomogeneous"])
     def test_matches_two_sided(self, U, monkeypatch, kind, N):
         # each mutation sits at order 2: for N < 2 the twist is built at
         # order 2 and truncated to N
@@ -688,6 +702,7 @@ class TestFusedResidual:
                        "doubled": lambda: doubled_twist(U, M),
                        "wrong_shift": lambda: wrong_shift_twist(U, M, monkeypatch),
                        "perturbed": lambda: perturbed_twist(U, M),
+                       "unit": lambda: unit_perturbed_twist(U, M),
                        }[kind](), N)
         got = cocycle_residual(J, shift_twist(J))
         assert got == two_sided_residual(J, shift_twist(J))
@@ -702,6 +717,18 @@ class TestFusedResidual:
         got = cocycle_residual(V, right12)
         assert got == two_sided_residual(V, right12)
         assert got["ok"] == (name == "abrr")
+
+    def test_slots_of_another_algebra_raise(self, ctx, U):
+        # V lies over the splitting's PBW algebra, J over U sl(2)
+        J = abrr_twist(U, 3)
+        V = project_twist(J, split_basis_sl2(ctx)).series
+        for left, right12 in ((J, V.map_orders(lambda t: t.insert_unit(2))),
+                              (V, shift_twist(J))):
+            with pytest.raises(TwistError, match="series signature mismatch"):
+                cocycle_residual(left, right12)
+        for X, Y in ((J, V), (V, J)):
+            with pytest.raises(TwistError, match="series signature mismatch"):
+                X * Y
 
 
 class TestSlotCoproductKinds:
