@@ -41,7 +41,7 @@ print("conditions all hold:", report["all_ok"])
 # equation directly from the structure constants.
 g = realize_lie_algebra(chevalley_constants(rs), ctx, U=spec.U)
 b = coefficients_to_tensor(fam, g)
-print("tensor lies in M_Omega:", check_in_M_Omega(b, g))
+print("tensor lies in M_Omega:", check_in_M_Omega(b))
 
 # %%
 # The converse direction: from the bare coefficients, enumerate every

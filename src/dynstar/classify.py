@@ -231,13 +231,13 @@ def coefficients_to_tensor(fam: CoefficientFamily, g: LieAlgebraData) -> Tensor2
         (g.root_index[a], g.root_index[_neg(a)]): xa for a, xa in fam.x.items()})
 
 
-def check_in_M_Omega(b: Tensor2, g: Optional[LieAlgebraData] = None) -> bool:
+def check_in_M_Omega(b: Tensor2) -> bool:
     """Tensor-level membership test: b = Omega/2 + B with B antisymmetric,
     supported on m (x) m and u-invariant, and CYB(b) = 0 in the quotient.
 
     Raises QuasiUnitarityError if b + b^21 != Omega (distinct from a False
     verdict)."""
-    g = g or b.algebra
+    g = b.algebra
     omega = build_casimir_tensor(g)
     if not (b + b.transpose() - omega).is_zero():
         raise QuasiUnitarityError("b + b^21 != Omega")

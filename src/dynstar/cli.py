@@ -139,7 +139,7 @@ def cmd_classify(args) -> dict:
     return {
         "coefficients": {_root_str(a): fam[a].to_string()
                          for a in sorted(spec.system.roots)},
-        "conditions": _jsonable(report),
+        "conditions": report,
         "ok": report["all_ok"] and report["shift_form"],
     }
 
@@ -150,7 +150,7 @@ def cmd_verify_rmatrix(args) -> dict:
     g = realize_lie_algebra(rsys.chevalley_constants(spec.system), ctx, U=spec.U)
     b = cls.coefficients_to_tensor(fam, g)
     try:
-        member = cls.check_in_M_Omega(b, g)
+        member = cls.check_in_M_Omega(b)
         quasi_unitary = True
     except cls.QuasiUnitarityError:
         member, quasi_unitary = False, False
@@ -257,14 +257,6 @@ def cmd_project_twist(args) -> dict:
         "axioms": rep,
         "ok": closed_match and rep["ok"],
     }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 _COMMANDS = {
@@ -378,18 +370,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     t0 = time.monotonic()
     try:
-        report = _COMMANDS[args.command](args)
+        report = {"command": args.command, **_COMMANDS[args.command](args)}
+        if not getattr(args, "canonical", False):
+            report["elapsed_seconds"] = round(time.monotonic() - t0, 3)
+        text = json.dumps(report, indent=2, sort_keys=True)
     except (SchemaError, rsys.RootSystemError, cls.SpecError, PoleError, DegreeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        # a fault of the program, not of the input
+        # a fault of the program, not of the input (an unserializable report too)
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    report = {"command": args.command, **_jsonable(report)}
-    if not getattr(args, "canonical", False):
-        report["elapsed_seconds"] = round(time.monotonic() - t0, 3)
-    text = json.dumps(report, indent=2, sort_keys=True)
     status = "PASS" if report.get("ok") else "FAIL"
     print(f"{args.command}: {status}")
     print(text)

@@ -306,20 +306,16 @@ class TensorUEA(LinearCombination):
         return TensorUEA(self.slots[:slot] + self.slots[slot + 1:], out)
 
     def slot_coproduct(self, slot: int) -> "TensorUEA":
-        """Apply the coproduct in one slot (split it into two). The splits
-        of each distinct slot monomial are computed once per call. A split
-        key gives back its term's key (the two halves add up to the slot
+        """Apply the coproduct in one slot (split it into two). A split key
+        gives back its term's key (the two halves add up to the slot
         exponent), so every split is written straight into the result as
-        the coefficient times its integer multiplicity."""
+        the coefficient times its integer multiplicity. Callers that meet a
+        monomial more than once (the cocycle check) keep its splits."""
         alg = self.slots[slot]
-        splits: dict[Exp, list] = {}
         out = {}
         for k, v in self.terms.items():
-            e = k[slot]
-            if e not in splits:
-                splits[e] = _binomial_splits(e)
             head, tail = k[:slot], k[slot + 1:]
-            for l, r, m in splits[e]:
+            for l, r, m in _binomial_splits(k[slot]):
                 out[head + (l, r) + tail] = lean(v * m)
         return TensorUEA(self.slots[:slot] + (alg, alg) + self.slots[slot + 1:], out)
 

@@ -39,9 +39,11 @@ class LieAlgebraData:
 
     Structure constants and form entries are converted to QQ here, once:
     ints and QQ elements directly, anything else through ``ctx``; a
-    non-rational entry raises LieAlgebraError naming it. Tensor coefficients
-    over the algebra are FieldElements of ``ctx``. The bracket rows and the
-    name index are read-only, so algebras may share them.
+    non-rational entry raises LieAlgebraError naming it. ``form_inverse``,
+    the inverse of the form over QQ, is formed here too, so a degenerate
+    form raises. Tensor coefficients over the algebra are FieldElements of
+    ``ctx``. The bracket rows, the name index and the form and its inverse
+    are read-only, so algebras may share them.
     """
 
     _EMPTY = MappingProxyType({})
@@ -79,9 +81,12 @@ class LieAlgebraData:
                   for j, x in enumerate(row))
             for i, row in enumerate(form))
         self._validate_structure()
+        try:
+            inv = DomainMatrix([list(r) for r in self.form], (self.dim,) * 2, QQ).inv()
+        except DMNonInvertibleMatrixError:
+            raise LieAlgebraError("invariant form is degenerate") from None
+        self.form_inverse = tuple(map(tuple, inv.to_list()))
         self._mark_u(u_indices)
-        # [form, its QQ inverse] once formed; copies share the list
-        self._form_inverse: list = []
 
     def _mark_u(self, u_indices: Optional[Sequence[int]]) -> None:
         """Mark u and its complement m (or neither), and check them."""
@@ -113,20 +118,6 @@ class LieAlgebraData:
     def bracket(self, i: int, j: int) -> Mapping[int, object]:
         """[e_i, e_j] as a read-only sparse coordinate vector over QQ."""
         return self._brackets.get((i, j), self._EMPTY)
-
-    def form_inverse(self) -> tuple[tuple, ...]:
-        """The inverse of the form over QQ, formed once and shared by the
-        copies of this algebra that keep its form (every realization of a
-        shared table). A degenerate form raises."""
-        box = self._form_inverse
-        if not box or box[0] is not self.form:
-            d = self.dim
-            try:
-                inv = DomainMatrix([list(row) for row in self.form], (d, d), QQ).inv()
-            except DMNonInvertibleMatrixError:
-                raise LieAlgebraError("invariant form is degenerate") from None
-            box[:] = [self.form, tuple(map(tuple, inv.to_list()))]
-        return box[1]
 
     # -- validation --------------------------------------------------------
 
@@ -306,7 +297,7 @@ def build_casimir_tensor(g: LieAlgebraData) -> Tensor2:
     from the inverse of the form over QQ; only its field constants are
     built per call."""
     return Tensor2(g, {(i, j): g.ctx.constant(q)
-                       for i, row in enumerate(g.form_inverse())
+                       for i, row in enumerate(g.form_inverse)
                        for j, q in enumerate(row) if q})
 
 

@@ -35,9 +35,10 @@ class ProjectionError(ValueError):
 class SplittingData:
     """An adapted decomposition g = h (+) v for sl(2).
 
-    ``algebra`` carries the (b, a, c) basis with v = span{b, a} and
-    h = span{c}; ``order`` puts the v-generators first so that dropping
-    trailing c-exponents is a projection along the left ideal Ug h.
+    ``pbw`` is the enveloping algebra of the split algebra ``pbw.lie``,
+    with the (b, a, c) basis, v = span{b, a} and h = span{c}. Its order
+    puts the v-generators first and c last, so that dropping trailing
+    c-exponents is a projection along the left ideal Ug h.
     ``images`` holds the projected image of every slot monomial that
     :func:`project_twist` has met, kept over QQ as :func:`change_generators`
     returns it, keyed by (PBW order of the slot algebra, exponents). The
@@ -46,27 +47,24 @@ class SplittingData:
     degree cap bound.
     """
     ambient: LieAlgebraData
-    algebra: LieAlgebraData
     pbw: PBWAlgebra
     to_split: dict      # sl(2) generator -> expansion in (b, a, c)
     from_split: dict    # (b, a, c) generator -> expansion in (y, h, x)
-    v_names: tuple[str, str]
-    h_name: str
     variant: str
     images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def check(self) -> dict:
         """Bracket relations of the split basis and exactness of the
         decomposition (round-trip change of basis on the generators)."""
-        idx = self.algebra.index
-        b, a, c = (idx[self.v_names[0]], idx[self.v_names[1]], idx[self.h_name])
+        alg = self.pbw.lie
+        b, a, c = (alg.index[n] for n in self.pbw.order)
 
         rel = {
-            "cb": self.algebra.bracket(c, b) == {b: 1, c: 1},
-            "ca": self.algebra.bracket(c, a) == {c: 1, a: -1},
-            "ba": self.algebra.bracket(b, a) == {a: 1, b: -1},
+            "cb": alg.bracket(c, b) == {b: 1, c: 1},
+            "ca": alg.bracket(c, a) == {c: 1, a: -1},
+            "ba": alg.bracket(b, a) == {a: 1, b: -1},
             "v_closed": all(
-                set(self.algebra.bracket(i, j)) <= {b, a}
+                set(alg.bracket(i, j)) <= {b, a}
                 for i in (b, a) for j in (b, a)),
         }
         amb = PBWAlgebra(self.ambient)
@@ -103,8 +101,7 @@ def split_basis_sl2(ctx: Context, variant: str = "standard") -> SplittingData:
         (1, 2): {1: 1, 2: -1},        # [a, c] = a - c
     }
     form = [[half, half, -half], [half, half, half], [-half, half, half]]
-    split = LieAlgebraData(ctx, ("b", "a", "c"), br, form)
-    pbw = PBWAlgebra(split, order=("b", "a", "c"))
+    pbw = PBWAlgebra(LieAlgebraData(ctx, ("b", "a", "c"), br, form))
     if variant == "standard":
         to_split = {"y": {"b": 1, "c": 1}, "h": {"c": -2},
                     "x": {"a": 1, "c": -1}}
@@ -117,8 +114,7 @@ def split_basis_sl2(ctx: Context, variant: str = "standard") -> SplittingData:
                       "c": {"h": half}}
     else:
         raise ProjectionError(f"unknown splitting variant {variant!r}")
-    return SplittingData(g, split, pbw, to_split, from_split,
-                         ("b", "a"), "c", variant).validate()
+    return SplittingData(g, pbw, to_split, from_split, variant).validate()
 
 
 @dataclass
@@ -128,11 +124,9 @@ class ProjectedTwist:
     splitting: SplittingData
 
     def __post_init__(self):
-        hname = self.splitting.h_name
-        alg = self.splitting.pbw
-        hi = alg.order.index(hname)
+        # the Cartan generator comes last in the splitting's PBW order
         for key in (k for t in self.series.coeffs for k in t.terms):
-            if any(e[hi] != 0 for e in key):
+            if any(e[-1] != 0 for e in key):
                 raise ProjectionError("coefficient leaks outside Uv (x) Uv")
 
 
@@ -144,7 +138,7 @@ def _project_slots(t: TensorUEA, sp: SplittingData) -> TensorUEA:
         key = (u.algebra.order, e)
         if key not in sp.images:
             sp.images[key] = project_drop_right(
-                change_generators(u, sp.pbw, sp.to_split), (sp.h_name,))
+                change_generators(u, sp.pbw, sp.to_split), sp.pbw.order[-1:])
         return sp.images[key]
     return t.map_slots(image)
 
@@ -184,8 +178,9 @@ def closed_form_jv(sp: SplittingData, N: int) -> ProjectedTwist:
     then the other. Each c_n is expanded in hbar to the truncation order,
     and its hbar^r coefficient enters order r as the rational multiple of
     lam^-r that :func:`homogeneous_coefficient` reads off (else it raises)."""
-    first = next(v for v in sp.v_names if v in sp.to_split["y"])
-    second = next(v for v in sp.v_names if v != first)
+    v_names = sp.pbw.order[:-1]
+    first = next(v for v in v_names if v in sp.to_split["y"])
+    second = next(v for v in v_names if v != first)
     slots = (sp.pbw, sp.pbw)
     # one accumulator per order; order 0 is the unit
     sums = defaultdict(RationalAccumulator)

@@ -353,10 +353,7 @@ class FieldElement:
         x = self.context.index(var)
         self._reduce()
         num, den = self.num, self.den
-        dden = den.diff(x)
-        if not dden:
-            return _frac(self.context, num.diff(x), den)
-        return _frac(self.context, num.diff(x) * den - num * dden, den * den)
+        return _frac(self.context, num.diff(x) * den - num * den.diff(x), den * den)
 
     def series_expand(self, var: str, order: int) -> list["FieldElement"]:
         """Truncated power-series expansion around var = 0: the list of

@@ -174,7 +174,9 @@ def _add_product(sums: dict, slots: Sequence[PBWAlgebra], rows1: dict,
 
 
 def summed_series(slots: Sequence[PBWAlgebra], sums: dict, N: int) -> TwistSeries:
-    """The series whose order n holds sums[n].sums() (zero if absent)."""
+    """Order n holds sums[n].sums() (zero if absent); a sum past N raises."""
+    if any(n > N for n in sums):
+        raise TwistError(f"sum at order {max(sums)} past the truncation {N}")
     return TwistSeries(slots, [TensorUEA(slots, sums[n].sums() if n in sums else {})
                                for n in range(N + 1)])
 

@@ -72,7 +72,7 @@ def test_criterion_1_classification_soundness(actx):
         fam = build_coefficients(spec)
         rep = check_coefficient_conditions(fam)
         g = realize_lie_algebra(table, actx, U=spec.U)
-        member = check_in_M_Omega(coefficients_to_tensor(fam, g), g)
+        member = check_in_M_Omega(coefficients_to_tensor(fam, g))
         dt = time.monotonic() - t0
         this_ok = rep["all_ok"] and member and dt < 60
         ok = ok and this_ok

@@ -462,6 +462,19 @@ class TestPlumbing:
         assert captured.out == ""
         assert captured.err == "internal error: KeyError: 'boom'\n"
 
+    @pytest.mark.parametrize("report", [
+        {"ok": True, "x": object()},
+        {"ok": True, "x": {(1, 2): "a"}},
+    ], ids=["non-json-value", "tuple-key"])
+    def test_unserializable_report_exits_3(self, capsys, monkeypatch, report):
+        # the report is built but cannot be written: a fault of the program
+        monkeypatch.setitem(cli._COMMANDS, "classify", lambda args: report)
+        assert run(["classify", "--type", "A", "--rank", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: TypeError: ")
+
 
 def test_one_context_algebra_and_splitting_per_process(capsys):
     assert cli._context(4) is cli._context(4) is not cli._context(3)

@@ -1,11 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from dynstar import (OrbitError, OrbitFunction, PBWAlgebra, abrr_twist,
-                     generator_derivative, group_action_derivative,
+from dynstar import (LieAlgebraData, OrbitError, OrbitFunction, PBWAlgebra,
+                     abrr_twist, generator_derivative, group_action_derivative,
                      invariant_derivative, is_h_invariant, orbit_function,
                      sl2, star_product, verify_orbit_identities)
 from dynstar import orbits
@@ -347,6 +348,19 @@ class TestMutationControls:
                         if isinstance(v, dict) and not v["ok"])
         assert failed == ["casimir", "commutator", "filtration_dims"]
         assert rep["filtration_dims"]["dims"] == [1, 4, 10, 20, 35]
+        assert not rep["all_ok"]
+
+    def test_commutator_reads_the_brackets_of_U(self, ctx):
+        # sl(2) with every bracket doubled keeps the trace form invariant,
+        # but the orbit product still carries the brackets of sl(2), so
+        # f_a * f_b - f_b * f_a = f_[a,b] fails on every non-diagonal pair
+        g = sl2(ctx)
+        doubled = LieAlgebraData(ctx, g.names, {
+            (i, j): {k: 2 * q for k, q in g.bracket(i, j).items()}
+            for i in range(g.dim) for j in range(i + 1, g.dim)}, g.form)
+        rep = verify_orbit_identities(PBWAlgebra(doubled, order=("y", "h", "x")))
+        assert rep["commutator"] == {"ok": False, "failures": [
+            (a, b) for a, b in itertools.product("xyh", repeat=2) if a != b]}
         assert not rep["all_ok"]
 
     @pytest.mark.parametrize("n", [1, 2])

@@ -81,7 +81,7 @@ def rising_factorial_projection(sp, n):
     Cartan monomials dropped, against the closed rising factorial."""
     pbw = sp.pbw
     # b + c is the ambient lowering generator in the standard splitting
-    brute = project_drop_right((pbw.gen("b") + pbw.gen("c")) ** n, (sp.h_name,))
+    brute = project_drop_right((pbw.gen("b") + pbw.gen("c")) ** n, (pbw.order[-1],))
     closed = rising_factorial(pbw, "b", n)
     return {"n": n, "brute": brute, "closed": closed,
             "equal": (brute - closed).is_zero()}
@@ -124,9 +124,9 @@ class TestSplitting:
             split_basis_sl2(ctx, "opposite")
 
     def test_complement_is_nonabelian(self, spl):
-        b = spl.algebra.index["b"]
-        a = spl.algebra.index["a"]
-        assert spl.algebra.bracket(b, a)
+        b = spl.pbw.lie.index["b"]
+        a = spl.pbw.lie.index["a"]
+        assert spl.pbw.lie.bracket(b, a)
 
 
 class TestClosedFormIngredients:

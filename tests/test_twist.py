@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from dynstar import (LieAlgebraData, PBWAlgebra, TensorUEA, TwistError,
                      shift_twist, sl2, split_basis_sl2, tensor2_from_names)
 from dynstar import twist
 from dynstar.enveloping import lean
-from dynstar.twist import cocycle_residual
+from dynstar.scalars import RationalAccumulator
+from dynstar.twist import cocycle_residual, summed_series
 from field_reference import (field_scaled, field_series, lifted,
                              reference_map_slots, reference_product,
                              reference_slot_coproduct)
@@ -461,7 +463,7 @@ def reference_project(t, sp_):
     """A field tensor rewritten slotwise in the split basis, Cartan
     monomials dropped."""
     return reference_map_slots(t, lambda u: project_drop_right(
-        change_generators(u, sp_.pbw, sp_.to_split), (sp_.h_name,)))
+        change_generators(u, sp_.pbw, sp_.to_split), (sp_.pbw.order[-1],)))
 
 
 def reference_sides(orders, right12):
@@ -665,6 +667,20 @@ class TestKeyMajorProduct:
         assert got == order_major_mul(A, B)
         want = [QQ(3, 8), 0, QQ(1, 6), 0, QQ(-5, 18)][:N + 1]
         assert [t.get(unit, 0) for t in got] == want
+
+    def test_sum_past_the_truncation_raises(self, U):
+        # a product kernel that adds at order 3 with N = 2 is at fault:
+        # the sum is refused, not dropped
+        slots = (U, U)
+        unit = ((0, 0, 0),) * 2
+        sums = defaultdict(RationalAccumulator)
+        sums[0].add(1, 1, [(unit, 1)])
+        sums[3].add(1, 2, [(unit, 1)])
+        with pytest.raises(TwistError, match="sum at order 3 past the truncation 2"):
+            summed_series(slots, sums, 2)
+        del sums[3]
+        assert [t.terms for t in summed_series(slots, sums, 2).coeffs] == [
+            {unit: 1}, {}, {}]
 
 
 # -- the fused cocycle difference against the two-sided comparison --------
